@@ -40,8 +40,6 @@ from .potential import (
 )
 from .transport import (
     InitialData,
-    actionangle_evaluator,
-    characteristic_evaluator,
     evaluate_f_actionangle,
     evaluate_f_characteristic,
     make_initial_data,

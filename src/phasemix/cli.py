@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,12 +34,7 @@ from .flow import FlowSpec, flow_map, orbit_period
 from .mixing import FitError, fit_decay, q_fourier_spectrum, sup_phi_t
 from .moments import MomentCalculator, spatial_grid
 from .potential import PotentialParams, invert_phi, phi as potential_phi
-from .transport import (
-    actionangle_evaluator,
-    evaluate_f_actionangle,
-    evaluate_f_characteristic,
-    make_initial_data,
-)
+from .transport import evaluate_f_actionangle, evaluate_f_characteristic, make_initial_data
 
 __all__ = ["ExperimentConfig", "ConfigError", "ConvergenceError", "main"]
 
@@ -53,6 +50,10 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A quadrature or fit did not meet its convergence requirement."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -76,14 +77,25 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "c_s", "alpha", "t_max", "samples_per_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if not 0 < self.c_s < 1:
             raise ConfigError("c_s must lie in (0, 1)")
         if not 0 <= self.alpha < 1:
             raise ConfigError("alpha must lie in [0, 1)")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
+        if not _is_int(self.m) or self.m < 1:
+            raise ConfigError("m must be an integer >= 1")
+        if not _is_int(self.n_k) or self.n_k < 4:
+            raise ConfigError("n_k must be an integer >= 4")
+        if not _is_int(self.n_chi) or self.n_chi < 8 or self.n_chi % 2:
+            raise ConfigError("n_chi must be an even integer >= 8")
+        if not _is_int(self.grid_points) or self.grid_points < 3:
+            raise ConfigError("grid_points must be an integer >= 3")
+        if not _is_int(self.v_quad) or self.v_quad < 64:
+            raise ConfigError("v_quad must be an integer >= 64")
         if self.t_max <= 0 or self.samples_per_period <= 0:
             raise ConfigError("time schedule parameters must be positive")
         lo, hi = self.fit_window
@@ -154,10 +166,8 @@ def _build(cfg: ExperimentConfig):
     return params, chart, f0
 
 
-def _calculator(cfg: ExperimentConfig, params, chart, f0) -> MomentCalculator:
-    return MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, cfg.c_s, n_quad=cfg.v_quad
-    )
+def _calculator(cfg: ExperimentConfig, chart, f0, x) -> MomentCalculator:
+    return MomentCalculator(chart, f0, x, n_quad=cfg.v_quad)
 
 
 def _orbital_period(cfg: ExperimentConfig, chart) -> float:
@@ -235,10 +245,9 @@ def _validation_points(cfg: ExperimentConfig, chart, params, n: int = 30):
 
 def cmd_evolve(cfg: ExperimentConfig, out: Path, validate: bool) -> int:
     params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, params, chart, f0)
     grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
     times = np.linspace(0.0, cfg.t_max, cfg.evolve_samples)
-    series = calc.series(times, grid)
+    series = _calculator(cfg, chart, f0, grid).series(times)
 
     rows = []
     for i, t in enumerate(series.times):
@@ -284,11 +293,10 @@ def _self_test_report(mode: str) -> dict:
 
 def _decay_payload(cfg: ExperimentConfig) -> dict:
     params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, params, chart, f0)
-    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
+    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
     period = _orbital_period(cfg, chart)
     times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = sup_phi_t(calc, grid, times)
+    report = sup_phi_t(calc, times)
     fitted = fit_decay(report, cfg.fit_window, period=period)
 
     early = report.sup_values[times <= period]
@@ -388,12 +396,17 @@ def _invariant_checks(cfg: ExperimentConfig):
         dc = np.max(np.abs(chart.c_of_k(ks) - fine.c_of_k(ks)))
         return result("chart_convergence", 1e-9, max(float(dq), float(dc)))
 
-    def jacobian_mass():
+    @functools.cache
+    def gauss_grid():
+        """Node set on a 201-point Gauss grid, shared by the two mass checks."""
         _, chart, f0 = _build(cfg)
-        calc = _calculator(cfg, params, chart, f0)
-        grid_nodes, grid_weights = np.polynomial.legendre.leggauss(201)
-        x = calc.x_max * grid_nodes
-        mass_xv = calc.x_max * float(calc.density(0.0, x) @ grid_weights)
+        nodes, weights = np.polynomial.legendre.leggauss(201)
+        x_max = float(invert_phi(params, f0.h_max))
+        return chart, f0, _calculator(cfg, chart, f0, x_max * nodes), x_max, weights
+
+    def jacobian_mass():
+        chart, f0, calc, x_max, grid_weights = gauss_grid()
+        mass_xv = x_max * float(calc.density(0.0) @ grid_weights)
         k_nodes, k_weights = np.polynomial.legendre.leggauss(128)
         k = 0.5 * (f0.h_min + f0.h_max) + 0.5 * (f0.h_max - f0.h_min) * k_nodes
         integrand = f0.bump(k) / chart.c_of_k(k)
@@ -402,16 +415,9 @@ def _invariant_checks(cfg: ExperimentConfig):
         return result("jacobian_mass_equivalence", 1e-6, err)
 
     def mass_conservation():
-        _, chart, f0 = _build(cfg)
-        calc = _calculator(cfg, params, chart, f0)
-        nodes, weights = np.polynomial.legendre.leggauss(201)
-        x = calc.x_max * nodes
-
-        def mass(t):
-            return calc.x_max * float(calc.density(t, x) @ weights)
-
-        m0 = mass(0.0)
-        err = abs(mass(50.0) - m0) / abs(m0)
+        _, _, calc, x_max, weights = gauss_grid()
+        m0, m50 = (x_max * float(rho @ weights) for rho in calc.density(np.array([0.0, 50.0])))
+        err = abs(m50 - m0) / abs(m0)
         return result("mass_conservation", 1e-6, err)
 
     def cross_solver():
@@ -428,16 +434,10 @@ def _invariant_checks(cfg: ExperimentConfig):
         _, chart, f0 = _build(cfg)
         # 512 velocity nodes: the quadrature floor must sit below the
         # O(dt**2) difference for the convergence ratio to be visible.
-        calc = MomentCalculator(
-            actionangle_evaluator(chart, params, f0), params, cfg.c_s, n_quad=512
-        )
-        grid = spatial_grid(params, cfg.c_s, 801)
+        calc = MomentCalculator(chart, f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
         t = 5.0
-        ref = calc.phi_t_reconstruct(t, grid)
-        err = [
-            float(np.max(np.abs(calc.phi_t_fd(t, dt, grid) - ref)))
-            for dt in (2e-3, 1e-3)
-        ]
+        ref = calc.phi_t_reconstruct(t)
+        err = [float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref))) for dt in (2e-3, 1e-3)]
         ratio = err[0] / err[1] if err[1] > 0 else np.inf
         return result("phi_t_route_equivalence", 0.0, ratio, passed=3.0 <= ratio <= 5.0)
 

@@ -8,14 +8,12 @@ Y = t c'(K) d_Q - d_K, and the Fourier spectrum of fbar in the angle.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .action_angle import OrbitChart
-from .moments import MomentCalculator, cumulative_from_zero
+from .moments import MomentCalculator
 from .potential import PotentialParams
 from .transport import InitialData
 
@@ -61,37 +59,14 @@ class DecayReport:
     residual: float | None = None
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PHASEMIX_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def sup_phi_t(calc: MomentCalculator, grid: np.ndarray, times) -> DecayReport:
-    """Record sup_x |phi_t| and the tail slope |j(t, 0)| per sample time.
-
-    Honors the PHASEMIX_THREADS environment variable for parallel
-    evaluation over time samples (the calculator is pure).
-    """
+def sup_phi_t(calc: MomentCalculator, times) -> DecayReport:
+    """Record sup_x |phi_t| and the tail slope |j(t, 0)| per sample time."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be nonempty and strictly increasing")
-    mid = grid.size // 2
-
-    def one(t):
-        j = calc.current(t, grid)
-        pt = cumulative_from_zero(j - j[mid], grid)
-        return float(np.max(np.abs(pt))), float(abs(j[mid]))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, times))
-    else:
-        results = [one(t) for t in times]
-    sup = np.array([r[0] for r in results])
-    tail = np.array([r[1] for r in results])
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a nonempty, strictly increasing 1-D array")
+    j = calc.current(times)
+    sup = np.max(np.abs(calc.phi_t_of(j)), axis=-1)
+    tail = np.abs(j[:, calc.x.size // 2])
     return DecayReport(times=times, sup_values=sup, tail_slopes=tail)
 
 

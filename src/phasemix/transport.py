@@ -23,8 +23,7 @@ __all__ = [
     "make_initial_data",
     "evaluate_f_characteristic",
     "evaluate_f_actionangle",
-    "actionangle_evaluator",
-    "characteristic_evaluator",
+    "pull_back",
 ]
 
 
@@ -63,10 +62,13 @@ class InitialData:
         out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
         return float(out[0]) if scalar else out
 
+    def modulation(self, q):
+        """Angle factor 1 + alpha sin(mQ) of the data."""
+        return 1.0 + self.alpha * np.sin(self.m * np.asarray(q, dtype=float))
+
     def value_bar(self, q, k):
         """Data in action-angle coordinates: B(K) * (1 + alpha sin(mQ))."""
-        q = np.asarray(q, dtype=float)
-        return self.bump(k) * (1.0 + self.alpha * np.sin(self.m * q))
+        return self.bump(k) * self.modulation(q)
 
     def value(self, x, v):
         """Data in phase-space coordinates; zero off the annulus."""
@@ -106,6 +108,27 @@ def evaluate_f_characteristic(
     return f0.value(x0, v0)
 
 
+def pull_back(chart: OrbitChart, params: PotentialParams, f0: InitialData, x, v):
+    """Chart coordinates of the phase points inside the support annulus.
+
+    Returns ``(inside, q, k)``: the mask of the broadcast points with
+    h_min < H < h_max, and the angle Q and energy K of those points in
+    row-major order.  Points outside the annulus never touch the chart;
+    points inside it but outside the chart range are a configuration
+    error and raise :class:`ChartRangeError`.
+    """
+    x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    h = np.asarray(hamiltonian(params, x_b, v_b))
+    inside = (h > f0.h_min) & (h < f0.h_max)
+    k = h[inside]
+    if k.size == 0:
+        return inside, k, k
+    if np.any(k < chart.k_min) or np.any(k > chart.k_max):
+        raise ChartRangeError("support annulus point outside chart range; rebuild the chart")
+    chi, _ = to_angle_energy(params, x_b[inside], v_b[inside])
+    return inside, chart.q_from_chi(chi, k), k
+
+
 def evaluate_f_actionangle(
     chart: OrbitChart,
     params: PotentialParams,
@@ -116,46 +139,12 @@ def evaluate_f_actionangle(
 ):
     """Exact solution via the chart: fbar0(Q + c(K) t, K).
 
-    Points outside the support annulus return 0 without touching the
-    chart; points inside the annulus but outside the chart range are a
-    configuration error and raise :class:`ChartRangeError`.
+    Zero off the support annulus; see :func:`pull_back` for the chart
+    range check.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scalar = x.ndim == 0 and v.ndim == 0
-    x_b, v_b = np.broadcast_arrays(x, v)
-    h = np.asarray(hamiltonian(params, x_b, v_b))
-    out = np.zeros(h.shape)
-    inside = (h > f0.h_min) & (h < f0.h_max)
-    if np.any(inside):
-        hi = h[inside]
-        if np.any(hi < chart.k_min) or np.any(hi > chart.k_max):
-            raise ChartRangeError(
-                "support annulus point outside chart range; rebuild the chart"
-            )
-        chi, _ = to_angle_energy(params, x_b[inside], v_b[inside])
-        q = chart.q_from_chi(chi, hi)
-        out[inside] = f0.value_bar(q + chart.c_of_k(hi) * t, hi)
+    scalar = np.ndim(x) == 0 and np.ndim(v) == 0
+    inside, q, k = pull_back(chart, params, f0, x, v)
+    out = np.zeros(inside.shape)
+    if k.size:
+        out[inside] = f0.value_bar(q + chart.c_of_k(k) * t, k)
     return float(out) if scalar else out
-
-
-def actionangle_evaluator(chart: OrbitChart, params: PotentialParams, f0: InitialData):
-    """Evaluator closure (t, x, v) -> f for the moments pipeline."""
-
-    def evaluate(t, x, v):
-        return evaluate_f_actionangle(chart, params, f0, t, x, v)
-
-    return evaluate
-
-
-def characteristic_evaluator(
-    params: PotentialParams,
-    f0: InitialData,
-    spec: FlowSpec = FlowSpec(method="adaptive", tolerance=1e-10),
-):
-    """Validation-path evaluator pulling back along characteristics."""
-
-    def evaluate(t, x, v):
-        return evaluate_f_characteristic(params, f0, t, x, v, spec)
-
-    return evaluate

@@ -15,7 +15,6 @@ from phasemix import (
     FlowSpec,
     MomentCalculator,
     PotentialParams,
-    actionangle_evaluator,
     build_chart,
     chart_range_for_support,
     compute_c,
@@ -62,11 +61,10 @@ def pipeline():
     """The full decay pipeline at the calibrated settings."""
     cfg = ExperimentConfig()  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
     params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, params, chart, f0)
-    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
+    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
     period = _orbital_period(cfg, chart)
     times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = fit_decay(sup_phi_t(calc, grid, times), cfg.fit_window, period)
+    report = fit_decay(sup_phi_t(calc, times), cfg.fit_window, period)
     return cfg, params, chart, f0, report
 
 
@@ -98,20 +96,32 @@ def test_decay_bound_ratio_fails_on_slower_decay(pipeline):
     assert clean <= 1.0
 
 
+def test_default_quadrature_resolves_the_scan(pipeline):
+    # The default 128 velocity nodes must agree with 512 at every sample
+    # time of the criterion-1 scan (measured worst: 0.0062 at t = 180.6).
+    # Beyond t ~ 300 they do not (4.5 % at t = 272, 70 % by t = 484).
+    cfg, params, chart, f0, report = pipeline
+    times = report.times[report.times > 0.0]
+    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
+    fine = sup_phi_t(MomentCalculator(chart, f0, grid, n_quad=512), times)
+    coarse = report.sup_values[report.times > 0.0]
+    rel = np.abs(coarse - fine.sup_values) / fine.sup_values
+    assert np.max(rel) <= 0.01, f"worst gap {np.max(rel):.4f} at t = {times[np.argmax(rel)]:.1f}"
+
+
 def test_criterion_02_no_mixing_control():
     cfg = ExperimentConfig(epsilon=0.0)
     params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, params, chart, f0)
-    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
+    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
     period = _orbital_period(cfg, chart)
     times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = fit_decay(sup_phi_t(calc, grid, times), cfg.fit_window, period)
+    report = fit_decay(sup_phi_t(calc, times), cfg.fit_window, period)
     ratio = float(report.envelope[-1] / report.envelope[0])
     # The bound check of criterion 1 must fail when nothing mixes.
     bound = decay_bound_ratio(report.times, report.sup_values, cfg.fit_window)
 
     def sup_at(t):
-        r = sup_phi_t(calc, grid, np.array([t]))
+        r = sup_phi_t(calc, np.array([t]))
         return float(r.sup_values[0])
 
     per_err = max(
@@ -193,9 +203,9 @@ def test_criterion_06_conservation(pipeline):
     from scipy.integrate import simpson
 
     cfg, params, chart, f0 = pipeline[:4]
-    calc = _calculator(cfg, params, chart, f0)
-    fine = np.linspace(-calc.x_max, calc.x_max, 801)
-    masses = [simpson(calc.density(t, fine), x=fine) for t in (0.0, 1.0, 10.0, 100.0)]
+    fine = spatial_grid(params, cfg.c_s, 801)
+    calc = _calculator(cfg, chart, f0, fine)
+    masses = [simpson(calc.density(t), x=fine) for t in (0.0, 1.0, 10.0, 100.0)]
     drift = max(abs(m - masses[0]) / masses[0] for m in masses[1:])
 
     # Mass in action-angle coordinates: the (x, v) area element is
@@ -212,15 +222,12 @@ def test_criterion_06_conservation(pipeline):
 
 def test_criterion_07_phi_t_routes(pipeline):
     cfg, params, chart, f0 = pipeline[:4]
-    calc = MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, cfg.c_s, n_quad=512
-    )
-    grid = spatial_grid(params, cfg.c_s, 801)
+    calc = MomentCalculator(chart, f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
     ratios = []
     for t in (5.0, 50.0):
-        ref = calc.phi_t_reconstruct(t, grid)
+        ref = calc.phi_t_reconstruct(t)
         errs = [
-            float(np.max(np.abs(calc.phi_t_fd(t, dt, grid) - ref)))
+            float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref)))
             for dt in (2e-3, 1e-3)
         ]
         ratios.append(errs[0] / errs[1])

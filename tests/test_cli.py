@@ -64,6 +64,26 @@ def test_bad_override_exit_code(tmp_path):
     assert run(tmp_path, "chart", "--set", "epsilon") == 2
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("evolve", "v_quad=10"),
+        ("decay", "grid_points=2"),
+        ("chart", "n_k=3"),
+        ("chart", "n_chi=7"),
+        ("chart", "n_chi=6"),
+        ("evolve", "m=1.5"),
+        ("evolve", "epsilon=NaN"),
+        ("evolve", "c_s=NaN"),
+        ("evolve", "alpha=NaN"),
+        ("decay", "t_max=Infinity"),
+        ("decay", "samples_per_period=NaN"),
+    ],
+)
+def test_bad_value_exit_code(tmp_path, command, override):
+    assert run(tmp_path, command, "--set", override) == 2
+
+
 # -- chart ------------------------------------------------------------------
 
 

@@ -8,13 +8,13 @@ from phasemix import (
     DecayReport,
     FitError,
     MomentCalculator,
-    actionangle_evaluator,
     fit_decay,
     q_fourier_spectrum,
     spatial_grid,
     sup_phi_t,
     vector_field_norms,
 )
+from phasemix.moments import CHUNK_ELEMENTS
 
 
 def test_fit_decay_pure_power_law():
@@ -53,25 +53,22 @@ def test_fit_decay_needs_points():
 
 
 def test_sup_phi_t_rejects_bad_times(params, chart, f0):
-    calc = MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, 0.5, n_quad=128
-    )
-    grid = spatial_grid(params, 0.5, 51)
+    calc = MomentCalculator(chart, f0, spatial_grid(params, 0.5, 51), n_quad=128)
     with pytest.raises(ValueError):
-        sup_phi_t(calc, grid, np.array([1.0, 1.0]))
+        sup_phi_t(calc, np.array([1.0, 1.0]))
 
 
-def test_sup_phi_t_threads_match_serial(params, chart, f0, monkeypatch):
-    calc = MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, 0.5, n_quad=128
-    )
+def test_sup_phi_t_batches_match_one_time_per_call(params, chart, f0):
     grid = spatial_grid(params, 0.5, 101)
-    times = np.array([1.0, 2.0, 3.0, 4.0])
-    serial = sup_phi_t(calc, grid, times)
-    monkeypatch.setenv("PHASEMIX_THREADS", "4")
-    threaded = sup_phi_t(calc, grid, times)
-    npt.assert_allclose(threaded.sup_values, serial.sup_values, rtol=0.0)
-    npt.assert_allclose(threaded.tail_slopes, serial.tail_slopes, rtol=0.0)
+    calc = MomentCalculator(chart, f0, grid, n_quad=128)
+    batch = CHUNK_ELEMENTS // (grid.size * 128)
+    assert batch >= 2
+    # Two full batches and a partial one.
+    times = 1.0 + 0.37 * np.arange(2 * batch + 3)
+    scan = sup_phi_t(calc, times)
+    single = [sup_phi_t(calc, np.array([t])) for t in times]
+    npt.assert_allclose(scan.sup_values, [r.sup_values[0] for r in single], rtol=0.0)
+    npt.assert_allclose(scan.tail_slopes, [r.tail_slopes[0] for r in single], rtol=0.0)
 
 
 def test_commuted_fields_stay_bounded(chart, params, f0):

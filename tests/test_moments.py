@@ -5,24 +5,29 @@ import numpy.testing as npt
 import pytest
 
 from phasemix import (
+    ChartRangeError,
     MomentCalculator,
-    actionangle_evaluator,
+    build_chart,
     cumulative_from_zero,
+    evaluate_f_actionangle,
     spatial_grid,
 )
-from phasemix.potential import invert_phi
-
-
-@pytest.fixture(scope="module")
-def calc(params, chart, f0):
-    return MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, 0.5, n_quad=128
-    )
+from phasemix.potential import invert_phi, phi
 
 
 @pytest.fixture(scope="module")
 def grid(params):
     return spatial_grid(params, 0.5, 201)
+
+
+@pytest.fixture(scope="module")
+def calc(chart, f0, grid):
+    return MomentCalculator(chart, f0, grid, n_quad=128)
+
+
+@pytest.fixture(scope="module")
+def fine_calc(params, chart, f0):
+    return MomentCalculator(chart, f0, spatial_grid(params, 0.5, 801), n_quad=128)
 
 
 def test_spatial_grid_shape(params):
@@ -57,33 +62,34 @@ def test_cumulative_requires_centered_grid():
 def test_density_even_at_t0(calc, grid):
     # The initial data is even in x (it depends on x through Phi only
     # after angle averaging at +-v pairs), so rho(0, .) is even.
-    rho = calc.density(0.0, grid)
+    rho = calc.density(0.0)
     npt.assert_allclose(rho, rho[::-1], atol=1e-12)
     assert np.all(rho >= 0.0)
 
 
-def test_density_vanishes_outside_support(calc, grid):
-    assert abs(calc.density(0.0, np.array([grid[-1]]))[0]) < 1e-14
+def test_density_vanishes_outside_support(chart, f0, grid):
+    edge = MomentCalculator(chart, f0, np.array([grid[-1]]), n_quad=128)
+    assert abs(edge.density(0.0)[0]) < 1e-14
 
 
-def test_mass_conservation(calc, grid):
+def test_mass_conservation(fine_calc):
     from scipy.integrate import simpson
 
-    fine = np.linspace(grid[0], grid[-1], 801)
-    m0 = simpson(calc.density(0.0, fine), x=fine)
+    fine = fine_calc.x
+    m0 = simpson(fine_calc.density(0.0), x=fine)
     for t in (1.0, 10.0, 100.0):
-        mt = simpson(calc.density(t, fine), x=fine)
+        mt = simpson(fine_calc.density(t), x=fine)
         npt.assert_allclose(mt, m0, rtol=1e-8)
 
 
-def test_mass_frozen_value(calc):
+def test_mass_frozen_value(fine_calc):
     # Mass of the default data, frozen from converged quadrature and
     # cross-checked against the action-angle integral with the 1/c
     # Jacobian factor.
     from scipy.integrate import simpson
 
-    fine = np.linspace(-calc.x_max, calc.x_max, 801)
-    m = simpson(calc.density(0.0, fine), x=fine)
+    fine = fine_calc.x
+    m = simpson(fine_calc.density(0.0), x=fine)
     npt.assert_allclose(m, 1.8326594895451827, rtol=1e-7)
 
 
@@ -92,12 +98,12 @@ def test_current_odd_at_quarter_turn(calc, grid):
     # under x -> -x up to the angle asymmetry; just pin j(0) = 0 is not
     # generally true, so check the tail instead: j -> 0 at the support
     # edge.
-    j = calc.current(0.0, grid)
+    j = calc.current(0.0)
     assert abs(j[0]) < 1e-14 and abs(j[-1]) < 1e-14
 
 
 def test_phi_pinned_at_origin(calc, grid):
-    p = calc.phi(0.0, grid)
+    p = calc.phi(0.0)
     mid = grid.size // 2
     npt.assert_allclose(p[mid], 0.0, atol=1e-15)
     # -phi'' = rho: check curvature sign near the origin where rho > 0.
@@ -105,14 +111,11 @@ def test_phi_pinned_at_origin(calc, grid):
 
 
 def test_phi_t_routes_converge(params, chart, f0):
-    calc = MomentCalculator(
-        actionangle_evaluator(chart, params, f0), params, 0.5, n_quad=512
-    )
-    grid = spatial_grid(params, 0.5, 801)
+    calc = MomentCalculator(chart, f0, spatial_grid(params, 0.5, 801), n_quad=512)
     t = 5.0
-    ref = calc.phi_t_reconstruct(t, grid)
+    ref = calc.phi_t_reconstruct(t)
     err = [
-        float(np.max(np.abs(calc.phi_t_fd(t, dt, grid) - ref)))
+        float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref)))
         for dt in (2e-3, 1e-3)
     ]
     assert 3.5 <= err[0] / err[1] <= 4.5
@@ -120,14 +123,33 @@ def test_phi_t_routes_converge(params, chart, f0):
 
 def test_series_assembles_everything(calc, grid):
     times = np.array([0.0, 1.0])
-    s = calc.series(times, grid)
+    s = calc.series(times)
     assert s.rho.shape == (2, grid.size)
-    npt.assert_allclose(s.rho[0], calc.density(0.0, grid), atol=1e-14)
-    npt.assert_allclose(s.phi_t[1], calc.phi_t_reconstruct(1.0, grid), atol=1e-14)
+    npt.assert_allclose(s.rho[0], calc.density(0.0), atol=1e-14)
+    npt.assert_allclose(s.phi_t[1], calc.phi_t_reconstruct(1.0), atol=1e-14)
 
 
-def test_n_quad_floor(params, chart, f0):
+def test_n_quad_floor(chart, f0, grid):
     with pytest.raises(ValueError):
-        MomentCalculator(
-            actionangle_evaluator(chart, params, f0), params, 0.5, n_quad=32
-        )
+        MomentCalculator(chart, f0, grid, n_quad=32)
+
+
+@pytest.mark.parametrize("t", [0.0, 7.3, 150.0])
+def test_node_set_matches_pointwise_route(params, chart, f0, calc, grid, t):
+    # The cached pull-back must reproduce evaluating the solution afresh
+    # at every velocity node and summing with the Gauss weights.
+    nodes, w = np.polynomial.legendre.leggauss(128)
+    v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, grid)), 0.0, None))
+    v = v_max[:, None] * nodes
+    f = evaluate_f_actionangle(chart, params, f0, t, grid[:, None], v)
+    rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
+    npt.assert_allclose(calc.density(t), rho, rtol=1e-14, atol=0.0)
+    npt.assert_allclose(calc.current(t), j, rtol=1e-14, atol=0.0)
+    batch = calc.density(np.array([t, t]))
+    npt.assert_allclose(batch, [rho, rho], rtol=1e-14, atol=0.0)
+
+
+def test_node_set_rejects_chart_short_of_support(params, f0, grid):
+    short = build_chart(params, 0.7, 1.5, n_k=8, n_chi=32)
+    with pytest.raises(ChartRangeError):
+        MomentCalculator(short, f0, grid, n_quad=64)

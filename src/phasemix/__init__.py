@@ -1,9 +1,6 @@
 """Phase-mixing laboratory for 1D transport in a confining quartic potential."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .action_angle import (
-    ActionAngle,
-    AngleEnergy,
     ChartError,
     ChartRangeError,
     OrbitChart,
@@ -31,7 +28,6 @@ from .mixing import (
 )
 from .moments import MomentCalculator, MomentSeries, cumulative_from_zero, spatial_grid
 from .potential import (
-    PhasePoint,
     PotentialParams,
     dphi,
     hamiltonian,

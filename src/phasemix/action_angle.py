@@ -23,10 +23,9 @@ iteration on the monotone forward series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .potential import (
     PotentialParams,
@@ -37,8 +36,6 @@ from .potential import (
 )
 
 __all__ = [
-    "AngleEnergy",
-    "ActionAngle",
     "OrbitChart",
     "ChartError",
     "ChartRangeError",
@@ -64,16 +61,6 @@ class ChartError(RuntimeError):
 
 class ChartRangeError(ValueError):
     """Energy outside the tabulated chart range."""
-
-
-class AngleEnergy(NamedTuple):
-    chi: float
-    h: float
-
-
-class ActionAngle(NamedTuple):
-    q: float
-    k: float
 
 
 def _maybe_scalar(arr, scalar: bool):
@@ -191,10 +178,8 @@ class OrbitChart:
     """Precomputed per-energy tables for the action-angle chart.
 
     ``sine_coeffs[i, k-1]`` holds the coefficient b_k of the node-i
-    reparametrization Q(chi) = chi + sum_k b_k sin(k chi).  ``chi_table``
-    and ``q_table`` tabulate the monotone map on [0, pi] (extended
-    everywhere by oddness and 2*pi-equivariance of the series form).
-    ``delta`` is the measured lower bound of c' over the grid.
+    reparametrization Q(chi) = chi + sum_k b_k sin(k chi).  ``delta`` is
+    the measured lower bound of c' over the grid.
     """
 
     params: PotentialParams
@@ -202,8 +187,6 @@ class OrbitChart:
     c: np.ndarray
     c_prime: np.ndarray
     sine_coeffs: np.ndarray
-    chi_table: np.ndarray
-    q_table: np.ndarray
     delta: float
     _c_spline: CubicSpline = field(repr=False)
     _cp_spline: CubicSpline = field(repr=False)
@@ -272,14 +255,6 @@ class OrbitChart:
             raise ChartError("Newton inversion of the angle map did not converge")
         return _maybe_scalar(chi, scalar)
 
-    def q_of_chi_table(self, node: int) -> PchipInterpolator:
-        """Monotone piecewise-cubic interpolant of the node table."""
-        return PchipInterpolator(self.chi_table, self.q_table[node])
-
-    def chi_of_q_table(self, node: int) -> PchipInterpolator:
-        """Monotone piecewise-cubic interpolant of the inverted table."""
-        return PchipInterpolator(self.q_table[node], self.chi_table)
-
 
 def build_chart(
     params: PotentialParams,
@@ -292,8 +267,9 @@ def build_chart(
 
     For each grid energy the smooth periodic weight dQ/dchi = c/a is
     sampled on n_chi equispaced angles; its Fourier antiderivative gives
-    Q(chi) = chi + sum b_k sin(k chi).  Monotonicity of every tabulated
-    map is verified before the chart is returned.
+    Q(chi) = chi + sum b_k sin(k chi).  dQ/dchi > 0 is verified at every
+    grid energy before the chart is returned, or :class:`ChartError` is
+    raised.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -321,25 +297,17 @@ def build_chart(
     keep = np.nonzero(np.max(np.abs(b), axis=0) > _MODE_FLOOR)[0]
     b = b[:, : keep[-1] + 1] if keep.size else b[:, :0]
 
-    n_tab = min(513, max(65, n_chi // 2 + 1))
-    if n_tab % 2 == 0:
-        n_tab += 1  # keep pi/2 on the table
-    chi_table = np.linspace(0.0, np.pi, n_tab)
-    if b.shape[1]:
-        mode_idx = np.arange(1, b.shape[1] + 1)
-        q_table = chi_table[None, :] + (np.sin(np.outer(chi_table, mode_idx)) @ b.T).T
-    else:
-        q_table = np.broadcast_to(chi_table, (n_k, n_tab)).copy()
-
-    # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node.
-    fine = np.linspace(0.0, np.pi, 4 * n_tab)
+    # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node.  The
+    # slope is even and 2*pi-periodic in chi, so [0, pi] covers it.
+    n_half = min(513, max(65, n_chi // 2 + 1))
+    if n_half % 2 == 0:
+        n_half += 1
+    fine = np.linspace(0.0, np.pi, 4 * n_half)
     if b.shape[1]:
         mode_idx = np.arange(1, b.shape[1] + 1)
         slope = 1.0 + np.cos(fine[:, None] * mode_idx) @ (mode_idx * b).T
         if np.any(slope <= 0):
             raise ChartError("tabulated angle map is not monotone")
-    if np.any(np.diff(q_table, axis=1) <= 0):
-        raise ChartError("tabulated angle map is not strictly increasing")
 
     b_spline = CubicSpline(k_grid, b, axis=0) if b.shape[1] else None
     return OrbitChart(
@@ -348,8 +316,6 @@ def build_chart(
         c=c,
         c_prime=c_prime,
         sine_coeffs=b,
-        chi_table=chi_table,
-        q_table=q_table,
         delta=float(c_prime.min()),
         _c_spline=CubicSpline(k_grid, c),
         _cp_spline=CubicSpline(k_grid, c_prime),
@@ -357,15 +323,15 @@ def build_chart(
     )
 
 
-def to_action_angle(chart: OrbitChart, params: PotentialParams, x, v):
+def to_action_angle(chart: OrbitChart, x, v):
     """Full chart (x, v) -> (Q, K); energy must lie in the chart range."""
-    chi, h = to_angle_energy(params, x, v)
+    chi, h = to_angle_energy(chart.params, x, v)
     chart.check_range(h)
     return chart.q_from_chi(chi, h), h
 
 
-def from_action_angle(chart: OrbitChart, params: PotentialParams, q, k):
+def from_action_angle(chart: OrbitChart, q, k):
     """Inverse chart (Q, K) -> (x, v)."""
     chart.check_range(k)
     chi = chart.chi_from_q(q, k)
-    return from_angle_energy(params, chi, k)
+    return from_angle_energy(chart.params, chi, k)

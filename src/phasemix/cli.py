@@ -7,7 +7,7 @@ plotting stack can consume them.  Runs are deterministic for a fixed
 config (fixed formatting, fixed seed).
 
 Exit codes: 0 success, 1 failed invariant (validate), 2 configuration
-error, 3 convergence or fit failure.
+error, 3 convergence or fit failure (an under-resolved chart included).
 """
 
 from __future__ import annotations
@@ -16,27 +16,26 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .action_angle import (
+    ChartError,
     build_chart,
-    chart_range_for_support,
     compute_c,
     compute_c_prime,
     from_action_angle,
 )
+from .experiment import ConfigError, Experiment, ExperimentConfig
 from .flow import FlowSpec, flow_map, orbit_period
 from .mixing import FitError, fit_decay, q_fourier_spectrum, sup_phi_t
 from .moments import MomentCalculator, spatial_grid
-from .potential import PotentialParams, invert_phi, phi as potential_phi
-from .transport import evaluate_f_actionangle, evaluate_f_characteristic, make_initial_data
+from .potential import invert_phi, phi as potential_phi
+from .transport import evaluate_f_actionangle, evaluate_f_characteristic
 
-__all__ = ["ExperimentConfig", "ConfigError", "ConvergenceError", "main"]
+__all__ = ["ConvergenceError", "load_config", "main"]
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -44,86 +43,8 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 
 
-class ConfigError(ValueError):
-    """Malformed or out-of-range experiment configuration."""
-
-
 class ConvergenceError(RuntimeError):
     """A quadrature or fit did not meet its convergence requirement."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass
-class ExperimentConfig:
-    """Full experiment description; round-trips losslessly through JSON."""
-
-    epsilon: float = 0.1
-    c_s: float = 0.5
-    alpha: float = 0.5
-    m: int = 1
-    n_k: int = 64
-    n_chi: int = 512
-    grid_points: int = 201
-    v_quad: int = 128
-    t_max: float = 200.0
-    samples_per_period: float = 8.0
-    fit_window: tuple[float, float] = (20.0, 200.0)
-    evolve_samples: int = 41
-    fd_dt: float = 1e-3
-    include_control: bool = False
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "c_s", "alpha", "t_max", "samples_per_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
-        if not 0 < self.c_s < 1:
-            raise ConfigError("c_s must lie in (0, 1)")
-        if not 0 <= self.alpha < 1:
-            raise ConfigError("alpha must lie in [0, 1)")
-        if not _is_int(self.m) or self.m < 1:
-            raise ConfigError("m must be an integer >= 1")
-        if not _is_int(self.n_k) or self.n_k < 4:
-            raise ConfigError("n_k must be an integer >= 4")
-        if not _is_int(self.n_chi) or self.n_chi < 8 or self.n_chi % 2:
-            raise ConfigError("n_chi must be an even integer >= 8")
-        if not _is_int(self.grid_points) or self.grid_points < 3:
-            raise ConfigError("grid_points must be an integer >= 3")
-        if not _is_int(self.v_quad) or self.v_quad < 64:
-            raise ConfigError("v_quad must be an integer >= 64")
-        if self.t_max <= 0 or self.samples_per_period <= 0:
-            raise ConfigError("time schedule parameters must be positive")
-        lo, hi = self.fit_window
-        if not 0 < lo < hi <= self.t_max:
-            raise ConfigError("fit_window must satisfy 0 < lo < hi <= t_max")
-        self.fit_window = (float(lo), float(hi))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["fit_window"] = list(self.fit_window)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown config key: {key!r}")
-        data = dict(data)
-        if "fit_window" in data:
-            fw = data["fit_window"]
-            if not (isinstance(fw, (list, tuple)) and len(fw) == 2):
-                raise ConfigError("fit_window must be a two-element list")
-            data["fit_window"] = (float(fw[0]), float(fw[1]))
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | None, overrides: list[str] | None) -> ExperimentConfig:
@@ -151,34 +72,11 @@ def load_config(path: str | None, overrides: list[str] | None) -> ExperimentConf
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# output writers
 
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
-
-
-def _build(cfg: ExperimentConfig):
-    params = PotentialParams(cfg.epsilon)
-    k_min, k_max = chart_range_for_support(cfg.c_s)
-    chart = build_chart(params, k_min, k_max, n_k=cfg.n_k, n_chi=cfg.n_chi)
-    f0 = make_initial_data(cfg.c_s, cfg.alpha, cfg.m, params, chart)
-    return params, chart, f0
-
-
-def _calculator(cfg: ExperimentConfig, chart, f0, x) -> MomentCalculator:
-    return MomentCalculator(chart, f0, x, n_quad=cfg.v_quad)
-
-
-def _orbital_period(cfg: ExperimentConfig, chart) -> float:
-    k_mid = 0.5 * (cfg.c_s + 1.0 / cfg.c_s)
-    return 2.0 * np.pi / float(chart.c_of_k(k_mid))
-
-
-def time_schedule(t_max: float, period: float, samples_per_period: float) -> np.ndarray:
-    step = period / samples_per_period
-    n = int(np.floor(t_max / step)) + 1
-    return step * np.arange(n)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -198,15 +96,15 @@ def _write_json(path: Path, payload: dict) -> None:
 # subcommands
 
 
-def cmd_chart(cfg: ExperimentConfig, out: Path) -> int:
-    params, chart, _ = _build(cfg)
+def cmd_chart(exp: Experiment, out: Path) -> int:
+    cfg, chart = exp.cfg, exp.chart
 
     # Convergence evidence: the closed-orbit quadrature must be
     # insensitive to node doubling at the configured resolution.
     probes = np.linspace(chart.k_min, chart.k_max, 5)
     n_quad = max(16, cfg.n_chi)
-    c_base = np.asarray(compute_c(params, probes, n_quad=n_quad))
-    c_fine = np.asarray(compute_c(params, probes, n_quad=2 * n_quad))
+    c_base = np.asarray(compute_c(exp.params, probes, n_quad=n_quad))
+    c_fine = np.asarray(compute_c(exp.params, probes, n_quad=2 * n_quad))
     max_rel = float(np.max(np.abs(c_fine - c_base) / np.abs(c_fine)))
 
     _write_csv(
@@ -236,18 +134,23 @@ def cmd_chart(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _validation_points(cfg: ExperimentConfig, chart, params, n: int = 30):
-    rng = np.random.default_rng(cfg.seed)
-    ks = rng.uniform(cfg.c_s, 1.0 / cfg.c_s, n)
-    qs = rng.uniform(-np.pi, np.pi, n)
-    return from_action_angle(chart, params, qs, ks)
+def _solver_gap(exp: Experiment) -> float:
+    """max |f_aa - f_char| at t = 1 and 10 on 30 seeded points of the annulus."""
+    rng = np.random.default_rng(exp.cfg.seed)
+    ks = rng.uniform(exp.cfg.c_s, 1.0 / exp.cfg.c_s, 30)
+    qs = rng.uniform(-np.pi, np.pi, 30)
+    xs, vs = from_action_angle(exp.chart, qs, ks)
+    worst = 0.0
+    for t in (1.0, 10.0):
+        aa = evaluate_f_actionangle(exp.f0, t, xs, vs)
+        ch = evaluate_f_characteristic(exp.f0, t, xs, vs)
+        worst = max(worst, float(np.max(np.abs(aa - ch))))
+    return worst
 
 
-def cmd_evolve(cfg: ExperimentConfig, out: Path, validate: bool) -> int:
-    params, chart, f0 = _build(cfg)
-    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
-    times = np.linspace(0.0, cfg.t_max, cfg.evolve_samples)
-    series = _calculator(cfg, chart, f0, grid).series(times)
+def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
+    times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
+    series = exp.node_set.series(times)
 
     rows = []
     for i, t in enumerate(series.times):
@@ -258,12 +161,7 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, validate: bool) -> int:
     _write_csv(out / "evolve.csv", ["t", "x", "rho", "j", "phi", "phi_t"], rows)
 
     if validate:
-        xs, vs = _validation_points(cfg, chart, params)
-        worst = 0.0
-        for t in (1.0, 10.0):
-            aa = evaluate_f_actionangle(chart, params, f0, t, xs, vs)
-            ch = evaluate_f_characteristic(params, f0, t, xs, vs)
-            worst = max(worst, float(np.max(np.abs(aa - ch))))
+        worst = _solver_gap(exp)
         if worst > 1e-4:
             raise ConvergenceError(
                 f"solver cross-validation failed: max |f_aa - f_char| = {worst:.3e}"
@@ -291,16 +189,13 @@ def _self_test_report(mode: str) -> dict:
     }
 
 
-def _decay_payload(cfg: ExperimentConfig) -> dict:
-    params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
-    period = _orbital_period(cfg, chart)
-    times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = sup_phi_t(calc, times)
-    fitted = fit_decay(report, cfg.fit_window, period=period)
+def _decay_payload(exp: Experiment) -> dict:
+    period, times = exp.period, exp.times
+    report = sup_phi_t(exp.node_set, times)
+    fitted = fit_decay(report, exp.cfg.fit_window, period=period)
 
     early = report.sup_values[times <= period]
-    late = report.sup_values[times >= cfg.t_max - period]
+    late = report.sup_values[times >= exp.cfg.t_max - period]
     ratio = float(late.max() / early.max()) if early.max() > 0 else 0.0
     return {
         "slope": fitted.slope,
@@ -314,16 +209,16 @@ def _decay_payload(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_decay(cfg: ExperimentConfig, out: Path, self_test: str | None) -> int:
+def cmd_decay(exp: Experiment, out: Path, self_test: str | None) -> int:
     if self_test is not None:
         payload = _self_test_report(self_test)
         _write_json(out / "decay_selftest.json", payload)
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    payload = _decay_payload(cfg)
-    if cfg.include_control:
-        control_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "epsilon": 0.0})
-        control = _decay_payload(control_cfg)
+    payload = _decay_payload(exp)
+    if exp.cfg.include_control:
+        control_cfg = dataclasses.replace(exp.cfg, epsilon=0.0)
+        control = _decay_payload(Experiment.from_config(control_cfg))
         payload["control"] = {
             "late_early_ratio": control["late_early_ratio"],
             "decays": control["decays"],
@@ -336,9 +231,13 @@ def cmd_decay(cfg: ExperimentConfig, out: Path, self_test: str | None) -> int:
 # validation suite
 
 
-def _invariant_checks(cfg: ExperimentConfig):
-    """Yield (name, runner) pairs; each runner returns a result dict."""
-    params = PotentialParams(cfg.epsilon)
+def _invariant_checks(exp: Experiment):
+    """Yield (name, runner) pairs; each runner returns a result dict.
+
+    The runners share ``exp``, so the chart is built at most once; a
+    chart that fails to build fails each check that needs it.
+    """
+    cfg, params = exp.cfg, exp.params
 
     def result(name, tolerance, measured, passed=None):
         if passed is None:
@@ -378,7 +277,7 @@ def _invariant_checks(cfg: ExperimentConfig):
         return result("c_prime_vs_fd", 1e-6, worst)
 
     def chart_checks():
-        _, chart, _ = _build(cfg)
+        chart = exp.chart
         geom = np.max(np.abs(chart.q_from_chi(np.pi / 2, chart.k_grid) - np.pi / 2))
         chi = np.linspace(-3.0, 3.0, 41)
         ks = np.linspace(chart.k_min, chart.k_max, 11)[:, None]
@@ -386,7 +285,7 @@ def _invariant_checks(cfg: ExperimentConfig):
         return result("chart_geometry_roundtrip", 1e-9, max(geom, rt))
 
     def chart_convergence():
-        _, chart, _ = _build(cfg)
+        chart = exp.chart
         fine = build_chart(
             params, chart.k_min, chart.k_max, n_k=2 * cfg.n_k, n_chi=2 * cfg.n_chi
         )
@@ -399,42 +298,34 @@ def _invariant_checks(cfg: ExperimentConfig):
     @functools.cache
     def gauss_grid():
         """Node set on a 201-point Gauss grid, shared by the two mass checks."""
-        _, chart, f0 = _build(cfg)
         nodes, weights = np.polynomial.legendre.leggauss(201)
-        x_max = float(invert_phi(params, f0.h_max))
-        return chart, f0, _calculator(cfg, chart, f0, x_max * nodes), x_max, weights
+        x_max = float(invert_phi(params, exp.f0.h_max))
+        return MomentCalculator(exp.f0, x_max * nodes, n_quad=cfg.v_quad), x_max, weights
 
     def jacobian_mass():
-        chart, f0, calc, x_max, grid_weights = gauss_grid()
+        f0 = exp.f0
+        calc, x_max, grid_weights = gauss_grid()
         mass_xv = x_max * float(calc.density(0.0) @ grid_weights)
         k_nodes, k_weights = np.polynomial.legendre.leggauss(128)
         k = 0.5 * (f0.h_min + f0.h_max) + 0.5 * (f0.h_max - f0.h_min) * k_nodes
-        integrand = f0.bump(k) / chart.c_of_k(k)
+        integrand = f0.bump(k) / exp.chart.c_of_k(k)
         mass_qk = 2.0 * np.pi * 0.5 * (f0.h_max - f0.h_min) * float(integrand @ k_weights)
         err = abs(mass_xv - mass_qk) / abs(mass_qk)
         return result("jacobian_mass_equivalence", 1e-6, err)
 
     def mass_conservation():
-        _, _, calc, x_max, weights = gauss_grid()
+        calc, x_max, weights = gauss_grid()
         m0, m50 = (x_max * float(rho @ weights) for rho in calc.density(np.array([0.0, 50.0])))
         err = abs(m50 - m0) / abs(m0)
         return result("mass_conservation", 1e-6, err)
 
     def cross_solver():
-        _, chart, f0 = _build(cfg)
-        xs, vs = _validation_points(cfg, chart, params)
-        worst = 0.0
-        for t in (1.0, 10.0):
-            aa = evaluate_f_actionangle(chart, params, f0, t, xs, vs)
-            ch = evaluate_f_characteristic(params, f0, t, xs, vs)
-            worst = max(worst, float(np.max(np.abs(aa - ch))))
-        return result("cross_solver_equivalence", 1e-4, worst)
+        return result("cross_solver_equivalence", 1e-4, _solver_gap(exp))
 
     def phi_t_routes():
-        _, chart, f0 = _build(cfg)
         # 512 velocity nodes: the quadrature floor must sit below the
         # O(dt**2) difference for the convergence ratio to be visible.
-        calc = MomentCalculator(chart, f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
+        calc = MomentCalculator(exp.f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
         t = 5.0
         ref = calc.phi_t_reconstruct(t)
         err = [float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref))) for dt in (2e-3, 1e-3)]
@@ -442,12 +333,12 @@ def _invariant_checks(cfg: ExperimentConfig):
         return result("phi_t_route_equivalence", 0.0, ratio, passed=3.0 <= ratio <= 5.0)
 
     def spectrum_translation():
-        _, chart, f0 = _build(cfg)
+        f0 = exp.f0
         k_mid = 0.5 * (f0.h_min + f0.h_max)
-        s0 = q_fourier_spectrum(chart, params, f0, 0.0, k_mid)
-        s1 = q_fourier_spectrum(chart, params, f0, 10.0, k_mid)
+        s0 = q_fourier_spectrum(f0, 0.0, k_mid)
+        s1 = q_fourier_spectrum(f0, 10.0, k_mid)
         mod = float(np.max(np.abs(np.abs(s1.coefficients) - np.abs(s0.coefficients))))
-        c = float(chart.c_of_k(k_mid))
+        c = float(f0.chart.c_of_k(k_mid))
         k_mode = f0.m
         expected = (k_mode * c * 10.0) % (2 * np.pi)
         got = float(
@@ -471,8 +362,8 @@ def _invariant_checks(cfg: ExperimentConfig):
     ]
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path, list_only: bool) -> int:
-    checks = list(_invariant_checks(cfg))
+def cmd_validate(exp: Experiment, out: Path, list_only: bool) -> int:
+    checks = list(_invariant_checks(exp))
     if list_only:
         for name, _ in checks:
             print(name)
@@ -522,20 +413,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
+        exp = Experiment.from_config(load_config(args.config, args.overrides))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "chart":
-            return cmd_chart(cfg, out)
+            return cmd_chart(exp, out)
         if args.command == "evolve":
-            return cmd_evolve(cfg, out, args.validate)
+            return cmd_evolve(exp, out, args.validate)
         if args.command == "decay":
-            return cmd_decay(cfg, out, args.self_test)
-        return cmd_validate(cfg, out, args.list_only)
+            return cmd_decay(exp, out, args.self_test)
+        return cmd_validate(exp, out, args.list_only)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, FitError) as exc:
+    except (ConvergenceError, FitError, ChartError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

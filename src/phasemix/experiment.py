@@ -1,0 +1,156 @@
+"""One experiment: a validated configuration and the objects it determines.
+
+:class:`ExperimentConfig` is the whole experiment description and
+round-trips through JSON.  :class:`Experiment` turns it into the
+potential, the action-angle chart, the initial data, the default
+quadrature node set and the decay sample times.  The chart and
+everything built on it are made on first use and kept, so one
+experiment builds its chart once however many pipelines or checks use
+it, and a command that never needs the chart never builds it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .action_angle import OrbitChart, build_chart, chart_range_for_support
+from .moments import MomentCalculator, spatial_grid
+from .potential import PotentialParams
+from .transport import InitialData, make_initial_data
+
+__all__ = ["ConfigError", "ExperimentConfig", "Experiment", "time_schedule"]
+
+
+class ConfigError(ValueError):
+    """Malformed or out-of-range experiment configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@dataclass
+class ExperimentConfig:
+    """Full experiment description; round-trips losslessly through JSON."""
+
+    epsilon: float = 0.1
+    c_s: float = 0.5
+    alpha: float = 0.5
+    m: int = 1
+    n_k: int = 64
+    n_chi: int = 512
+    grid_points: int = 201
+    v_quad: int = 128
+    t_max: float = 200.0
+    samples_per_period: float = 8.0
+    fit_window: tuple[float, float] = (20.0, 200.0)
+    evolve_samples: int = 41
+    include_control: bool = False
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("epsilon", "c_s", "alpha", "t_max", "samples_per_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.epsilon < 0:
+            raise ConfigError("epsilon must be >= 0")
+        if not 0 < self.c_s < 1:
+            raise ConfigError("c_s must lie in (0, 1)")
+        if not 0 <= self.alpha < 1:
+            raise ConfigError("alpha must lie in [0, 1)")
+        if not _is_int(self.m) or self.m < 1:
+            raise ConfigError("m must be an integer >= 1")
+        if not _is_int(self.n_k) or self.n_k < 4:
+            raise ConfigError("n_k must be an integer >= 4")
+        if not _is_int(self.n_chi) or self.n_chi < 8 or self.n_chi % 2:
+            raise ConfigError("n_chi must be an even integer >= 8")
+        if not _is_int(self.grid_points) or self.grid_points < 3:
+            raise ConfigError("grid_points must be an integer >= 3")
+        if not _is_int(self.v_quad) or self.v_quad < 64:
+            raise ConfigError("v_quad must be an integer >= 64")
+        if not _is_int(self.evolve_samples) or self.evolve_samples < 1:
+            raise ConfigError("evolve_samples must be an integer >= 1")
+        if self.t_max <= 0 or self.samples_per_period <= 0:
+            raise ConfigError("time schedule parameters must be positive")
+        lo, hi = self.fit_window
+        if not 0 < lo < hi <= self.t_max:
+            raise ConfigError("fit_window must satisfy 0 < lo < hi <= t_max")
+        self.fit_window = (float(lo), float(hi))
+
+    def to_dict(self) -> dict:
+        d = dataclasses.asdict(self)
+        d["fit_window"] = list(self.fit_window)
+        return d
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ConfigError(f"unknown config key: {key!r}")
+        data = dict(data)
+        if "fit_window" in data:
+            fw = data["fit_window"]
+            if not (isinstance(fw, (list, tuple)) and len(fw) == 2):
+                raise ConfigError("fit_window must be a two-element list")
+            data["fit_window"] = (float(fw[0]), float(fw[1]))
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def time_schedule(t_max: float, period: float, samples_per_period: float) -> np.ndarray:
+    step = period / samples_per_period
+    n = int(np.floor(t_max / step)) + 1
+    return step * np.arange(n)
+
+
+@dataclass(eq=False)
+class Experiment:
+    """The objects one configuration determines, each built at most once.
+
+    ``params`` is built with the experiment.  ``chart``, ``f0``,
+    ``period`` and ``node_set`` are built on first access and cached; a
+    chart that fails to build raises :class:`ChartError` at each access.
+    """
+
+    cfg: ExperimentConfig
+    params: PotentialParams
+
+    @classmethod
+    def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
+        return cls(cfg, PotentialParams(cfg.epsilon))
+
+    @functools.cached_property
+    def chart(self) -> OrbitChart:
+        """Action-angle chart over the support annulus plus its margin."""
+        k_min, k_max = chart_range_for_support(self.cfg.c_s)
+        return build_chart(self.params, k_min, k_max, n_k=self.cfg.n_k, n_chi=self.cfg.n_chi)
+
+    @functools.cached_property
+    def f0(self) -> InitialData:
+        cfg = self.cfg
+        return make_initial_data(cfg.c_s, cfg.alpha, cfg.m, self.params, self.chart)
+
+    @functools.cached_property
+    def period(self) -> float:
+        """Orbital period 2*pi / c(K) at the middle of the support annulus."""
+        k_mid = 0.5 * (self.cfg.c_s + 1.0 / self.cfg.c_s)
+        return 2.0 * np.pi / float(self.chart.c_of_k(k_mid))
+
+    @functools.cached_property
+    def node_set(self) -> MomentCalculator:
+        """Moments on the configured spatial grid with ``v_quad`` velocity nodes."""
+        grid = spatial_grid(self.params, self.cfg.c_s, self.cfg.grid_points)
+        return MomentCalculator(self.f0, grid, n_quad=self.cfg.v_quad)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Decay sample times: ``samples_per_period`` per period up to ``t_max``."""
+        return time_schedule(self.cfg.t_max, self.period, self.cfg.samples_per_period)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import leapfrog
-from .potential import PotentialParams, dphi, invert_phi
+from .potential import PotentialParams, dphi
 
 __all__ = ["FlowSpec", "FlowError", "flow_map", "orbit_period"]
 
@@ -43,12 +42,9 @@ class FlowSpec:
 
 
 def _rhs(params: PotentialParams):
-    eps = params.epsilon
-
     def rhs(t, y):
         n = y.shape[0] // 2
-        x, v = y[:n], y[n:]
-        return np.concatenate([v, -(x + 2.0 * eps * x * x * x)])
+        return np.concatenate([y[n:], -dphi(params, y[:n])])
 
     return rhs
 
@@ -69,8 +65,16 @@ def flow_map(params: PotentialParams, x, v, t: float, spec: FlowSpec = FlowSpec(
 
     if t != 0.0:
         if spec.method == "symplectic":
+            # Velocity-Verlet with the step shrunk to divide t evenly.
             nsteps = max(1, math.ceil(abs(t) / spec.step))
-            leapfrog(xs, vs, params.epsilon, t / nsteps, nsteps)
+            dt = t / nsteps
+            half = 0.5 * dt
+            a = -dphi(params, xs)
+            for _ in range(nsteps):
+                vs += half * a
+                xs += dt * vs
+                a = -dphi(params, xs)
+                vs += half * a
         else:
             sol = solve_ivp(
                 _rhs(params),

@@ -12,9 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action_angle import OrbitChart
 from .moments import MomentCalculator
-from .potential import PotentialParams
 from .transport import InitialData
 
 __all__ = [
@@ -116,9 +114,9 @@ def fit_decay(
     )
 
 
-def solution_bar(chart: OrbitChart, f0: InitialData, t: float, q, k):
+def solution_bar(f0: InitialData, t: float, q, k):
     """Solution in action-angle coordinates: fbar0(Q + c(K) t, K)."""
-    return f0.value_bar(np.asarray(q, dtype=float) + chart.c_of_k(k) * t, k)
+    return f0.value_bar(np.asarray(q, dtype=float) + f0.chart.c_of_k(k) * t, k)
 
 
 @dataclass
@@ -133,8 +131,6 @@ class VectorFieldProbe:
 
 
 def vector_field_norms(
-    chart: OrbitChart,
-    params: PotentialParams,
     f0: InitialData,
     t: float,
     dq: float = 1e-3,
@@ -155,13 +151,13 @@ def vector_field_norms(
     qq, kk = np.meshgrid(qs, ks, indexing="ij")
 
     def f(q, k):
-        return solution_bar(chart, f0, t, q, k)
+        return solution_bar(f0, t, q, k)
 
     def apply_y(g, hq, hk):
         def yg(q, k):
             dq_term = (g(q + hq, k) - g(q - hq, k)) / (2.0 * hq)
             dk_term = (g(q, k + hk) - g(q, k - hk)) / (2.0 * hk)
-            return t * chart.c_prime_of_k(k) * dq_term - dk_term
+            return t * f0.chart.c_prime_of_k(k) * dq_term - dk_term
         return yg
 
     def measure(hq, hk):
@@ -208,8 +204,6 @@ class SpectrumEntry:
 
 
 def q_fourier_spectrum(
-    chart: OrbitChart,
-    params: PotentialParams,
     f0: InitialData,
     t: float,
     k_energy: float,
@@ -224,7 +218,7 @@ def q_fourier_spectrum(
     if n_q < 4 * k_max:
         raise ValueError("n_q must be >= 4 * k_max")
     qs = np.arange(n_q) * (2.0 * np.pi / n_q)
-    vals = solution_bar(chart, f0, t, qs, k_energy)
+    vals = solution_bar(f0, t, qs, k_energy)
     coeffs = np.fft.rfft(vals) / n_q
     coeffs = coeffs[: k_max + 1]
     modes = np.arange(1, k_max + 1)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .action_angle import OrbitChart
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
@@ -86,9 +85,9 @@ class MomentCalculator:
 
     Parameters
     ----------
-    chart : the action-angle chart; it must cover the support annulus of
-        ``f0``, or construction raises :class:`ChartRangeError`.
-    f0 : the initial data, which fixes the potential and the support.
+    f0 : the initial data, which fixes the potential, the support and the
+        chart; ``f0.chart`` must cover the support annulus, or
+        construction raises :class:`ChartRangeError`.
     x : the spatial grid.  The cumulative integrals (``phi``,
         ``phi_t_*``, ``series``) need a symmetric grid with x = 0 at its
         central node; ``density`` and ``current`` take any points.
@@ -98,7 +97,7 @@ class MomentCalculator:
     node, or a 1-D array of times, giving one row per time.
     """
 
-    def __init__(self, chart: OrbitChart, f0: InitialData, x, n_quad: int = 128):
+    def __init__(self, f0: InitialData, x, n_quad: int = 128):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
         self.f0 = f0
@@ -107,9 +106,9 @@ class MomentCalculator:
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
         nodes, self.weights = np.polynomial.legendre.leggauss(n_quad)
         v = self.v_max[:, None] * nodes
-        inside, self._q, k = pull_back(chart, f0.params, f0, self.x[:, None], v)
+        inside, self._q, k = pull_back(f0, self.x[:, None], v)
         self._index = np.flatnonzero(inside)
-        self._c = chart.c_of_k(k)
+        self._c = f0.chart.c_of_k(k)
         self._bump = f0.bump(k)
         self._v = v[inside]
 

@@ -10,13 +10,11 @@ All quantities are dimensionless.  The potential family is hard-coded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PotentialParams",
-    "PhasePoint",
     "phi",
     "dphi",
     "hamiltonian",
@@ -33,13 +31,6 @@ class PotentialParams:
     def __post_init__(self) -> None:
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-
-
-class PhasePoint(NamedTuple):
-    """A point (x, v) of phase space."""
-
-    x: float
-    v: float
 
 
 def phi(params: PotentialParams, x):

@@ -72,7 +72,7 @@ class InitialData:
 
     def value(self, x, v):
         """Data in phase-space coordinates; zero off the annulus."""
-        return evaluate_f_actionangle(self.chart, self.params, self, 0.0, x, v)
+        return evaluate_f_actionangle(self, 0.0, x, v)
 
 
 def make_initial_data(
@@ -96,7 +96,6 @@ def make_initial_data(
 
 
 def evaluate_f_characteristic(
-    params: PotentialParams,
     f0: InitialData,
     t: float,
     x,
@@ -104,19 +103,20 @@ def evaluate_f_characteristic(
     spec: FlowSpec = FlowSpec(method="adaptive", tolerance=1e-10),
 ):
     """Exact solution via backward characteristics: f0(flow(-t)(x, v))."""
-    x0, v0 = flow_map(params, x, v, -t, spec)
+    x0, v0 = flow_map(f0.params, x, v, -t, spec)
     return f0.value(x0, v0)
 
 
-def pull_back(chart: OrbitChart, params: PotentialParams, f0: InitialData, x, v):
+def pull_back(f0: InitialData, x, v):
     """Chart coordinates of the phase points inside the support annulus.
 
     Returns ``(inside, q, k)``: the mask of the broadcast points with
-    h_min < H < h_max, and the angle Q and energy K of those points in
-    row-major order.  Points outside the annulus never touch the chart;
-    points inside it but outside the chart range are a configuration
-    error and raise :class:`ChartRangeError`.
+    h_min < H < h_max, and the angle Q and energy K in ``f0.chart`` of
+    those points in row-major order.  Points outside the annulus never
+    touch the chart; points inside it but outside the chart range are a
+    configuration error and raise :class:`ChartRangeError`.
     """
+    chart, params = f0.chart, f0.params
     x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     h = np.asarray(hamiltonian(params, x_b, v_b))
     inside = (h > f0.h_min) & (h < f0.h_max)
@@ -129,22 +129,15 @@ def pull_back(chart: OrbitChart, params: PotentialParams, f0: InitialData, x, v)
     return inside, chart.q_from_chi(chi, k), k
 
 
-def evaluate_f_actionangle(
-    chart: OrbitChart,
-    params: PotentialParams,
-    f0: InitialData,
-    t: float,
-    x,
-    v,
-):
+def evaluate_f_actionangle(f0: InitialData, t: float, x, v):
     """Exact solution via the chart: fbar0(Q + c(K) t, K).
 
     Zero off the support annulus; see :func:`pull_back` for the chart
     range check.
     """
     scalar = np.ndim(x) == 0 and np.ndim(v) == 0
-    inside, q, k = pull_back(chart, params, f0, x, v)
+    inside, q, k = pull_back(f0, x, v)
     out = np.zeros(inside.shape)
     if k.size:
-        out[inside] = f0.value_bar(q + chart.c_of_k(k) * t, k)
+        out[inside] = f0.value_bar(q + f0.chart.c_of_k(k) * t, k)
     return float(out) if scalar else out

@@ -31,7 +31,7 @@ from phasemix import (
     to_action_angle,
     vector_field_norms,
 )
-from phasemix.cli import ExperimentConfig, _build, _calculator, _orbital_period, time_schedule
+from phasemix.experiment import Experiment, ExperimentConfig
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -59,13 +59,9 @@ def decay_bound_ratio(times, sup_values, window) -> float:
 @pytest.fixture(scope="module")
 def pipeline():
     """The full decay pipeline at the calibrated settings."""
-    cfg = ExperimentConfig()  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
-    params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
-    period = _orbital_period(cfg, chart)
-    times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = fit_decay(sup_phi_t(calc, times), cfg.fit_window, period)
-    return cfg, params, chart, f0, report
+    exp = Experiment.from_config(ExperimentConfig())  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
+    report = fit_decay(sup_phi_t(exp.node_set, exp.times), exp.cfg.fit_window, exp.period)
+    return exp.cfg, exp.params, exp.chart, exp.f0, report
 
 
 def test_criterion_01_decay_rate(pipeline):
@@ -103,19 +99,16 @@ def test_default_quadrature_resolves_the_scan(pipeline):
     cfg, params, chart, f0, report = pipeline
     times = report.times[report.times > 0.0]
     grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
-    fine = sup_phi_t(MomentCalculator(chart, f0, grid, n_quad=512), times)
+    fine = sup_phi_t(MomentCalculator(f0, grid, n_quad=512), times)
     coarse = report.sup_values[report.times > 0.0]
     rel = np.abs(coarse - fine.sup_values) / fine.sup_values
     assert np.max(rel) <= 0.01, f"worst gap {np.max(rel):.4f} at t = {times[np.argmax(rel)]:.1f}"
 
 
 def test_criterion_02_no_mixing_control():
-    cfg = ExperimentConfig(epsilon=0.0)
-    params, chart, f0 = _build(cfg)
-    calc = _calculator(cfg, chart, f0, spatial_grid(params, cfg.c_s, cfg.grid_points))
-    period = _orbital_period(cfg, chart)
-    times = time_schedule(cfg.t_max, period, cfg.samples_per_period)
-    report = fit_decay(sup_phi_t(calc, times), cfg.fit_window, period)
+    exp = Experiment.from_config(ExperimentConfig(epsilon=0.0))
+    cfg, calc = exp.cfg, exp.node_set
+    report = fit_decay(sup_phi_t(calc, exp.times), cfg.fit_window, exp.period)
     ratio = float(report.envelope[-1] / report.envelope[0])
     # The bound check of criterion 1 must fail when nothing mixes.
     bound = decay_bound_ratio(report.times, report.sup_values, cfg.fit_window)
@@ -176,21 +169,21 @@ def test_criterion_05_cross_solver():
     x, v = from_angle_energy(params, chis[:, None], hs[None, :])
     spec = FlowSpec(method="adaptive", tolerance=1e-10)
 
-    def solver_gap(chart, f0):
+    def solver_gap(f0):
         worst = 0.0
         for t in (1.0, 10.0, 100.0):
-            fa = evaluate_f_actionangle(chart, params, f0, t, x, v)
-            fc = evaluate_f_characteristic(params, f0, t, x, v, spec)
+            fa = evaluate_f_actionangle(f0, t, x, v)
+            fc = evaluate_f_characteristic(f0, t, x, v, spec)
             worst = max(worst, float(np.max(np.abs(fa - fc))))
         return worst
 
     chart = build_chart(params, lo, hi, n_k=64, n_chi=512)
-    gap = solver_gap(chart, make_initial_data(0.5, 0.5, 1, params, chart))
+    gap = solver_gap(make_initial_data(0.5, 0.5, 1, params, chart))
 
     coarse = build_chart(params, lo, hi, n_k=16, n_chi=32)
     fine = build_chart(params, lo, hi, n_k=32, n_chi=64)
-    gap_coarse = solver_gap(coarse, make_initial_data(0.5, 0.5, 1, params, coarse))
-    gap_fine = solver_gap(fine, make_initial_data(0.5, 0.5, 1, params, fine))
+    gap_coarse = solver_gap(make_initial_data(0.5, 0.5, 1, params, coarse))
+    gap_fine = solver_gap(make_initial_data(0.5, 0.5, 1, params, fine))
     improves = gap_fine <= 0.5 * gap_coarse
     ok = gap <= 1e-4 and improves
     verdict(5, "cross-solver equivalence", ok,
@@ -204,7 +197,7 @@ def test_criterion_06_conservation(pipeline):
 
     cfg, params, chart, f0 = pipeline[:4]
     fine = spatial_grid(params, cfg.c_s, 801)
-    calc = _calculator(cfg, chart, f0, fine)
+    calc = MomentCalculator(f0, fine, n_quad=cfg.v_quad)
     masses = [simpson(calc.density(t), x=fine) for t in (0.0, 1.0, 10.0, 100.0)]
     drift = max(abs(m - masses[0]) / masses[0] for m in masses[1:])
 
@@ -222,7 +215,7 @@ def test_criterion_06_conservation(pipeline):
 
 def test_criterion_07_phi_t_routes(pipeline):
     cfg, params, chart, f0 = pipeline[:4]
-    calc = MomentCalculator(chart, f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
+    calc = MomentCalculator(f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
     ratios = []
     for t in (5.0, 50.0):
         ref = calc.phi_t_reconstruct(t)
@@ -252,8 +245,8 @@ def test_criterion_08_chart_geometry(pipeline):
     x, v = x[keep], v[keep]
     from phasemix import from_action_angle
 
-    q, k = to_action_angle(chart, params, x, v)
-    xb, vb = from_action_angle(chart, params, q, k)
+    q, k = to_action_angle(chart, x, v)
+    xb, vb = from_action_angle(chart, q, k)
     rt_err = float(max(np.max(np.abs(xb - x)), np.max(np.abs(vb - v))))
     ok = half_err <= 1e-10 and rt_err <= 1e-9
     verdict(8, "chart geometry", ok,
@@ -271,12 +264,12 @@ def test_criterion_09_commuted_fields(pipeline):
     # 1.06x at t = 100, 10x only near t = 940, and 21.3x at t = 2000,
     # the probe time for the growth clause.
     growth_t = 2000.0
-    base = vector_field_norms(chart, params, f0, 0.0)
+    base = vector_field_norms(f0, 0.0)
     bounded = True
     dq_drift = 0.0
     details = []
     for t in (1.0, 10.0, 100.0, growth_t):
-        probe = vector_field_norms(chart, params, f0, t)
+        probe = vector_field_norms(f0, t)
         bounded &= probe.sup[1] <= 2.0 * base.sup[1]
         bounded &= probe.sup[2] <= 2.0 * base.sup[2]
         dq_drift = max(dq_drift, abs(probe.dq_sup / base.dq_sup - 1.0))
@@ -306,8 +299,8 @@ def test_criterion_10_spectral_translation(pipeline):
     t = 10.0
     worst_mod, worst_phase = 0.0, 0.0
     for k_energy in (0.7, 1.25, 1.8):
-        s0 = q_fourier_spectrum(chart, params, f0, 0.0, k_energy)
-        s1 = q_fourier_spectrum(chart, params, f0, t, k_energy)
+        s0 = q_fourier_spectrum(f0, 0.0, k_energy)
+        s1 = q_fourier_spectrum(f0, t, k_energy)
         worst_mod = max(worst_mod, float(np.max(
             np.abs(np.abs(s1.coefficients) - np.abs(s0.coefficients)))))
         c = float(chart.c_of_k(k_energy))

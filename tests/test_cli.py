@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from phasemix.cli import ConfigError, ExperimentConfig, load_config, main
+from phasemix.cli import load_config, main
+from phasemix.experiment import ConfigError, ExperimentConfig
 
 
 def run(tmp_path, *argv):
@@ -78,10 +79,23 @@ def test_bad_override_exit_code(tmp_path):
         ("evolve", "alpha=NaN"),
         ("decay", "t_max=Infinity"),
         ("decay", "samples_per_period=NaN"),
+        ("evolve", "evolve_samples=0"),
+        ("evolve", "evolve_samples=2.5"),
+        ("evolve", "fd_dt=-5"),
     ],
 )
 def test_bad_value_exit_code(tmp_path, command, override):
     assert run(tmp_path, command, "--set", override) == 2
+
+
+# At eps = 100, c_s = 0.1 eight angle nodes leave the truncated series
+# with dQ/dchi <= 0 somewhere, so the chart build raises ChartError.
+UNRESOLVED_CHART = ("--set", "epsilon=100", "--set", "c_s=0.1", "--set", "n_chi=8")
+
+
+@pytest.mark.parametrize("command", ["chart", "evolve", "decay"])
+def test_unresolved_chart_exit_code(tmp_path, command):
+    assert run(tmp_path, command, *UNRESOLVED_CHART) == 3
 
 
 # -- chart ------------------------------------------------------------------
@@ -187,6 +201,28 @@ def test_validate_list(tmp_path, capsys):
     assert run(tmp_path, "validate", "--list") == 0
     out = capsys.readouterr().out
     assert "cross_solver_equivalence" in out
+
+
+def test_validate_records_an_unresolved_chart_per_check(tmp_path):
+    # The chart is built lazily, so checks that do not need it still run
+    # and report, and each check that does records the build failure.
+    assert run(tmp_path, "validate", *UNRESOLVED_CHART) == 1
+    checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    assert len(checks) == 11
+    assert checks["potential_round_trip"]["passed"]
+    assert checks["c_prime_vs_fd"]["passed"]
+    chart_checks = [
+        "chart_geometry_roundtrip",
+        "chart_convergence",
+        "jacobian_mass_equivalence",
+        "mass_conservation",
+        "cross_solver_equivalence",
+        "phi_t_route_equivalence",
+        "spectrum_translation",
+    ]
+    for name in chart_checks:
+        assert not checks[name]["passed"]
+        assert "not monotone" in checks[name]["error"]
 
 
 def test_validate_passes(tmp_path):

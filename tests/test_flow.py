@@ -28,6 +28,17 @@ def test_energy_conservation_symplectic(params):
     npt.assert_allclose(hamiltonian(params, x, v), h0, rtol=1e-5)
 
 
+def test_symplectic_energy_bounded_long_run():
+    # 100,000 steps on 16 random points: the energy error stays bounded.
+    p = PotentialParams(0.1)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, 16)
+    v = rng.uniform(-1.0, 1.0, 16)
+    h0 = hamiltonian(p, x, v)
+    xs, vs = flow_map(p, x, v, 100.0, FlowSpec(method="symplectic", step=1e-3))
+    npt.assert_allclose(hamiltonian(p, xs, vs), h0, rtol=1e-5)
+
+
 def test_reversibility(params):
     x0, v0 = 1.1, 0.4
     for spec in (ADAPTIVE, FlowSpec(method="symplectic", step=5e-4)):

@@ -52,15 +52,15 @@ def test_fit_decay_needs_points():
         fit_decay(report, (1.0, 5.0))
 
 
-def test_sup_phi_t_rejects_bad_times(params, chart, f0):
-    calc = MomentCalculator(chart, f0, spatial_grid(params, 0.5, 51), n_quad=128)
+def test_sup_phi_t_rejects_bad_times(params, f0):
+    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=128)
     with pytest.raises(ValueError):
         sup_phi_t(calc, np.array([1.0, 1.0]))
 
 
-def test_sup_phi_t_batches_match_one_time_per_call(params, chart, f0):
+def test_sup_phi_t_batches_match_one_time_per_call(params, f0):
     grid = spatial_grid(params, 0.5, 101)
-    calc = MomentCalculator(chart, f0, grid, n_quad=128)
+    calc = MomentCalculator(f0, grid, n_quad=128)
     batch = CHUNK_ELEMENTS // (grid.size * 128)
     assert batch >= 2
     # Two full batches and a partial one.
@@ -71,67 +71,67 @@ def test_sup_phi_t_batches_match_one_time_per_call(params, chart, f0):
     npt.assert_allclose(scan.tail_slopes, [r.tail_slopes[0] for r in single], rtol=0.0)
 
 
-def test_commuted_fields_stay_bounded(chart, params, f0):
-    base = vector_field_norms(chart, params, f0, 0.0)
-    probe = vector_field_norms(chart, params, f0, 50.0)
+def test_commuted_fields_stay_bounded(f0):
+    base = vector_field_norms(f0, 0.0)
+    probe = vector_field_norms(f0, 50.0)
     assert probe.sup[1] <= 2.0 * base.sup[1]
     assert probe.sup[2] <= 2.0 * base.sup[2]
 
 
-def test_commuted_field_t0_matches_dk(chart, params, f0):
+def test_commuted_field_t0_matches_dk(f0):
     # At t = 0 the field Y reduces to -d_K, so |Yf| equals the plain
     # K-derivative sup.
-    base = vector_field_norms(chart, params, f0, 0.0)
+    base = vector_field_norms(f0, 0.0)
     npt.assert_allclose(base.sup[1], base.dk_sup, rtol=1e-12)
 
 
-def test_vector_field_fd_validation_trips(chart, params, f0):
+def test_vector_field_fd_validation_trips(f0):
     from phasemix.mixing import FDValidationError
 
     with pytest.raises(FDValidationError):
         # A grotesquely large step cannot pass step-halving validation.
-        vector_field_norms(chart, params, f0, 100.0, dq=0.3, dk=0.012)
+        vector_field_norms(f0, 100.0, dq=0.3, dk=0.012)
 
 
-def test_spectrum_modulus_conserved(chart, params, f0):
+def test_spectrum_modulus_conserved(f0):
     k_mid = 0.5 * (f0.h_min + f0.h_max)
-    s0 = q_fourier_spectrum(chart, params, f0, 0.0, k_mid)
-    s1 = q_fourier_spectrum(chart, params, f0, 7.0, k_mid)
+    s0 = q_fourier_spectrum(f0, 0.0, k_mid)
+    s1 = q_fourier_spectrum(f0, 7.0, k_mid)
     npt.assert_allclose(
         np.abs(s1.coefficients), np.abs(s0.coefficients), atol=1e-14
     )
 
 
-def test_spectrum_phase_advance(chart, params, f0):
+def test_spectrum_phase_advance(chart, f0):
     k_mid = 0.5 * (f0.h_min + f0.h_max)
     t = 7.0
-    s0 = q_fourier_spectrum(chart, params, f0, 0.0, k_mid)
-    s1 = q_fourier_spectrum(chart, params, f0, t, k_mid)
+    s0 = q_fourier_spectrum(f0, 0.0, k_mid)
+    s1 = q_fourier_spectrum(f0, t, k_mid)
     c = float(chart.c_of_k(k_mid))
     ratio = s1.coefficients[f0.m] / s0.coefficients[f0.m]
     expected = np.exp(1j * f0.m * c * t)
     npt.assert_allclose(ratio, expected, atol=1e-12)
 
 
-def test_spectrum_content_is_single_mode(chart, params, f0):
+def test_spectrum_content_is_single_mode(f0):
     # The built-in data has only modes 0 and m in the angle.
     k_mid = 0.5 * (f0.h_min + f0.h_max)
-    s = q_fourier_spectrum(chart, params, f0, 0.0, k_mid, k_max=6)
+    s = q_fourier_spectrum(f0, 0.0, k_mid, k_max=6)
     mags = np.abs(s.coefficients)
     assert mags[0] > 0 and mags[f0.m] > 0
     others = np.delete(mags, [0, f0.m])
     assert np.max(others) < 1e-14
 
 
-def test_spectrum_g_relation(chart, params, f0):
+def test_spectrum_g_relation(f0):
     k_mid = 0.5 * (f0.h_min + f0.h_max)
-    s = q_fourier_spectrum(chart, params, f0, 0.0, k_mid)
+    s = q_fourier_spectrum(f0, 0.0, k_mid)
     modes = np.arange(1, s.g_coefficients.size + 1)
     npt.assert_allclose(
         s.g_coefficients * (1j * modes), s.coefficients[1:], atol=1e-15
     )
 
 
-def test_spectrum_resolution_guard(chart, params, f0):
+def test_spectrum_resolution_guard(f0):
     with pytest.raises(ValueError):
-        q_fourier_spectrum(chart, params, f0, 0.0, 1.0, k_max=8, n_q=16)
+        q_fourier_spectrum(f0, 0.0, 1.0, k_max=8, n_q=16)

@@ -1,5 +1,7 @@
 """Velocity moments, potential reconstruction, and the two phi_t routes."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,13 +23,13 @@ def grid(params):
 
 
 @pytest.fixture(scope="module")
-def calc(chart, f0, grid):
-    return MomentCalculator(chart, f0, grid, n_quad=128)
+def calc(f0, grid):
+    return MomentCalculator(f0, grid, n_quad=128)
 
 
 @pytest.fixture(scope="module")
-def fine_calc(params, chart, f0):
-    return MomentCalculator(chart, f0, spatial_grid(params, 0.5, 801), n_quad=128)
+def fine_calc(params, f0):
+    return MomentCalculator(f0, spatial_grid(params, 0.5, 801), n_quad=128)
 
 
 def test_spatial_grid_shape(params):
@@ -67,8 +69,8 @@ def test_density_even_at_t0(calc, grid):
     assert np.all(rho >= 0.0)
 
 
-def test_density_vanishes_outside_support(chart, f0, grid):
-    edge = MomentCalculator(chart, f0, np.array([grid[-1]]), n_quad=128)
+def test_density_vanishes_outside_support(f0, grid):
+    edge = MomentCalculator(f0, np.array([grid[-1]]), n_quad=128)
     assert abs(edge.density(0.0)[0]) < 1e-14
 
 
@@ -110,8 +112,8 @@ def test_phi_pinned_at_origin(calc, grid):
     assert p[mid + 1] + p[mid - 1] - 2.0 * p[mid] < 0.0
 
 
-def test_phi_t_routes_converge(params, chart, f0):
-    calc = MomentCalculator(chart, f0, spatial_grid(params, 0.5, 801), n_quad=512)
+def test_phi_t_routes_converge(params, f0):
+    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 801), n_quad=512)
     t = 5.0
     ref = calc.phi_t_reconstruct(t)
     err = [
@@ -129,19 +131,19 @@ def test_series_assembles_everything(calc, grid):
     npt.assert_allclose(s.phi_t[1], calc.phi_t_reconstruct(1.0), atol=1e-14)
 
 
-def test_n_quad_floor(chart, f0, grid):
+def test_n_quad_floor(f0, grid):
     with pytest.raises(ValueError):
-        MomentCalculator(chart, f0, grid, n_quad=32)
+        MomentCalculator(f0, grid, n_quad=32)
 
 
 @pytest.mark.parametrize("t", [0.0, 7.3, 150.0])
-def test_node_set_matches_pointwise_route(params, chart, f0, calc, grid, t):
+def test_node_set_matches_pointwise_route(params, f0, calc, grid, t):
     # The cached pull-back must reproduce evaluating the solution afresh
     # at every velocity node and summing with the Gauss weights.
     nodes, w = np.polynomial.legendre.leggauss(128)
     v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, grid)), 0.0, None))
     v = v_max[:, None] * nodes
-    f = evaluate_f_actionangle(chart, params, f0, t, grid[:, None], v)
+    f = evaluate_f_actionangle(f0, t, grid[:, None], v)
     rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
     npt.assert_allclose(calc.density(t), rho, rtol=1e-14, atol=0.0)
     npt.assert_allclose(calc.current(t), j, rtol=1e-14, atol=0.0)
@@ -152,4 +154,4 @@ def test_node_set_matches_pointwise_route(params, chart, f0, calc, grid, t):
 def test_node_set_rejects_chart_short_of_support(params, f0, grid):
     short = build_chart(params, 0.7, 1.5, n_k=8, n_chi=32)
     with pytest.raises(ChartRangeError):
-        MomentCalculator(short, f0, grid, n_quad=64)
+        MomentCalculator(dataclasses.replace(f0, chart=short), grid, n_quad=64)

@@ -50,46 +50,44 @@ def test_value_vanishes_off_annulus(f0):
     assert f0.value(3.0, 3.0) == 0.0
 
 
-def test_routes_agree_at_t0(params, f0, support_sample):
+def test_routes_agree_at_t0(f0, support_sample):
     x, v = support_sample
-    fa = evaluate_f_actionangle(f0.chart, params, f0, 0.0, x, v)
-    fc = evaluate_f_characteristic(params, f0, 0.0, x, v, ADAPTIVE)
+    fa = evaluate_f_actionangle(f0, 0.0, x, v)
+    fc = evaluate_f_characteristic(f0, 0.0, x, v, ADAPTIVE)
     npt.assert_allclose(fa, fc, atol=1e-12)
 
 
 @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
-def test_cross_solver_equivalence(params, f0, support_sample, t):
+def test_cross_solver_equivalence(f0, support_sample, t):
     x, v = support_sample
-    fa = evaluate_f_actionangle(f0.chart, params, f0, t, x, v)
-    fc = evaluate_f_characteristic(params, f0, t, x, v, ADAPTIVE)
+    fa = evaluate_f_actionangle(f0, t, x, v)
+    fc = evaluate_f_characteristic(f0, t, x, v, ADAPTIVE)
     npt.assert_allclose(fa, fc, atol=1e-6)
 
 
-def test_solution_constant_along_characteristics(params, chart, f0):
+def test_solution_constant_along_characteristics(params, f0):
     from phasemix import flow_map
 
     x0, v0 = 1.0, 0.5
     t = 17.0
     xt, vt = flow_map(params, x0, v0, t, ADAPTIVE)
-    before = evaluate_f_actionangle(chart, params, f0, 0.0, x0, v0)
-    after = evaluate_f_actionangle(chart, params, f0, t, xt, vt)
+    before = evaluate_f_actionangle(f0, 0.0, x0, v0)
+    after = evaluate_f_actionangle(f0, t, xt, vt)
     npt.assert_allclose(after, before, atol=1e-8)
 
 
-def test_harmonic_solution_is_periodic(harmonic, harmonic_chart, harmonic_f0):
+def test_harmonic_solution_is_periodic(harmonic_f0):
     x = np.linspace(-1.5, 1.5, 11)
     v = 0.7
-    f1 = evaluate_f_actionangle(harmonic_chart, harmonic, harmonic_f0, 3.0, x, v)
-    f2 = evaluate_f_actionangle(
-        harmonic_chart, harmonic, harmonic_f0, 3.0 + 2.0 * np.pi, x, v
-    )
+    f1 = evaluate_f_actionangle(harmonic_f0, 3.0, x, v)
+    f2 = evaluate_f_actionangle(harmonic_f0, 3.0 + 2.0 * np.pi, x, v)
     npt.assert_allclose(f1, f2, atol=1e-12)
 
 
 def test_solution_bar_translation(chart, f0):
     q = np.linspace(0.0, 2.0 * np.pi, 17)
     k = 1.1
-    shifted = solution_bar(chart, f0, 5.0, q, k)
+    shifted = solution_bar(f0, 5.0, q, k)
     direct = f0.value_bar(q + chart.c_of_k(k) * 5.0, k)
     npt.assert_allclose(shifted, direct, rtol=1e-14)
 
@@ -107,7 +105,7 @@ def test_make_initial_data_validation(params, chart):
         make_initial_data(0.5, 0.5, 1, params, narrow)
 
 
-def test_annulus_point_outside_chart_raises(params, chart, f0):
+def test_annulus_point_outside_chart_raises(params, f0):
     # A data family whose annulus exceeds the chart range must refuse to
     # evaluate rather than extrapolate silently.
     import dataclasses
@@ -117,4 +115,4 @@ def test_annulus_point_outside_chart_raises(params, chart, f0):
     v_bad = np.sqrt(2.0 * 2.3)  # h = 2.3 > chart.k_max = 2.1
     assert hamiltonian(params, x_bad, v_bad) < 1.0 / wide.c_s
     with pytest.raises(ChartRangeError):
-        evaluate_f_actionangle(chart, params, wide, 0.0, x_bad, v_bad)
+        evaluate_f_actionangle(wide, 0.0, x_bad, v_bad)

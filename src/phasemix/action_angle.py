@@ -15,9 +15,12 @@ The per-energy reparametrization dQ/dchi = c/a is a smooth, even,
 2*pi-periodic function of chi, so the chart tabulates its Fourier sine
 antiderivative: Q(chi) = chi + sum_k b_k sin(k chi).  That form is odd,
 spectrally accurate, exactly 2*pi-equivariant, and pins Q(pi/2) = pi/2
-and Q(pi) = pi by symmetry.  Coefficients, c and c' are interpolated
-cubically across the energy grid; the inverse map is solved by Newton
-iteration on the monotone forward series.
+and Q(pi) = pi by symmetry.  Since a depends on chi only through
+cos^2(chi), dQ/dchi is pi-periodic and every odd b_k vanishes; the
+chart keeps only the modes above a floor, which are even.
+Coefficients, c and c' are interpolated cubically across the energy
+grid; the inverse map is solved by Newton iteration on the monotone
+forward series.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ __all__ = [
     "from_action_angle",
 ]
 
-# Trailing Fourier modes below this magnitude (max over the energy grid)
-# are dropped from the chart.
+# Fourier modes below this magnitude (max over the energy grid) are
+# dropped from the chart.
 _MODE_FLOOR = 1e-15
 
 
@@ -177,9 +180,10 @@ def chart_range_for_support(c_s: float, margin: float = 0.05):
 class OrbitChart:
     """Precomputed per-energy tables for the action-angle chart.
 
-    ``sine_coeffs[i, k-1]`` holds the coefficient b_k of the node-i
-    reparametrization Q(chi) = chi + sum_k b_k sin(k chi).  ``delta`` is
-    the measured lower bound of c' over the grid.
+    ``sine_coeffs[i, j]`` holds the coefficient b_k, k = ``modes[j]``, of
+    the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
+    modes not listed are below the chart's floor.  ``delta`` is the
+    measured lower bound of c' over the grid.
     """
 
     params: PotentialParams
@@ -187,6 +191,7 @@ class OrbitChart:
     c: np.ndarray
     c_prime: np.ndarray
     sine_coeffs: np.ndarray
+    modes: np.ndarray
     delta: float
     _c_spline: CubicSpline = field(repr=False)
     _cp_spline: CubicSpline = field(repr=False)
@@ -227,8 +232,7 @@ class OrbitChart:
         if self._b_spline is None:
             return _maybe_scalar(chi_b.copy(), scalar)
         b = self._b_spline(k_b)
-        modes = np.arange(1, b.shape[-1] + 1)
-        q = chi_b + np.sum(np.sin(chi_b[..., None] * modes) * b, axis=-1)
+        q = chi_b + np.sum(np.sin(chi_b[..., None] * self.modes) * b, axis=-1)
         return _maybe_scalar(q, scalar)
 
     def chi_from_q(self, q, k, tol: float = 1e-13, max_iter: int = 40):
@@ -241,11 +245,10 @@ class OrbitChart:
         if self._b_spline is None:
             return _maybe_scalar(q_b.copy(), scalar)
         b = self._b_spline(k_b)
-        modes = np.arange(1, b.shape[-1] + 1)
-        kb = modes * b
+        kb = self.modes * b
         chi = np.array(q_b, dtype=float, copy=True)
         for _ in range(max_iter):
-            arg = chi[..., None] * modes
+            arg = chi[..., None] * self.modes
             resid = chi + np.sum(np.sin(arg) * b, axis=-1) - q_b
             slope = 1.0 + np.sum(np.cos(arg) * kb, axis=-1)
             chi = chi - resid / slope
@@ -294,8 +297,8 @@ def build_chart(
     factor[-1] = 1.0  # Nyquist mode appears once
     b = factor * spectrum[:, 1:].real / modes
 
-    keep = np.nonzero(np.max(np.abs(b), axis=0) > _MODE_FLOOR)[0]
-    b = b[:, : keep[-1] + 1] if keep.size else b[:, :0]
+    keep = np.max(np.abs(b), axis=0) > _MODE_FLOOR
+    modes, b = modes[keep], b[:, keep]
 
     # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node.  The
     # slope is even and 2*pi-periodic in chi, so [0, pi] covers it.
@@ -303,19 +306,19 @@ def build_chart(
     if n_half % 2 == 0:
         n_half += 1
     fine = np.linspace(0.0, np.pi, 4 * n_half)
-    if b.shape[1]:
-        mode_idx = np.arange(1, b.shape[1] + 1)
-        slope = 1.0 + np.cos(fine[:, None] * mode_idx) @ (mode_idx * b).T
+    if modes.size:
+        slope = 1.0 + np.cos(fine[:, None] * modes) @ (modes * b).T
         if np.any(slope <= 0):
             raise ChartError("tabulated angle map is not monotone")
 
-    b_spline = CubicSpline(k_grid, b, axis=0) if b.shape[1] else None
+    b_spline = CubicSpline(k_grid, b, axis=0) if modes.size else None
     return OrbitChart(
         params=params,
         k_grid=k_grid,
         c=c,
         c_prime=c_prime,
         sine_coeffs=b,
+        modes=modes,
         delta=float(c_prime.min()),
         _c_spline=CubicSpline(k_grid, c),
         _cp_spline=CubicSpline(k_grid, c_prime),

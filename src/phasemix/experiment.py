@@ -136,7 +136,7 @@ class Experiment:
     @functools.cached_property
     def f0(self) -> InitialData:
         cfg = self.cfg
-        return make_initial_data(cfg.c_s, cfg.alpha, cfg.m, self.params, self.chart)
+        return make_initial_data(cfg.c_s, cfg.alpha, cfg.m, self.chart)
 
     @functools.cached_property
     def period(self) -> float:

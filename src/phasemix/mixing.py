@@ -81,7 +81,10 @@ def fit_decay(
     points.  Fitting raw oscillating values would bias the slope, and
     window maxima alone still dip inside slow beat nulls when several
     orbital frequencies interfere; the running maximum is the tightest
-    monotone majorant and isolates the decay rate.
+    monotone majorant and isolates the decay rate.  Within a window the
+    earliest sample within 1e-12 relative of the maximum is taken, so
+    maxima that tie to rounding (periodic data, e.g. the eps = 0
+    control) do not pick their time by the last bit.
     """
     t_lo, t_hi = window
     env_t, env_v = [], []
@@ -90,9 +93,11 @@ def fit_decay(
         sel = (report.times >= lo) & (report.times < min(hi, t_hi + 1e-12))
         if not np.any(sel):
             continue
-        idx = np.argmax(report.sup_values[sel])
+        vals = report.sup_values[sel]
+        top = vals.max()
+        idx = np.flatnonzero(vals >= top - 1e-12 * abs(top))[0]
         env_t.append(report.times[sel][idx])
-        env_v.append(report.sup_values[sel][idx])
+        env_v.append(top)
     env_t = np.array(env_t)
     env_v = np.maximum.accumulate(np.array(env_v)[::-1])[::-1]
     ok = env_v > 0

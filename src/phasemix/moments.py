@@ -5,10 +5,26 @@ support |v| <= sqrt(2 (1/c_s - Phi(x))) with Gauss-Legendre quadrature
 on a node set bound to one spatial grid.  In action-angle variables the
 transport is a rigid rotation, fbar(t, Q, K) = fbar0(Q + c(K) t, K), so
 the nodes (x_i, v_ij) are pulled back through the chart once, when the
-node set is built: Q, c(K) and the radial factor B(K) are cached for the
-nodes inside the support annulus.  Each sample time then costs only
-B (1 + alpha sin(m (Q + c t))), a scatter into the node array and the
-weighted sum over the velocity nodes, done for a batch of times at once.
+node set is built.
+
+The Gauss nodes come in mirror pairs +-v, and the chart maps a mirror
+pair to Q(x, -v) = -Q(x, v), K(x, -v) = K(x, v) (the angle chi is an
+atan2 odd in v, and Q(chi) is odd).  So only the v >= 0 half is pulled
+back, each node carrying the weight of its mirror too (2w; w for the
+centre node v = 0 of an odd node count, its own mirror).  For the data
+B(K) (1 + alpha sin(mQ)) transported to time t, sin(a + b) + sin(a - b)
+= 2 sin(a) cos(b) and sin(a + b) - sin(a - b) = 2 cos(a) sin(b) give the
+mirror-pair sums
+
+    f(t, x, v) + f(t, x, -v) = 2 B (1 + alpha cos(mQ) sin(m c t)),
+    v f(t, x, v) - v f(t, x, -v) = 2 v B alpha sin(mQ) cos(m c t),
+
+with Q, c = c(K) and B = B(K) at (x, v).  At the centre node Q is 0 or
+pi, so sin(mQ) = 0 and f(t, x, 0) = B (1 + alpha cos(mQ) sin(m c t)).
+The node set therefore caches the v_max w B-weighted factors of cos(mQ)
+and v sin(mQ) and the phase rates m c(K); each sample time then costs
+one sin (density) or one cos (current) per half node and a weighted row
+sum, done for a batch of times at once.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -31,8 +47,8 @@ from .transport import InitialData, pull_back
 
 __all__ = ["spatial_grid", "MomentSeries", "MomentCalculator", "cumulative_from_zero"]
 
-# Node values held per batch of sample times (times x grid x velocity
-# nodes); bounds the scratch memory of a scan whatever its length.
+# Node values held per batch of sample times (times x support nodes);
+# bounds the scratch memory of a scan whatever its length.
 CHUNK_ELEMENTS = 2**18
 
 
@@ -94,49 +110,62 @@ class MomentCalculator:
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
-    node, or a 1-D array of times, giving one row per time.
+    node, or a 1-D array of times, giving one row per time.  Times are
+    evaluated ``batch`` at a time, so that a batch holds at most
+    ``CHUNK_ELEMENTS`` node values.
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int = 128):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
-        self.f0 = f0
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         room = f0.h_max - np.asarray(potential_phi(f0.params, self.x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
-        nodes, self.weights = np.polynomial.legendre.leggauss(n_quad)
-        v = self.v_max[:, None] * nodes
-        inside, self._q, k = pull_back(f0, self.x[:, None], v)
-        self._index = np.flatnonzero(inside)
-        self._c = f0.chart.c_of_k(k)
-        self._bump = f0.bump(k)
-        self._v = v[inside]
+        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        half = n_quad // 2
+        w = 2.0 * weights[half:]
+        if n_quad % 2:
+            w[0] = weights[half]
+        v = self.v_max[:, None] * nodes[half:]
+        inside, q, k = pull_back(f0, self.x[:, None], v)
+        weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
+        self._rate = f0.m * f0.chart.c_of_k(k)
+        self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
+        self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
+        # The support nodes are stored row by row: one segment per grid
+        # node that has any.
+        counts = inside.sum(axis=1)
+        self._rows = np.flatnonzero(counts)
+        self._starts = (np.cumsum(counts) - counts)[self._rows]
+        self._rho_mean = self._row_sums(weight)
+        self.batch = max(1, CHUNK_ELEMENTS // max(1, k.size))
 
-    def _integrate(self, t, with_v: bool) -> np.ndarray:
-        """v_max * int f v**p dv (p = 0 or 1) at each time, in batches."""
+    def _row_sums(self, vals: np.ndarray) -> np.ndarray:
+        """Sum support-node values (last axis) into their grid nodes."""
+        out = np.zeros(vals.shape[:-1] + (self.x.size,))
+        if self._rows.size:
+            out[..., self._rows] = np.add.reduceat(vals, self._starts, axis=-1)
+        return out
+
+    def _integrate(self, t, amp: np.ndarray, trig) -> np.ndarray:
+        """Row sums of amp * trig(m c t) at each time, in batches."""
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         out = np.empty((flat.size, self.x.size))
-        batch = max(1, CHUNK_ELEMENTS // (self.x.size * self.weights.size))
-        # Nodes off the support stay zero; each batch overwrites the rest.
-        f = np.zeros((min(batch, flat.size), self.x.size, self.weights.size))
-        for lo in range(0, flat.size, batch):
-            chunk = flat[lo : lo + batch]
-            vals = self._bump * self.f0.modulation(self._q + self._c * chunk[:, None])
-            if with_v:
-                vals *= self._v
-            block = f[: chunk.size]
-            block.reshape(chunk.size, -1)[:, self._index] = vals
-            out[lo : lo + chunk.size] = self.v_max * (block @ self.weights)
+        for lo in range(0, flat.size, self.batch):
+            phase = flat[lo : lo + self.batch, None] * self._rate
+            vals = trig(phase, out=phase)
+            vals *= amp
+            out[lo : lo + len(vals)] = self._row_sums(vals)
         return out.reshape(times.shape + (self.x.size,))
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._integrate(t, with_v=False)
+        return self._rho_mean + self._integrate(t, self._rho_amp, np.sin)
 
     def current(self, t) -> np.ndarray:
         """j(t, x) = int v f dv over the exact support interval."""
-        return self._integrate(t, with_v=True)
+        return self._integrate(t, self._j_amp, np.cos)
 
     def potential_of(self, rho: np.ndarray) -> np.ndarray:
         """Potential of a density, value and slope pinned to zero at x = 0."""

@@ -39,8 +39,12 @@ class InitialData:
     c_s: float
     alpha: float
     m: int
-    params: PotentialParams
     chart: OrbitChart
+
+    @property
+    def params(self) -> PotentialParams:
+        """The potential, the one the chart was built for."""
+        return self.chart.params
 
     @property
     def h_min(self) -> float:
@@ -62,13 +66,10 @@ class InitialData:
         out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
         return float(out[0]) if scalar else out
 
-    def modulation(self, q):
-        """Angle factor 1 + alpha sin(mQ) of the data."""
-        return 1.0 + self.alpha * np.sin(self.m * np.asarray(q, dtype=float))
-
     def value_bar(self, q, k):
         """Data in action-angle coordinates: B(K) * (1 + alpha sin(mQ))."""
-        return self.bump(k) * self.modulation(q)
+        q = np.asarray(q, dtype=float)
+        return self.bump(k) * (1.0 + self.alpha * np.sin(self.m * q))
 
     def value(self, x, v):
         """Data in phase-space coordinates; zero off the annulus."""
@@ -79,10 +80,9 @@ def make_initial_data(
     c_s: float,
     alpha: float,
     m: int,
-    params: PotentialParams,
     chart: OrbitChart,
 ) -> InitialData:
-    """Validated constructor for the built-in data family."""
+    """Validated constructor for the built-in data family in ``chart``'s potential."""
     if not 0 < c_s < 1:
         raise ValueError("c_s must lie in (0, 1)")
     if not 0 <= alpha < 1:
@@ -92,7 +92,7 @@ def make_initial_data(
     lo, hi = chart.k_min, chart.k_max
     if lo > c_s or hi < 1.0 / c_s:
         raise ValueError("chart energy range does not cover the support annulus")
-    return InitialData(c_s=c_s, alpha=alpha, m=int(m), params=params, chart=chart)
+    return InitialData(c_s=c_s, alpha=alpha, m=int(m), chart=chart)
 
 
 def evaluate_f_characteristic(

@@ -39,13 +39,13 @@ def harmonic_chart(harmonic):
 
 
 @pytest.fixture(scope="session")
-def f0(params, chart):
-    return make_initial_data(C_S, ALPHA, M, params, chart)
+def f0(chart):
+    return make_initial_data(C_S, ALPHA, M, chart)
 
 
 @pytest.fixture(scope="session")
-def harmonic_f0(harmonic, harmonic_chart):
-    return make_initial_data(C_S, ALPHA, M, harmonic, harmonic_chart)
+def harmonic_f0(harmonic_chart):
+    return make_initial_data(C_S, ALPHA, M, harmonic_chart)
 
 
 @pytest.fixture(scope="session")

@@ -178,12 +178,12 @@ def test_criterion_05_cross_solver():
         return worst
 
     chart = build_chart(params, lo, hi, n_k=64, n_chi=512)
-    gap = solver_gap(make_initial_data(0.5, 0.5, 1, params, chart))
+    gap = solver_gap(make_initial_data(0.5, 0.5, 1, chart))
 
     coarse = build_chart(params, lo, hi, n_k=16, n_chi=32)
     fine = build_chart(params, lo, hi, n_k=32, n_chi=64)
-    gap_coarse = solver_gap(make_initial_data(0.5, 0.5, 1, params, coarse))
-    gap_fine = solver_gap(make_initial_data(0.5, 0.5, 1, params, fine))
+    gap_coarse = solver_gap(make_initial_data(0.5, 0.5, 1, coarse))
+    gap_fine = solver_gap(make_initial_data(0.5, 0.5, 1, fine))
     improves = gap_fine <= 0.5 * gap_coarse
     ok = gap <= 1e-4 and improves
     verdict(5, "cross-solver equivalence", ok,

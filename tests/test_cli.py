@@ -1,7 +1,9 @@
 """CLI commands: config handling, artifacts, determinism, exit codes."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +232,26 @@ def test_validate_passes(tmp_path):
     report = json.loads((tmp_path / "validate.json").read_text())
     assert all(check["passed"] for check in report["checks"])
     assert len(report["checks"]) == 11
+
+
+# -- golden artifacts -------------------------------------------------------
+
+
+def _check_against_reference(workload, exit_code, out_dir):
+    """``perfbench/compare.check_run``: the benchmark's read-only output check."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "compare.py"
+    spec = importlib.util.spec_from_file_location("perfbench_compare", path)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    return compare.check_run(workload, exit_code, out_dir)
+
+
+# The reference workloads and the subcommands that produce them.
+GOLDEN = {"decay_default": ["decay"], "validate_default": ["validate", "--set", "seed=0"]}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_outputs_match_reference(tmp_path, workload):
+    # decay.json to 1e-12 relative per field, validate.json verdicts.
+    exit_code = run(tmp_path, *GOLDEN[workload])
+    assert _check_against_reference(workload, exit_code, tmp_path) == []

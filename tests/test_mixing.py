@@ -1,5 +1,7 @@
 """Decay measurement, envelope fitting, commuted fields, and spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,7 +16,7 @@ from phasemix import (
     sup_phi_t,
     vector_field_norms,
 )
-from phasemix.moments import CHUNK_ELEMENTS
+from phasemix.experiment import Experiment, ExperimentConfig
 
 
 def test_fit_decay_pure_power_law():
@@ -52,6 +54,24 @@ def test_fit_decay_needs_points():
         fit_decay(report, (1.0, 5.0))
 
 
+def test_fit_decay_envelope_times_ignore_rounding_ties():
+    # On the eps = 0 control phi_t is periodic, so each window's maximum
+    # recurs half a period later up to rounding.  Nudging every sample by
+    # 1 ulp, up in alternate half periods and down in the others (and the
+    # reverse), raises the later of each tied pair in one of the two
+    # scans; the envelope times must not move.
+    exp = Experiment.from_config(ExperimentConfig(epsilon=0.0))
+    report = sup_phi_t(exp.node_set, exp.times)
+    base = fit_decay(report, exp.cfg.fit_window, exp.period)
+    half_period = int(exp.cfg.samples_per_period) // 2
+    alternate = (np.arange(report.times.size) // half_period) % 2 == 1
+    up = np.nextafter(report.sup_values, np.inf)
+    down = np.nextafter(report.sup_values, -np.inf)
+    for nudged in (np.where(alternate, up, down), np.where(alternate, down, up)):
+        fitted = fit_decay(replace(report, sup_values=nudged), exp.cfg.fit_window, exp.period)
+        npt.assert_array_equal(fitted.envelope_times, base.envelope_times)
+
+
 def test_sup_phi_t_rejects_bad_times(params, f0):
     calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=128)
     with pytest.raises(ValueError):
@@ -61,7 +81,7 @@ def test_sup_phi_t_rejects_bad_times(params, f0):
 def test_sup_phi_t_batches_match_one_time_per_call(params, f0):
     grid = spatial_grid(params, 0.5, 101)
     calc = MomentCalculator(f0, grid, n_quad=128)
-    batch = CHUNK_ELEMENTS // (grid.size * 128)
+    batch = calc.batch
     assert batch >= 2
     # Two full batches and a partial one.
     times = 1.0 + 0.37 * np.arange(2 * batch + 3)

@@ -1,5 +1,7 @@
 """Initial-data family and the two exact solution routes."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -94,22 +96,29 @@ def test_solution_bar_translation(chart, f0):
 
 def test_make_initial_data_validation(params, chart):
     with pytest.raises(ValueError):
-        make_initial_data(1.5, 0.5, 1, params, chart)
+        make_initial_data(1.5, 0.5, 1, chart)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 1.0, 1, params, chart)
+        make_initial_data(0.5, 1.0, 1, chart)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 0.5, 0, params, chart)
+        make_initial_data(0.5, 0.5, 0, chart)
     # Chart too narrow for the annulus.
     narrow = build_chart(params, 0.9, 1.2, n_k=8, n_chi=64)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 0.5, 1, params, narrow)
+        make_initial_data(0.5, 0.5, 1, narrow)
+
+
+def test_initial_data_takes_its_potential_from_the_chart(harmonic, chart, f0):
+    # The data cannot be paired with a potential other than its chart's.
+    assert f0.params is chart.params
+    with pytest.raises(TypeError):
+        make_initial_data(0.5, 0.5, 1, harmonic, chart)
+    with pytest.raises(TypeError):
+        dataclasses.replace(f0, params=harmonic)
 
 
 def test_annulus_point_outside_chart_raises(params, f0):
     # A data family whose annulus exceeds the chart range must refuse to
     # evaluate rather than extrapolate silently.
-    import dataclasses
-
     wide = dataclasses.replace(f0, c_s=0.4)
     x_bad = 0.0
     v_bad = np.sqrt(2.0 * 2.3)  # h = 2.3 > chart.k_max = 2.1

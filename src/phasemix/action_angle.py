@@ -18,9 +18,9 @@ spectrally accurate, exactly 2*pi-equivariant, and pins Q(pi/2) = pi/2
 and Q(pi) = pi by symmetry.  Since a depends on chi only through
 cos^2(chi), dQ/dchi is pi-periodic and every odd b_k vanishes; the
 chart keeps only the modes above a floor, which are even.
-Coefficients, c and c' are interpolated cubically across the energy
-grid; the inverse map is solved by Newton iteration on the monotone
-forward series.
+Coefficients, c and c' are interpolated across the energy grid by
+not-a-knot cubic splines; the inverse map is solved by Newton iteration
+on the monotone forward series.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.fft import rfft
 
 from .potential import (
     PotentialParams,
@@ -68,6 +68,87 @@ class ChartRangeError(ValueError):
 
 def _maybe_scalar(arr, scalar: bool):
     return float(arr) if scalar else arr
+
+
+# Query points per block in ``_Spline.__call__``: bounds the gathered
+# coefficients (4 x rows x m) however many points are evaluated, and keeps
+# them in cache.
+_SPLINE_ROWS = 2048
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x_i, y_i), along y's first axis.
+
+    The arithmetic is SciPy's ``CubicSpline`` operation for operation:
+    the tridiagonal system for the node slopes, its elimination without
+    pivoting (LAPACK ``gtsv`` pivots nowhere on this matrix), the Hermite
+    coefficients, and the power-sum evaluation of ``PPoly``.  So the two
+    give bit-identical values, which the chart's golden outputs rely on.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        if n < 4:
+            raise ValueError("a not-a-knot spline needs at least 4 nodes")
+        dx = np.diff(x)
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+
+        # The node slopes s solve the tridiagonal system whose row i is
+        # lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; the
+        # array s holds rhs and is solved in place.
+        diag = np.empty(n)
+        upper = np.empty(n - 1)
+        lower = np.empty(n - 1)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
+        s = np.empty_like(y)
+        s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # Not-a-knot: the third derivative is continuous at x[1] and x[-2].
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        s[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        diag[-1], lower[-1] = dx[-2], d
+        s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+
+        for i in range(n - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * upper[i]
+            s[i + 1] = s[i + 1] - fact * s[i]
+        s[-1] = s[-1] / diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        # Interval-i coefficients of d**3, d**2, d and 1, one table each.
+        self.coeffs = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        flat = xq.reshape(-1)
+        tail = self.coeffs[0].shape[1:]
+        out = np.empty(flat.shape + tail)
+        for lo in range(0, flat.size, _SPLINE_ROWS):
+            pts = flat[lo : lo + _SPLINE_ROWS]
+            # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
+            # outward, and x[-1] itself falls in the last.
+            i = np.searchsorted(self.x[1:-1], pts, side="right")
+            d = (pts - self.x[i]).reshape(pts.shape + (1,) * len(tail))
+            dd = d * d
+            c3, c2, c1, c0 = (np.take(c, i, axis=0) for c in self.coeffs)
+            # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3,
+            # in place on the gathered copies.
+            res = out[lo : lo + pts.size]
+            np.multiply(c1, d, out=res)
+            res += c0
+            c2 *= dd
+            res += c2
+            c3 *= dd * d
+            res += c3
+        return out.reshape(xq.shape + tail)
 
 
 def to_angle_energy(params: PotentialParams, x, v):
@@ -193,9 +274,9 @@ class OrbitChart:
     sine_coeffs: np.ndarray
     modes: np.ndarray
     delta: float
-    _c_spline: CubicSpline = field(repr=False)
-    _cp_spline: CubicSpline = field(repr=False)
-    _b_spline: CubicSpline | None = field(repr=False)
+    _c_spline: _Spline = field(repr=False)
+    _cp_spline: _Spline = field(repr=False)
+    _b_spline: _Spline | None = field(repr=False)
 
     @property
     def k_min(self) -> float:
@@ -291,7 +372,7 @@ def build_chart(
     # Fourier antiderivative of w = (1/a) / <1/a>, whose mean is 1 by
     # construction.  w is even in chi, so the rfft coefficients are real.
     w = inv_a / mean_inv[:, None]
-    spectrum = np.fft.rfft(w, axis=1) / n_chi
+    spectrum = rfft(w, axis=1) / n_chi
     modes = np.arange(1, n_chi // 2 + 1)
     factor = np.full(modes.shape, 2.0)
     factor[-1] = 1.0  # Nyquist mode appears once
@@ -311,7 +392,7 @@ def build_chart(
         if np.any(slope <= 0):
             raise ChartError("tabulated angle map is not monotone")
 
-    b_spline = CubicSpline(k_grid, b, axis=0) if modes.size else None
+    b_spline = _Spline(k_grid, b) if modes.size else None
     return OrbitChart(
         params=params,
         k_grid=k_grid,
@@ -320,8 +401,8 @@ def build_chart(
         sine_coeffs=b,
         modes=modes,
         delta=float(c_prime.min()),
-        _c_spline=CubicSpline(k_grid, c),
-        _cp_spline=CubicSpline(k_grid, c_prime),
+        _c_spline=_Spline(k_grid, c),
+        _cp_spline=_Spline(k_grid, c_prime),
         _b_spline=b_spline,
     )
 

@@ -34,6 +34,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Full experiment description; round-trips losslessly through JSON."""
@@ -55,8 +60,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "c_s", "alpha", "t_max", "samples_per_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            if not _is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if not 0 < self.c_s < 1:
@@ -77,7 +82,15 @@ class ExperimentConfig:
             raise ConfigError("evolve_samples must be an integer >= 1")
         if self.t_max <= 0 or self.samples_per_period <= 0:
             raise ConfigError("time schedule parameters must be positive")
-        lo, hi = self.fit_window
+        if not isinstance(self.include_control, bool):
+            raise ConfigError("include_control must be true or false")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be an integer >= 0")
+        window = self.fit_window
+        if not (isinstance(window, (list, tuple)) and len(window) == 2
+                and all(_is_finite_real(w) for w in window)):
+            raise ConfigError("fit_window must be two finite numbers")
+        lo, hi = window
         if not 0 < lo < hi <= self.t_max:
             raise ConfigError("fit_window must satisfy 0 < lo < hi <= t_max")
         self.fit_window = (float(lo), float(hi))
@@ -93,12 +106,6 @@ class ExperimentConfig:
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
-        data = dict(data)
-        if "fit_window" in data:
-            fw = data["fit_window"]
-            if not (isinstance(fw, (list, tuple)) and len(fw) == 2):
-                raise ConfigError("fit_window must be a two-element list")
-            data["fit_window"] = (float(fw[0]), float(fw[1]))
         try:
             return cls(**data)
         except TypeError as exc:

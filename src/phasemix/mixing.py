@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.fft import rfft
 
 from .moments import MomentCalculator
 from .transport import InitialData
@@ -224,7 +225,7 @@ def q_fourier_spectrum(
         raise ValueError("n_q must be >= 4 * k_max")
     qs = np.arange(n_q) * (2.0 * np.pi / n_q)
     vals = solution_bar(f0, t, qs, k_energy)
-    coeffs = np.fft.rfft(vals) / n_q
+    coeffs = rfft(vals) / n_q
     coeffs = coeffs[: k_max + 1]
     modes = np.arange(1, k_max + 1)
     g = coeffs[1:] / (1j * modes)

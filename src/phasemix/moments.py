@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from numpy.polynomial.legendre import leggauss
 
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
@@ -65,6 +65,45 @@ def spatial_grid(params: PotentialParams, c_s: float, n: int = 201) -> np.ndarra
     return np.linspace(-x_max, x_max, n)
 
 
+def _simpson_panels(dx21, dx32, f1, f2, f3):
+    """Integral of the parabola through the values f1, f2, f3 at three nodes
+    spaced dx21, dx32 apart, over the dx21-wide interval between the first two."""
+    x31 = dx21 + dx32
+    x21_x31 = dx21 / x31
+    x21_x32 = dx21 / dx32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return dx21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_i} y dx along the last axis, 0 at x_0.
+
+    SciPy's ``cumulative_simpson(y, x=x, initial=0)`` operation for
+    operation, so the two agree bit for bit: interval i takes the
+    parabola through nodes i, i+1, i+2 when i is even and through
+    i-1, i, i+1 when i is odd (the last interval always the latter).
+    Two nodes fall back to the trapezoid.
+    """
+    dx = np.diff(x)
+    if x.size < 3:
+        pieces = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        mid = y[..., 1:-1]
+        ahead = _simpson_panels(dx[:-1], dx[1:], y[..., :-2], mid, y[..., 2:])
+        behind = _simpson_panels(dx[1:], dx[:-1], y[..., 2:], mid, y[..., :-2])
+        pieces = np.empty(y.shape[:-1] + dx.shape)
+        pieces[..., :-1:2] = ahead[..., ::2]
+        pieces[..., 1::2] = behind[..., ::2]
+        pieces[..., -1] = behind[..., -1]
+    out = np.zeros(y.shape)
+    # Adding SciPy's initial value 0 turns a -0.0 into 0.0, as it does there.
+    out[..., 1:] = np.cumsum(pieces, axis=-1) + 0.0
+    return out
+
+
 def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative integral int_0^{x_i} y dx on a symmetric grid containing 0.
 
@@ -77,9 +116,9 @@ def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("grid must contain x = 0 at its central node")
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    out[..., i0:] = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
+    out[..., i0:] = _cumulative_simpson(y[..., i0:], x[i0:])
     # int_0^{x'} y dx = -int_0^{-x'} y(-u) du for x' < 0
-    left = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+    left = _cumulative_simpson(y[..., i0::-1], -x[i0::-1])
     out[..., : i0 + 1] = -left[..., ::-1]
     return out
 
@@ -121,7 +160,7 @@ class MomentCalculator:
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         room = f0.h_max - np.asarray(potential_phi(f0.params, self.x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        nodes, weights = leggauss(n_quad)
         half = n_quad // 2
         w = 2.0 * weights[half:]
         if n_quad % 2:

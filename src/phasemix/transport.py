@@ -100,7 +100,7 @@ def evaluate_f_characteristic(
     t: float,
     x,
     v,
-    spec: FlowSpec = FlowSpec(method="adaptive", tolerance=1e-10),
+    spec: FlowSpec = FlowSpec(),
 ):
     """Exact solution via backward characteristics: f0(flow(-t)(x, v))."""
     x0, v0 = flow_map(f0.params, x, v, -t, spec)

@@ -167,7 +167,7 @@ def test_criterion_05_cross_solver():
     hs = np.linspace(0.55, 1.95, 20)
     chis = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     x, v = from_angle_energy(params, chis[:, None], hs[None, :])
-    spec = FlowSpec(method="adaptive", tolerance=1e-10)
+    spec = FlowSpec(tolerance=1e-10)
 
     def solver_gap(f0):
         worst = 0.0

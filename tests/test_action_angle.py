@@ -136,6 +136,19 @@ def test_chart_c_interpolation(params, chart):
     npt.assert_allclose(chart.c_prime_of_k(ks), compute_c_prime(params, ks), atol=1e-9)
 
 
+def test_chart_splines_match_scipy(chart):
+    # The chart's NumPy spline reproduces SciPy's not-a-knot CubicSpline
+    # bit for bit, at the grid nodes and between them.
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(7)
+    ks = np.concatenate([chart.k_grid, rng.uniform(chart.k_min, chart.k_max, 10_000)])
+    assert np.array_equal(chart.c_of_k(ks), CubicSpline(chart.k_grid, chart.c)(ks))
+    assert np.array_equal(chart.c_prime_of_k(ks), CubicSpline(chart.k_grid, chart.c_prime)(ks))
+    b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(ks)
+    assert np.array_equal(chart._b_spline(ks), b)
+
+
 def test_chart_delta_frozen(chart):
     # delta = min c' over the grid (anisochronism floor), frozen from
     # the converged build; positive for eps > 0.
@@ -166,7 +179,7 @@ def test_flow_is_rigid_rotation_in_q(params, chart):
     # The conjugated flow translates Q at rate c(K) and freezes K.
     x0, v0 = from_angle_energy(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
-    xt, vt = flow_map(params, x0, v0, t, FlowSpec(method="adaptive", tolerance=1e-12))
+    xt, vt = flow_map(params, x0, v0, t, FlowSpec(tolerance=1e-12))
     q0, k0 = to_action_angle(chart, x0, v0)
     qt, kt = to_action_angle(chart, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)

@@ -3,11 +3,15 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasemix
 from phasemix.cli import load_config, main
 from phasemix.experiment import ConfigError, ExperimentConfig
 
@@ -84,6 +88,12 @@ def test_bad_override_exit_code(tmp_path):
         ("evolve", "evolve_samples=0"),
         ("evolve", "evolve_samples=2.5"),
         ("evolve", "fd_dt=-5"),
+        ("decay", 'fit_window=[1,"a"]'),
+        ("decay", 'fit_window=["5","60"]'),
+        ("decay", 'include_control="yes"'),
+        ("chart", "seed=-1"),
+        ("chart", "seed=1.5"),
+        ("chart", "epsilon=true"),
     ],
 )
 def test_bad_value_exit_code(tmp_path, command, override):
@@ -232,6 +242,29 @@ def test_validate_passes(tmp_path):
     report = json.loads((tmp_path / "validate.json").read_text())
     assert all(check["passed"] for check in report["checks"])
     assert len(report["checks"]) == 11
+
+
+# -- imports ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["chart"], ["evolve", "--validate"], ["decay"], ["validate"]], ids=" ".join
+)
+def test_no_scipy_at_runtime(tmp_path, argv):
+    # SciPy is a test dependency only: no subcommand may load it.
+    code = (
+        "import sys\n"
+        "from phasemix.cli import main\n"
+        f"code = main({[*argv, '--out', str(tmp_path)]!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(phasemix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # -- golden artifacts -------------------------------------------------------

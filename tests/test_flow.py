@@ -1,12 +1,20 @@
-"""Hamiltonian flow: integrators, reversibility, and orbit periods."""
+"""Hamiltonian flow: the Taylor integrator against DOP853, reversibility, orbit periods."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phasemix import FlowSpec, PotentialParams, flow_map, hamiltonian, orbit_period
+from phasemix import (
+    FlowError,
+    FlowSpec,
+    dphi,
+    flow_map,
+    from_angle_energy,
+    orbit_period,
+)
+from phasemix import flow
 
-ADAPTIVE = FlowSpec(method="adaptive", tolerance=1e-12)
+ADAPTIVE = FlowSpec(tolerance=1e-12)
 
 
 def test_harmonic_rotation(harmonic):
@@ -18,40 +26,43 @@ def test_harmonic_rotation(harmonic):
     npt.assert_allclose(v, -x0 * np.sin(t) + v0 * np.cos(t), atol=1e-10)
 
 
-def test_energy_conservation_symplectic(params):
-    spec = FlowSpec(method="symplectic", step=1e-3)
-    x0 = np.array([0.3, 1.0, 1.5])
-    v0 = np.array([0.5, -0.2, 0.0])
-    h0 = hamiltonian(params, x0, v0)
-    x, v = flow_map(params, x0, v0, 50.0, spec)
-    # Velocity-Verlet: bounded O(step**2) energy oscillation, no drift.
-    npt.assert_allclose(hamiltonian(params, x, v), h0, rtol=1e-5)
-
-
-def test_symplectic_energy_bounded_long_run():
-    # 100,000 steps on 16 random points: the energy error stays bounded.
-    p = PotentialParams(0.1)
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, 16)
-    v = rng.uniform(-1.0, 1.0, 16)
-    h0 = hamiltonian(p, x, v)
-    xs, vs = flow_map(p, x, v, 100.0, FlowSpec(method="symplectic", step=1e-3))
-    npt.assert_allclose(hamiltonian(p, xs, vs), h0, rtol=1e-5)
-
-
 def test_reversibility(params):
     x0, v0 = 1.1, 0.4
-    for spec in (ADAPTIVE, FlowSpec(method="symplectic", step=5e-4)):
-        x, v = flow_map(params, x0, v0, 7.0, spec)
-        xb, vb = flow_map(params, x, v, -7.0, spec)
-        npt.assert_allclose([xb, vb], [x0, v0], atol=1e-8)
+    x, v = flow_map(params, x0, v0, 7.0, ADAPTIVE)
+    xb, vb = flow_map(params, x, v, -7.0, ADAPTIVE)
+    npt.assert_allclose([xb, vb], [x0, v0], atol=1e-8)
 
 
-def test_symplectic_matches_adaptive(params):
-    x0, v0 = 0.9, -0.7
-    xa, va = flow_map(params, x0, v0, 10.0, ADAPTIVE)
-    xs, vs = flow_map(params, x0, v0, 10.0, FlowSpec(method="symplectic", step=1e-4))
-    npt.assert_allclose([xs, vs], [xa, va], atol=1e-6)
+def _dop853(params, x, v, t):
+    from scipy.integrate import solve_ivp
+
+    n = x.size
+
+    def rhs(_, y):
+        return np.concatenate([y[n:], -dphi(params, y[:n])])
+
+    sol = solve_ivp(rhs, (0.0, t), np.concatenate([x, v]), method="DOP853",
+                    rtol=1e-12, atol=1e-15)
+    assert sol.success
+    return sol.y[:n, -1], sol.y[n:, -1]
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0, 10.0, -10.0])
+def test_flow_matches_dop853(params, t):
+    # SciPy's DOP853 is the independent oracle for the Taylor integrator,
+    # on 30 seeded points of the support annulus, as the CLI's checks use.
+    rng = np.random.default_rng(0)
+    x, v = from_angle_energy(params, rng.uniform(-np.pi, np.pi, 30), rng.uniform(0.5, 2.0, 30))
+    xt, vt = flow_map(params, x, v, t)
+    xd, vd = _dop853(params, x, v, t)
+    npt.assert_allclose(xt, xd, rtol=0, atol=1e-10)
+    npt.assert_allclose(vt, vd, rtol=0, atol=1e-10)
+
+
+def test_flow_step_cap(params, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    with pytest.raises(FlowError):
+        flow_map(params, 1.0, 0.0, 100.0)
 
 
 def test_flow_preserves_shape(params):
@@ -82,11 +93,30 @@ def test_period_frozen_value(params):
 
 def test_flowspec_validation():
     with pytest.raises(ValueError):
-        FlowSpec(method="rk4")
+        FlowSpec(tolerance=-1.0)
     with pytest.raises(ValueError):
-        FlowSpec(method="symplectic", step=0.0)
-    with pytest.raises(ValueError):
-        FlowSpec(method="adaptive", tolerance=-1.0)
+        FlowSpec(tolerance=1e-2)
+
+
+@pytest.mark.parametrize("h", [0.25, 1.0, 4.0])
+def test_period_matches_dop853_events(params, h):
+    # The period as DOP853 event detection measures it: the time between
+    # the first two downward crossings of v = 0 from (0, sqrt(2h)).
+    from scipy.integrate import solve_ivp
+
+    eps = params.epsilon
+
+    def rhs(_, y):
+        return [y[1], -(y[0] + 2.0 * eps * y[0] ** 3)]
+
+    def turning(_, y):
+        return y[1]
+
+    turning.direction = -1
+    sol = solve_ivp(rhs, (0.0, 1.6 * 2.0 * np.pi), [0.0, np.sqrt(2.0 * h)],
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=turning)
+    crossings = sol.t_events[0]
+    npt.assert_allclose(orbit_period(params, h), crossings[1] - crossings[0], rtol=0, atol=1e-12)
 
 
 def test_orbit_period_rejects_nonpositive_energy(params):

@@ -55,6 +55,22 @@ def test_cumulative_from_zero_smooth():
     )
 
 
+@pytest.mark.parametrize("n", [3, 5, 201, 801])
+def test_cumulative_from_zero_matches_scipy(params, n):
+    # Both halves of the grid, each integrated outward from x = 0, equal
+    # SciPy's cumulative_simpson bit for bit.
+    from scipy.integrate import cumulative_simpson
+
+    x = spatial_grid(params, 0.5, n)
+    i0 = x.size // 2
+    y = np.random.default_rng(n).standard_normal((3, x.size))
+    right = cumulative_simpson(y[:, i0:], x=x[i0:], initial=0.0)
+    left = cumulative_simpson(y[:, i0::-1], x=-x[i0::-1], initial=0.0)
+    got = cumulative_from_zero(y, x)
+    assert np.array_equal(got[:, i0:], right)
+    assert np.array_equal(got[:, : i0 + 1], -left[:, ::-1])
+
+
 def test_cumulative_requires_centered_grid():
     x = np.linspace(0.1, 1.0, 11)
     with pytest.raises(ValueError):

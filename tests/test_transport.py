@@ -17,7 +17,7 @@ from phasemix import (
     solution_bar,
 )
 
-ADAPTIVE = FlowSpec(method="adaptive", tolerance=1e-10)
+ADAPTIVE = FlowSpec(tolerance=1e-10)
 
 
 def test_bump_support(f0):

@@ -56,6 +56,14 @@ __all__ = [
 # Fourier modes below this magnitude (max over the energy grid) are
 # dropped from the chart.
 _MODE_FLOOR = 1e-15
+# Largest magnitude the last kept mode may have.  A chart whose modes do
+# not fall below _MODE_FLOOR by the Nyquist mode is truncated there, and
+# its last mode estimates the dropped tail.  Over eps in [0.1, 100] and
+# c_s in [0.02, 0.9] the cross-solver gap |f_aa - f_char| (t = 1, 10) was
+# at most 31x that mode (eps = 100, c_s = 0.1, n_chi = 512: last mode
+# 1.4e-5, gap 4.5e-4; at n_chi = 2048: 4.1e-10 and 1.9e-6), so this floor
+# keeps the truncation's share of the gap below its 1e-4 tolerance.
+_TAIL_FLOOR = 1e-6
 
 
 class ChartError(RuntimeError):
@@ -352,8 +360,8 @@ def build_chart(
     For each grid energy the smooth periodic weight dQ/dchi = c/a is
     sampled on n_chi equispaced angles; its Fourier antiderivative gives
     Q(chi) = chi + sum b_k sin(k chi).  dQ/dchi > 0 is verified at every
-    grid energy before the chart is returned, or :class:`ChartError` is
-    raised.
+    grid energy, and the last kept mode must lie below a floor (1e-6),
+    before the chart is returned, or :class:`ChartError` is raised.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -391,6 +399,11 @@ def build_chart(
         slope = 1.0 + np.cos(fine[:, None] * modes) @ (modes * b).T
         if np.any(slope <= 0):
             raise ChartError("tabulated angle map is not monotone")
+        tail = float(np.max(np.abs(b[:, -1])))
+        if tail > _TAIL_FLOOR:
+            raise ChartError(
+                f"angle map truncated: last kept mode {tail:.1e} > {_TAIL_FLOOR:.0e}; raise n_chi"
+            )
 
     b_spline = _Spline(k_grid, b) if modes.size else None
     return OrbitChart(

@@ -23,7 +23,16 @@ from .moments import MomentCalculator, spatial_grid
 from .potential import PotentialParams
 from .transport import InitialData, make_initial_data
 
-__all__ = ["ConfigError", "ExperimentConfig", "Experiment", "time_schedule"]
+__all__ = ["ConfigError", "ExperimentConfig", "Experiment"]
+
+# Bounds on the work one config may ask for.  The resolved t_max = 2000
+# run (1601 grid points x 1024 velocity nodes, 17 samples per period:
+# 6,188 times, 9.9 M scan values) fits each; its node set alone peaks near
+# 400 MiB, about 250 bytes per grid point and velocity node.
+MAX_CHART_CELLS = 2**20   # n_k * n_chi, the chart's energy-angle table
+MAX_NODES = 2**22         # grid_points * v_quad, the velocity nodes of the node set
+MAX_SCAN = 2**24          # decay times * grid_points, the moment values of the scan
+MAX_EVOLVE_ROWS = 2**20   # evolve_samples * grid_points, the rows of evolve.csv
 
 
 class ConfigError(ValueError):
@@ -80,6 +89,12 @@ class ExperimentConfig:
             raise ConfigError("v_quad must be an integer >= 64")
         if not _is_int(self.evolve_samples) or self.evolve_samples < 1:
             raise ConfigError("evolve_samples must be an integer >= 1")
+        if self.n_k * self.n_chi > MAX_CHART_CELLS:
+            raise ConfigError(f"n_k * n_chi must be <= {MAX_CHART_CELLS}")
+        if self.grid_points * self.v_quad > MAX_NODES:
+            raise ConfigError(f"grid_points * v_quad must be <= {MAX_NODES}")
+        if self.evolve_samples * self.grid_points > MAX_EVOLVE_ROWS:
+            raise ConfigError(f"evolve_samples * grid_points must be <= {MAX_EVOLVE_ROWS}")
         if self.t_max <= 0 or self.samples_per_period <= 0:
             raise ConfigError("time schedule parameters must be positive")
         if not isinstance(self.include_control, bool):
@@ -110,12 +125,6 @@ class ExperimentConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def time_schedule(t_max: float, period: float, samples_per_period: float) -> np.ndarray:
-    step = period / samples_per_period
-    n = int(np.floor(t_max / step)) + 1
-    return step * np.arange(n)
 
 
 @dataclass(eq=False)
@@ -159,5 +168,16 @@ class Experiment:
 
     @property
     def times(self) -> np.ndarray:
-        """Decay sample times: ``samples_per_period`` per period up to ``t_max``."""
-        return time_schedule(self.cfg.t_max, self.period, self.cfg.samples_per_period)
+        """Decay sample times: ``samples_per_period`` per period up to ``t_max``.
+
+        The count needs the period, so it is bounded here, before the
+        times are allocated, rather than in the config.
+        """
+        step = self.period / self.cfg.samples_per_period
+        count = np.floor(self.cfg.t_max / step) + 1
+        if count * self.cfg.grid_points > MAX_SCAN:
+            raise ConfigError(
+                f"the decay scan needs {count:.3g} times x {self.cfg.grid_points} grid "
+                f"points, over {MAX_SCAN}; lower t_max, samples_per_period or grid_points"
+            )
+        return step * np.arange(int(count))

@@ -22,9 +22,14 @@ mirror-pair sums
 with Q, c = c(K) and B = B(K) at (x, v).  At the centre node Q is 0 or
 pi, so sin(mQ) = 0 and f(t, x, 0) = B (1 + alpha cos(mQ) sin(m c t)).
 The node set therefore caches the v_max w B-weighted factors of cos(mQ)
-and v sin(mQ) and the phase rates m c(K); each sample time then costs
-one sin (density) or one cos (current) per half node and a weighted row
-sum, done for a batch of times at once.
+and v sin(mQ) and the phase rates r = m c(K).  With z = exp(i r t) the
+density reads Im z and the current Re z, so each sample time costs one
+sin (density) or one cos (current) per half node and a weighted row
+sum, done for a batch of times at once.  A scan whose times repeat a gap
+g (an evenly spaced schedule) need not pay the trig: exp(i r t_k) =
+exp(i r t_{k-1}) exp(i r g_k) holds exactly, so z advances by one complex
+multiply per node with the rotation exp(i r g) cached per gap, and an
+exact cos and sin re-seed it every SEED times to bound the rounding.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -50,6 +55,16 @@ __all__ = ["spatial_grid", "MomentSeries", "MomentCalculator", "cumulative_from_
 # Node values held per batch of sample times (times x support nodes);
 # bounds the scratch memory of a scan whatever its length.
 CHUNK_ELEMENTS = 2**18
+# A scan advances exp(i m c t) by rotation for at most SEED - 1 times in a
+# row before seeding it again by exact trig, which bounds the growth of
+# the rotation's rounding.  On the default decay scan a node's cos(m c t)
+# then errs, against long-double phases, by 1.08x the error of exact trig
+# at every time (1.20x at 32, 1.31x at 64, 1.90x never re-seeded); see
+# studies/rotation_seed.py.
+SEED = 16
+# Distinct gaps a call rotates by, the most frequent first; bounds the
+# rotation table at ROTATIONS complex values per node.
+ROTATIONS = 8
 
 
 def spatial_grid(params: PotentialParams, c_s: float, n: int = 201) -> np.ndarray:
@@ -123,6 +138,14 @@ def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), its parts bit for bit np.cos(phase) and np.sin(phase)."""
+    z = np.empty(phase.shape, dtype=complex)
+    z.real = np.cos(phase)
+    z.imag = np.sin(phase)
+    return z
+
+
 @dataclass
 class MomentSeries:
     """Time-indexed moment grids emitted by the evolve pipeline."""
@@ -186,25 +209,58 @@ class MomentCalculator:
             out[..., self._rows] = np.add.reduceat(vals, self._starts, axis=-1)
         return out
 
-    def _integrate(self, t, amp: np.ndarray, trig) -> np.ndarray:
-        """Row sums of amp * trig(m c t) at each time, in batches."""
+    def _integrate(self, t, amp: np.ndarray, part: str) -> np.ndarray:
+        """Row sums of amp * Re or Im exp(i m c t) at each time, in batches.
+
+        A time whose gap to the previous time recurs in the call, and whose
+        index is not a multiple of ``SEED``, advances z = exp(i m c t) from
+        the previous time by that gap's rotation; the time before such a
+        chain seeds z by exact trig.  Every other time takes one cos
+        (``part="real"``) or sin (``part="imag"``) per node.
+        """
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
+        advance, rotations = self._rotation_plan(flat)
+        chained = advance >= 0
+        seeds = ~chained & np.append(chained[1:], False)
+        trig = np.cos if part == "real" else np.sin
         out = np.empty((flat.size, self.x.size))
         for lo in range(0, flat.size, self.batch):
-            phase = flat[lo : lo + self.batch, None] * self._rate
-            vals = trig(phase, out=phase)
-            vals *= amp
+            vals = flat[lo : lo + self.batch, None] * self._rate
+            for i, row in enumerate(vals, start=lo):
+                if chained[i]:
+                    z *= rotations[advance[i]]
+                elif seeds[i]:
+                    z = _cis(row)
+                else:
+                    trig(row, out=row)
+                    row *= amp
+                    continue
+                np.multiply(getattr(z, part), amp, out=row)
             out[lo : lo + len(vals)] = self._row_sums(vals)
         return out.reshape(times.shape + (self.x.size,))
 
+    def _rotation_plan(self, flat: np.ndarray):
+        """The rotations exp(i m c g) of the recurring gaps g (the ``ROTATIONS``
+        most frequent), and per time the index of the one that advances it
+        from the previous time, or -1."""
+        gaps, which, counts = np.unique(np.diff(flat), return_inverse=True, return_counts=True)
+        kept = np.argsort(-counts, kind="stable")[:ROTATIONS]
+        kept = kept[(counts[kept] > 1) & np.isfinite(gaps[kept])]
+        slot = np.full(gaps.size, -1)
+        slot[kept] = np.arange(kept.size)
+        advance = np.full(flat.size, -1)
+        advance[1:] = slot[which]
+        advance[::SEED] = -1
+        return advance, _cis(gaps[kept, None] * self._rate)
+
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._rho_mean + self._integrate(t, self._rho_amp, np.sin)
+        return self._rho_mean + self._integrate(t, self._rho_amp, "imag")
 
     def current(self, t) -> np.ndarray:
         """j(t, x) = int v f dv over the exact support interval."""
-        return self._integrate(t, self._j_amp, np.cos)
+        return self._integrate(t, self._j_amp, "real")
 
     def potential_of(self, rho: np.ndarray) -> np.ndarray:
         """Potential of a density, value and slope pinned to zero at x = 0."""

@@ -203,3 +203,14 @@ def test_build_chart_validation(params):
     # Under-resolved: the truncated series has dQ/dchi <= 0 somewhere.
     with pytest.raises(ChartError, match="not monotone"):
         build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=4, n_chi=8)
+
+
+def test_build_chart_tail_floor():
+    # At eps = 100, c_s = 0.1 the modes do not decay below the mode floor
+    # by the Nyquist mode: 512 angles end the series on a mode of 1.4e-5,
+    # above the 1e-6 tail floor, and 1024 angles on one of 3.1e-7.
+    params, (lo, hi) = PotentialParams(100.0), chart_range_for_support(0.1)
+    with pytest.raises(ChartError, match="truncated"):
+        build_chart(params, lo, hi, n_chi=512)
+    chart = build_chart(params, lo, hi, n_chi=1024)
+    assert 1e-7 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6

@@ -13,7 +13,7 @@ import pytest
 
 import phasemix
 from phasemix.cli import load_config, main
-from phasemix.experiment import ConfigError, ExperimentConfig
+from phasemix.experiment import ConfigError, Experiment, ExperimentConfig
 
 
 def run(tmp_path, *argv):
@@ -94,10 +94,27 @@ def test_bad_override_exit_code(tmp_path):
         ("chart", "seed=-1"),
         ("chart", "seed=1.5"),
         ("chart", "epsilon=true"),
+        # Work bounds: each is rejected before anything of its size is
+        # allocated (the decay schedule after the default chart only).
+        ("chart", "n_k=100000000"),
+        ("chart", "n_chi=1048576"),
+        ("decay", "grid_points=40001"),
+        ("evolve", "v_quad=100000"),
+        ("evolve", "evolve_samples=1000000"),
+        ("decay", "t_max=1e9"),
+        ("decay", "samples_per_period=1e300"),
     ],
 )
 def test_bad_value_exit_code(tmp_path, command, override):
     assert run(tmp_path, command, "--set", override) == 2
+
+
+def test_resolved_config_within_work_bounds():
+    # The resolved long scan: 1601 grid points x 1024 velocity nodes,
+    # 17 samples per period up to t = 2000.
+    cfg = ExperimentConfig(grid_points=1601, v_quad=1024, t_max=2000.0,
+                           samples_per_period=17.0, fit_window=(20.0, 2000.0))
+    assert Experiment.from_config(cfg).times.size == 6188
 
 
 # At eps = 100, c_s = 0.1 eight angle nodes leave the truncated series
@@ -108,6 +125,13 @@ UNRESOLVED_CHART = ("--set", "epsilon=100", "--set", "c_s=0.1", "--set", "n_chi=
 @pytest.mark.parametrize("command", ["chart", "evolve", "decay"])
 def test_unresolved_chart_exit_code(tmp_path, command):
     assert run(tmp_path, command, *UNRESOLVED_CHART) == 3
+
+
+def test_truncated_chart_exit_code(tmp_path, capsys):
+    # 512 angle nodes (the default) end this chart's series on a mode of
+    # 1.4e-5, above the tail floor: monotone, but truncated.
+    assert run(tmp_path, "chart", "--set", "epsilon=100", "--set", "c_s=0.1") == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 # -- chart ------------------------------------------------------------------

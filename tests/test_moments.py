@@ -14,6 +14,7 @@ from phasemix import (
     evaluate_f_actionangle,
     spatial_grid,
 )
+from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.potential import invert_phi, phi
 
 
@@ -174,6 +175,57 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
         assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), n_quad
         batch = calc.density(np.array([t, t]))
         assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), n_quad
+
+
+def test_times_without_recurring_gap_take_exact_trig(calc):
+    # No gap repeats, so no time is rotated: the scan is, bit for bit, one
+    # call per time.
+    times = np.cumsum(0.3 + 0.01 * np.arange(12))
+    assert np.unique(np.diff(times)).size == times.size - 1
+    npt.assert_array_equal(calc.density(times), [calc.density(t) for t in times])
+    npt.assert_array_equal(calc.current(times), [calc.current(t) for t in times])
+
+
+@pytest.fixture(scope="module")
+def default_scan():
+    """The default decay scan, rotated, and at one call per time (exact trig)."""
+    exp = Experiment.from_config(ExperimentConfig())
+    calc, times = exp.node_set, exp.times
+    scans = {}
+    for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
+        moment = getattr(calc, name)
+        scans[name] = amp, moment(times), np.array([moment(t) for t in times])
+    return calc, times, scans
+
+
+def test_rotated_times_stay_near_exact_trig(default_scan):
+    # Row by row, a rotated time stays within 1e-13 of the rounding scale
+    # of its sum, the quadrature of |amplitude|; the phase rounding
+    # eps * m c t alone is about 2.5e-14 at t = 200.
+    calc, times, scans = default_scan
+    advance, _ = calc._rotation_plan(times)
+    assert np.count_nonzero(advance >= 0) > 0.9 * times.size
+    for name, (amp, rotated, exact) in scans.items():
+        bound = 1e-13 * calc._row_sums(np.abs(amp))
+        assert np.all(np.abs(rotated - exact) <= bound), name
+
+
+def test_rotation_error_against_long_double_phases(default_scan):
+    # Against row sums with long-double phases, trig and sums, the
+    # rotated scan errs by at most 1.5x as much as exact trig at every time.
+    calc, times, scans = default_scan
+    rate = calc._rate.astype(np.longdouble)
+    for name, (amp, rotated, exact) in scans.items():
+        trig = np.cos if name == "current" else np.sin
+        ref = np.zeros(rotated.shape, dtype=np.longdouble)
+        for i, t in enumerate(times):
+            vals = amp.astype(np.longdouble) * trig(rate * np.longdouble(t))
+            ref[i, calc._rows] = np.add.reduceat(vals, calc._starts)
+        if name == "density":
+            ref += calc._rho_mean
+        err_rotated = float(np.max(np.abs(rotated - ref)))
+        err_exact = float(np.max(np.abs(exact - ref)))
+        assert 0 < err_rotated <= 1.5 * err_exact, (name, err_rotated, err_exact)
 
 
 def test_node_set_rejects_chart_short_of_support(params, f0, grid):

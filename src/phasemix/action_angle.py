@@ -21,6 +21,18 @@ chart keeps only the modes above a floor, which are even.
 Coefficients, c and c' are interpolated across the energy grid by
 not-a-knot cubic splines; the inverse map is solved by Newton iteration
 on the monotone forward series.
+
+The series is summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
+Tables Aids Comput. 9 (1955) 118) in theta = g chi, g the gcd of the kept
+modes: with u_{J+1} = u_{J+2} = 0 and b_k = 0 for the modes not kept,
+
+    u_j = b_{gj} + 2 cos(theta) u_{j+1} - u_{j+2},  j = J, ..., 1,
+    sum_k b_k sin(k chi) = u_1 sin(theta),
+
+J = max(modes) / g.  That costs one cos and one sin per point and a
+multiply and two adds per mode, where the per-mode sum takes one sin per mode.
+Points are summed a block at a time, so no (points x modes) array
+outlives its block.
 """
 
 from __future__ import annotations
@@ -78,9 +90,12 @@ def _maybe_scalar(arr, scalar: bool):
     return float(arr) if scalar else arr
 
 
-# Query points per block in ``_Spline.__call__``: bounds the gathered
-# coefficients (4 x rows x m) however many points are evaluated, and keeps
-# them in cache.
+# Query points per block in ``_Spline.__call__`` and ``OrbitChart.q_from_chi``:
+# bounds the gathered coefficients (4 x rows x m) and the recurrence's
+# arrays however many points are evaluated, and keeps them in cache.  The
+# 801 x 512 and 1601 x 1024 node sets build fastest at 2048 (129 and 530 ms
+# on a 2-vCPU Xeon, against 150-195 and 581-734 ms at 512-1024 and
+# 133-167 and 531-621 ms at 4096-16384); see studies/pullback_block.py.
 _SPLINE_ROWS = 2048
 
 
@@ -311,8 +326,37 @@ class OrbitChart:
         self.check_range(k)
         return self._cp_spline(k)
 
+    def _sine_sum(self, chi: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k b_k sin(k chi), b holding each point's coefficients on its last axis.
+
+        Clenshaw's recurrence in theta = g chi, g = gcd(modes), over the
+        dense range j = 1 .. max(modes) / g (absent modes add nothing):
+        u_j = b_gj + 2 cos(theta) u_{j+1} - u_{j+2}, and the sum is
+        u_1 sin(theta).  One cos and one sin per point, three array
+        operations per mode, and no (points x modes) temporary.
+        """
+        g = int(np.gcd.reduce(self.modes))
+        cols = np.full(int(self.modes[-1]) // g, -1)
+        cols[self.modes // g - 1] = np.arange(self.modes.size)
+        theta = g * chi
+        two_cos = 2.0 * np.cos(theta)
+        u1, u2, u = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
+        for col in cols[::-1]:
+            np.multiply(two_cos, u1, out=u)
+            u -= u2
+            if col >= 0:
+                u += b[..., col]
+            u1, u2, u = u, u1, u2
+        u1 *= np.sin(theta)
+        return u1
+
     def q_from_chi(self, chi, k):
-        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant."""
+        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
+
+        Evaluated ``_SPLINE_ROWS`` points at a time, so the per-point
+        coefficients and the recurrence's arrays stay in cache and no
+        block-sized temporary outlives its block.
+        """
         self.check_range(k)
         chi = np.asarray(chi, dtype=float)
         k = np.asarray(k, dtype=float)
@@ -320,12 +364,20 @@ class OrbitChart:
         chi_b, k_b = np.broadcast_arrays(chi, k)
         if self._b_spline is None:
             return _maybe_scalar(chi_b.copy(), scalar)
-        b = self._b_spline(k_b)
-        q = chi_b + np.sum(np.sin(chi_b[..., None] * self.modes) * b, axis=-1)
-        return _maybe_scalar(q, scalar)
+        chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
+        q = np.empty(chi_f.shape)
+        for lo in range(0, q.size, _SPLINE_ROWS):
+            block = slice(lo, lo + _SPLINE_ROWS)
+            q[block] = self._sine_sum(chi_f[block], self._b_spline(k_f[block]))
+            q[block] += chi_f[block]
+        return _maybe_scalar(q.reshape(chi_b.shape), scalar)
 
     def chi_from_q(self, q, k, tol: float = 1e-13, max_iter: int = 40):
-        """Inverse reparametrization, by Newton on the monotone series."""
+        """Inverse reparametrization, by Newton on the monotone series.
+
+        The residual sums the series as :meth:`q_from_chi` does; the
+        slope, which only steers the iteration, is summed mode by mode.
+        """
         self.check_range(k)
         q = np.asarray(q, dtype=float)
         k = np.asarray(k, dtype=float)
@@ -337,9 +389,8 @@ class OrbitChart:
         kb = self.modes * b
         chi = np.array(q_b, dtype=float, copy=True)
         for _ in range(max_iter):
-            arg = chi[..., None] * self.modes
-            resid = chi + np.sum(np.sin(arg) * b, axis=-1) - q_b
-            slope = 1.0 + np.sum(np.cos(arg) * kb, axis=-1)
+            resid = chi + self._sine_sum(chi, b) - q_b
+            slope = 1.0 + np.sum(np.cos(chi[..., None] * self.modes) * kb, axis=-1)
             chi = chi - resid / slope
             if np.max(np.abs(resid)) < tol:
                 break
@@ -359,9 +410,10 @@ def build_chart(
 
     For each grid energy the smooth periodic weight dQ/dchi = c/a is
     sampled on n_chi equispaced angles; its Fourier antiderivative gives
-    Q(chi) = chi + sum b_k sin(k chi).  dQ/dchi > 0 is verified at every
-    grid energy, and the last kept mode must lie below a floor (1e-6),
-    before the chart is returned, or :class:`ChartError` is raised.
+    Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
+    dQ/dchi > 0 is verified at every grid energy, and the last kept mode
+    must lie below a floor (1e-6), before the chart is returned, or
+    :class:`ChartError` is raised.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -385,6 +437,10 @@ def build_chart(
     factor = np.full(modes.shape, 2.0)
     factor[-1] = 1.0  # Nyquist mode appears once
     b = factor * spectrum[:, 1:].real / modes
+    # NaN fails every comparison below, so an overflowed table would pass
+    # the mode floor, monotonicity and tail checks unseen.
+    if not all(np.isfinite(a).all() for a in (k_grid, c, c_prime, b)):
+        raise ChartError("chart tables are not finite: the energy range or the potential overflows")
 
     keep = np.max(np.abs(b), axis=0) > _MODE_FLOOR
     modes, b = modes[keep], b[:, keep]

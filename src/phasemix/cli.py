@@ -416,7 +416,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         exp = Experiment.from_config(load_config(args.config, args.overrides))
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
         if args.command == "chart":
             return cmd_chart(exp, out)
         if args.command == "evolve":

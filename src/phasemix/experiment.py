@@ -27,8 +27,9 @@ __all__ = ["ConfigError", "ExperimentConfig", "Experiment"]
 
 # Bounds on the work one config may ask for.  The resolved t_max = 2000
 # run (1601 grid points x 1024 velocity nodes, 17 samples per period:
-# 6,188 times, 9.9 M scan values) fits each; its node set alone peaks near
-# 400 MiB, about 250 bytes per grid point and velocity node.
+# 6,188 times, 9.9 M scan values) fits each; building its node set raises
+# the peak RSS to about 100 MiB, about 40 bytes per grid point and velocity
+# node (61 MiB traced by tracemalloc, 0.5-0.6 s on a 2-vCPU Xeon).
 MAX_CHART_CELLS = 2**20   # n_k * n_chi, the chart's energy-angle table
 MAX_NODES = 2**22         # grid_points * v_quad, the velocity nodes of the node set
 MAX_SCAN = 2**24          # decay times * grid_points, the moment values of the scan

@@ -1,5 +1,8 @@
 """Angle-energy chart, orbital frequency, anisochronism, and the Q map."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,6 +25,7 @@ from phasemix import (
     to_action_angle,
     to_angle_energy,
 )
+from phasemix.action_angle import _Spline
 
 
 def test_rate_harmonic_is_one(harmonic):
@@ -214,3 +218,80 @@ def test_build_chart_tail_floor():
         build_chart(params, lo, hi, n_chi=512)
     chart = build_chart(params, lo, hi, n_chi=1024)
     assert 1e-7 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6
+
+
+# -- the angle series, summed by Clenshaw's recurrence ----------------------
+
+
+def _series_points(chart, n=4000, seed=3):
+    """Seeded (chi, K) over the chart, plus angles near 0, pi/2 and pi,
+    where the recurrence's 2 cos(g chi) sits at +-2."""
+    rng = np.random.default_rng(seed)
+    offsets = np.array([0.0, 1e-12, 1e-8, 1e-4, 1e-2])
+    special = (np.array([0.0, np.pi / 2, np.pi])[:, None] + np.concatenate([offsets, -offsets])).ravel()
+    chi = np.concatenate([rng.uniform(-np.pi, np.pi, n), special, -special])
+    k = rng.uniform(chart.k_min, chart.k_max, chi.size)
+    return chi, k
+
+
+def _assert_matches_direct_sum(chart):
+    chi, k = _series_points(chart)
+    b = chart._b_spline(k)
+    direct = chi + np.sum(np.sin(np.multiply.outer(chi, chart.modes)) * b, axis=-1)
+    scale = 1.0 + np.sum(np.abs(b), axis=-1)
+    err = np.abs(chart.q_from_chi(chi, k) - direct) / scale
+    assert err.max() <= 4e-15
+    # Newton's residual sums the series the same way.
+    npt.assert_allclose(chart.chi_from_q(chart.q_from_chi(chi, k), k), chi, atol=1e-12)
+
+
+@pytest.fixture(scope="module", params=["default", "eps1", "eps100"])
+def series_chart(request, chart):
+    if request.param == "default":
+        return chart
+    if request.param == "eps1":
+        return build_chart(PotentialParams(1.0), *chart_range_for_support(0.1))
+    return build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_chi=1024)
+
+
+def test_q_from_chi_matches_per_mode_sum(series_chart):
+    _assert_matches_direct_sum(series_chart)
+
+
+def _with_modes(chart, modes, b):
+    return dataclasses.replace(
+        chart, modes=modes, sine_coeffs=b, _b_spline=_Spline(chart.k_grid, b)
+    )
+
+
+def test_q_from_chi_mode_gaps_and_odd_modes(chart):
+    # Drop mode 4: the recurrence runs over a gap.  Shift every mode down
+    # by one: the odd modes 1, 3, ... have gcd 1.
+    keep = chart.modes != 4
+    gapped = _with_modes(chart, chart.modes[keep], chart.sine_coeffs[:, keep])
+    assert gapped.modes[1] == 6
+    _assert_matches_direct_sum(gapped)
+    odd = _with_modes(chart, chart.modes - 1, chart.sine_coeffs)
+    assert np.gcd.reduce(odd.modes) == 1
+    _assert_matches_direct_sum(odd)
+
+
+def test_q_from_chi_identity_without_modes(harmonic_chart):
+    assert harmonic_chart.modes.size == 0
+    chi, k = _series_points(harmonic_chart, n=100)
+    assert np.array_equal(harmonic_chart.q_from_chi(chi, k), chi)
+    assert np.array_equal(harmonic_chart.chi_from_q(chi, k), chi)
+
+
+def test_q_from_chi_memory_is_blocked(chart):
+    # Direct summation holds (points x modes) temporaries: 91.6 MiB here.
+    rng = np.random.default_rng(5)
+    chi = rng.uniform(-np.pi, np.pi, 200_000)
+    k = rng.uniform(chart.k_min, chart.k_max, 200_000)
+    tracemalloc.start()
+    try:
+        chart.q_from_chi(chi, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

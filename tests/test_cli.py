@@ -134,6 +134,26 @@ def test_truncated_chart_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["epsilon=1e308", "c_s=5e-324"])
+@pytest.mark.parametrize("command", ["chart", "decay"])
+def test_non_finite_chart_exit_code(tmp_path, capsys, command, override):
+    # The chart's tables overflow to inf and NaN, which pass every later
+    # comparison; the build must reject them before anything is written.
+    with np.errstate(all="ignore"):
+        assert run(tmp_path, command, "--set", override) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_uncreatable_out_dir_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["chart", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("cannot create output directory" in line for line in err)
+
+
 # -- chart ------------------------------------------------------------------
 
 

@@ -92,10 +92,10 @@ def _maybe_scalar(arr, scalar: bool):
 
 # Query points per block in ``_Spline.__call__`` and ``OrbitChart.q_from_chi``:
 # bounds the gathered coefficients (4 x rows x m) and the recurrence's
-# arrays however many points are evaluated, and keeps them in cache.  The
-# 801 x 512 and 1601 x 1024 node sets build fastest at 2048 (129 and 530 ms
-# on a 2-vCPU Xeon, against 150-195 and 581-734 ms at 512-1024 and
-# 133-167 and 531-621 ms at 4096-16384); see studies/pullback_block.py.
+# arrays however many points are evaluated, and keeps them in cache.  On a
+# 2-vCPU Xeon the 801 x 512 and 1601 x 1024 node sets build in 129 and
+# 530 ms at 2048, against 150-195 and 581-734 ms at 512-1024 and 133-167
+# and 531-621 ms at 4096-16384; see studies/pullback_block.py.
 _SPLINE_ROWS = 2048
 
 
@@ -327,14 +327,8 @@ class OrbitChart:
         return self._cp_spline(k)
 
     def _sine_sum(self, chi: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_k b_k sin(k chi), b holding each point's coefficients on its last axis.
-
-        Clenshaw's recurrence in theta = g chi, g = gcd(modes), over the
-        dense range j = 1 .. max(modes) / g (absent modes add nothing):
-        u_j = b_gj + 2 cos(theta) u_{j+1} - u_{j+2}, and the sum is
-        u_1 sin(theta).  One cos and one sin per point, three array
-        operations per mode, and no (points x modes) temporary.
-        """
+        """sum_k b_k sin(k chi) by the module's Clenshaw recurrence; b holds
+        each point's coefficients on its last axis."""
         g = int(np.gcd.reduce(self.modes))
         cols = np.full(int(self.modes[-1]) // g, -1)
         cols[self.modes // g - 1] = np.arange(self.modes.size)
@@ -351,12 +345,8 @@ class OrbitChart:
         return u1
 
     def q_from_chi(self, chi, k):
-        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
-
-        Evaluated ``_SPLINE_ROWS`` points at a time, so the per-point
-        coefficients and the recurrence's arrays stay in cache and no
-        block-sized temporary outlives its block.
-        """
+        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant,
+        evaluated ``_SPLINE_ROWS`` points at a time."""
         self.check_range(k)
         chi = np.asarray(chi, dtype=float)
         k = np.asarray(k, dtype=float)

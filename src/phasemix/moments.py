@@ -230,8 +230,9 @@ class MomentCalculator:
         # then peaked 1.6 MiB higher.
         buf = np.empty((min(self.batch, flat.size), self._rate.size))
         for lo in range(0, flat.size, self.batch):
-            vals = buf[: min(self.batch, flat.size - lo)]
-            np.multiply(flat[lo : lo + self.batch, None], self._rate, out=vals)
+            batch = flat[lo : lo + self.batch]
+            vals = buf[: batch.size]
+            np.multiply(batch[:, None], self._rate, out=vals)
             for i, row in enumerate(vals, start=lo):
                 if chained[i]:
                     z *= rotations[advance[i]]

@@ -14,7 +14,7 @@ from .action_angle import (
     to_action_angle,
     to_angle_energy,
 )
-from .flow import FlowError, FlowSpec, flow_map, orbit_period
+from .flow import FlowError, flow_map, orbit_period
 from .mixing import (
     DecayReport,
     FitError,

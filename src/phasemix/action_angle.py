@@ -76,6 +76,15 @@ _MODE_FLOOR = 1e-15
 # 1.4e-5, gap 4.5e-4; at n_chi = 2048: 4.1e-10 and 1.9e-6), so this floor
 # keeps the truncation's share of the gap below its 1e-4 tolerance.
 _TAIL_FLOOR = 1e-6
+# Equispaced angle nodes of the orbit averages that give c and c'.
+_ORBIT_NODES = 256
+# The default chart's energy range extends the support annulus by this
+# fraction at both ends.
+_CHART_MARGIN = 0.05
+# chi_from_q's Newton iteration stops once every residual is below
+# _NEWTON_TOL, and fails after _NEWTON_STEPS steps.
+_NEWTON_TOL = 1e-13
+_NEWTON_STEPS = 40
 
 
 class ChartError(RuntimeError):
@@ -226,7 +235,7 @@ def _angle_nodes(n_quad: int):
     return np.arange(n_quad) * (2.0 * np.pi / n_quad)
 
 
-def compute_c(params: PotentialParams, h, n_quad: int = 256):
+def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
     """Orbital frequency c(h) = 2*pi / closed-orbit integral of 1/a.
 
     The integral uses the periodic trapezoid rule on equispaced angles,
@@ -254,7 +263,7 @@ def _c_prime_integrand(params: PotentialParams, chi, h):
     return cos2 * num / den
 
 
-def compute_c_prime(params: PotentialParams, h, n_quad: int = 256):
+def compute_c_prime(params: PotentialParams, h):
     """Frequency derivative c'(h) from the analytic integrand.
 
     c' = c**2 * <cos^2(chi) (3 eps + 2 eps**2 x**2) /
@@ -262,22 +271,19 @@ def compute_c_prime(params: PotentialParams, h, n_quad: int = 256):
     average over the orbit; strictly positive for eps > 0 and zero in
     the isochronous case.
     """
-    if n_quad < 16:
-        raise ValueError("n_quad must be >= 16")
     h = np.asarray(h, dtype=float)
     scalar = h.ndim == 0
-    chi = _angle_nodes(n_quad)
-    g = _c_prime_integrand(params, chi, h[..., None])
-    c = compute_c(params, h, n_quad)
+    g = _c_prime_integrand(params, _angle_nodes(_ORBIT_NODES), h[..., None])
+    c = compute_c(params, h)
     cp = np.asarray(c, dtype=float) ** 2 * g.mean(axis=-1)
     return _maybe_scalar(cp, scalar)
 
 
-def chart_range_for_support(c_s: float, margin: float = 0.05):
+def chart_range_for_support(c_s: float):
     """Default chart energy range: the support annulus plus a margin."""
     if not 0 < c_s < 1:
         raise ValueError("c_s must lie in (0, 1)")
-    return c_s * (1.0 - margin), (1.0 + margin) / c_s
+    return c_s * (1.0 - _CHART_MARGIN), (1.0 + _CHART_MARGIN) / c_s
 
 
 @dataclass(frozen=True)
@@ -362,7 +368,7 @@ class OrbitChart:
             q[block] += chi_f[block]
         return _maybe_scalar(q.reshape(chi_b.shape), scalar)
 
-    def chi_from_q(self, q, k, tol: float = 1e-13, max_iter: int = 40):
+    def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.
 
         The residual sums the series as :meth:`q_from_chi` does; the
@@ -378,11 +384,11 @@ class OrbitChart:
         b = self._b_spline(k_b)
         kb = self.modes * b
         chi = np.array(q_b, dtype=float, copy=True)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             resid = chi + self._sine_sum(chi, b) - q_b
             slope = 1.0 + np.sum(np.cos(chi[..., None] * self.modes) * kb, axis=-1)
             chi = chi - resid / slope
-            if np.max(np.abs(resid)) < tol:
+            if np.max(np.abs(resid)) < _NEWTON_TOL:
                 break
         else:
             raise ChartError("Newton inversion of the angle map did not converge")

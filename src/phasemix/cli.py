@@ -77,17 +77,6 @@ def load_config(path: str | None, overrides: list[str] | None) -> ExperimentConf
 # output writers
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -109,11 +98,8 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
     c_fine = np.asarray(compute_c(exp.params, probes, n_quad=2 * n_quad))
     max_rel = float(np.max(np.abs(c_fine - c_base) / np.abs(c_fine)))
 
-    _write_csv(
-        out / "chart.csv",
-        ["K", "c", "c_prime"],
-        zip(chart.k_grid, chart.c, chart.c_prime),
-    )
+    np.savetxt(out / "chart.csv", np.column_stack((chart.k_grid, chart.c, chart.c_prime)),
+               fmt="%.17g", delimiter=",", header="K,c,c_prime", comments="")
     _write_json(
         out / "chart_summary.json",
         {
@@ -152,15 +138,11 @@ def _solver_gap(exp: Experiment) -> float:
 
 def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
     times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    series = exp.node_set.series(times)
-
-    rows = []
-    for i, t in enumerate(series.times):
-        for k, x in enumerate(series.x):
-            rows.append(
-                (t, x, series.rho[i, k], series.j[i, k], series.phi[i, k], series.phi_t[i, k])
-            )
-    _write_csv(out / "evolve.csv", ["t", "x", "rho", "j", "phi", "phi_t"], rows)
+    s = exp.node_set.series(times)
+    t, x = np.meshgrid(s.times, s.x, indexing="ij")
+    rows = np.column_stack([a.ravel() for a in (t, x, s.rho, s.j, s.phi, s.phi_t)])
+    np.savetxt(out / "evolve.csv", rows, fmt="%.17g", delimiter=",",
+               header="t,x,rho,j,phi,phi_t", comments="")
 
     if validate:
         worst = _solver_gap(exp)
@@ -220,7 +202,7 @@ def cmd_decay(exp: Experiment, out: Path, self_test: str | None) -> int:
     payload = _decay_payload(exp)
     if exp.cfg.include_control:
         control_cfg = dataclasses.replace(exp.cfg, epsilon=0.0)
-        control = _decay_payload(Experiment.from_config(control_cfg))
+        control = _decay_payload(Experiment(control_cfg))
         payload["control"] = {
             "late_early_ratio": control["late_early_ratio"],
             "decays": control["decays"],
@@ -414,7 +396,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        exp = Experiment.from_config(load_config(args.config, args.overrides))
+        exp = Experiment(load_config(args.config, args.overrides))
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

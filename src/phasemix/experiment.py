@@ -18,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_angle import OrbitChart, build_chart, chart_range_for_support
+from .action_angle import (
+    OrbitChart,
+    build_chart,
+    chart_range_for_support,
+    compute_c,
+    compute_c_prime,
+)
 from .moments import MomentCalculator, spatial_grid
-from .potential import PotentialParams
+from .potential import PotentialParams, invert_phi
 from .transport import InitialData, make_initial_data
 
 __all__ = ["ConfigError", "ExperimentConfig", "Experiment"]
@@ -47,6 +53,27 @@ def _is_int(value) -> bool:
 def _is_finite_real(value) -> bool:
     real = isinstance(value, (int, float, np.integer, np.floating))
     return real and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _overflows(epsilon: float, c_s: float) -> bool:
+    """Whether the potential overflows over the chart's energy range.
+
+    c and c' at both ends of the range (16 angle nodes for c) and the
+    support's turning point must evaluate without overflow, invalid
+    values or division by zero, and be finite; underflow is harmless.
+    """
+    params = PotentialParams(epsilon)
+    ends = np.array(chart_range_for_support(c_s))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = (
+                compute_c(params, ends, n_quad=16),
+                compute_c_prime(params, ends),
+                invert_phi(params, 1.0 / c_s),
+            )
+    except FloatingPointError:
+        return True
+    return not all(np.isfinite(v).all() for v in values)
 
 
 @dataclass
@@ -76,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be >= 0")
         if not 0 < self.c_s < 1:
             raise ConfigError("c_s must lie in (0, 1)")
+        if _overflows(self.epsilon, self.c_s):
+            raise ConfigError("epsilon and c_s overflow the potential over the chart's energy range")
         if not 0 <= self.alpha < 1:
             raise ConfigError("alpha must lie in [0, 1)")
         if not _is_int(self.m) or self.m < 1:
@@ -132,17 +161,16 @@ class ExperimentConfig:
 class Experiment:
     """The objects one configuration determines, each built at most once.
 
-    ``params`` is built with the experiment.  ``chart``, ``f0``,
-    ``period`` and ``node_set`` are built on first access and cached; a
-    chart that fails to build raises :class:`ChartError` at each access.
+    ``params``, ``chart``, ``f0``, ``period`` and ``node_set`` are built
+    on first access and cached; a chart that fails to build raises
+    :class:`ChartError` at each access.
     """
 
     cfg: ExperimentConfig
-    params: PotentialParams
 
-    @classmethod
-    def from_config(cls, cfg: ExperimentConfig) -> "Experiment":
-        return cls(cfg, PotentialParams(cfg.epsilon))
+    @functools.cached_property
+    def params(self) -> PotentialParams:
+        return PotentialParams(self.cfg.epsilon)
 
     @functools.cached_property
     def chart(self) -> OrbitChart:

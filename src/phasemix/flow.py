@@ -18,34 +18,24 @@ for v of the step that crosses the turning point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .potential import PotentialParams
 
-__all__ = ["FlowSpec", "FlowError", "flow_map", "orbit_period"]
+__all__ = ["FlowError", "flow_map", "orbit_period"]
 
 # Series order; Jorba and Zou take about -ln(tolerance) / 2 + 1, which is
 # 19 for 1e-16.
 ORDER = 20
 # Steps allowed per call before the integration counts as failed.
 MAX_STEPS = 100_000
+# Local error tolerance of orbit_period's steps.
+PERIOD_TOLERANCE = 1e-12
 
 
 class FlowError(RuntimeError):
     """Raised when the flow leaves the finite range or exceeds its step cap."""
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """Local error tolerance of each Taylor step, relative to max(1, |state|)."""
-
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tolerance <= 1e-3:
-            raise ValueError("tolerance must lie in (0, 1e-3]")
 
 
 def _series(eps: float, x: np.ndarray, v: np.ndarray):
@@ -80,12 +70,16 @@ def _at(coeffs: np.ndarray, s: float):
     return np.vecdot(powers.reshape(powers.shape + (1,) * (coeffs.ndim - 1)), coeffs, axis=0)
 
 
-def flow_map(params: PotentialParams, x, v, t: float, spec: FlowSpec = FlowSpec()):
+def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
     """Transport phase points (x, v) for time t (either sign).
 
-    Returns the transported (x, v) pair with the broadcast shape of the
-    inputs; scalars in, scalars out.  All points share one step sequence.
+    ``tolerance`` bounds the local error of each Taylor step, relative to
+    max(1, |state|), and must lie in (0, 1e-3].  Returns the transported
+    (x, v) pair with the broadcast shape of the inputs; scalars in,
+    scalars out.  All points share one step sequence.
     """
+    if not 0 < tolerance <= 1e-3:
+        raise ValueError("tolerance must lie in (0, 1e-3]")
     x_in = np.asarray(x, dtype=float)
     v_in = np.asarray(v, dtype=float)
     scalar = x_in.ndim == 0 and v_in.ndim == 0
@@ -101,7 +95,7 @@ def flow_map(params: PotentialParams, x, v, t: float, spec: FlowSpec = FlowSpec(
         if steps == MAX_STEPS:
             raise FlowError(f"flow exceeded {MAX_STEPS} Taylor steps")
         cx, cv = _series(params.epsilon, xs, vs)
-        h = _step(cx, cv, spec.tolerance)
+        h = _step(cx, cv, tolerance)
         if not h > 0:
             raise FlowError("Taylor step collapsed")
         h = min(h, left)
@@ -142,7 +136,7 @@ def _downward_root(v: np.ndarray, h: float) -> float:
     raise FlowError("turning-point root did not converge")
 
 
-def orbit_period(params: PotentialParams, h: float, spec: FlowSpec | None = None) -> float:
+def orbit_period(params: PotentialParams, h: float) -> float:
     """Period of the closed orbit of energy h > 0.
 
     Starts on the level set at (0, sqrt(2h)) and measures the time
@@ -153,14 +147,13 @@ def orbit_period(params: PotentialParams, h: float, spec: FlowSpec | None = None
     """
     if not h > 0:
         raise ValueError("energy must be > 0")
-    tol = spec.tolerance if spec is not None else 1e-12
     x = np.zeros(1)
     v = np.array([math.sqrt(2.0 * h)])
     t = 0.0
     crossings = []
     for _ in range(MAX_STEPS):
         cx, cv = _series(params.epsilon, x, v)
-        step = _step(cx, cv, tol)
+        step = _step(cx, cv, PERIOD_TOLERANCE)
         x_end, v_end = _at(cx, step), _at(cv, step)
         if v[0] > 0 >= v_end[0]:
             crossings.append(t + _downward_root(cv[:, 0], step))

@@ -29,6 +29,12 @@ __all__ = [
     "q_fourier_spectrum",
 ]
 
+# vector_field_norms samples fbar on _PROBE_Q angles x _PROBE_K energies and
+# requires its sup norms to agree to _FD_RTOL relative under step halving.
+_PROBE_Q = 96
+_PROBE_K = 81
+_FD_RTOL = 0.01
+
 
 class FitError(RuntimeError):
     """Fit window does not contain enough envelope points."""
@@ -137,23 +143,16 @@ class VectorFieldProbe:
 
 
 def vector_field_norms(
-    f0: InitialData,
-    t: float,
-    dq: float = 1e-3,
-    dk: float = 1e-3,
-    n_q: int = 96,
-    n_k: int = 81,
-    validate: bool = True,
-    fd_rtol: float = 0.01,
+    f0: InitialData, t: float, dq: float = 1e-3, dk: float = 1e-3
 ) -> VectorFieldProbe:
     """Apply Y = t c'(K) d_Q - d_K by centered differences on a sample grid.
 
-    Y^2 nests the same stencil.  With ``validate`` the probe repeats the
-    computation at half steps and requires the sup norms to agree to
-    ``fd_rtol`` relative, guarding against under-resolved differences.
+    Y^2 nests the same stencil.  The probe repeats the computation at half
+    steps and requires the sup norms of Yf and Y^2 f to agree to
+    ``_FD_RTOL`` relative, guarding against under-resolved differences.
     """
-    qs = np.linspace(0.0, 2.0 * np.pi, n_q, endpoint=False)
-    ks = np.linspace(f0.h_min, f0.h_max, n_k)
+    qs = np.linspace(0.0, 2.0 * np.pi, _PROBE_Q, endpoint=False)
+    ks = np.linspace(f0.h_min, f0.h_max, _PROBE_K)
     qq, kk = np.meshgrid(qs, ks, indexing="ij")
 
     def f(q, k):
@@ -177,14 +176,13 @@ def vector_field_norms(
         return s0, s1, s2, dq_sup, dk_sup
 
     base = measure(dq, dk)
-    if validate:
-        fine = measure(dq / 2.0, dk / 2.0)
-        for coarse_v, fine_v in zip(base[1:3], fine[1:3]):
-            scale = max(abs(fine_v), 1e-300)
-            if abs(coarse_v - fine_v) / scale > fd_rtol:
-                raise FDValidationError(
-                    f"finite-difference probe not converged at steps ({dq}, {dk})"
-                )
+    fine = measure(dq / 2.0, dk / 2.0)
+    for coarse_v, fine_v in zip(base[1:3], fine[1:3]):
+        scale = max(abs(fine_v), 1e-300)
+        if abs(coarse_v - fine_v) / scale > _FD_RTOL:
+            raise FDValidationError(
+                f"finite-difference probe not converged at steps ({dq}, {dk})"
+            )
     return VectorFieldProbe(
         t=t,
         sup={0: base[0], 1: base[1], 2: base[2]},

@@ -25,11 +25,11 @@ The node set therefore caches the v_max w B-weighted factors of cos(mQ)
 and v sin(mQ) and the phase rates r = m c(K).  With z = exp(i r t) the
 density reads Im z and the current Re z, so each sample time costs one
 sin (density) or one cos (current) per half node and a weighted row
-sum, done for a batch of times at once.  A scan whose times repeat a gap
-g (an evenly spaced schedule) need not pay the trig: exp(i r t_k) =
-exp(i r t_{k-1}) exp(i r g_k) holds exactly, so z advances by one complex
-multiply per node with the rotation exp(i r g) cached per gap, and an
-exact cos and sin re-seed it every SEED times to bound the rounding.
+sum.  A scan whose times repeat a gap g (an evenly spaced schedule) need
+not pay the trig: exp(i r t_k) = exp(i r t_{k-1}) exp(i r g_k) holds
+exactly, so z advances by one complex multiply per node with the rotation
+exp(i r g) cached per gap, and an exact cos and sin re-seed it every SEED
+times to bound the rounding.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -52,9 +52,6 @@ from .transport import InitialData, pull_back
 
 __all__ = ["spatial_grid", "MomentSeries", "MomentCalculator", "cumulative_from_zero"]
 
-# Node values held per batch of sample times (times x support nodes);
-# bounds the scratch memory of a scan whatever its length.
-CHUNK_ELEMENTS = 2**18
 # A scan advances exp(i m c t) by rotation for at most SEED - 1 times in a
 # row before seeding it again by exact trig, which bounds the growth of
 # the rotation's rounding.  On the default decay scan a node's cos(m c t)
@@ -172,9 +169,7 @@ class MomentCalculator:
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
-    node, or a 1-D array of times, giving one row per time.  Times are
-    evaluated ``batch`` at a time, so that a batch holds at most
-    ``CHUNK_ELEMENTS`` node values.
+    node, or a 1-D array of times, giving one row per time.
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int = 128):
@@ -200,7 +195,6 @@ class MomentCalculator:
         self._rows = np.flatnonzero(counts)
         self._starts = (np.cumsum(counts) - counts)[self._rows]
         self._rho_mean = self._row_sums(weight)
-        self.batch = max(1, CHUNK_ELEMENTS // max(1, k.size))
 
     def _row_sums(self, vals: np.ndarray) -> np.ndarray:
         """Sum support-node values (last axis) into their grid nodes."""
@@ -210,7 +204,7 @@ class MomentCalculator:
         return out
 
     def _integrate(self, t, amp: np.ndarray, part: str) -> np.ndarray:
-        """Row sums of amp * Re or Im exp(i m c t) at each time, in batches.
+        """Row sums of amp * Re or Im exp(i m c t) at each time.
 
         A time whose gap to the previous time recurs in the call, and whose
         index is not a multiple of ``SEED``, advances z = exp(i m c t) from
@@ -224,26 +218,24 @@ class MomentCalculator:
         chained = advance >= 0
         seeds = ~chained & np.append(chained[1:], False)
         trig = np.cos if part == "real" else np.sin
-        out = np.empty((flat.size, self.x.size))
-        # One batch buffer per call, not one per batch: the allocator keeps
-        # freed batches of this size on its heap, and a default decay scan
-        # then peaked 1.6 MiB higher.
-        buf = np.empty((min(self.batch, flat.size), self._rate.size))
-        for lo in range(0, flat.size, self.batch):
-            batch = flat[lo : lo + self.batch]
-            vals = buf[: batch.size]
-            np.multiply(batch[:, None], self._rate, out=vals)
-            for i, row in enumerate(vals, start=lo):
-                if chained[i]:
-                    z *= rotations[advance[i]]
-                elif seeds[i]:
-                    z = _cis(row)
-                else:
-                    trig(row, out=row)
-                    row *= amp
-                    continue
+        # Each time's row sums go to a compact buffer, scattered to the grid
+        # once: scattering them time by time raised validate's peak RSS by
+        # 0.13 MiB.
+        sums = np.empty((flat.size, self._starts.size))
+        row = np.empty(self._rate.size)
+        for i, ti in enumerate(flat):
+            if chained[i]:
+                z *= rotations[advance[i]]
+            elif seeds[i]:
+                z = _cis(ti * self._rate)
+            if chained[i] or seeds[i]:
                 np.multiply(getattr(z, part), amp, out=row)
-            out[lo : lo + len(vals)] = self._row_sums(vals)
+            else:
+                trig(np.multiply(ti, self._rate, out=row), out=row)
+                row *= amp
+            np.add.reduceat(row, self._starts, out=sums[i])
+        out = np.zeros((flat.size, self.x.size))
+        out[:, self._rows] = sums
         return out.reshape(times.shape + (self.x.size,))
 
     def _rotation_plan(self, flat: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_angle import OrbitChart, ChartRangeError, to_angle_energy
-from .flow import FlowSpec, flow_map
+from .flow import flow_map
 from .potential import PotentialParams, hamiltonian
 
 __all__ = [
@@ -95,15 +95,9 @@ def make_initial_data(
     return InitialData(c_s=c_s, alpha=alpha, m=int(m), chart=chart)
 
 
-def evaluate_f_characteristic(
-    f0: InitialData,
-    t: float,
-    x,
-    v,
-    spec: FlowSpec = FlowSpec(),
-):
+def evaluate_f_characteristic(f0: InitialData, t: float, x, v):
     """Exact solution via backward characteristics: f0(flow(-t)(x, v))."""
-    x0, v0 = flow_map(f0.params, x, v, -t, spec)
+    x0, v0 = flow_map(f0.params, x, v, -t)
     return f0.value(x0, v0)
 
 

@@ -68,7 +68,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    exp = Experiment.from_config(load_config(None, args.overrides))
+    exp = Experiment(load_config(None, args.overrides))
     chart = exp.chart
     print(f"{chart.modes.size} modes, largest {chart.modes[-1] if chart.modes.size else 0}")
     print(f"{'grid x v':>12} {'support':>8} {'block':>6} {'ms':>8} {'MiB':>7} {'err':>9}")

@@ -63,7 +63,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    exp = Experiment.from_config(load_config(None, args.overrides))
+    exp = Experiment(load_config(None, args.overrides))
     calc, times = exp.node_set, exp.times
     scale = calc._row_sums(np.abs(calc._j_amp))
     scale[scale == 0] = 1.0

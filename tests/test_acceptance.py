@@ -12,7 +12,6 @@ import numpy.testing as npt
 import pytest
 
 from phasemix import (
-    FlowSpec,
     MomentCalculator,
     PotentialParams,
     build_chart,
@@ -59,7 +58,7 @@ def decay_bound_ratio(times, sup_values, window) -> float:
 @pytest.fixture(scope="module")
 def pipeline():
     """The full decay pipeline at the calibrated settings."""
-    exp = Experiment.from_config(ExperimentConfig())  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
+    exp = Experiment(ExperimentConfig())  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
     report = fit_decay(sup_phi_t(exp.node_set, exp.times), exp.cfg.fit_window, exp.period)
     return exp.cfg, exp.params, exp.chart, exp.f0, report
 
@@ -106,7 +105,7 @@ def test_default_quadrature_resolves_the_scan(pipeline):
 
 
 def test_criterion_02_no_mixing_control():
-    exp = Experiment.from_config(ExperimentConfig(epsilon=0.0))
+    exp = Experiment(ExperimentConfig(epsilon=0.0))
     cfg, calc = exp.cfg, exp.node_set
     report = fit_decay(sup_phi_t(calc, exp.times), cfg.fit_window, exp.period)
     ratio = float(report.envelope[-1] / report.envelope[0])
@@ -167,13 +166,12 @@ def test_criterion_05_cross_solver():
     hs = np.linspace(0.55, 1.95, 20)
     chis = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     x, v = from_angle_energy(params, chis[:, None], hs[None, :])
-    spec = FlowSpec(tolerance=1e-10)
 
     def solver_gap(f0):
         worst = 0.0
         for t in (1.0, 10.0, 100.0):
             fa = evaluate_f_actionangle(f0, t, x, v)
-            fc = evaluate_f_characteristic(f0, t, x, v, spec)
+            fc = evaluate_f_characteristic(f0, t, x, v)
             worst = max(worst, float(np.max(np.abs(fa - fc))))
         return worst
 
@@ -276,7 +274,7 @@ def test_criterion_09_commuted_fields(pipeline):
         details.append(f"t={t:g}: Y {probe.sup[1]/base.sup[1]:.3f}x"
                        f" Y2 {probe.sup[2]/base.sup[2]:.3f}x")
     dk_growth = probe.dk_sup / base.dk_sup
-    # 0.01 is the probe's own finite-difference tolerance, fd_rtol.
+    # 0.01 is the probe's own finite-difference tolerance, mixing._FD_RTOL.
     conserved = dq_drift <= 0.01
     growth = dk_growth > 10.0
     verdict(9, "commuted-field boundedness", bounded and conserved and growth,

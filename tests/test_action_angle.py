@@ -10,7 +10,6 @@ import pytest
 from phasemix import (
     ChartError,
     ChartRangeError,
-    FlowSpec,
     PotentialParams,
     build_chart,
     chart_range_for_support,
@@ -183,7 +182,7 @@ def test_flow_is_rigid_rotation_in_q(params, chart):
     # The conjugated flow translates Q at rate c(K) and freezes K.
     x0, v0 = from_angle_energy(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
-    xt, vt = flow_map(params, x0, v0, t, FlowSpec(tolerance=1e-12))
+    xt, vt = flow_map(params, x0, v0, t, tolerance=1e-12)
     q0, k0 = to_action_angle(chart, x0, v0)
     qt, kt = to_action_angle(chart, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)
@@ -207,6 +206,13 @@ def test_build_chart_validation(params):
     # Under-resolved: the truncated series has dQ/dchi <= 0 somewhere.
     with pytest.raises(ChartError, match="not monotone"):
         build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=4, n_chi=8)
+
+
+def test_build_chart_rejects_non_finite_tables():
+    # The config rejects this potential first; the chart checks its own
+    # tables for callers that build it directly.
+    with np.errstate(all="ignore"), pytest.raises(ChartError, match="not finite"):
+        build_chart(PotentialParams(1e308), *chart_range_for_support(0.5))
 
 
 def test_build_chart_tail_floor():

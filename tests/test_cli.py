@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_resolved_config_within_work_bounds():
     # 17 samples per period up to t = 2000.
     cfg = ExperimentConfig(grid_points=1601, v_quad=1024, t_max=2000.0,
                            samples_per_period=17.0, fit_window=(20.0, 2000.0))
-    assert Experiment.from_config(cfg).times.size == 6188
+    assert Experiment(cfg).times.size == 6188
 
 
 # At eps = 100, c_s = 0.1 eight angle nodes leave the truncated series
@@ -134,15 +135,24 @@ def test_truncated_chart_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["epsilon=1e308", "c_s=5e-324"])
+@pytest.mark.parametrize("override", ["epsilon=1e308", "epsilon=1e160", "c_s=5e-324", "c_s=1e-300"])
 @pytest.mark.parametrize("command", ["chart", "decay"])
 def test_non_finite_chart_exit_code(tmp_path, capsys, command, override):
-    # The chart's tables overflow to inf and NaN, which pass every later
-    # comparison; the build must reject them before anything is written.
-    with np.errstate(all="ignore"):
-        assert run(tmp_path, command, "--set", override) == 3
-    assert "not finite" in capsys.readouterr().err
+    # The potential overflows over the chart's energy range, so the chart's
+    # tables would overflow to inf and NaN.  The config is rejected before
+    # any array is built: no NumPy warning, and nothing written.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, command, "--set", override) == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "RuntimeWarning" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("epsilon, c_s", [(0.1, 0.5), (100.0, 0.1), (1.0, 0.02), (1e-300, 0.5)])
+def test_config_accepts_representable_potential(epsilon, c_s):
+    # Underflow (epsilon = 1e-300) is harmless and must not raise.
+    ExperimentConfig(epsilon=epsilon, c_s=c_s)
 
 
 def test_uncreatable_out_dir_exit_code(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from phasemix import (
     FlowError,
-    FlowSpec,
     dphi,
     flow_map,
     from_angle_energy,
@@ -14,22 +13,22 @@ from phasemix import (
 )
 from phasemix import flow
 
-ADAPTIVE = FlowSpec(tolerance=1e-12)
+TOL = 1e-12
 
 
 def test_harmonic_rotation(harmonic):
     # For eps = 0 the flow is a clockwise rotation of (x, v).
     t = 1.3
     x0, v0 = 0.7, -0.4
-    x, v = flow_map(harmonic, x0, v0, t, ADAPTIVE)
+    x, v = flow_map(harmonic, x0, v0, t, tolerance=TOL)
     npt.assert_allclose(x, x0 * np.cos(t) + v0 * np.sin(t), atol=1e-10)
     npt.assert_allclose(v, -x0 * np.sin(t) + v0 * np.cos(t), atol=1e-10)
 
 
 def test_reversibility(params):
     x0, v0 = 1.1, 0.4
-    x, v = flow_map(params, x0, v0, 7.0, ADAPTIVE)
-    xb, vb = flow_map(params, x, v, -7.0, ADAPTIVE)
+    x, v = flow_map(params, x0, v0, 7.0, tolerance=TOL)
+    xb, vb = flow_map(params, x, v, -7.0, tolerance=TOL)
     npt.assert_allclose([xb, vb], [x0, v0], atol=1e-8)
 
 
@@ -68,9 +67,9 @@ def test_flow_step_cap(params, monkeypatch):
 def test_flow_preserves_shape(params):
     x = np.linspace(0.1, 1.0, 6).reshape(2, 3)
     v = np.zeros_like(x)
-    xt, vt = flow_map(params, x, v, 0.5, ADAPTIVE)
+    xt, vt = flow_map(params, x, v, 0.5, tolerance=TOL)
     assert xt.shape == (2, 3) and vt.shape == (2, 3)
-    xs, vs = flow_map(params, 0.5, 0.5, 0.5, ADAPTIVE)
+    xs, vs = flow_map(params, 0.5, 0.5, 0.5, tolerance=TOL)
     assert np.isscalar(xs) or np.ndim(xs) == 0
 
 
@@ -91,11 +90,11 @@ def test_period_frozen_value(params):
     npt.assert_allclose(orbit_period(params, 1.0), 5.610769032243066, rtol=1e-9)
 
 
-def test_flowspec_validation():
+def test_flow_tolerance_validation(params):
     with pytest.raises(ValueError):
-        FlowSpec(tolerance=-1.0)
+        flow_map(params, 0.5, 0.5, 1.0, tolerance=-1.0)
     with pytest.raises(ValueError):
-        FlowSpec(tolerance=1e-2)
+        flow_map(params, 0.5, 0.5, 1.0, tolerance=1e-2)
 
 
 @pytest.mark.parametrize("h", [0.25, 1.0, 4.0])

@@ -60,7 +60,7 @@ def test_fit_decay_envelope_times_ignore_rounding_ties():
     # 1 ulp, up in alternate half periods and down in the others (and the
     # reverse), raises the later of each tied pair in one of the two
     # scans; the envelope times must not move.
-    exp = Experiment.from_config(ExperimentConfig(epsilon=0.0))
+    exp = Experiment(ExperimentConfig(epsilon=0.0))
     report = sup_phi_t(exp.node_set, exp.times)
     base = fit_decay(report, exp.cfg.fit_window, exp.period)
     half_period = int(exp.cfg.samples_per_period) // 2
@@ -76,25 +76,6 @@ def test_sup_phi_t_rejects_bad_times(params, f0):
     calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=128)
     with pytest.raises(ValueError):
         sup_phi_t(calc, np.array([1.0, 1.0]))
-
-
-def test_sup_phi_t_does_not_depend_on_batch(params, f0):
-    # A scan rotates exp(i m c t) from time to time and re-seeds it by
-    # time index, so splitting the times into batches of another size
-    # must not change a bit.
-    grid = spatial_grid(params, 0.5, 101)
-    calc = MomentCalculator(f0, grid, n_quad=128)
-    assert calc.batch >= 2
-    # Two full batches and a partial one.
-    times = 1.0 + 0.37 * np.arange(2 * calc.batch + 3)
-    scan = sup_phi_t(calc, times)
-    rho = calc.density(times)
-    for batch in (1, calc.batch - 1):
-        calc.batch = batch
-        other = sup_phi_t(calc, times)
-        npt.assert_array_equal(other.sup_values, scan.sup_values)
-        npt.assert_array_equal(other.tail_slopes, scan.tail_slopes)
-        npt.assert_array_equal(calc.density(times), rho)
 
 
 def test_commuted_fields_stay_bounded(f0):

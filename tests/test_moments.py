@@ -14,6 +14,7 @@ from phasemix import (
     evaluate_f_actionangle,
     spatial_grid,
 )
+from phasemix import moments
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.potential import invert_phi, phi
 
@@ -189,7 +190,7 @@ def test_times_without_recurring_gap_take_exact_trig(calc):
 @pytest.fixture(scope="module")
 def default_scan():
     """The default decay scan, rotated, and at one call per time (exact trig)."""
-    exp = Experiment.from_config(ExperimentConfig())
+    exp = Experiment(ExperimentConfig())
     calc, times = exp.node_set, exp.times
     scans = {}
     for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
@@ -208,6 +209,15 @@ def test_rotated_times_stay_near_exact_trig(default_scan):
     for name, (amp, rotated, exact) in scans.items():
         bound = 1e-13 * calc._row_sums(np.abs(amp))
         assert np.all(np.abs(rotated - exact) <= bound), name
+    # The scan re-seeds by time index, so two calls split at a multiple of
+    # SEED give the one-call scan bit for bit.
+    evenly = np.linspace(0.0, 200.0, 41)
+    for scan, split in ((times, 16), (times, 144), (times, 272), (evenly, 16)):
+        assert split % moments.SEED == 0
+        for name in scans:
+            moment = getattr(calc, name)
+            halves = np.concatenate([moment(scan[:split]), moment(scan[split:])])
+            npt.assert_array_equal(halves, moment(scan), err_msg=f"{name} split at {split}")
 
 
 def test_rotation_error_against_long_double_phases(default_scan):

@@ -8,7 +8,6 @@ import pytest
 
 from phasemix import (
     ChartRangeError,
-    FlowSpec,
     build_chart,
     evaluate_f_actionangle,
     evaluate_f_characteristic,
@@ -16,8 +15,6 @@ from phasemix import (
     make_initial_data,
     solution_bar,
 )
-
-ADAPTIVE = FlowSpec(tolerance=1e-10)
 
 
 def test_bump_support(f0):
@@ -55,7 +52,7 @@ def test_value_vanishes_off_annulus(f0):
 def test_routes_agree_at_t0(f0, support_sample):
     x, v = support_sample
     fa = evaluate_f_actionangle(f0, 0.0, x, v)
-    fc = evaluate_f_characteristic(f0, 0.0, x, v, ADAPTIVE)
+    fc = evaluate_f_characteristic(f0, 0.0, x, v)
     npt.assert_allclose(fa, fc, atol=1e-12)
 
 
@@ -63,7 +60,7 @@ def test_routes_agree_at_t0(f0, support_sample):
 def test_cross_solver_equivalence(f0, support_sample, t):
     x, v = support_sample
     fa = evaluate_f_actionangle(f0, t, x, v)
-    fc = evaluate_f_characteristic(f0, t, x, v, ADAPTIVE)
+    fc = evaluate_f_characteristic(f0, t, x, v)
     npt.assert_allclose(fa, fc, atol=1e-6)
 
 
@@ -72,7 +69,7 @@ def test_solution_constant_along_characteristics(params, f0):
 
     x0, v0 = 1.0, 0.5
     t = 17.0
-    xt, vt = flow_map(params, x0, v0, t, ADAPTIVE)
+    xt, vt = flow_map(params, x0, v0, t)
     before = evaluate_f_actionangle(f0, 0.0, x0, v0)
     after = evaluate_f_actionangle(f0, t, xt, vt)
     npt.assert_allclose(after, before, atol=1e-8)

@@ -3,10 +3,11 @@
 :class:`ExperimentConfig` is the whole experiment description and
 round-trips through JSON.  :class:`Experiment` turns it into the
 potential, the action-angle chart, the initial data, the default
-quadrature node set and the decay sample times.  The chart and
-everything built on it are made on first use and kept, so one
-experiment builds its chart once however many pipelines or checks use
-it, and a command that never needs the chart never builds it.
+quadrature node set, a Gauss node set for mass integrals and the decay
+sample times.  The chart and everything built on it are made on first
+use and kept, so one experiment builds its chart once however many
+pipelines or checks use it, and a command that never needs the chart
+never builds it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .action_angle import (
     OrbitChart,
@@ -161,9 +163,9 @@ class ExperimentConfig:
 class Experiment:
     """The objects one configuration determines, each built at most once.
 
-    ``params``, ``chart``, ``f0``, ``period`` and ``node_set`` are built
-    on first access and cached; a chart that fails to build raises
-    :class:`ChartError` at each access.
+    ``params``, ``chart``, ``f0``, ``period``, ``node_set`` and
+    ``mass_node_set`` are built on first access and cached; a chart that
+    fails to build raises :class:`ChartError` at each access.
     """
 
     cfg: ExperimentConfig
@@ -194,6 +196,13 @@ class Experiment:
         """Moments on the configured spatial grid with ``v_quad`` velocity nodes."""
         grid = spatial_grid(self.params, self.cfg.c_s, self.cfg.grid_points)
         return MomentCalculator(self.f0, grid, n_quad=self.cfg.v_quad)
+
+    @functools.cached_property
+    def mass_node_set(self) -> tuple[MomentCalculator, float, np.ndarray]:
+        """Moments on a 201-point Gauss grid over [-x_max, x_max], x_max and the weights."""
+        nodes, weights = leggauss(201)
+        x_max = float(invert_phi(self.params, self.f0.h_max))
+        return MomentCalculator(self.f0, x_max * nodes, n_quad=self.cfg.v_quad), x_max, weights
 
     @property
     def times(self) -> np.ndarray:

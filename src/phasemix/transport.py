@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_angle import OrbitChart, ChartRangeError, to_angle_energy
+from .action_angle import OrbitChart, to_action_angle
 from .flow import flow_map
 from .potential import PotentialParams, hamiltonian
 
@@ -110,17 +110,12 @@ def pull_back(f0: InitialData, x, v):
     touch the chart; points inside it but outside the chart range are a
     configuration error and raise :class:`ChartRangeError`.
     """
-    chart, params = f0.chart, f0.params
     x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    h = np.asarray(hamiltonian(params, x_b, v_b))
+    h = np.asarray(hamiltonian(f0.params, x_b, v_b))
     inside = (h > f0.h_min) & (h < f0.h_max)
-    k = h[inside]
-    if k.size == 0:
-        return inside, k, k
-    if np.any(k < chart.k_min) or np.any(k > chart.k_max):
-        raise ChartRangeError("support annulus point outside chart range; rebuild the chart")
-    chi, _ = to_angle_energy(params, x_b[inside], v_b[inside])
-    return inside, chart.q_from_chi(chi, k), k
+    if not inside.any():
+        return inside, h[inside], h[inside]
+    return (inside, *to_action_angle(f0.chart, x_b[inside], v_b[inside]))
 
 
 def evaluate_f_actionangle(f0: InitialData, t: float, x, v):

@@ -48,6 +48,8 @@ def test_config_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"no_such_key": 1})
+    with pytest.raises(ConfigError, match="unknown config key: 'nonsense'"):
+        load_config(None, ["nonsense=1"])
 
 
 def test_load_config_overrides(tmp_path):
@@ -212,6 +214,23 @@ def test_evolve_artifacts(tmp_path):
 
 def test_evolve_cross_validates(tmp_path):
     assert run(tmp_path, *EVOLVE_ARGS, "--validate") == 0
+
+
+# The support annulus [c_s, 1/c_s] is 2e-10 wide in energy, so the two
+# solution routes' bump values part by 3.8e-2, above the 1e-4 tolerance.
+SOLVER_GAP = ("--set", "c_s=0.9999999999", "--set", "evolve_samples=2")
+
+
+def test_evolve_validate_fails_on_the_validate_check(tmp_path, capsys):
+    # evolve --validate and validate run the same check with the same tolerance.
+    assert run(tmp_path, "evolve", "--validate", *SOLVER_GAP) == 3
+    err = capsys.readouterr().err
+    assert "max |f_aa - f_char| = 3.824e-02" in err
+    assert run(tmp_path, "validate", *SOLVER_GAP) == 1
+    checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    cross = checks["cross_solver_equivalence"]
+    assert not cross["passed"] and cross["tolerance"] == 1e-4
+    assert f"max |f_aa - f_char| = {cross['measured']:.3e}" in err
 
 
 # -- decay ------------------------------------------------------------------

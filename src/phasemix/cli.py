@@ -7,7 +7,8 @@ plotting stack can consume them.  Runs are deterministic for a fixed
 config (fixed formatting, fixed seed).
 
 Exit codes: 0 success, 1 failed invariant (validate), 2 configuration
-error, 3 convergence or fit failure (an under-resolved chart included).
+error, 3 convergence or fit failure (an under-resolved chart or node set
+included).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import checks
 from .action_angle import ChartError, compute_c
-from .experiment import ConfigError, Experiment, ExperimentConfig
+from .experiment import ConfigError, Experiment, ExperimentConfig, ResolutionError
 from .mixing import FitError, fit_decay, sup_phi_t
 # Unused here: perfbench's tracer test checks that the tracer rebinds this name.
 from .transport import evaluate_f_actionangle  # noqa: F401
@@ -110,19 +111,20 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
 
 
 def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
-    times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    s = exp.node_set.series(times)
-    t, x = np.meshgrid(s.times, s.x, indexing="ij")
-    rows = np.column_stack([a.ravel() for a in (t, x, s.rho, s.j, s.phi, s.phi_t)])
-    np.savetxt(out / "evolve.csv", rows, fmt="%.17g", delimiter=",",
-               header="t,x,rho,j,phi,phi_t", comments="")
-
+    # The cross-check needs no node set, so it runs first: a config that
+    # fails it exits on its gap, not on a node set that may not resolve.
     if validate:
         gap, tolerance = checks.cross_solver_equivalence(exp)
         if gap > tolerance:
             raise ConvergenceError(
                 f"solver cross-validation failed: max |f_aa - f_char| = {gap:.3e}"
             )
+    times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
+    s = exp.node_set.series(times)
+    t, x = np.meshgrid(s.times, s.x, indexing="ij")
+    rows = np.column_stack([a.ravel() for a in (t, x, s.rho, s.j, s.phi, s.phi_t)])
+    np.savetxt(out / "evolve.csv", rows, fmt="%.17g", delimiter=",",
+               header="t,x,rho,j,phi,phi_t", comments="")
     return EXIT_OK
 
 
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, FitError, ChartError) as exc:
+    except (ConvergenceError, FitError, ChartError, ResolutionError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .moments import MomentCalculator, spatial_grid
 from .potential import PotentialParams, invert_phi
 from .transport import InitialData, make_initial_data
 
-__all__ = ["ConfigError", "ExperimentConfig", "Experiment"]
+__all__ = ["ConfigError", "ResolutionError", "ExperimentConfig", "Experiment"]
 
 # Bounds on the work one config may ask for.  The resolved t_max = 2000
 # run (1601 grid points x 1024 velocity nodes, 17 samples per period:
@@ -46,6 +47,10 @@ MAX_EVOLVE_ROWS = 2**20   # evolve_samples * grid_points, the rows of evolve.csv
 
 class ConfigError(ValueError):
     """Malformed or out-of-range experiment configuration."""
+
+
+class ResolutionError(RuntimeError):
+    """A node set with no quadrature node inside the support annulus."""
 
 
 def _is_int(value) -> bool:
@@ -111,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError("alpha must lie in [0, 1)")
         if not _is_int(self.m) or self.m < 1:
             raise ConfigError("m must be an integer >= 1")
+        if self.m > sys.float_info.max:
+            raise ConfigError("m overflows a float")
         if not _is_int(self.n_k) or self.n_k < 4:
             raise ConfigError("n_k must be an integer >= 4")
         if not _is_int(self.n_chi) or self.n_chi < 8 or self.n_chi % 2:
@@ -195,14 +202,25 @@ class Experiment:
     def node_set(self) -> MomentCalculator:
         """Moments on the configured spatial grid with ``v_quad`` velocity nodes."""
         grid = spatial_grid(self.params, self.cfg.c_s, self.cfg.grid_points)
-        return MomentCalculator(self.f0, grid, n_quad=self.cfg.v_quad)
+        return self._resolved(MomentCalculator(self.f0, grid, n_quad=self.cfg.v_quad),
+                              f"grid_points = {self.cfg.grid_points} grid")
 
     @functools.cached_property
     def mass_node_set(self) -> tuple[MomentCalculator, float, np.ndarray]:
         """Moments on a 201-point Gauss grid over [-x_max, x_max], x_max and the weights."""
         nodes, weights = leggauss(201)
         x_max = float(invert_phi(self.params, self.f0.h_max))
-        return MomentCalculator(self.f0, x_max * nodes, n_quad=self.cfg.v_quad), x_max, weights
+        calc = MomentCalculator(self.f0, x_max * nodes, n_quad=self.cfg.v_quad)
+        return self._resolved(calc, "201-point Gauss grid"), x_max, weights
+
+    def _resolved(self, calc: MomentCalculator, grid: str) -> MomentCalculator:
+        """``calc``, or :class:`ResolutionError` if none of its nodes is in the support."""
+        if calc.support_nodes == 0:
+            raise ResolutionError(
+                f"no node of the {grid} x v_quad = {self.cfg.v_quad} velocity nodes lies "
+                f"in the support annulus [c_s, 1/c_s] at c_s = {self.cfg.c_s!r}"
+            )
+        return calc
 
     @property
     def times(self) -> np.ndarray:

@@ -22,14 +22,22 @@ mirror-pair sums
 with Q, c = c(K) and B = B(K) at (x, v).  At the centre node Q is 0 or
 pi, so sin(mQ) = 0 and f(t, x, 0) = B (1 + alpha cos(mQ) sin(m c t)).
 The node set therefore caches the v_max w B-weighted factors of cos(mQ)
-and v sin(mQ) and the phase rates r = m c(K).  With z = exp(i r t) the
-density reads Im z and the current Re z, so each sample time costs one
-sin (density) or one cos (current) per half node and a weighted row
-sum.  A scan whose times repeat a gap g (an evenly spaced schedule) need
-not pay the trig: exp(i r t_k) = exp(i r t_{k-1}) exp(i r g_k) holds
-exactly, so z advances by one complex multiply per node with the rotation
-exp(i r g) cached per gap, and an exact cos and sin re-seed it every SEED
-times to bound the rounding.
+and v sin(mQ) and the phase rates r = m c(K); with z = exp(i r t) the
+density reads Im z and the current Re z.
+
+The rates lie in one narrow band [r0 - h, r0 + h], and with u = (r - r0)/h
+the Jacobi-Anger expansion (DLMF 10.12.3) gives
+
+    exp(i r t) = exp(i r0 t) sum_k a_k(h t) T_k(u),  a_k = i^k eps_k J_k,
+
+eps_0 = 1 and eps_k = 2 after.  As |J_k(z)| <= (z/2)^k / k!, the first P
+terms reach round-off, P the fewest with (z/2)^P / P! < 2^-53 at
+z = h max|t|.  A call with more than P times builds the Chebyshev moments
+M_k, the row sums of amp T_k(u), once, then costs a P-term sum per time
+and row, and rounds the phase r0 t once per time, not once per node: that
+matters, as sup|phi_t| is about 1e-5 of the node amplitudes.  A call with
+at most P times takes one sin (density) or cos (current) per half node
+and time.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -42,6 +50,7 @@ whose difference converges at O(dt**2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +60,6 @@ from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
 __all__ = ["spatial_grid", "MomentSeries", "MomentCalculator", "cumulative_from_zero"]
-
-# A scan advances exp(i m c t) by rotation for at most SEED - 1 times in a
-# row before seeding it again by exact trig, which bounds the growth of
-# the rotation's rounding.  On the default decay scan a node's cos(m c t)
-# then errs, against long-double phases, by 1.08x the error of exact trig
-# at every time (1.20x at 32, 1.31x at 64, 1.90x never re-seeded); see
-# studies/rotation_seed.py.
-SEED = 16
-# Distinct gaps a call rotates by, the most frequent first; bounds the
-# rotation table at ROTATIONS complex values per node.
-ROTATIONS = 8
 
 
 def spatial_grid(params: PotentialParams, c_s: float, n: int = 201) -> np.ndarray:
@@ -135,12 +133,12 @@ def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase), its parts bit for bit np.cos(phase) and np.sin(phase)."""
-    z = np.empty(phase.shape, dtype=complex)
-    z.real = np.cos(phase)
-    z.imag = np.sin(phase)
-    return z
+def _order(z: float, cap: int) -> int:
+    """The fewest terms P >= 1 with (z/2)^P / P! < 2^-53, a bound on |J_P(z)|, or cap."""
+    p = 1
+    while p < cap and z > 0 and p * math.log(0.5 * z) - math.lgamma(p + 1) >= -53 * math.log(2):
+        p += 1
+    return p
 
 
 @dataclass
@@ -170,6 +168,7 @@ class MomentCalculator:
 
     Every moment method takes a scalar time, giving one value per grid
     node, or a 1-D array of times, giving one row per time.
+    ``support_nodes`` counts the half nodes inside the support.
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int = 128):
@@ -187,6 +186,9 @@ class MomentCalculator:
         inside, q, k = pull_back(f0, self.x[:, None], v)
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
         self._rate = f0.m * f0.chart.c_of_k(k)
+        self.support_nodes = self._rate.size
+        lo, hi = (self._rate.min(), self._rate.max()) if self._rate.size else (0.0, 0.0)
+        self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
         self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
         # The support nodes are stored row by row: one segment per grid
@@ -204,53 +206,50 @@ class MomentCalculator:
         return out
 
     def _integrate(self, t, amp: np.ndarray, part: str) -> np.ndarray:
-        """Row sums of amp * Re or Im exp(i m c t) at each time.
-
-        A time whose gap to the previous time recurs in the call, and whose
-        index is not a multiple of ``SEED``, advances z = exp(i m c t) from
-        the previous time by that gap's rotation; the time before such a
-        chain seeds z by exact trig.  Every other time takes one cos
-        (``part="real"``) or sin (``part="imag"``) per node.
-        """
+        """Row sums of amp * Re (``part="real"``) or Im exp(i m c t) at each time."""
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
-        advance, rotations = self._rotation_plan(flat)
-        chained = advance >= 0
-        seeds = ~chained & np.append(chained[1:], False)
-        trig = np.cos if part == "real" else np.sin
-        # Each time's row sums go to a compact buffer, scattered to the grid
-        # once: scattering them time by time raised validate's peak RSS by
-        # 0.13 MiB.
-        sums = np.empty((flat.size, self._starts.size))
-        row = np.empty(self._rate.size)
-        for i, ti in enumerate(flat):
-            if chained[i]:
-                z *= rotations[advance[i]]
-            elif seeds[i]:
-                z = _cis(ti * self._rate)
-            if chained[i] or seeds[i]:
-                np.multiply(getattr(z, part), amp, out=row)
-            else:
+        order = _order(self._h * np.max(np.abs(flat), initial=0.0), flat.size)
+        if flat.size <= order:
+            trig = np.cos if part == "real" else np.sin
+            # Scattering each time's row sums to the grid at once, not time
+            # by time, keeps 0.13 MiB off validate's peak RSS.
+            sums = np.empty((flat.size, self._starts.size))
+            row = np.empty(self._rate.size)
+            for i, ti in enumerate(flat):
                 trig(np.multiply(ti, self._rate, out=row), out=row)
                 row *= amp
-            np.add.reduceat(row, self._starts, out=sums[i])
+                np.add.reduceat(row, self._starts, out=sums[i])
+        else:
+            sums = self._jacobi_anger(flat, amp, part, order)
         out = np.zeros((flat.size, self.x.size))
         out[:, self._rows] = sums
         return out.reshape(times.shape + (self.x.size,))
 
-    def _rotation_plan(self, flat: np.ndarray):
-        """The rotations exp(i m c g) of the recurring gaps g (the ``ROTATIONS``
-        most frequent), and per time the index of the one that advances it
-        from the previous time, or -1."""
-        gaps, which, counts = np.unique(np.diff(flat), return_inverse=True, return_counts=True)
-        kept = np.argsort(-counts, kind="stable")[:ROTATIONS]
-        kept = kept[(counts[kept] > 1) & np.isfinite(gaps[kept])]
-        slot = np.full(gaps.size, -1)
-        slot[kept] = np.arange(kept.size)
-        advance = np.full(flat.size, -1)
-        advance[1:] = slot[which]
-        advance[::SEED] = -1
-        return advance, _cis(gaps[kept, None] * self._rate)
+    def _jacobi_anger(self, flat: np.ndarray, amp: np.ndarray, part: str, order: int) -> np.ndarray:
+        """Re or Im of exp(i r0 t) sum_k a_k(h t) M_k, k < order, per time and row."""
+        # T_k(u) by T_{k+1} = 2u T_k - T_{k-1}, started from T_{-1} = T_1 = u.
+        u = (self._rate - self._r0) / self._h if order > 1 else 0.0
+        moments = np.empty((order, self._starts.size))
+        prev, cur = amp * u, amp
+        for k in range(order):
+            np.add.reduceat(cur, self._starts, out=moments[k])
+            prev, cur = cur, 2.0 * u * cur - prev
+        # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
+        # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
+        # aliased terms are J_k with k > order + 2, below the truncation.
+        n = 2 * order + 2
+        samples = np.exp(1j * (self._h * flat)[:, None] * np.cos(2.0 * np.pi / n * np.arange(n)))
+        coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
+        coeffs[:, 1:] *= 2.0
+        # a_k is real for even k and imaginary for odd k, so the sum splits
+        # into two real products; the DFT's rounding in the other part drops.
+        even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, moments[0::2])
+        odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, moments[1::2])
+        # r0 t in extended precision, where the platform has it.
+        phase = np.longdouble(self._r0) * flat
+        cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
+        return cos * even - sin * odd if part == "real" else sin * even + cos * odd
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phasemix
 from phasemix.cli import load_config, main
@@ -43,6 +44,36 @@ def test_config_rejects_bad_values():
 def test_config_round_trip():
     cfg = ExperimentConfig(epsilon=0.05, t_max=40.0, fit_window=(5.0, 40.0))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs inside every bound, with a fit window inside (0, t_max]."""
+    lo = draw(st.floats(1e-3, 1e3))
+    hi = lo + draw(st.floats(1e-3, 1e3))
+    n = st.integers
+    return ExperimentConfig(
+        epsilon=draw(st.floats(0.0, 100.0)),
+        c_s=draw(st.floats(0.02, 0.95)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        m=draw(n(1, 16)),
+        n_k=draw(n(4, 1024)),
+        n_chi=2 * draw(n(4, 512)),
+        grid_points=draw(n(3, 4096)),
+        v_quad=draw(n(64, 1024)),
+        t_max=hi + draw(st.floats(0.0, 1e3)),
+        samples_per_period=draw(st.floats(1e-3, 64.0)),
+        fit_window=(lo, hi),
+        evolve_samples=draw(n(1, 256)),
+        include_control=draw(st.booleans()),
+        seed=draw(n(0, 2**32)),
+    )
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(valid_configs())
+def test_config_json_round_trip(cfg):
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -106,6 +137,8 @@ def test_bad_override_exit_code(tmp_path):
         ("evolve", "evolve_samples=1000000"),
         ("decay", "t_max=1e9"),
         ("decay", "samples_per_period=1e300"),
+        # An integer m that no float holds.
+        ("decay", "m=1" + "0" * 400),
     ],
 )
 def test_bad_value_exit_code(tmp_path, command, override):
@@ -231,6 +264,27 @@ def test_evolve_validate_fails_on_the_validate_check(tmp_path, capsys):
     cross = checks["cross_solver_equivalence"]
     assert not cross["passed"] and cross["tolerance"] == 1e-4
     assert f"max |f_aa - f_char| = {cross['measured']:.3e}" in err
+
+
+# The support annulus [c_s, 1/c_s] is 2e-10 wide in energy: no node of the
+# default node sets lands in it.
+THIN_SUPPORT = ("--set", "c_s=0.9999999999")
+
+
+@pytest.mark.parametrize("command", ["evolve", "decay"])
+def test_unresolved_support_exit_code(tmp_path, capsys, command):
+    assert run(tmp_path, command, *THIN_SUPPORT) == 3
+    err = capsys.readouterr().err
+    assert "no node of the grid_points = 201 grid x v_quad = 128 velocity nodes" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_validate_records_an_unresolved_support(tmp_path):
+    assert run(tmp_path, "validate", *THIN_SUPPORT) == 1
+    checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    for name in ("jacobian_mass_equivalence", "mass_conservation"):
+        assert not checks[name]["passed"]
+        assert "no node of the 201-point Gauss grid x v_quad = 128" in checks[name]["error"]
 
 
 # -- decay ------------------------------------------------------------------

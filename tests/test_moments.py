@@ -178,64 +178,82 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
         assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), n_quad
 
 
-def test_times_without_recurring_gap_take_exact_trig(calc):
-    # No gap repeats, so no time is rotated: the scan is, bit for bit, one
-    # call per time.
-    times = np.cumsum(0.3 + 0.01 * np.arange(12))
-    assert np.unique(np.diff(times)).size == times.size - 1
+def _order(calc, times):
+    """The Jacobi-Anger order of one call over ``times``."""
+    return moments._order(calc._h * np.max(np.abs(times)), times.size + 1)
+
+
+def _long_double_current(calc, times):
+    """The current's row sums with long-double phases, trig and sums."""
+    rate = calc._rate.astype(np.longdouble)
+    out = np.zeros((times.size, calc.x.size), dtype=np.longdouble)
+    for i, t in enumerate(times):
+        vals = calc._j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
+        out[i, calc._rows] = np.add.reduceat(vals, calc._starts)
+    return out
+
+
+def _sup_phi_t_error(calc, times):
+    """Largest relative error of sup_x |phi_t| at any time against long-double sums."""
+    ref = calc.phi_t_of(_long_double_current(calc, times).astype(float))
+    sup = np.max(np.abs(calc.phi_t_of(calc.current(times))), axis=-1)
+    sup_ref = np.max(np.abs(ref), axis=-1)
+    return float(np.max(np.abs(sup - sup_ref) / sup_ref))
+
+
+def test_fewer_times_than_order_take_exact_trig(calc):
+    # Fewer times than the Jacobi-Anger order: the call is, bit for bit,
+    # one call per time.
+    times = np.array([3.0, 17.5, 42.0, 99.9, 150.0])
+    assert times.size < _order(calc, times)
     npt.assert_array_equal(calc.density(times), [calc.density(t) for t in times])
     npt.assert_array_equal(calc.current(times), [calc.current(t) for t in times])
 
 
 @pytest.fixture(scope="module")
 def default_scan():
-    """The default decay scan, rotated, and at one call per time (exact trig)."""
+    """The default decay scan's node set and times."""
     exp = Experiment(ExperimentConfig())
-    calc, times = exp.node_set, exp.times
-    scans = {}
+    return exp.node_set, exp.times
+
+
+def test_default_scan_stays_near_exact_trig(default_scan):
+    # Row by row, the Jacobi-Anger sum stays within 1e-13 of the rounding
+    # scale of its sum, the quadrature of |amplitude|; the phase rounding
+    # eps * m c t alone is about 2.5e-14 at t = 200.
+    calc, times = default_scan
+    assert _order(calc, times) < times.size
     for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
         moment = getattr(calc, name)
-        scans[name] = amp, moment(times), np.array([moment(t) for t in times])
-    return calc, times, scans
-
-
-def test_rotated_times_stay_near_exact_trig(default_scan):
-    # Row by row, a rotated time stays within 1e-13 of the rounding scale
-    # of its sum, the quadrature of |amplitude|; the phase rounding
-    # eps * m c t alone is about 2.5e-14 at t = 200.
-    calc, times, scans = default_scan
-    advance, _ = calc._rotation_plan(times)
-    assert np.count_nonzero(advance >= 0) > 0.9 * times.size
-    for name, (amp, rotated, exact) in scans.items():
+        exact = np.array([moment(t) for t in times])
         bound = 1e-13 * calc._row_sums(np.abs(amp))
-        assert np.all(np.abs(rotated - exact) <= bound), name
-    # The scan re-seeds by time index, so two calls split at a multiple of
-    # SEED give the one-call scan bit for bit.
-    evenly = np.linspace(0.0, 200.0, 41)
-    for scan, split in ((times, 16), (times, 144), (times, 272), (evenly, 16)):
-        assert split % moments.SEED == 0
-        for name in scans:
-            moment = getattr(calc, name)
-            halves = np.concatenate([moment(scan[:split]), moment(scan[split:])])
-            npt.assert_array_equal(halves, moment(scan), err_msg=f"{name} split at {split}")
+        assert np.all(np.abs(moment(times) - exact) <= bound), name
 
 
-def test_rotation_error_against_long_double_phases(default_scan):
-    # Against row sums with long-double phases, trig and sums, the
-    # rotated scan errs by at most 1.5x as much as exact trig at every time.
-    calc, times, scans = default_scan
-    rate = calc._rate.astype(np.longdouble)
-    for name, (amp, rotated, exact) in scans.items():
-        trig = np.cos if name == "current" else np.sin
-        ref = np.zeros(rotated.shape, dtype=np.longdouble)
-        for i, t in enumerate(times):
-            vals = amp.astype(np.longdouble) * trig(rate * np.longdouble(t))
-            ref[i, calc._rows] = np.add.reduceat(vals, calc._starts)
-        if name == "density":
-            ref += calc._rho_mean
-        err_rotated = float(np.max(np.abs(rotated - ref)))
-        err_exact = float(np.max(np.abs(exact - ref)))
-        assert 0 < err_rotated <= 1.5 * err_exact, (name, err_rotated, err_exact)
+def test_harmonic_scan_is_one_term(harmonic_f0, grid):
+    # At eps = 0 every node turns at the same rate: h = 0, one term.
+    calc = MomentCalculator(harmonic_f0, grid, n_quad=128)
+    times = np.linspace(0.0, 200.0, 41)
+    assert calc._h == 0.0 and _order(calc, times) == 1
+    bound = 1e-13 * calc._row_sums(np.abs(calc._j_amp))
+    exact = np.array([calc.current(t) for t in times])
+    assert np.all(np.abs(calc.current(times) - exact) <= bound)
+
+
+def test_sup_phi_t_against_long_double(default_scan):
+    # sup_x |phi_t| is about 1e-5 of the node amplitudes, so the rounding of
+    # the node sums shows relative to it: exact trig errs by 2.6e-12.
+    calc, times = default_scan
+    assert _sup_phi_t_error(calc, times) <= 2e-13
+
+
+def test_long_scan_sup_phi_t_against_long_double():
+    # The last 128 times of a t_max = 1000 scan at 201 x 512 (order 121);
+    # exact trig errs by 1.1e-9.
+    exp = Experiment(ExperimentConfig(v_quad=512, t_max=1000.0, fit_window=(20.0, 1000.0)))
+    calc, times = exp.node_set, exp.times[-128:]
+    assert _order(calc, times) < times.size
+    assert _sup_phi_t_error(calc, times) <= 1e-10
 
 
 def test_node_set_rejects_chart_short_of_support(params, f0, grid):

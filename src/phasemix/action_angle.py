@@ -95,10 +95,6 @@ class ChartRangeError(ValueError):
     """Energy outside the tabulated chart range."""
 
 
-def _maybe_scalar(arr, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 # Query points per block in ``_Spline.__call__`` and ``OrbitChart.q_from_chi``:
 # bounds the gathered coefficients (4 x rows x m) and the recurrence's
 # arrays however many points are evaluated, and keeps them in cache.  On a
@@ -191,27 +187,23 @@ def to_angle_energy(params: PotentialParams, x, v):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    scalar = x.ndim == 0 and v.ndim == 0
     h = hamiltonian(params, x, v)
     if np.any(h <= 0):
         raise ValueError("the fixed point (0, 0) has no angle coordinate")
     sin_part = v / np.sqrt(2.0 * h)
     cos_part = np.sign(x) * np.sqrt(phi(params, x) / h)
-    chi = np.arctan2(sin_part, cos_part)
-    return _maybe_scalar(chi, scalar), _maybe_scalar(h, scalar)
+    return np.arctan2(sin_part, cos_part), h
 
 
 def from_angle_energy(params: PotentialParams, chi, h):
     """Inverse chart: (chi, h) -> (x, v) for h > 0."""
     chi = np.asarray(chi, dtype=float)
     h = np.asarray(h, dtype=float)
-    scalar = chi.ndim == 0 and h.ndim == 0
     if np.any(h <= 0):
         raise ValueError("energy must be > 0")
     c = np.cos(chi)
     v = np.sqrt(2.0 * h) * np.sin(chi)
-    x = np.sign(c) * invert_phi(params, h * c * c)
-    return _maybe_scalar(x, scalar), _maybe_scalar(v, scalar)
+    return np.sign(c) * invert_phi(params, h * c * c), v
 
 
 def rate_a(params: PotentialParams, chi, h):
@@ -244,11 +236,8 @@ def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
     if n_quad < 16:
         raise ValueError("n_quad must be >= 16")
     h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 0
-    chi = _angle_nodes(n_quad)
-    inv_a = 1.0 / rate_a(params, chi, h[..., None])
-    c = 1.0 / inv_a.mean(axis=-1)
-    return _maybe_scalar(c, scalar)
+    inv_a = 1.0 / rate_a(params, _angle_nodes(n_quad), h[..., None])
+    return 1.0 / inv_a.mean(axis=-1)
 
 
 def _c_prime_integrand(params: PotentialParams, chi, h):
@@ -272,11 +261,8 @@ def compute_c_prime(params: PotentialParams, h):
     the isochronous case.
     """
     h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 0
     g = _c_prime_integrand(params, _angle_nodes(_ORBIT_NODES), h[..., None])
-    c = compute_c(params, h)
-    cp = np.asarray(c, dtype=float) ** 2 * g.mean(axis=-1)
-    return _maybe_scalar(cp, scalar)
+    return compute_c(params, h) ** 2 * g.mean(axis=-1)
 
 
 def chart_range_for_support(c_s: float):
@@ -292,7 +278,8 @@ class OrbitChart:
 
     ``sine_coeffs[i, j]`` holds the coefficient b_k, k = ``modes[j]``, of
     the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
-    modes not listed are below the chart's floor.  ``delta`` is the
+    modes not listed are below the chart's floor, every mode at eps = 0,
+    where the table is n_k x 0 and Q = chi.  ``delta`` is the
     measured lower bound of c' over the grid.
     """
 
@@ -305,7 +292,7 @@ class OrbitChart:
     delta: float
     _c_spline: _Spline = field(repr=False)
     _cp_spline: _Spline = field(repr=False)
-    _b_spline: _Spline | None = field(repr=False)
+    _b_spline: _Spline = field(repr=False)
 
     @property
     def k_min(self) -> float:
@@ -334,7 +321,9 @@ class OrbitChart:
 
     def _sine_sum(self, chi: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_k b_k sin(k chi) by the module's Clenshaw recurrence; b holds
-        each point's coefficients on its last axis."""
+        each point's coefficients on its last axis; 0 on a chart with no modes."""
+        if not self.modes.size:
+            return np.zeros_like(chi)
         g = int(np.gcd.reduce(self.modes))
         cols = np.full(int(self.modes[-1]) // g, -1)
         cols[self.modes // g - 1] = np.arange(self.modes.size)
@@ -356,17 +345,14 @@ class OrbitChart:
         self.check_range(k)
         chi = np.asarray(chi, dtype=float)
         k = np.asarray(k, dtype=float)
-        scalar = chi.ndim == 0 and k.ndim == 0
         chi_b, k_b = np.broadcast_arrays(chi, k)
-        if self._b_spline is None:
-            return _maybe_scalar(chi_b.copy(), scalar)
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
         for lo in range(0, q.size, _SPLINE_ROWS):
             block = slice(lo, lo + _SPLINE_ROWS)
             q[block] = self._sine_sum(chi_f[block], self._b_spline(k_f[block]))
             q[block] += chi_f[block]
-        return _maybe_scalar(q.reshape(chi_b.shape), scalar)
+        return q.reshape(chi_b.shape)
 
     def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.
@@ -377,10 +363,7 @@ class OrbitChart:
         self.check_range(k)
         q = np.asarray(q, dtype=float)
         k = np.asarray(k, dtype=float)
-        scalar = q.ndim == 0 and k.ndim == 0
         q_b, k_b = np.broadcast_arrays(q, k)
-        if self._b_spline is None:
-            return _maybe_scalar(q_b.copy(), scalar)
         b = self._b_spline(k_b)
         kb = self.modes * b
         chi = np.array(q_b, dtype=float, copy=True)
@@ -392,7 +375,7 @@ class OrbitChart:
                 break
         else:
             raise ChartError("Newton inversion of the angle map did not converge")
-        return _maybe_scalar(chi, scalar)
+        return chi
 
 
 def build_chart(
@@ -447,17 +430,15 @@ def build_chart(
     if n_half % 2 == 0:
         n_half += 1
     fine = np.linspace(0.0, np.pi, 4 * n_half)
-    if modes.size:
-        slope = 1.0 + np.cos(fine[:, None] * modes) @ (modes * b).T
-        if np.any(slope <= 0):
-            raise ChartError("tabulated angle map is not monotone")
-        tail = float(np.max(np.abs(b[:, -1])))
-        if tail > _TAIL_FLOOR:
-            raise ChartError(
-                f"angle map truncated: last kept mode {tail:.1e} > {_TAIL_FLOOR:.0e}; raise n_chi"
-            )
+    slope = 1.0 + np.cos(fine[:, None] * modes) @ (modes * b).T
+    if np.any(slope <= 0):
+        raise ChartError("tabulated angle map is not monotone")
+    tail = float(np.max(np.abs(b[:, -1:]), initial=0.0))
+    if tail > _TAIL_FLOOR:
+        raise ChartError(
+            f"angle map truncated: last kept mode {tail:.1e} > {_TAIL_FLOOR:.0e}; raise n_chi"
+        )
 
-    b_spline = _Spline(k_grid, b) if modes.size else None
     return OrbitChart(
         params=params,
         k_grid=k_grid,
@@ -468,7 +449,7 @@ def build_chart(
         delta=float(c_prime.min()),
         _c_spline=_Spline(k_grid, c),
         _cp_spline=_Spline(k_grid, c_prime),
-        _b_spline=b_spline,
+        _b_spline=_Spline(k_grid, b),
     )
 
 

@@ -19,7 +19,7 @@ from .action_angle import build_chart, compute_c, compute_c_prime, from_action_a
 from .experiment import Experiment
 from .flow import flow_map, orbit_period
 from .mixing import q_fourier_spectrum
-from .moments import MomentCalculator, spatial_grid
+from .moments import spatial_grid
 from .potential import invert_phi, phi as potential_phi
 from .transport import evaluate_f_actionangle, evaluate_f_characteristic
 
@@ -110,7 +110,8 @@ def phi_t_route_equivalence(exp: Experiment):
     """Gap ratio of the phi_t routes at dt = 2e-3 and 1e-3: a band, [3, 5], not a tolerance."""
     # 512 velocity nodes: the quadrature floor must sit below the
     # O(dt**2) difference for the convergence ratio to be visible.
-    calc = MomentCalculator(exp.f0, spatial_grid(exp.params, exp.cfg.c_s, 801), n_quad=512)
+    calc = exp.node_set_on(spatial_grid(exp.params, exp.cfg.c_s, 801), 512,
+                           "801-point grid x 512 velocity nodes")
     t = 5.0
     ref = calc.phi_t_reconstruct(t)
     err = [float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref))) for dt in (2e-3, 1e-3)]
@@ -127,6 +128,8 @@ def spectrum_translation(exp: Experiment):
     mod = float(np.max(np.abs(np.abs(s1.coefficients) - np.abs(s0.coefficients))))
     c = float(f0.chart.c_of_k(k_mid))
     k_mode = f0.m
+    if s0.coefficients[k_mode] == 0 or s1.coefficients[k_mode] == 0:
+        raise ValueError(f"mode m = {k_mode} of the Q-spectrum is 0: its phase is undefined")
     expected = (k_mode * c * 10.0) % (2 * np.pi)
     got = float(np.angle(s1.coefficients[k_mode] / s0.coefficients[k_mode]) % (2 * np.pi))
     phase_err = abs((got - expected + np.pi) % (2 * np.pi) - np.pi)
@@ -149,12 +152,19 @@ CHECKS = (
 
 
 def run(check, exp: Experiment) -> dict:
-    """Run one check into its report entry; a crash is a failed check carrying ``error``."""
+    """Run one check into its report entry.
+
+    A crash or a measured value that is not finite is a failed check
+    carrying ``error``, so the entry stays valid JSON.
+    """
     try:
         measured, tolerance, *verdict = check(exp)
     except Exception as exc:
         return {"name": check.__name__, "tolerance": None, "measured": None, "passed": False,
                 "error": str(exc)}
+    if not np.isfinite(measured):
+        return {"name": check.__name__, "tolerance": tolerance, "measured": None, "passed": False,
+                "error": f"the measured value is not finite: {float(measured)}"}
     passed = verdict[0] if verdict else measured <= tolerance
     return {"name": check.__name__, "tolerance": tolerance, "measured": float(measured),
             "passed": bool(passed)}

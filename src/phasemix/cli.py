@@ -82,8 +82,8 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
     # insensitive to node doubling at the configured resolution.
     probes = np.linspace(chart.k_min, chart.k_max, 5)
     n_quad = max(16, cfg.n_chi)
-    c_base = np.asarray(compute_c(exp.params, probes, n_quad=n_quad))
-    c_fine = np.asarray(compute_c(exp.params, probes, n_quad=2 * n_quad))
+    c_base = compute_c(exp.params, probes, n_quad=n_quad)
+    c_fine = compute_c(exp.params, probes, n_quad=2 * n_quad)
     max_rel = float(np.max(np.abs(c_fine - c_base) / np.abs(c_fine)))
 
     np.savetxt(out / "chart.csv", np.column_stack((chart.k_grid, chart.c, chart.c_prime)),
@@ -119,10 +119,12 @@ def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
             raise ConvergenceError(
                 f"solver cross-validation failed: max |f_aa - f_char| = {gap:.3e}"
             )
+    calc = exp.node_set
     times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    s = exp.node_set.series(times)
-    t, x = np.meshgrid(s.times, s.x, indexing="ij")
-    rows = np.column_stack([a.ravel() for a in (t, x, s.rho, s.j, s.phi, s.phi_t)])
+    rho, j = calc.density(times), calc.current(times)
+    t, x = np.meshgrid(times, calc.x, indexing="ij")
+    columns = (t, x, rho, j, calc.potential_of(rho), calc.phi_t_of(j))
+    rows = np.column_stack([a.ravel() for a in columns])
     np.savetxt(out / "evolve.csv", rows, fmt="%.17g", delimiter=",",
                header="t,x,rho,j,phi,phi_t", comments="")
     return EXIT_OK

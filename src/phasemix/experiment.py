@@ -122,8 +122,8 @@ class ExperimentConfig:
             raise ConfigError("n_k must be an integer >= 4")
         if not _is_int(self.n_chi) or self.n_chi < 8 or self.n_chi % 2:
             raise ConfigError("n_chi must be an even integer >= 8")
-        if not _is_int(self.grid_points) or self.grid_points < 3:
-            raise ConfigError("grid_points must be an integer >= 3")
+        if not _is_int(self.grid_points) or self.grid_points < 3 or self.grid_points % 2 == 0:
+            raise ConfigError("grid_points must be an odd integer >= 3")
         if not _is_int(self.v_quad) or self.v_quad < 64:
             raise ConfigError("v_quad must be an integer >= 64")
         if not _is_int(self.evolve_samples) or self.evolve_samples < 1:
@@ -201,24 +201,32 @@ class Experiment:
     @functools.cached_property
     def node_set(self) -> MomentCalculator:
         """Moments on the configured spatial grid with ``v_quad`` velocity nodes."""
-        grid = spatial_grid(self.params, self.cfg.c_s, self.cfg.grid_points)
-        return self._resolved(MomentCalculator(self.f0, grid, n_quad=self.cfg.v_quad),
-                              f"grid_points = {self.cfg.grid_points} grid")
+        cfg = self.cfg
+        grid = spatial_grid(self.params, cfg.c_s, cfg.grid_points)
+        nodes = f"grid_points = {cfg.grid_points} grid x v_quad = {cfg.v_quad} velocity nodes"
+        return self.node_set_on(grid, cfg.v_quad, nodes)
 
     @functools.cached_property
     def mass_node_set(self) -> tuple[MomentCalculator, float, np.ndarray]:
         """Moments on a 201-point Gauss grid over [-x_max, x_max], x_max and the weights."""
         nodes, weights = leggauss(201)
         x_max = float(invert_phi(self.params, self.f0.h_max))
-        calc = MomentCalculator(self.f0, x_max * nodes, n_quad=self.cfg.v_quad)
-        return self._resolved(calc, "201-point Gauss grid"), x_max, weights
+        v_quad = self.cfg.v_quad
+        calc = self.node_set_on(x_max * nodes, v_quad,
+                                f"201-point Gauss grid x v_quad = {v_quad} velocity nodes")
+        return calc, x_max, weights
 
-    def _resolved(self, calc: MomentCalculator, grid: str) -> MomentCalculator:
-        """``calc``, or :class:`ResolutionError` if none of its nodes is in the support."""
+    def node_set_on(self, x: np.ndarray, n_quad: int, nodes: str) -> MomentCalculator:
+        """The node set of ``f0`` on ``x`` with ``n_quad`` velocity nodes.
+
+        Raises :class:`ResolutionError`, naming the ``nodes`` (the grid and
+        velocity nodes), if none of them lies in the support annulus.
+        """
+        calc = MomentCalculator(self.f0, x, n_quad=n_quad)
         if calc.support_nodes == 0:
             raise ResolutionError(
-                f"no node of the {grid} x v_quad = {self.cfg.v_quad} velocity nodes lies "
-                f"in the support annulus [c_s, 1/c_s] at c_s = {self.cfg.c_s!r}"
+                f"no node of the {nodes} lies in the support annulus [c_s, 1/c_s] "
+                f"at c_s = {self.cfg.c_s!r}"
             )
         return calc
 

@@ -75,15 +75,12 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
 
     ``tolerance`` bounds the local error of each Taylor step, relative to
     max(1, |state|), and must lie in (0, 1e-3].  Returns the transported
-    (x, v) pair with the broadcast shape of the inputs; scalars in,
-    scalars out.  All points share one step sequence.
+    (x, v) pair as arrays of the broadcast shape of the inputs, 0-d for
+    scalar inputs.  All points share one step sequence.
     """
     if not 0 < tolerance <= 1e-3:
         raise ValueError("tolerance must lie in (0, 1e-3]")
-    x_in = np.asarray(x, dtype=float)
-    v_in = np.asarray(v, dtype=float)
-    scalar = x_in.ndim == 0 and v_in.ndim == 0
-    x_b, v_b = np.broadcast_arrays(x_in, v_in)
+    x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     shape = x_b.shape
     xs = x_b.ravel().copy()
     vs = v_b.ravel().copy()
@@ -105,11 +102,7 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
             raise FlowError("flow left the finite range")
         steps += 1
 
-    xs = xs.reshape(shape)
-    vs = vs.reshape(shape)
-    if scalar:
-        return float(xs), float(vs)
-    return xs, vs
+    return xs.reshape(shape), vs.reshape(shape)
 
 
 def _downward_root(v: np.ndarray, h: float) -> float:

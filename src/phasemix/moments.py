@@ -51,7 +51,6 @@ whose difference converges at O(dt**2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,18 +58,16 @@ from numpy.polynomial.legendre import leggauss
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
-__all__ = ["spatial_grid", "MomentSeries", "MomentCalculator", "cumulative_from_zero"]
+__all__ = ["spatial_grid", "MomentCalculator", "cumulative_from_zero"]
 
 
 def spatial_grid(params: PotentialParams, c_s: float, n: int = 201) -> np.ndarray:
     """Uniform symmetric grid on [-x_max, x_max] with x_max = Phi^{-1}(1/c_s).
 
-    The node count is forced odd so that x = 0 is a grid node.
+    The node count must be odd, so that x = 0 is a grid node.
     """
-    if n < 3:
-        raise ValueError("grid needs at least 3 nodes")
-    if n % 2 == 0:
-        n += 1
+    if n < 3 or n % 2 == 0:
+        raise ValueError("grid needs an odd number of nodes, at least 3")
     x_max = float(invert_phi(params, 1.0 / c_s))
     return np.linspace(-x_max, x_max, n)
 
@@ -141,18 +138,6 @@ def _order(z: float, cap: int) -> int:
     return p
 
 
-@dataclass
-class MomentSeries:
-    """Time-indexed moment grids emitted by the evolve pipeline."""
-
-    times: np.ndarray
-    x: np.ndarray
-    rho: np.ndarray
-    j: np.ndarray
-    phi: np.ndarray
-    phi_t: np.ndarray
-
-
 class MomentCalculator:
     """Quadrature node set of one spatial grid, pulled back through the chart.
 
@@ -161,9 +146,9 @@ class MomentCalculator:
     f0 : the initial data, which fixes the potential, the support and the
         chart; ``f0.chart`` must cover the support annulus, or
         construction raises :class:`ChartRangeError`.
-    x : the spatial grid.  The cumulative integrals (``phi``,
-        ``phi_t_*``, ``series``) need a symmetric grid with x = 0 at its
-        central node; ``density`` and ``current`` take any points.
+    x : the spatial grid.  The cumulative integrals (``potential_of``,
+        ``phi_t_*``) need a symmetric grid with x = 0 at its central node;
+        ``density`` and ``current`` take any points.
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
@@ -271,23 +256,9 @@ class MomentCalculator:
         """phi_t on the grid from the current-reconstruction formula."""
         return self.phi_t_of(self.current(t))
 
-    def phi(self, t) -> np.ndarray:
-        """Potential with value and slope pinned to zero at x = 0."""
-        return self.potential_of(self.density(t))
-
     def phi_t_fd(self, t: float, dt: float) -> np.ndarray:
         """Centered time difference of phi; independent phi_t route."""
         if not dt > 0:
             raise ValueError("dt must be > 0")
-        ahead, behind = self.phi(np.array([t + dt, t - dt]))
+        ahead, behind = self.potential_of(self.density(np.array([t + dt, t - dt])))
         return (ahead - behind) / (2.0 * dt)
-
-    def series(self, times) -> MomentSeries:
-        """Assemble rho, j, phi, phi_t over a time schedule."""
-        times = np.asarray(times, dtype=float)
-        rho = self.density(times)
-        j = self.current(times)
-        return MomentSeries(
-            times=times, x=self.x, rho=rho, j=j,
-            phi=self.potential_of(rho), phi_t=self.phi_t_of(j),
-        )

@@ -56,15 +56,13 @@ class InitialData:
 
     def bump(self, h):
         """Radial bump B(H), supported on the open annulus."""
-        h = np.asarray(h, dtype=float)
-        scalar = h.ndim == 0
         mid = 0.5 * (self.h_min + self.h_max)
         half_width = 0.5 * (self.h_max - self.h_min)
-        s = np.atleast_1d((h - mid) / half_width)
+        s = (np.asarray(h, dtype=float) - mid) / half_width
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-        return float(out[0]) if scalar else out
+        return out
 
     def value_bar(self, q, k):
         """Data in action-angle coordinates: B(K) * (1 + alpha sin(mQ))."""
@@ -124,9 +122,8 @@ def evaluate_f_actionangle(f0: InitialData, t: float, x, v):
     Zero off the support annulus; see :func:`pull_back` for the chart
     range check.
     """
-    scalar = np.ndim(x) == 0 and np.ndim(v) == 0
     inside, q, k = pull_back(f0, x, v)
     out = np.zeros(inside.shape)
     if k.size:
         out[inside] = f0.value_bar(q + f0.chart.c_of_k(k) * t, k)
-    return float(out) if scalar else out
+    return out

@@ -1,60 +1,64 @@
-"""Shared fixtures: one chart per parameter set, built once per session."""
+"""Shared fixtures: the default experiment and its harmonic control, built once per session.
+
+The potential, chart and initial data come from the same
+:class:`~phasemix.experiment.Experiment` the CLI builds, so the tests
+and the commands share one chart per parameter set.
+"""
 
 import numpy as np
 import pytest
 
-from phasemix import (
-    PotentialParams,
-    build_chart,
-    chart_range_for_support,
-    make_initial_data,
-)
-
-EPS = 0.1
-C_S = 0.5
-ALPHA = 0.5
-M = 1
+from phasemix import from_angle_energy
+from phasemix.experiment import Experiment, ExperimentConfig
 
 
 @pytest.fixture(scope="session")
-def params():
-    return PotentialParams(epsilon=EPS)
+def experiment():
+    """The default config: eps = 0.1, c_s = 0.5, alpha = 0.5, m = 1."""
+    return Experiment(ExperimentConfig())
 
 
 @pytest.fixture(scope="session")
-def harmonic():
-    return PotentialParams(epsilon=0.0)
+def harmonic_experiment():
+    """The default config at eps = 0, the no-mixing control."""
+    return Experiment(ExperimentConfig(epsilon=0.0))
 
 
 @pytest.fixture(scope="session")
-def chart(params):
-    lo, hi = chart_range_for_support(C_S)
-    return build_chart(params, lo, hi, n_k=64, n_chi=512)
+def params(experiment):
+    return experiment.params
 
 
 @pytest.fixture(scope="session")
-def harmonic_chart(harmonic):
-    lo, hi = chart_range_for_support(C_S)
-    return build_chart(harmonic, lo, hi, n_k=64, n_chi=512)
+def harmonic(harmonic_experiment):
+    return harmonic_experiment.params
 
 
 @pytest.fixture(scope="session")
-def f0(chart):
-    return make_initial_data(C_S, ALPHA, M, chart)
+def chart(experiment):
+    return experiment.chart
 
 
 @pytest.fixture(scope="session")
-def harmonic_f0(harmonic_chart):
-    return make_initial_data(C_S, ALPHA, M, harmonic_chart)
+def harmonic_chart(harmonic_experiment):
+    return harmonic_experiment.chart
 
 
 @pytest.fixture(scope="session")
-def support_sample(params, chart):
+def f0(experiment):
+    return experiment.f0
+
+
+@pytest.fixture(scope="session")
+def harmonic_f0(harmonic_experiment):
+    return harmonic_experiment.f0
+
+
+@pytest.fixture(scope="session")
+def support_sample(experiment):
     """Deterministic (x, v) sample spread over the support annulus."""
+    c_s = experiment.cfg.c_s
     rng = np.random.default_rng(42)
-    h = rng.uniform(C_S * 1.1, 0.9 / C_S, 40)
+    h = rng.uniform(c_s * 1.1, 0.9 / c_s, 40)
     chi = rng.uniform(0.0, 2.0 * np.pi, 40)
-    from phasemix import from_angle_energy
-
-    x, v = from_angle_energy(params, chi, h)
-    return x, v
+    return from_angle_energy(experiment.params, chi, h)

@@ -30,7 +30,6 @@ from phasemix import (
     to_action_angle,
     vector_field_norms,
 )
-from phasemix.experiment import Experiment, ExperimentConfig
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -56,9 +55,9 @@ def decay_bound_ratio(times, sup_values, window) -> float:
 
 
 @pytest.fixture(scope="module")
-def pipeline():
+def pipeline(experiment):
     """The full decay pipeline at the calibrated settings."""
-    exp = Experiment(ExperimentConfig())  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
+    exp = experiment  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
     report = fit_decay(sup_phi_t(exp.node_set, exp.times), exp.cfg.fit_window, exp.period)
     return exp.cfg, exp.params, exp.chart, exp.f0, report
 
@@ -104,8 +103,8 @@ def test_default_quadrature_resolves_the_scan(pipeline):
     assert np.max(rel) <= 0.01, f"worst gap {np.max(rel):.4f} at t = {times[np.argmax(rel)]:.1f}"
 
 
-def test_criterion_02_no_mixing_control():
-    exp = Experiment(ExperimentConfig(epsilon=0.0))
+def test_criterion_02_no_mixing_control(harmonic_experiment):
+    exp = harmonic_experiment
     cfg, calc = exp.cfg, exp.node_set
     report = fit_decay(sup_phi_t(calc, exp.times), cfg.fit_window, exp.period)
     ratio = float(report.envelope[-1] / report.envelope[0])

@@ -8,7 +8,6 @@ import pytest
 from phasemix import checks
 from phasemix.action_angle import OrbitChart
 from phasemix.cli import main
-from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.moments import MomentCalculator
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -24,8 +23,8 @@ def test_check_names_match_validate_list_and_reference(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("check", checks.CHECKS, ids=lambda c: c.__name__)
-def test_check_passes_at_default_config(default_experiment, check):
-    result = checks.run(check, default_experiment)
+def test_check_passes_at_default_config(experiment, check):
+    result = checks.run(check, experiment)
     assert result["passed"], result
     assert "error" not in result
 
@@ -48,8 +47,3 @@ def test_validate_builds_two_charts_and_two_node_sets(tmp_path, monkeypatch):
     _count_calls(monkeypatch, MomentCalculator, counts)
     assert main(["validate", "--out", str(tmp_path)]) == 0
     assert counts == {"OrbitChart": 2, "MomentCalculator": 2}
-
-
-@pytest.fixture(scope="module")
-def default_experiment():
-    return Experiment(ExperimentConfig())

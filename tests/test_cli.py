@@ -59,7 +59,7 @@ def valid_configs(draw):
         m=draw(n(1, 16)),
         n_k=draw(n(4, 1024)),
         n_chi=2 * draw(n(4, 512)),
-        grid_points=draw(n(3, 4096)),
+        grid_points=2 * draw(n(1, 2047)) + 1,
         v_quad=draw(n(64, 1024)),
         t_max=hi + draw(st.floats(0.0, 1e3)),
         samples_per_period=draw(st.floats(1e-3, 64.0)),
@@ -110,6 +110,7 @@ def test_bad_override_exit_code(tmp_path):
     [
         ("evolve", "v_quad=10"),
         ("decay", "grid_points=2"),
+        ("decay", "grid_points=200"),
         ("chart", "n_k=3"),
         ("chart", "n_chi=7"),
         ("chart", "n_chi=6"),
@@ -245,6 +246,19 @@ def test_evolve_artifacts(tmp_path):
     assert times == [0.0, 5.0, 10.0]
 
 
+def test_evolve_csv_holds_the_node_set_moments(tmp_path):
+    # %.17g round-trips a float64, so each column equals its moment exactly.
+    assert run(tmp_path, *EVOLVE_ARGS) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    exp = Experiment(load_config(None, list(EVOLVE_ARGS[2::2])))
+    calc = exp.node_set
+    times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
+    rho, j = calc.density(times), calc.current(times)
+    expected = (np.tile(calc.x, times.size), rho, j, calc.potential_of(rho), calc.phi_t_of(j))
+    for column, moment in zip(rows.T[1:], expected):
+        np.testing.assert_array_equal(column, moment.ravel())
+
+
 def test_evolve_cross_validates(tmp_path):
     assert run(tmp_path, *EVOLVE_ARGS, "--validate") == 0
 
@@ -279,12 +293,37 @@ def test_unresolved_support_exit_code(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+def _strict_checks(path):
+    """validate.json's entries by name; NaN and Infinity, which strict JSON lacks, raise."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return {c["name"]: c for c in json.loads(path.read_text(), parse_constant=reject)["checks"]}
+
+
 def test_validate_records_an_unresolved_support(tmp_path):
     assert run(tmp_path, "validate", *THIN_SUPPORT) == 1
-    checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    checks = _strict_checks(tmp_path / "validate.json")
     for name in ("jacobian_mass_equivalence", "mass_conservation"):
         assert not checks[name]["passed"]
         assert "no node of the 201-point Gauss grid x v_quad = 128" in checks[name]["error"]
+    route = checks["phi_t_route_equivalence"]
+    assert not route["passed"] and route["measured"] is None
+    assert "no node of the 801-point grid x 512 velocity nodes" in route["error"]
+
+
+def test_validate_records_an_unmodulated_datum(tmp_path):
+    # At alpha = 0 the data has no mode m: both phi_t routes are 0, so
+    # their gap ratio is not finite, and the spectrum's mode m has no phase.
+    assert run(tmp_path, "validate", "--set", "alpha=0") == 1
+    checks = _strict_checks(tmp_path / "validate.json")
+    failed = {name for name, c in checks.items() if not c["passed"]}
+    assert failed == {"phi_t_route_equivalence", "spectrum_translation"}
+    for name in failed:
+        assert checks[name]["measured"] is None
+    assert "not finite: inf" in checks["phi_t_route_equivalence"]["error"]
+    assert "phase is undefined" in checks["spectrum_translation"]["error"]
 
 
 # -- decay ------------------------------------------------------------------

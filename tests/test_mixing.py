@@ -16,7 +16,6 @@ from phasemix import (
     sup_phi_t,
     vector_field_norms,
 )
-from phasemix.experiment import Experiment, ExperimentConfig
 
 
 def test_fit_decay_pure_power_law():
@@ -54,13 +53,13 @@ def test_fit_decay_needs_points():
         fit_decay(report, (1.0, 5.0))
 
 
-def test_fit_decay_envelope_times_ignore_rounding_ties():
+def test_fit_decay_envelope_times_ignore_rounding_ties(harmonic_experiment):
     # On the eps = 0 control phi_t is periodic, so each window's maximum
     # recurs half a period later up to rounding.  Nudging every sample by
     # 1 ulp, up in alternate half periods and down in the others (and the
     # reverse), raises the later of each tied pair in one of the two
     # scans; the envelope times must not move.
-    exp = Experiment(ExperimentConfig(epsilon=0.0))
+    exp = harmonic_experiment
     report = sup_phi_t(exp.node_set, exp.times)
     base = fit_decay(report, exp.cfg.fit_window, exp.period)
     half_period = int(exp.cfg.samples_per_period) // 2

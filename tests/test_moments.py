@@ -40,8 +40,9 @@ def test_spatial_grid_shape(params):
     npt.assert_allclose(g[100], 0.0, atol=1e-15)
     npt.assert_allclose(g[-1], invert_phi(params, 2.0), rtol=1e-14)
     npt.assert_allclose(g, -g[::-1], atol=1e-15)
-    # Even requests are promoted to the next odd count.
-    assert spatial_grid(params, 0.5, 200).size == 201
+    # An even count has no node at x = 0, and the grid keeps the count asked for.
+    with pytest.raises(ValueError):
+        spatial_grid(params, 0.5, 200)
 
 
 def test_cumulative_from_zero_polynomial():
@@ -123,7 +124,7 @@ def test_current_odd_at_quarter_turn(calc, grid):
 
 
 def test_phi_pinned_at_origin(calc, grid):
-    p = calc.phi(0.0)
+    p = calc.potential_of(calc.density(0.0))
     mid = grid.size // 2
     npt.assert_allclose(p[mid], 0.0, atol=1e-15)
     # -phi'' = rho: check curvature sign near the origin where rho > 0.
@@ -142,11 +143,12 @@ def test_phi_t_routes_converge(params, f0):
 
 
 def test_series_assembles_everything(calc, grid):
+    # evolve's columns over a schedule: one row per time of each moment.
     times = np.array([0.0, 1.0])
-    s = calc.series(times)
-    assert s.rho.shape == (2, grid.size)
-    npt.assert_allclose(s.rho[0], calc.density(0.0), atol=1e-14)
-    npt.assert_allclose(s.phi_t[1], calc.phi_t_reconstruct(1.0), atol=1e-14)
+    rho, j = calc.density(times), calc.current(times)
+    assert rho.shape == j.shape == calc.potential_of(rho).shape == (2, grid.size)
+    npt.assert_allclose(rho[0], calc.density(0.0), atol=1e-14)
+    npt.assert_allclose(calc.phi_t_of(j)[1], calc.phi_t_reconstruct(1.0), atol=1e-14)
 
 
 def test_n_quad_floor(f0, grid):
@@ -211,10 +213,9 @@ def test_fewer_times_than_order_take_exact_trig(calc):
 
 
 @pytest.fixture(scope="module")
-def default_scan():
+def default_scan(experiment):
     """The default decay scan's node set and times."""
-    exp = Experiment(ExperimentConfig())
-    return exp.node_set, exp.times
+    return experiment.node_set, experiment.times
 
 
 def test_default_scan_stays_near_exact_trig(default_scan):

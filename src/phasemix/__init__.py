@@ -16,20 +16,17 @@ from .action_angle import (
 )
 from .flow import FlowError, flow_map, orbit_period
 from .mixing import (
-    DecayReport,
+    DecayFit,
     FitError,
-    SpectrumEntry,
     VectorFieldProbe,
     fit_decay,
     q_fourier_spectrum,
-    solution_bar,
     sup_phi_t,
     vector_field_norms,
 )
 from .moments import MomentCalculator, cumulative_from_zero, spatial_grid
 from .potential import (
     PotentialParams,
-    dphi,
     hamiltonian,
     invert_phi,
     phi,
@@ -38,7 +35,7 @@ from .transport import (
     InitialData,
     evaluate_f_actionangle,
     evaluate_f_characteristic,
-    make_initial_data,
+    solution_bar,
 )
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ outlives its block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,15 @@ class ChartRangeError(ValueError):
 # 530 ms at 2048, against 150-195 and 581-734 ms at 512-1024 and 133-167
 # and 531-621 ms at 4096-16384; see studies/pullback_block.py.
 _SPLINE_ROWS = 2048
+# Largest rows x columns of one block: a chart with many modes takes fewer
+# rows, so each gathered table stays under 8 MiB.  At the default's 20
+# modes it caps none of the block sizes the study sweeps.
+_BLOCK_CELLS = 2**20
+
+
+def _block_rows(columns: int) -> int:
+    """Rows per block of a table ``columns`` wide."""
+    return max(1, min(_SPLINE_ROWS, _BLOCK_CELLS // max(columns, 1)))
 
 
 class _Spline:
@@ -159,8 +169,9 @@ class _Spline:
         flat = xq.reshape(-1)
         tail = self.coeffs[0].shape[1:]
         out = np.empty(flat.shape + tail)
-        for lo in range(0, flat.size, _SPLINE_ROWS):
-            pts = flat[lo : lo + _SPLINE_ROWS]
+        rows = _block_rows(math.prod(tail))
+        for lo in range(0, flat.size, rows):
+            pts = flat[lo : lo + rows]
             # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
             # outward, and x[-1] itself falls in the last.
             i = np.searchsorted(self.x[1:-1], pts, side="right")
@@ -341,15 +352,16 @@ class OrbitChart:
 
     def q_from_chi(self, chi, k):
         """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant,
-        evaluated ``_SPLINE_ROWS`` points at a time."""
+        evaluated a block of points at a time."""
         self.check_range(k)
         chi = np.asarray(chi, dtype=float)
         k = np.asarray(k, dtype=float)
         chi_b, k_b = np.broadcast_arrays(chi, k)
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
-        for lo in range(0, q.size, _SPLINE_ROWS):
-            block = slice(lo, lo + _SPLINE_ROWS)
+        rows = _block_rows(self.modes.size)
+        for lo in range(0, q.size, rows):
+            block = slice(lo, lo + rows)
             q[block] = self._sine_sum(chi_f[block], self._b_spline(k_f[block]))
             q[block] += chi_f[block]
         return q.reshape(chi_b.shape)
@@ -382,8 +394,8 @@ def build_chart(
     params: PotentialParams,
     k_min: float,
     k_max: float,
-    n_k: int = 64,
-    n_chi: int = 512,
+    n_k: int,
+    n_chi: int,
 ) -> OrbitChart:
     """Tabulate c, c' and the angle reparametrization on an energy grid.
 
@@ -424,15 +436,17 @@ def build_chart(
     keep = np.max(np.abs(b), axis=0) > _MODE_FLOOR
     modes, b = modes[keep], b[:, keep]
 
-    # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node.  The
-    # slope is even and 2*pi-periodic in chi, so [0, pi] covers it.
+    # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node, a
+    # block of angles at a time.  The slope is even and 2*pi-periodic in
+    # chi, so [0, pi] covers it.
     n_half = min(513, max(65, n_chi // 2 + 1))
     if n_half % 2 == 0:
         n_half += 1
     fine = np.linspace(0.0, np.pi, 4 * n_half)
-    slope = 1.0 + np.cos(fine[:, None] * modes) @ (modes * b).T
-    if np.any(slope <= 0):
-        raise ChartError("tabulated angle map is not monotone")
+    kb, rows = (modes * b).T, _block_rows(modes.size)
+    for lo in range(0, fine.size, rows):
+        if np.any(1.0 + np.cos(fine[lo : lo + rows, None] * modes) @ kb <= 0):
+            raise ChartError("tabulated angle map is not monotone")
     tail = float(np.max(np.abs(b[:, -1:]), initial=0.0))
     if tail > _TAIL_FLOOR:
         raise ChartError(
@@ -456,12 +470,9 @@ def build_chart(
 def to_action_angle(chart: OrbitChart, x, v):
     """Full chart (x, v) -> (Q, K); energy must lie in the chart range."""
     chi, h = to_angle_energy(chart.params, x, v)
-    chart.check_range(h)
     return chart.q_from_chi(chi, h), h
 
 
 def from_action_angle(chart: OrbitChart, q, k):
     """Inverse chart (Q, K) -> (x, v)."""
-    chart.check_range(k)
-    chi = chart.chi_from_q(q, k)
-    return from_angle_energy(chart.params, chi, k)
+    return from_angle_energy(chart.params, chart.chi_from_q(q, k), k)

@@ -125,13 +125,13 @@ def spectrum_translation(exp: Experiment):
     k_mid = 0.5 * (f0.h_min + f0.h_max)
     s0 = q_fourier_spectrum(f0, 0.0, k_mid)
     s1 = q_fourier_spectrum(f0, 10.0, k_mid)
-    mod = float(np.max(np.abs(np.abs(s1.coefficients) - np.abs(s0.coefficients))))
+    mod = float(np.max(np.abs(np.abs(s1) - np.abs(s0))))
     c = float(f0.chart.c_of_k(k_mid))
     k_mode = f0.m
-    if s0.coefficients[k_mode] == 0 or s1.coefficients[k_mode] == 0:
+    if s0[k_mode] == 0 or s1[k_mode] == 0:
         raise ValueError(f"mode m = {k_mode} of the Q-spectrum is 0: its phase is undefined")
     expected = (k_mode * c * 10.0) % (2 * np.pi)
-    got = float(np.angle(s1.coefficients[k_mode] / s0.coefficients[k_mode]) % (2 * np.pi))
+    got = float(np.angle(s1[k_mode] / s0[k_mode]) % (2 * np.pi))
     phase_err = abs((got - expected + np.pi) % (2 * np.pi) - np.pi)
     return max(mod, phase_err), 1e-8
 

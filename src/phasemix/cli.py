@@ -138,35 +138,37 @@ def _self_test_report(mode: str) -> dict:
         sup = times**-1.0 * (2.0 + np.sin(times))
     else:
         raise ConfigError(f"unknown self-test mode: {mode!r}")
-    from .mixing import DecayReport
-
-    report = DecayReport(times=times, sup_values=sup, tail_slopes=np.zeros_like(sup))
-    fitted = fit_decay(report, (1.0, 1000.0))
+    window = (1.0, 1000.0)
+    fitted = fit_decay(times, sup, window)
     return {
         "mode": mode,
         "slope": fitted.slope,
         "residual": fitted.residual,
-        "window": list(fitted.window),
+        "window": list(window),
     }
 
 
-def _decay_payload(exp: Experiment) -> dict:
-    period, times = exp.period, exp.times
-    report = sup_phi_t(exp.node_set, times)
-    fitted = fit_decay(report, exp.cfg.fit_window, period=period)
+def _late_early_ratio(exp: Experiment, times: np.ndarray, sup: np.ndarray) -> float:
+    """Largest sup|phi_t| over the last period against the first."""
+    early = sup[times <= exp.period]
+    late = sup[times >= exp.cfg.t_max - exp.period]
+    return float(late.max() / early.max()) if early.max() > 0 else 0.0
 
-    early = report.sup_values[times <= period]
-    late = report.sup_values[times >= exp.cfg.t_max - period]
-    ratio = float(late.max() / early.max()) if early.max() > 0 else 0.0
+
+def _decay_payload(exp: Experiment) -> dict:
+    times = exp.times
+    sup, tail = sup_phi_t(exp.node_set, times)
+    fitted = fit_decay(times, sup, exp.cfg.fit_window, period=exp.period)
+    ratio = _late_early_ratio(exp, times, sup)
     return {
         "slope": fitted.slope,
-        "window": list(fitted.window),
+        "window": list(exp.cfg.fit_window),
         "residual": fitted.residual,
         "envelope": [[t, v] for t, v in zip(fitted.envelope_times, fitted.envelope)],
-        "tail_slope": [[t, v] for t, v in zip(report.times, report.tail_slopes)],
+        "tail_slope": [[t, v] for t, v in zip(times, tail)],
         "late_early_ratio": ratio,
         "decays": bool(ratio < 0.8),
-        "oscillation_period": period,
+        "oscillation_period": exp.period,
     }
 
 
@@ -178,12 +180,10 @@ def cmd_decay(exp: Experiment, out: Path, self_test: str | None) -> int:
         return EXIT_OK
     payload = _decay_payload(exp)
     if exp.cfg.include_control:
-        control_cfg = dataclasses.replace(exp.cfg, epsilon=0.0)
-        control = _decay_payload(Experiment(control_cfg))
-        payload["control"] = {
-            "late_early_ratio": control["late_early_ratio"],
-            "decays": control["decays"],
-        }
+        control = Experiment(dataclasses.replace(exp.cfg, epsilon=0.0))
+        times = control.times
+        ratio = _late_early_ratio(control, times, sup_phi_t(control.node_set, times)[0])
+        payload["control"] = {"late_early_ratio": ratio, "decays": bool(ratio < 0.8)}
     _write_json(out / "decay.json", payload)
     return EXIT_OK
 

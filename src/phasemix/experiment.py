@@ -30,7 +30,7 @@ from .action_angle import (
 )
 from .moments import MomentCalculator, spatial_grid
 from .potential import PotentialParams, invert_phi
-from .transport import InitialData, make_initial_data
+from .transport import InitialData
 
 __all__ = ["ConfigError", "ResolutionError", "ExperimentConfig", "Experiment"]
 
@@ -190,7 +190,7 @@ class Experiment:
     @functools.cached_property
     def f0(self) -> InitialData:
         cfg = self.cfg
-        return make_initial_data(cfg.c_s, cfg.alpha, cfg.m, self.chart)
+        return InitialData(cfg.c_s, cfg.alpha, cfg.m, self.chart)
 
     @functools.cached_property
     def period(self) -> float:

@@ -8,21 +8,19 @@ Y = t c'(K) d_Q - d_K, and the Fourier spectrum of fbar in the angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import rfft
 
 from .moments import MomentCalculator
-from .transport import InitialData
+from .transport import InitialData, solution_bar
 
 __all__ = [
-    "DecayReport",
+    "DecayFit",
     "VectorFieldProbe",
-    "SpectrumEntry",
     "FitError",
     "FDValidationError",
-    "solution_bar",
     "sup_phi_t",
     "fit_decay",
     "vector_field_norms",
@@ -44,45 +42,40 @@ class FDValidationError(RuntimeError):
     """Finite-difference probe failed its step-halving validation."""
 
 
-@dataclass
-class DecayReport:
-    """Envelope of sup_x |phi_t| over time with an optional log-log fit.
+@dataclass(frozen=True)
+class DecayFit:
+    """Oscillation envelope of sup_x |phi_t| and its log-log fit."""
 
-    ``tail_slopes`` records |j(t, 0)|, the slope of the affine tail of
-    phi_t outside the support; the sup itself is taken on the compact
-    grid (phi_t is affine beyond x_max, so the tail sup is attained at
-    the boundary whenever the tail slope vanishes).
+    envelope_times: np.ndarray
+    envelope: np.ndarray
+    slope: float
+    residual: float
+
+
+def sup_phi_t(calc: MomentCalculator, times) -> tuple[np.ndarray, np.ndarray]:
+    """sup_x |phi_t| and the tail slope |j(t, 0)| per sample time.
+
+    The sup is taken on the compact grid: phi_t is affine beyond x_max
+    with slope |j(t, 0)|, so the tail sup is attained at the boundary
+    whenever that slope vanishes.
     """
-
-    times: np.ndarray
-    sup_values: np.ndarray
-    tail_slopes: np.ndarray
-    envelope_times: np.ndarray | None = None
-    envelope: np.ndarray | None = None
-    slope: float | None = None
-    window: tuple[float, float] | None = None
-    residual: float | None = None
-
-
-def sup_phi_t(calc: MomentCalculator, times) -> DecayReport:
-    """Record sup_x |phi_t| and the tail slope |j(t, 0)| per sample time."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty, strictly increasing 1-D array")
     j = calc.current(times)
     sup = np.max(np.abs(calc.phi_t_of(j)), axis=-1)
-    tail = np.abs(j[:, calc.x.size // 2])
-    return DecayReport(times=times, sup_values=sup, tail_slopes=tail)
+    return sup, np.abs(j[:, calc.x.size // 2])
 
 
 def fit_decay(
-    report: DecayReport,
+    times: np.ndarray,
+    values: np.ndarray,
     window: tuple[float, float],
     period: float = 2.0 * np.pi,
-) -> DecayReport:
+) -> DecayFit:
     """Least-squares log-log slope of the oscillation envelope.
 
-    The envelope takes the maximum of sup_values over successive windows
+    The envelope takes the maximum of ``values`` over successive windows
     of one orbital period, attributed to the time at which the maximum
     occurs, then replaces each point by the running maximum of all later
     points.  Fitting raw oscillating values would bias the slope, and
@@ -97,13 +90,13 @@ def fit_decay(
     env_t, env_v = [], []
     edges = np.arange(t_lo, t_hi + period, period)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (report.times >= lo) & (report.times < min(hi, t_hi + 1e-12))
+        sel = (times >= lo) & (times < min(hi, t_hi + 1e-12))
         if not np.any(sel):
             continue
-        vals = report.sup_values[sel]
+        vals = values[sel]
         top = vals.max()
         idx = np.flatnonzero(vals >= top - 1e-12 * abs(top))[0]
-        env_t.append(report.times[sel][idx])
+        env_t.append(times[sel][idx])
         env_v.append(top)
     env_t = np.array(env_t)
     env_v = np.maximum.accumulate(np.array(env_v)[::-1])[::-1]
@@ -116,30 +109,16 @@ def fit_decay(
     log_v = np.log(env_v[ok])
     slope, intercept = np.polyfit(log_t, log_v, 1)
     resid = log_v - (slope * log_t + intercept)
-    return replace(
-        report,
-        envelope_times=env_t,
-        envelope=env_v,
-        slope=float(slope),
-        window=(float(t_lo), float(t_hi)),
-        residual=float(np.sqrt(np.mean(resid**2))),
-    )
-
-
-def solution_bar(f0: InitialData, t: float, q, k):
-    """Solution in action-angle coordinates: fbar0(Q + c(K) t, K)."""
-    return f0.value_bar(np.asarray(q, dtype=float) + f0.chart.c_of_k(k) * t, k)
+    return DecayFit(env_t, env_v, float(slope), float(np.sqrt(np.mean(resid**2))))
 
 
 @dataclass
 class VectorFieldProbe:
     """Sup norms of f, Yf, Y^2 f plus plain-derivative contrasts."""
 
-    t: float
     sup: dict[int, float]
     dq_sup: float
     dk_sup: float
-    fd_steps: tuple[float, float]
 
 
 def vector_field_norms(
@@ -184,27 +163,10 @@ def vector_field_norms(
                 f"finite-difference probe not converged at steps ({dq}, {dk})"
             )
     return VectorFieldProbe(
-        t=t,
         sup={0: base[0], 1: base[1], 2: base[2]},
         dq_sup=base[3],
         dk_sup=base[4],
-        fd_steps=(dq, dk),
     )
-
-
-@dataclass
-class SpectrumEntry:
-    """Angle-Fourier coefficients of fbar at one (t, K) pair.
-
-    ``coefficients[k]`` is fhat_k for k = 0..k_max; ``g_coefficients``
-    holds ghat_k = fhat_k / (i k) for k = 1..k_max (the k = 0 mode of g
-    is absent by construction).
-    """
-
-    t: float
-    k_energy: float
-    coefficients: np.ndarray
-    g_coefficients: np.ndarray
 
 
 def q_fourier_spectrum(
@@ -213,8 +175,9 @@ def q_fourier_spectrum(
     k_energy: float,
     k_max: int = 8,
     n_q: int = 64,
-) -> SpectrumEntry:
-    """Discrete Fourier coefficients of Q -> fbar(t, Q, K) at fixed K.
+) -> np.ndarray:
+    """Discrete Fourier coefficients fhat_k, k = 0..k_max, of Q -> fbar(t, Q, K)
+    at fixed K.
 
     For the built-in data the exact evolution is a phase rotation:
     fhat_k(t) = fhat_k(0) * exp(i k c(K) t).
@@ -223,8 +186,4 @@ def q_fourier_spectrum(
         raise ValueError("n_q must be >= 4 * k_max")
     qs = np.arange(n_q) * (2.0 * np.pi / n_q)
     vals = solution_bar(f0, t, qs, k_energy)
-    coeffs = rfft(vals) / n_q
-    coeffs = coeffs[: k_max + 1]
-    modes = np.arange(1, k_max + 1)
-    g = coeffs[1:] / (1j * modes)
-    return SpectrumEntry(t=t, k_energy=k_energy, coefficients=coeffs, g_coefficients=g)
+    return (rfft(vals) / n_q)[: k_max + 1]

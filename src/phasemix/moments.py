@@ -35,9 +35,10 @@ terms reach round-off, P the fewest with (z/2)^P / P! < 2^-53 at
 z = h max|t|.  A call with more than P times builds the Chebyshev moments
 M_k, the row sums of amp T_k(u), once, then costs a P-term sum per time
 and row, and rounds the phase r0 t once per time, not once per node: that
-matters, as sup|phi_t| is about 1e-5 of the node amplitudes.  A call with
-at most P times takes one sin (density) or cos (current) per half node
-and time.
+matters, as sup|phi_t| is about 1e-5 of the node amplitudes.  The times
+are summed a block at a time, so the coefficients a_k(h t) of all times
+are never held at once.  A call with at most P times takes one sin
+(density) or cos (current) per half node and time.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -61,7 +62,7 @@ from .transport import InitialData, pull_back
 __all__ = ["spatial_grid", "MomentCalculator", "cumulative_from_zero"]
 
 
-def spatial_grid(params: PotentialParams, c_s: float, n: int = 201) -> np.ndarray:
+def spatial_grid(params: PotentialParams, c_s: float, n: int) -> np.ndarray:
     """Uniform symmetric grid on [-x_max, x_max] with x_max = Phi^{-1}(1/c_s).
 
     The node count must be odd, so that x = 0 is a grid node.
@@ -130,6 +131,12 @@ def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Complex DFT samples per block of times in the series scan: its arrays
+# stay near 1 MiB however many times a call takes, and the default
+# 292-time scan (88 samples per time) is one block.
+_SCAN_SAMPLES = 2**16
+
+
 def _order(z: float, cap: int) -> int:
     """The fewest terms P >= 1 with (z/2)^P / P! < 2^-53, a bound on |J_P(z)|, or cap."""
     p = 1
@@ -144,8 +151,7 @@ class MomentCalculator:
     Parameters
     ----------
     f0 : the initial data, which fixes the potential, the support and the
-        chart; ``f0.chart`` must cover the support annulus, or
-        construction raises :class:`ChartRangeError`.
+        chart.
     x : the spatial grid.  The cumulative integrals (``potential_of``,
         ``phi_t_*``) need a symmetric grid with x = 0 at its central node;
         ``density`` and ``current`` take any points.
@@ -156,7 +162,7 @@ class MomentCalculator:
     ``support_nodes`` counts the half nodes inside the support.
     """
 
-    def __init__(self, f0: InitialData, x, n_quad: int = 128):
+    def __init__(self, f0: InitialData, x, n_quad: int):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -224,17 +230,24 @@ class MomentCalculator:
         # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
         # aliased terms are J_k with k > order + 2, below the truncation.
         n = 2 * order + 2
-        samples = np.exp(1j * (self._h * flat)[:, None] * np.cos(2.0 * np.pi / n * np.arange(n)))
-        coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
-        coeffs[:, 1:] *= 2.0
-        # a_k is real for even k and imaginary for odd k, so the sum splits
-        # into two real products; the DFT's rounding in the other part drops.
-        even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, moments[0::2])
-        odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, moments[1::2])
-        # r0 t in extended precision, where the platform has it.
-        phase = np.longdouble(self._r0) * flat
-        cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
-        return cos * even - sin * odd if part == "real" else sin * even + cos * odd
+        cos_theta = np.cos(2.0 * np.pi / n * np.arange(n))
+        sums = np.empty((flat.size, self._starts.size))
+        block = max(1, _SCAN_SAMPLES // n)
+        for lo in range(0, flat.size, block):
+            t = flat[lo : lo + block]
+            samples = np.exp(1j * (self._h * t)[:, None] * cos_theta)
+            coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
+            coeffs[:, 1:] *= 2.0
+            # a_k is real for even k and imaginary for odd k, so the sum splits
+            # into two real products; the DFT's rounding in the other part drops.
+            even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, moments[0::2])
+            odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, moments[1::2])
+            # r0 t in extended precision, where the platform has it.
+            phase = np.longdouble(self._r0) * t
+            cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
+            sums[lo : lo + block] = (cos * even - sin * odd if part == "real"
+                                     else sin * even + cos * odd)
+        return sums
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""

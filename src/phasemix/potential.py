@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "PotentialParams",
     "phi",
-    "dphi",
     "hamiltonian",
     "invert_phi",
     "invert_phi_squared",
@@ -38,12 +37,6 @@ def phi(params: PotentialParams, x):
     x = np.asarray(x, dtype=float)
     x2 = x * x
     return 0.5 * x2 + 0.5 * params.epsilon * x2 * x2
-
-
-def dphi(params: PotentialParams, x):
-    """Gradient Phi'(x) = x + 2*eps*x**3; odd in x."""
-    x = np.asarray(x, dtype=float)
-    return x + 2.0 * params.epsilon * x * x * x
 
 
 def hamiltonian(params: PotentialParams, x, v):

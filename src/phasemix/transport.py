@@ -20,7 +20,7 @@ from .potential import PotentialParams, hamiltonian
 
 __all__ = [
     "InitialData",
-    "make_initial_data",
+    "solution_bar",
     "evaluate_f_characteristic",
     "evaluate_f_actionangle",
     "pull_back",
@@ -33,13 +33,24 @@ class InitialData:
 
     f0(x, v) = B(H) * (1 + alpha * sin(m * Q)) with B the standard bump
     exp(-1/(1 - s**2)) in the scaled energy s, vanishing to all orders
-    at the annulus edge; nonnegative because alpha < 1.
+    at the annulus edge; nonnegative because alpha < 1.  ``chart`` must
+    cover the annulus.
     """
 
     c_s: float
     alpha: float
     m: int
     chart: OrbitChart
+
+    def __post_init__(self) -> None:
+        if not 0 < self.c_s < 1:
+            raise ValueError("c_s must lie in (0, 1)")
+        if not 0 <= self.alpha < 1:
+            raise ValueError("alpha must lie in [0, 1)")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ValueError("m must be an integer >= 1")
+        if self.chart.k_min > self.h_min or self.chart.k_max < self.h_max:
+            raise ValueError("chart energy range does not cover the support annulus")
 
     @property
     def params(self) -> PotentialParams:
@@ -74,23 +85,9 @@ class InitialData:
         return evaluate_f_actionangle(self, 0.0, x, v)
 
 
-def make_initial_data(
-    c_s: float,
-    alpha: float,
-    m: int,
-    chart: OrbitChart,
-) -> InitialData:
-    """Validated constructor for the built-in data family in ``chart``'s potential."""
-    if not 0 < c_s < 1:
-        raise ValueError("c_s must lie in (0, 1)")
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError("m must be an integer >= 1")
-    lo, hi = chart.k_min, chart.k_max
-    if lo > c_s or hi < 1.0 / c_s:
-        raise ValueError("chart energy range does not cover the support annulus")
-    return InitialData(c_s=c_s, alpha=alpha, m=int(m), chart=chart)
+def solution_bar(f0: InitialData, t: float, q, k):
+    """Solution in action-angle coordinates: fbar0(Q + c(K) t, K)."""
+    return f0.value_bar(np.asarray(q, dtype=float) + f0.chart.c_of_k(k) * t, k)
 
 
 def evaluate_f_characteristic(f0: InitialData, t: float, x, v):
@@ -105,8 +102,7 @@ def pull_back(f0: InitialData, x, v):
     Returns ``(inside, q, k)``: the mask of the broadcast points with
     h_min < H < h_max, and the angle Q and energy K in ``f0.chart`` of
     those points in row-major order.  Points outside the annulus never
-    touch the chart; points inside it but outside the chart range are a
-    configuration error and raise :class:`ChartRangeError`.
+    touch the chart, which covers the annulus.
     """
     x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     h = np.asarray(hamiltonian(f0.params, x_b, v_b))
@@ -117,13 +113,10 @@ def pull_back(f0: InitialData, x, v):
 
 
 def evaluate_f_actionangle(f0: InitialData, t: float, x, v):
-    """Exact solution via the chart: fbar0(Q + c(K) t, K).
-
-    Zero off the support annulus; see :func:`pull_back` for the chart
-    range check.
-    """
+    """Exact solution via the chart: :func:`solution_bar` at the pulled-back
+    points, zero off the support annulus."""
     inside, q, k = pull_back(f0, x, v)
     out = np.zeros(inside.shape)
     if k.size:
-        out[inside] = f0.value_bar(q + f0.chart.c_of_k(k) * t, k)
+        out[inside] = solution_bar(f0, t, q, k)
     return out

@@ -12,6 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from phasemix import (
+    InitialData,
     MomentCalculator,
     PotentialParams,
     build_chart,
@@ -22,7 +23,6 @@ from phasemix import (
     evaluate_f_characteristic,
     fit_decay,
     from_angle_energy,
-    make_initial_data,
     orbit_period,
     q_fourier_spectrum,
     spatial_grid,
@@ -58,17 +58,19 @@ def decay_bound_ratio(times, sup_values, window) -> float:
 def pipeline(experiment):
     """The full decay pipeline at the calibrated settings."""
     exp = experiment  # eps=0.1, c_s=0.5, alpha=0.5, m=1, 201/128
-    report = fit_decay(sup_phi_t(exp.node_set, exp.times), exp.cfg.fit_window, exp.period)
-    return exp.cfg, exp.params, exp.chart, exp.f0, report
+    times = exp.times
+    sup, _ = sup_phi_t(exp.node_set, times)
+    fit = fit_decay(times, sup, exp.cfg.fit_window, exp.period)
+    return exp.cfg, exp.params, exp.chart, exp.f0, times, sup, fit
 
 
 def test_criterion_01_decay_rate(pipeline):
-    cfg, _, _, _, report = pipeline
-    slope_ok = -3.0 <= report.slope <= -1.7
-    bound = decay_bound_ratio(report.times, report.sup_values, cfg.fit_window)
+    cfg, _, _, _, times, sup, fit = pipeline
+    slope_ok = -3.0 <= fit.slope <= -1.7
+    bound = decay_bound_ratio(times, sup, cfg.fit_window)
     bound_ok = bound <= 1.0
     verdict(1, "decay rate", slope_ok and bound_ok,
-            f"slope={report.slope:.3f}, <t>^2 sup late/early={bound:.3f}")
+            f"slope={fit.slope:.3f}, <t>^2 sup late/early={bound:.3f}")
     assert slope_ok
     assert bound_ok, (
         "<t>**2 sup|phi_t| grows across the fit window: its maximum over "
@@ -78,10 +80,9 @@ def test_criterion_01_decay_rate(pipeline):
 
 
 def test_decay_bound_ratio_fails_on_slower_decay(pipeline):
-    cfg, _, _, _, report = pipeline
-    t = report.times
+    cfg, _, _, _, t, sup, _ = pipeline
     # The criterion-1 scan itself, made to decay like t**-1.7.
-    slower = decay_bound_ratio(t, report.sup_values * t**0.3, cfg.fit_window)
+    slower = decay_bound_ratio(t, sup * t**0.3, cfg.fit_window)
     # An oscillation decaying like 1/t, and a clean t**-2 as the passing case.
     beat = decay_bound_ratio(t, (2.0 + np.sin(t)) / np.maximum(t, 1.0), cfg.fit_window)
     clean = decay_bound_ratio(t, 1.0 / np.maximum(t, 1.0) ** 2, cfg.fit_window)
@@ -94,26 +95,26 @@ def test_default_quadrature_resolves_the_scan(pipeline):
     # The default 128 velocity nodes must agree with 512 at every sample
     # time of the criterion-1 scan (measured worst: 0.0062 at t = 180.6).
     # Beyond t ~ 300 they do not (4.5 % at t = 272, 70 % by t = 484).
-    cfg, params, chart, f0, report = pipeline
-    times = report.times[report.times > 0.0]
+    cfg, params, chart, f0, times, sup, _ = pipeline
+    coarse = sup[times > 0.0]
+    times = times[times > 0.0]
     grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
-    fine = sup_phi_t(MomentCalculator(f0, grid, n_quad=512), times)
-    coarse = report.sup_values[report.times > 0.0]
-    rel = np.abs(coarse - fine.sup_values) / fine.sup_values
+    fine, _ = sup_phi_t(MomentCalculator(f0, grid, n_quad=512), times)
+    rel = np.abs(coarse - fine) / fine
     assert np.max(rel) <= 0.01, f"worst gap {np.max(rel):.4f} at t = {times[np.argmax(rel)]:.1f}"
 
 
 def test_criterion_02_no_mixing_control(harmonic_experiment):
     exp = harmonic_experiment
-    cfg, calc = exp.cfg, exp.node_set
-    report = fit_decay(sup_phi_t(calc, exp.times), cfg.fit_window, exp.period)
-    ratio = float(report.envelope[-1] / report.envelope[0])
+    cfg, calc, times = exp.cfg, exp.node_set, exp.times
+    sup, _ = sup_phi_t(calc, times)
+    fit = fit_decay(times, sup, cfg.fit_window, exp.period)
+    ratio = float(fit.envelope[-1] / fit.envelope[0])
     # The bound check of criterion 1 must fail when nothing mixes.
-    bound = decay_bound_ratio(report.times, report.sup_values, cfg.fit_window)
+    bound = decay_bound_ratio(times, sup, cfg.fit_window)
 
     def sup_at(t):
-        r = sup_phi_t(calc, np.array([t]))
-        return float(r.sup_values[0])
+        return float(sup_phi_t(calc, np.array([t]))[0][0])
 
     per_err = max(
         abs(sup_at(t) - sup_at(t + 2.0 * np.pi)) / sup_at(t)
@@ -175,12 +176,12 @@ def test_criterion_05_cross_solver():
         return worst
 
     chart = build_chart(params, lo, hi, n_k=64, n_chi=512)
-    gap = solver_gap(make_initial_data(0.5, 0.5, 1, chart))
+    gap = solver_gap(InitialData(0.5, 0.5, 1, chart))
 
     coarse = build_chart(params, lo, hi, n_k=16, n_chi=32)
     fine = build_chart(params, lo, hi, n_k=32, n_chi=64)
-    gap_coarse = solver_gap(make_initial_data(0.5, 0.5, 1, coarse))
-    gap_fine = solver_gap(make_initial_data(0.5, 0.5, 1, fine))
+    gap_coarse = solver_gap(InitialData(0.5, 0.5, 1, coarse))
+    gap_fine = solver_gap(InitialData(0.5, 0.5, 1, fine))
     improves = gap_fine <= 0.5 * gap_coarse
     ok = gap <= 1e-4 and improves
     verdict(5, "cross-solver equivalence", ok,
@@ -299,9 +300,9 @@ def test_criterion_10_spectral_translation(pipeline):
         s0 = q_fourier_spectrum(f0, 0.0, k_energy)
         s1 = q_fourier_spectrum(f0, t, k_energy)
         worst_mod = max(worst_mod, float(np.max(
-            np.abs(np.abs(s1.coefficients) - np.abs(s0.coefficients)))))
+            np.abs(np.abs(s1) - np.abs(s0)))))
         c = float(chart.c_of_k(k_energy))
-        ratio = s1.coefficients[f0.m] / s0.coefficients[f0.m]
+        ratio = s1[f0.m] / s0[f0.m]
         phase = abs(np.angle(ratio * np.exp(-1j * f0.m * c * t)))
         worst_phase = max(worst_phase, float(phase))
     ok = worst_mod <= 1e-10 and worst_phase <= 1e-8

@@ -25,6 +25,7 @@ from phasemix import (
     to_angle_energy,
 )
 from phasemix.action_angle import _Spline
+from phasemix.experiment import Experiment, ExperimentConfig
 
 
 def test_rate_harmonic_is_one(harmonic):
@@ -198,11 +199,11 @@ def test_chart_range_check(chart):
 
 def test_build_chart_validation(params):
     with pytest.raises(ValueError):
-        build_chart(params, 0.5, 2.0, n_k=2)
+        build_chart(params, 0.5, 2.0, n_k=2, n_chi=512)
     with pytest.raises(ValueError):
-        build_chart(params, 0.5, 2.0, n_chi=7)
+        build_chart(params, 0.5, 2.0, n_k=64, n_chi=7)
     with pytest.raises(ValueError):
-        build_chart(params, 2.0, 0.5)
+        build_chart(params, 2.0, 0.5, n_k=64, n_chi=512)
     # Under-resolved: the truncated series has dQ/dchi <= 0 somewhere.
     with pytest.raises(ChartError, match="not monotone"):
         build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=4, n_chi=8)
@@ -212,7 +213,7 @@ def test_build_chart_rejects_non_finite_tables():
     # The config rejects this potential first; the chart checks its own
     # tables for callers that build it directly.
     with np.errstate(all="ignore"), pytest.raises(ChartError, match="not finite"):
-        build_chart(PotentialParams(1e308), *chart_range_for_support(0.5))
+        build_chart(PotentialParams(1e308), *chart_range_for_support(0.5), n_k=64, n_chi=512)
 
 
 def test_build_chart_tail_floor():
@@ -221,8 +222,8 @@ def test_build_chart_tail_floor():
     # above the 1e-6 tail floor, and 1024 angles on one of 3.1e-7.
     params, (lo, hi) = PotentialParams(100.0), chart_range_for_support(0.1)
     with pytest.raises(ChartError, match="truncated"):
-        build_chart(params, lo, hi, n_chi=512)
-    chart = build_chart(params, lo, hi, n_chi=1024)
+        build_chart(params, lo, hi, n_k=64, n_chi=512)
+    chart = build_chart(params, lo, hi, n_k=64, n_chi=1024)
     assert 1e-7 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6
 
 
@@ -256,8 +257,8 @@ def series_chart(request, chart):
     if request.param == "default":
         return chart
     if request.param == "eps1":
-        return build_chart(PotentialParams(1.0), *chart_range_for_support(0.1))
-    return build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_chi=1024)
+        return build_chart(PotentialParams(1.0), *chart_range_for_support(0.1), n_k=64, n_chi=512)
+    return build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=64, n_chi=1024)
 
 
 def test_q_from_chi_matches_per_mode_sum(series_chart):
@@ -301,3 +302,18 @@ def test_q_from_chi_memory_is_blocked(chart):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_wide_chart_memory_is_blocked():
+    # 2,242 kept modes: the monotonicity check's cosine table over all
+    # angles at once peaked at 97 MiB, and pulling the default node set
+    # back 2048 points at a time gathered spline tables of 176 MiB.
+    exp = Experiment(ExperimentConfig(epsilon=100.0, c_s=0.02, n_k=4, n_chi=262144))
+    tracemalloc.start()
+    try:
+        assert exp.chart.modes.size == 2242
+        assert exp.node_set.support_nodes > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

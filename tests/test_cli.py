@@ -122,7 +122,10 @@ def test_bad_override_exit_code(tmp_path):
         ("decay", "samples_per_period=NaN"),
         ("evolve", "evolve_samples=0"),
         ("evolve", "evolve_samples=2.5"),
-        ("evolve", "fd_dt=-5"),
+        ("evolve", "v_quad=128.5"),
+        ("chart", "n_k=64.5"),
+        ("chart", "n_chi=512.0"),
+        ("decay", "grid_points=201.0"),
         ("decay", 'fit_window=[1,"a"]'),
         ("decay", 'fit_window=["5","60"]'),
         ("decay", 'include_control="yes"'),
@@ -370,6 +373,17 @@ def test_decay_fit_failure_exit_code(tmp_path):
         "--set", "samples_per_period=2",
     )
     assert code == 3
+
+
+def test_decay_control_needs_no_fit(tmp_path):
+    # The control reports only its late/early ratio.  On [20, 64] its
+    # period-2*pi envelope has 7 points, too few to fit, while the run's
+    # own envelope has enough.
+    code = run(tmp_path, "decay", "--set", "include_control=true",
+               "--set", "fit_window=[20, 64]")
+    assert code == 0
+    control = json.loads((tmp_path / "decay.json").read_text())["control"]
+    assert sorted(control) == ["decays", "late_early_ratio"]
 
 
 # -- validate ---------------------------------------------------------------

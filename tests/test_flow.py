@@ -6,7 +6,6 @@ import pytest
 
 from phasemix import (
     FlowError,
-    dphi,
     flow_map,
     from_angle_energy,
     orbit_period,
@@ -38,7 +37,8 @@ def _dop853(params, x, v, t):
     n = x.size
 
     def rhs(_, y):
-        return np.concatenate([y[n:], -dphi(params, y[:n])])
+        x = y[:n]
+        return np.concatenate([y[n:], -x - 2.0 * params.epsilon * x**3])
 
     sol = solve_ivp(rhs, (0.0, t), np.concatenate([x, v]), method="DOP853",
                     rtol=1e-12, atol=1e-15)

@@ -1,15 +1,13 @@
 """Velocity moments, potential reconstruction, and the two phi_t routes."""
 
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from phasemix import (
-    ChartRangeError,
     MomentCalculator,
-    build_chart,
     cumulative_from_zero,
     evaluate_f_actionangle,
     spatial_grid,
@@ -257,7 +255,16 @@ def test_long_scan_sup_phi_t_against_long_double():
     assert _sup_phi_t_error(calc, times) <= 1e-10
 
 
-def test_node_set_rejects_chart_short_of_support(params, f0, grid):
-    short = build_chart(params, 0.7, 1.5, n_k=8, n_chi=32)
-    with pytest.raises(ChartRangeError):
-        MomentCalculator(dataclasses.replace(f0, chart=short), grid, n_quad=64)
+def test_series_scan_memory_is_blocked(params, f0):
+    # 4,000 times to t = 4000 at order 408: holding every time's 818 DFT
+    # samples at once peaked at 125 MiB for a 1.6 MiB result.
+    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=64)
+    times = np.linspace(0.0, 4000.0, 4000)
+    assert _order(calc, times) == 408
+    tracemalloc.start()
+    try:
+        calc.current(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

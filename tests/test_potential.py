@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phasemix import PotentialParams, dphi, hamiltonian, invert_phi, phi
+from phasemix import PotentialParams, hamiltonian, invert_phi, phi
 from phasemix.potential import invert_phi_squared
 
 
@@ -15,17 +15,9 @@ def test_phi_values(params):
     assert phi(params, 0.0) == 0.0
 
 
-def test_phi_even_dphi_odd(params):
+def test_phi_even(params):
     x = np.linspace(-3.0, 3.0, 41)
     npt.assert_allclose(phi(params, x), phi(params, -x), rtol=1e-15)
-    npt.assert_allclose(dphi(params, x), -dphi(params, -x), rtol=1e-15)
-
-
-def test_dphi_is_gradient(params):
-    x = np.linspace(-2.0, 2.0, 17)
-    h = 1e-6
-    fd = (phi(params, x + h) - phi(params, x - h)) / (2.0 * h)
-    npt.assert_allclose(dphi(params, x), fd, atol=5e-9)
 
 
 def test_hamiltonian_harmonic(harmonic):

@@ -8,12 +8,14 @@ import pytest
 
 from phasemix import (
     ChartRangeError,
+    InitialData,
     build_chart,
     evaluate_f_actionangle,
     evaluate_f_characteristic,
+    from_action_angle,
     hamiltonian,
-    make_initial_data,
     solution_bar,
+    to_action_angle,
 )
 
 
@@ -91,34 +93,40 @@ def test_solution_bar_translation(chart, f0):
     npt.assert_allclose(shifted, direct, rtol=1e-14)
 
 
-def test_make_initial_data_validation(params, chart):
+def test_make_initial_data_validation(params, chart, f0):
     with pytest.raises(ValueError):
-        make_initial_data(1.5, 0.5, 1, chart)
+        InitialData(1.5, 0.5, 1, chart)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 1.0, 1, chart)
+        InitialData(0.5, 1.0, 1, chart)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 0.5, 0, chart)
-    # Chart too narrow for the annulus.
+        InitialData(0.5, 0.5, 0, chart)
+    # Chart too narrow for the annulus, also when replacing a field.
     narrow = build_chart(params, 0.9, 1.2, n_k=8, n_chi=64)
     with pytest.raises(ValueError):
-        make_initial_data(0.5, 0.5, 1, narrow)
+        InitialData(0.5, 0.5, 1, narrow)
+    with pytest.raises(ValueError):
+        dataclasses.replace(f0, chart=narrow)
 
 
 def test_initial_data_takes_its_potential_from_the_chart(harmonic, chart, f0):
     # The data cannot be paired with a potential other than its chart's.
     assert f0.params is chart.params
     with pytest.raises(TypeError):
-        make_initial_data(0.5, 0.5, 1, harmonic, chart)
+        InitialData(0.5, 0.5, 1, harmonic, chart)
     with pytest.raises(TypeError):
         dataclasses.replace(f0, params=harmonic)
 
 
-def test_annulus_point_outside_chart_raises(params, f0):
+def test_annulus_point_outside_chart_raises(params, chart, f0):
     # A data family whose annulus exceeds the chart range must refuse to
-    # evaluate rather than extrapolate silently.
-    wide = dataclasses.replace(f0, c_s=0.4)
+    # be built, and a point beyond the chart to be charted, rather than
+    # extrapolate silently.
+    with pytest.raises(ValueError):
+        dataclasses.replace(f0, c_s=0.4)
     x_bad = 0.0
     v_bad = np.sqrt(2.0 * 2.3)  # h = 2.3 > chart.k_max = 2.1
-    assert hamiltonian(params, x_bad, v_bad) < 1.0 / wide.c_s
+    assert hamiltonian(params, x_bad, v_bad) < 1.0 / 0.4
     with pytest.raises(ChartRangeError):
-        evaluate_f_actionangle(wide, 0.0, x_bad, v_bad)
+        to_action_angle(chart, x_bad, v_bad)
+    with pytest.raises(ChartRangeError):
+        from_action_angle(chart, 0.0, 2.3)

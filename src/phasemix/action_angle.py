@@ -99,9 +99,10 @@ class ChartRangeError(ValueError):
 # Query points per block in ``_Spline.__call__`` and ``OrbitChart.q_from_chi``:
 # bounds the gathered coefficients (4 x rows x m) and the recurrence's
 # arrays however many points are evaluated, and keeps them in cache.  On a
-# 2-vCPU Xeon the 801 x 512 and 1601 x 1024 node sets build in 129 and
-# 530 ms at 2048, against 150-195 and 581-734 ms at 512-1024 and 133-167
-# and 531-621 ms at 4096-16384; see studies/pullback_block.py.
+# 2-vCPU Xeon the 801 x 512 and 1601 x 1024 node sets (87,195 and 348,873
+# support nodes) build in 71-85 and 270-318 ms at 2048, against 82-114 and
+# 315-418 ms at 512-1024 and 78-94 and 300-406 ms at 4096-16384, best of 3
+# in two runs of studies/pullback_block.py.
 _SPLINE_ROWS = 2048
 # Largest rows x columns of one block: a chart with many modes takes fewer
 # rows, so each gathered table stays under 8 MiB.  At the default's 20

@@ -154,17 +154,21 @@ CHECKS = (
 def run(check, exp: Experiment) -> dict:
     """Run one check into its report entry.
 
-    A crash or a measured value that is not finite is a failed check
-    carrying ``error``, so the entry stays valid JSON.
+    ``margin`` is ``measured / tolerance``, how close the check came to
+    failing; it is ``None`` where either is missing or the tolerance is 0
+    (a check with its own verdict).  A crash or a measured value that is
+    not finite is a failed check carrying ``error``, so the entry stays
+    valid JSON.
     """
     try:
         measured, tolerance, *verdict = check(exp)
     except Exception as exc:
-        return {"name": check.__name__, "tolerance": None, "measured": None, "passed": False,
-                "error": str(exc)}
+        return {"name": check.__name__, "tolerance": None, "measured": None, "margin": None,
+                "passed": False, "error": str(exc)}
     if not np.isfinite(measured):
-        return {"name": check.__name__, "tolerance": tolerance, "measured": None, "passed": False,
-                "error": f"the measured value is not finite: {float(measured)}"}
+        return {"name": check.__name__, "tolerance": tolerance, "measured": None, "margin": None,
+                "passed": False, "error": f"the measured value is not finite: {float(measured)}"}
     passed = verdict[0] if verdict else measured <= tolerance
+    margin = float(measured) / tolerance if tolerance else None
     return {"name": check.__name__, "tolerance": tolerance, "measured": float(measured),
-            "passed": bool(passed)}
+            "margin": margin, "passed": bool(passed)}

@@ -25,6 +25,17 @@ The node set therefore caches the v_max w B-weighted factors of cos(mQ)
 and v sin(mQ) and the phase rates r = m c(K); with z = exp(i r t) the
 density reads Im z and the current Re z.
 
+The potential is even too, so x -> -x maps an orbit onto itself at the
+same energy.  The chart's angle chi = atan2(v / sqrt(2h), sign(x)
+sqrt(Phi / h)) goes to pi - chi, and as the angle series Q(chi) has only
+even modes, Q(pi - chi) = pi - Q(chi), with K and c(K) unchanged.  Then
+cos(m (pi - Q)) = (-1)^m cos(mQ) and v sin(m (pi - Q)) = -(-1)^m v sin(mQ),
+so at -x the density's oscillating part is (-1)^m times, the current
+(-1)^(m+1) times, and the mean density rho_bar equal to, their values at
+x.  So only the distinct |x| of the grid are pulled back, the x >= 0,
+v >= 0 quarter of the nodes, and each grid node reads its row's sums
+with its sign.
+
 The rates lie in one narrow band [r0 - h, r0 + h], and with u = (r - r0)/h
 the Jacobi-Anger expansion (DLMF 10.12.3) gives
 
@@ -63,14 +74,17 @@ __all__ = ["spatial_grid", "MomentCalculator", "cumulative_from_zero"]
 
 
 def spatial_grid(params: PotentialParams, c_s: float, n: int) -> np.ndarray:
-    """Uniform symmetric grid on [-x_max, x_max] with x_max = Phi^{-1}(1/c_s).
+    """Uniform grid on [-x_max, x_max], x_max = Phi^{-1}(1/c_s), antisymmetric.
 
     The node count must be odd, so that x = 0 is a grid node.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("grid needs an odd number of nodes, at least 3")
     x_max = float(invert_phi(params, 1.0 / c_s))
-    return np.linspace(-x_max, x_max, n)
+    # Mirrored, not linspace(-x_max, x_max, n): x_{n-1-i} = -x_i exactly,
+    # so the node set pulls each |x| back once.
+    half = np.linspace(0.0, x_max, n // 2 + 1)
+    return np.concatenate((-half[:0:-1], half))
 
 
 def _simpson_panels(dx21, dx32, f1, f2, f3):
@@ -159,14 +173,17 @@ class MomentCalculator:
 
     Every moment method takes a scalar time, giving one value per grid
     node, or a 1-D array of times, giving one row per time.
-    ``support_nodes`` counts the half nodes inside the support.
+    ``support_nodes`` counts the nodes inside the support in the x >= 0,
+    v >= 0 quarter that is pulled back: one row per distinct |x| of the
+    grid (``abs_x``, ascending, with the support half-width ``v_max``).
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
-        room = f0.h_max - np.asarray(potential_phi(f0.params, self.x))
+        self.abs_x, row_of = np.unique(np.abs(self.x), return_inverse=True)
+        room = f0.h_max - np.asarray(potential_phi(f0.params, self.abs_x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
         nodes, weights = leggauss(n_quad)
         half = n_quad // 2
@@ -174,7 +191,7 @@ class MomentCalculator:
         if n_quad % 2:
             w[0] = weights[half]
         v = self.v_max[:, None] * nodes[half:]
-        inside, q, k = pull_back(f0, self.x[:, None], v)
+        inside, q, k = pull_back(f0, self.abs_x[:, None], v)
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
         self._rate = f0.m * f0.chart.c_of_k(k)
         self.support_nodes = self._rate.size
@@ -182,22 +199,37 @@ class MomentCalculator:
         self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
         self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
-        # The support nodes are stored row by row: one segment per grid
-        # node that has any.
+        # The support nodes are stored row by row: one segment per |x| row
+        # that has any.  ``_grid`` lists the grid nodes on such a row and
+        # ``_gather`` the segment each reads.
         counts = inside.sum(axis=1)
-        self._rows = np.flatnonzero(counts)
-        self._starts = (np.cumsum(counts) - counts)[self._rows]
+        rows = np.flatnonzero(counts)
+        self._starts = (np.cumsum(counts) - counts)[rows]
+        segment = np.full(self.abs_x.size, -1)
+        segment[rows] = np.arange(rows.size)
+        self._grid = np.flatnonzero(segment[row_of] >= 0)
+        self._gather = segment[row_of[self._grid]]
+        # The reflection's signs at x < 0.  (-1)^m comes from the integer m:
+        # a float (-1.0) ** m reads every odd m above 2^53 as even.
+        left = self.x[self._grid] < 0
+        parity = -1.0 if f0.m % 2 else 1.0
+        self._rho_sign = np.where(left, parity, 1.0)
+        self._j_sign = np.where(left, -parity, 1.0)
         self._rho_mean = self._row_sums(weight)
 
-    def _row_sums(self, vals: np.ndarray) -> np.ndarray:
-        """Sum support-node values (last axis) into their grid nodes."""
-        out = np.zeros(vals.shape[:-1] + (self.x.size,))
-        if self._rows.size:
-            out[..., self._rows] = np.add.reduceat(vals, self._starts, axis=-1)
+    def _to_grid(self, sums: np.ndarray, sign=1.0) -> np.ndarray:
+        """Scatter per-segment sums (last axis) to the grid nodes, times ``sign``."""
+        out = np.zeros(sums.shape[:-1] + (self.x.size,), dtype=sums.dtype)
+        out[..., self._grid] = sums[..., self._gather] * sign
         return out
 
-    def _integrate(self, t, amp: np.ndarray, part: str) -> np.ndarray:
-        """Row sums of amp * Re (``part="real"``) or Im exp(i m c t) at each time."""
+    def _row_sums(self, vals: np.ndarray) -> np.ndarray:
+        """Sum support-node values (last axis) into the grid nodes, even in x."""
+        return self._to_grid(np.add.reduceat(vals, self._starts, axis=-1))
+
+    def _integrate(self, t, amp: np.ndarray, part: str, sign: np.ndarray) -> np.ndarray:
+        """Row sums of amp * Re (``part="real"``) or Im exp(i m c t) at each time,
+        times ``sign`` at each grid node."""
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         order = _order(self._h * np.max(np.abs(flat), initial=0.0), flat.size)
@@ -213,9 +245,7 @@ class MomentCalculator:
                 np.add.reduceat(row, self._starts, out=sums[i])
         else:
             sums = self._jacobi_anger(flat, amp, part, order)
-        out = np.zeros((flat.size, self.x.size))
-        out[:, self._rows] = sums
-        return out.reshape(times.shape + (self.x.size,))
+        return self._to_grid(sums, sign).reshape(times.shape + (self.x.size,))
 
     def _jacobi_anger(self, flat: np.ndarray, amp: np.ndarray, part: str, order: int) -> np.ndarray:
         """Re or Im of exp(i r0 t) sum_k a_k(h t) M_k, k < order, per time and row."""
@@ -251,11 +281,11 @@ class MomentCalculator:
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._rho_mean + self._integrate(t, self._rho_amp, "imag")
+        return self._rho_mean + self._integrate(t, self._rho_amp, "imag", self._rho_sign)
 
     def current(self, t) -> np.ndarray:
         """j(t, x) = int v f dv over the exact support interval."""
-        return self._integrate(t, self._j_amp, "real")
+        return self._integrate(t, self._j_amp, "real", self._j_sign)
 
     def potential_of(self, rho: np.ndarray) -> np.ndarray:
         """Potential of a density, value and slope pinned to zero at x = 0."""

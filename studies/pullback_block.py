@@ -40,10 +40,10 @@ DIRECT_CHUNK = 1 << 16
 
 
 def support_points(exp: Experiment, calc: MomentCalculator, n_quad: int):
-    """(chi, K, Q) of the node set's v >= 0 support nodes, pulled back as
-    MomentCalculator pulls them back."""
+    """(chi, K, Q) of the node set's support nodes in the x >= 0, v >= 0
+    quarter, pulled back as MomentCalculator pulls them back."""
     nodes, _ = leggauss(n_quad)
-    x = calc.x[:, None]
+    x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * nodes[n_quad // 2 :]
     inside, q, k = pull_back(exp.f0, x, v)
     chi, _ = action_angle.to_angle_energy(exp.params, np.broadcast_to(x, v.shape)[inside], v[inside])

@@ -8,6 +8,7 @@ import pytest
 from phasemix import checks
 from phasemix.action_angle import OrbitChart
 from phasemix.cli import main
+from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.moments import MomentCalculator
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -27,6 +28,34 @@ def test_check_passes_at_default_config(experiment, check):
     result = checks.run(check, experiment)
     assert result["passed"], result
     assert "error" not in result
+    if result["tolerance"] == 0:
+        # phi_t_route_equivalence's band [3, 5] is its own verdict.
+        assert result["margin"] is None, result
+    else:
+        assert result["margin"] == result["measured"] / result["tolerance"] <= 1.0, result
+
+
+def test_margin_is_null_without_a_measurement(experiment):
+    def crashes(exp):
+        raise ValueError("no measurement")
+
+    def diverges(exp):
+        return float("inf"), 1e-6
+
+    for check in (crashes, diverges):
+        result = checks.run(check, experiment)
+        assert result["measured"] is None and result["margin"] is None, result
+        assert not result["passed"]
+
+
+def test_mass_conservation_measures_the_quadrature_at_even_m():
+    # At odd m the oscillating density is odd in x, on the symmetric Gauss
+    # grid to the last bit, so the check reads rounding alone (2.4e-16 at
+    # m = 1).  At m = 2 it is even, and the check sees the quadrature:
+    # 6.05e-8 against the tolerance 1e-6.
+    result = checks.run(checks.mass_conservation, Experiment(ExperimentConfig(m=2)))
+    assert result["passed"], result
+    assert result["measured"] > 1e-10, result
 
 
 def _count_calls(monkeypatch, cls, counts):

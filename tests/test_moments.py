@@ -1,5 +1,6 @@
 """Velocity moments, potential reconstruction, and the two phi_t routes."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -156,26 +157,42 @@ def test_n_quad_floor(f0, grid):
 
 @pytest.mark.parametrize("t", [0.0, 7.3, 150.0])
 def test_node_set_matches_pointwise_route(params, f0, grid, t):
-    # The cached pull-back of the v >= 0 half must reproduce evaluating
-    # the solution afresh at every velocity node and summing with the
-    # Gauss weights, for an even node count and for odd ones, which have
-    # a centre node v = 0.  The two routes round differently (mirror
-    # pairs folded by a trig identity against one node at a time), so
-    # the bound is relative to the rounding scale of each sum, the
-    # quadrature of |f| and of |f v|.
-    v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, grid)), 0.0, None))
-    for n_quad in (128, 65, 129):
-        calc = MomentCalculator(f0, grid, n_quad=n_quad)
-        nodes, w = np.polynomial.legendre.leggauss(n_quad)
-        v = v_max[:, None] * nodes
-        f = evaluate_f_actionangle(f0, t, grid[:, None], v)
-        rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
-        rho_scale = v_max * (np.abs(f) @ w)
-        j_scale = v_max * (np.abs(f * v) @ w)
-        assert np.all(np.abs(calc.density(t) - rho) <= 1e-14 * rho_scale), n_quad
-        assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), n_quad
-        batch = calc.density(np.array([t, t]))
-        assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), n_quad
+    # The cached pull-back of the x >= 0, v >= 0 quarter must reproduce
+    # evaluating the solution afresh at every grid and velocity node and
+    # summing with the Gauss weights, for an even node count and for odd
+    # ones, which have a centre node v = 0.  The reference pulls (-x, v)
+    # back itself, so it checks the reflection's signs, which depend on the
+    # parity of m, on the symmetric grid and on one with an unpaired node.
+    # The two routes round differently (mirror pairs folded by a trig
+    # identity against one node at a time), so the bound is relative to
+    # the rounding scale of each sum, the quadrature of |f| and of |f v|.
+    a = 0.7 * grid[-1]
+    for m in (1, 2):
+        data = dataclasses.replace(f0, m=m)
+        for x in (grid, np.array([-a, 0.3 * a, a])):
+            v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, x)), 0.0, None))
+            for n_quad in (128, 65, 129):
+                case = (m, x.size, n_quad)
+                calc = MomentCalculator(data, x, n_quad=n_quad)
+                nodes, w = np.polynomial.legendre.leggauss(n_quad)
+                v = v_max[:, None] * nodes
+                f = evaluate_f_actionangle(data, t, x[:, None], v)
+                rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
+                rho_scale = v_max * (np.abs(f) @ w)
+                j_scale = v_max * (np.abs(f * v) @ w)
+                assert np.all(np.abs(calc.density(t) - rho) <= 1e-14 * rho_scale), case
+                assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), case
+                batch = calc.density(np.array([t, t]))
+                assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), case
+
+
+def test_reflection_parity_is_exact_for_huge_odd_m(f0, grid):
+    # m = 2^53 + 1 is odd, but as a float it rounds to the even 2^53.  For
+    # an odd m the current is even in x: (-1)^(m+1) = 1.
+    calc = MomentCalculator(dataclasses.replace(f0, m=2**53 + 1), grid, n_quad=64)
+    j = calc.current(0.0)
+    assert np.any(j != 0.0)
+    npt.assert_array_equal(j[::-1], j)
 
 
 def _order(calc, times):
@@ -186,11 +203,11 @@ def _order(calc, times):
 def _long_double_current(calc, times):
     """The current's row sums with long-double phases, trig and sums."""
     rate = calc._rate.astype(np.longdouble)
-    out = np.zeros((times.size, calc.x.size), dtype=np.longdouble)
+    sums = np.empty((times.size, calc._starts.size), dtype=np.longdouble)
     for i, t in enumerate(times):
         vals = calc._j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
-        out[i, calc._rows] = np.add.reduceat(vals, calc._starts)
-    return out
+        sums[i] = np.add.reduceat(vals, calc._starts)
+    return calc._to_grid(sums, calc._j_sign)
 
 
 def _sup_phi_t_error(calc, times):

@@ -439,14 +439,16 @@ def build_chart(
 
     # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node, a
     # block of angles at a time.  The slope is even and 2*pi-periodic in
-    # chi, so [0, pi] covers it.
+    # chi, so [0, pi] covers it.  einsum, not a BLAS product: a one-off
+    # threaded BLAS call leaves OpenBLAS's other thread spinning after it.
     n_half = min(513, max(65, n_chi // 2 + 1))
     if n_half % 2 == 0:
         n_half += 1
     fine = np.linspace(0.0, np.pi, 4 * n_half)
     kb, rows = (modes * b).T, _block_rows(modes.size)
     for lo in range(0, fine.size, rows):
-        if np.any(1.0 + np.cos(fine[lo : lo + rows, None] * modes) @ kb <= 0):
+        cos = np.cos(fine[lo : lo + rows, None] * modes)
+        if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
             raise ChartError("tabulated angle map is not monotone")
     tail = float(np.max(np.abs(b[:, -1:]), initial=0.0))
     if tail > _TAIL_FLOOR:

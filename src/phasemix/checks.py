@@ -12,14 +12,13 @@ lists them in report order and :func:`run` turns one into its
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
 from .action_angle import build_chart, compute_c, compute_c_prime, from_action_angle
 from .experiment import Experiment
 from .flow import flow_map, orbit_period
 from .mixing import q_fourier_spectrum
-from .moments import spatial_grid
+from .moments import gauss_legendre, spatial_grid
 from .potential import invert_phi, phi as potential_phi
 from .transport import evaluate_f_actionangle, evaluate_f_characteristic
 
@@ -79,7 +78,7 @@ def jacobian_mass_equivalence(exp: Experiment):
     f0 = exp.f0
     calc, x_max, grid_weights = exp.mass_node_set
     mass_xv = x_max * float(calc.density(0.0) @ grid_weights)
-    k_nodes, k_weights = leggauss(128)
+    k_nodes, k_weights = gauss_legendre(128)
     k = 0.5 * (f0.h_min + f0.h_max) + 0.5 * (f0.h_max - f0.h_min) * k_nodes
     integrand = f0.bump(k) / exp.chart.c_of_k(k)
     mass_qk = 2.0 * np.pi * 0.5 * (f0.h_max - f0.h_min) * float(integrand @ k_weights)

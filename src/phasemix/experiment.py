@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .action_angle import (
     OrbitChart,
@@ -28,7 +27,7 @@ from .action_angle import (
     compute_c,
     compute_c_prime,
 )
-from .moments import MomentCalculator, spatial_grid
+from .moments import MomentCalculator, gauss_legendre, spatial_grid
 from .potential import PotentialParams, invert_phi
 from .transport import InitialData
 
@@ -209,7 +208,7 @@ class Experiment:
     @functools.cached_property
     def mass_node_set(self) -> tuple[MomentCalculator, float, np.ndarray]:
         """Moments on a 201-point Gauss grid over [-x_max, x_max], x_max and the weights."""
-        nodes, weights = leggauss(201)
+        nodes, weights = gauss_legendre(201)
         x_max = float(invert_phi(self.params, self.f0.h_max))
         v_quad = self.cfg.v_quad
         calc = self.node_set_on(x_max * nodes, v_quad,

@@ -24,12 +24,11 @@ import time
 import tracemalloc
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from phasemix import action_angle
 from phasemix.cli import load_config
 from phasemix.experiment import Experiment
-from phasemix.moments import MomentCalculator, spatial_grid
+from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
 from phasemix.transport import pull_back
 
 RESOLUTIONS = ((201, 128), (801, 512), (1601, 1024))
@@ -42,7 +41,7 @@ DIRECT_CHUNK = 1 << 16
 def support_points(exp: Experiment, calc: MomentCalculator, n_quad: int):
     """(chi, K, Q) of the node set's support nodes in the x >= 0, v >= 0
     quarter, pulled back as MomentCalculator pulls them back."""
-    nodes, _ = leggauss(n_quad)
+    nodes, _ = gauss_legendre(n_quad)
     x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * nodes[n_quad // 2 :]
     inside, q, k = pull_back(exp.f0, x, v)

@@ -447,6 +447,52 @@ def test_no_scipy_at_runtime(tmp_path, argv):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_validate_burns_no_cpu_off_the_main_thread(tmp_path):
+    # After each threaded BLAS or LAPACK call, OpenBLAS's worker threads
+    # spin for about 0.1 s, so every such call of a run shows up as CPU
+    # time off the main thread.  The child waits out the spin its import
+    # of NumPy starts, then runs validate twice and reports the CPU clock
+    # ticks of its main thread and of all the others over the two runs.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("per-thread CPU times need /proc/self/task")
+    code = (
+        "import os, time\n"
+        "from phasemix.cli import main\n"
+        "def ticks():\n"
+        "    out = {}\n"
+        "    for tid in os.listdir('/proc/self/task'):\n"
+        "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+        "            fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "        out[int(tid)] = int(fields[11]) + int(fields[12])\n"
+        "    return out\n"
+        "def others(t):\n"
+        "    return sum(v for tid, v in t.items() if tid != os.getpid())\n"
+        "prev = None\n"
+        "for _ in range(100):\n"
+        "    now = others(ticks())\n"
+        "    if now == prev:\n"
+        "        break\n"
+        "    prev = now\n"
+        "    time.sleep(0.05)\n"
+        "before = ticks()\n"
+        f"codes = [main(['validate', '--out', {str(tmp_path)!r}]) for _ in range(2)]\n"
+        "after = ticks()\n"
+        "pid = os.getpid()\n"
+        "main_ticks = after[pid] - before[pid]\n"
+        "print(codes, main_ticks, others(after) - others(before))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(phasemix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, main_ticks, other_ticks = proc.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "[0, 0]"
+    assert int(main_ticks) > 0
+    assert 4 * int(other_ticks) < int(main_ticks), proc.stdout.splitlines()[-1]
+
+
 # -- golden artifacts -------------------------------------------------------
 
 

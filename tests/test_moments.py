@@ -14,6 +14,7 @@ from phasemix import (
     spatial_grid,
 )
 from phasemix import moments
+from phasemix.moments import gauss_legendre
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.potential import invert_phi, phi
 
@@ -42,6 +43,48 @@ def test_spatial_grid_shape(params):
     # An even count has no node at x = 0, and the grid keeps the count asked for.
     with pytest.raises(ValueError):
         spatial_grid(params, 0.5, 200)
+
+
+def _legendre_node(n, x0):
+    """The root of P_n next to ``x0`` and its Gauss weight, to 40 digits."""
+    import mpmath
+
+    def legendre(x):
+        prev, p = mpmath.mpf(1), x
+        for j in range(1, n):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        return p, prev
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(20):
+            p, prev = legendre(x)
+            step = p * (x * x - 1) / (n * (x * p - prev))
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -35:
+                break
+        p, prev = legendre(x)
+        slope = n * (x * p - prev) / (x * x - 1)
+        return x, 2 / ((1 - x * x) * slope**2)
+
+
+@pytest.mark.parametrize("n", [64, 65, 128, 201, 512])
+def test_gauss_legendre_against_mpmath(n):
+    # The 5 largest nodes and 3 middle ones (0 for odd n).  NumPy's
+    # leggauss misses the weight bound at n = 512 (1.1e-10).
+    import mpmath
+
+    x, w = gauss_legendre(n)
+    assert x.size == w.size == n
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) < 1e-14
+    if n % 2:
+        assert x[n // 2] == 0.0
+    for i in [*range(n - 5, n), n // 2 - 1, n // 2, n // 2 + 1]:
+        node, weight = _legendre_node(n, x[i])
+        assert abs(x[i] - node) < 2.5e-16, i
+        assert abs(mpmath.mpf(w[i]) / weight - 1) < 1e-11, i
 
 
 def test_cumulative_from_zero_polynomial():
@@ -163,7 +206,8 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
     # ones, which have a centre node v = 0.  The reference pulls (-x, v)
     # back itself, so it checks the reflection's signs, which depend on the
     # parity of m, on the symmetric grid and on one with an unpaired node.
-    # The two routes round differently (mirror pairs folded by a trig
+    # Both routes take the package's Gauss rule, so this checks how the
+    # node set is assembled.  The two routes round differently (mirror pairs folded by a trig
     # identity against one node at a time), so the bound is relative to
     # the rounding scale of each sum, the quadrature of |f| and of |f v|.
     a = 0.7 * grid[-1]
@@ -174,7 +218,7 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
             for n_quad in (128, 65, 129):
                 case = (m, x.size, n_quad)
                 calc = MomentCalculator(data, x, n_quad=n_quad)
-                nodes, w = np.polynomial.legendre.leggauss(n_quad)
+                nodes, w = gauss_legendre(n_quad)
                 v = v_max[:, None] * nodes
                 f = evaluate_f_actionangle(data, t, x[:, None], v)
                 rho, j = v_max * (f @ w), v_max * ((f * v) @ w)

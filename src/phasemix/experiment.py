@@ -35,12 +35,17 @@ __all__ = ["ConfigError", "ResolutionError", "ExperimentConfig", "Experiment"]
 
 # Bounds on the work one config may ask for.  The resolved t_max = 2000
 # run (1601 grid points x 1024 velocity nodes, 17 samples per period:
-# 6,188 times, 9.9 M scan values) fits each; building its node set raises
-# the peak RSS to about 100 MiB, about 40 bytes per grid point and velocity
-# node (61 MiB traced by tracemalloc, 0.5-0.6 s on a 2-vCPU Xeon).
+# 6,188 times) fits each.  Its node set pulls back only the x >= 0, v >= 0
+# quarter of the 1.6 M velocity nodes (348,873 support nodes): 28 MiB
+# traced by tracemalloc, about 18 bytes per grid point and velocity node,
+# a process peak RSS of 59 MiB and 0.2 s on a 2-vCPU Xeon.  Its decay scan
+# streams blocks of times and raises neither (1.0 s, 15 MiB traced), so
+# MAX_SCAN bounds the scan's work, not its memory: each time costs about
+# P multiply-adds per x >= 0 grid row (P = 221 there), or trig at every
+# support node.
 MAX_CHART_CELLS = 2**20   # n_k * n_chi, the chart's energy-angle table
 MAX_NODES = 2**22         # grid_points * v_quad, the velocity nodes of the node set
-MAX_SCAN = 2**24          # decay times * grid_points, the moment values of the scan
+MAX_SCAN = 2**24          # decay times * grid_points, the work of the scan
 MAX_EVOLVE_ROWS = 2**20   # evolve_samples * grid_points, the rows of evolve.csv
 
 
@@ -111,8 +116,9 @@ class ExperimentConfig:
             raise ConfigError("c_s must lie in (0, 1)")
         if _overflows(self.epsilon, self.c_s):
             raise ConfigError("epsilon and c_s overflow the potential over the chart's energy range")
-        if not 0 <= self.alpha < 1:
-            raise ConfigError("alpha must lie in [0, 1)")
+        # At alpha = 0 the data has no mode m, so validate could never pass.
+        if not 0 < self.alpha < 1:
+            raise ConfigError("alpha must lie in (0, 1)")
         if not _is_int(self.m) or self.m < 1:
             raise ConfigError("m must be an integer >= 1")
         if self.m > sys.float_info.max:

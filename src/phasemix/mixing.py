@@ -57,14 +57,14 @@ def sup_phi_t(calc: MomentCalculator, times) -> tuple[np.ndarray, np.ndarray]:
 
     The sup is taken on the compact grid: phi_t is affine beyond x_max
     with slope |j(t, 0)|, so the tail sup is attained at the boundary
-    whenever that slope vanishes.
+    whenever that slope vanishes.  Both are streamed from the grid's
+    x >= 0 half (``MomentCalculator.phi_t_sup``), a block of times at a
+    time, so no (times x grid) array is held.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty, strictly increasing 1-D array")
-    j = calc.current(times)
-    sup = np.max(np.abs(calc.phi_t_of(j)), axis=-1)
-    return sup, np.abs(j[:, calc.x.size // 2])
+    return calc.phi_t_sup(times)
 
 
 def fit_decay(

@@ -50,13 +50,25 @@ the Jacobi-Anger expansion (DLMF 10.12.3) gives
 
 eps_0 = 1 and eps_k = 2 after.  As |J_k(z)| <= (z/2)^k / k!, the first P
 terms reach round-off, P the fewest with (z/2)^P / P! < 2^-53 at
-z = h max|t|.  A call with more than P times builds the Chebyshev moments
-M_k, the row sums of amp T_k(u), once, then costs a P-term sum per time
-and row, and rounds the phase r0 t once per time, not once per node: that
-matters, as sup|phi_t| is about 1e-5 of the node amplitudes.  The times
-are summed a block at a time, so the coefficients a_k(h t) of all times
-are never held at once.  A call with at most P times takes one sin
+z = h max|t|.  A call takes the series where its estimated work is the
+smaller (``_series_order``), and never with at most P times: it builds the
+Chebyshev moments M_k, the row sums of amp T_k(u), once, then costs a
+P-term sum per time and row, and rounds the phase r0 t once per time, not
+once per node: that matters, as sup|phi_t| is about 1e-5 of the node
+amplitudes.  The times are summed a block at a time, so the coefficients
+a_k(h t) of all times are never held at once.  Otherwise it takes one sin
 (density) or cos (current) per half node and time.
+
+The decay scan (``MomentCalculator.phi_t_sup``) never builds the current
+or phi_t on the grid.  phi_t is linear in the current, so the series
+route integrates the moment rows once on the x >= 0 half of the grid,
+Phi_k = int_0^x (M_k - M_k(0)), keeping M_k(0) in the column x = 0,
+where Phi_k is 0; a block of times then sums the Phi_k and M_k(0) with
+their coefficients into phi_t and j(t, 0) on the half rows, and keeps
+only their maxima.  The trig route integrates a block of times' row
+sums on the half rows instead.  The reflection gives |phi_t(-x)| =
+|phi_t(x)|: for odd m the current is even in x, and for even m it is
+odd, so j(0) = 0.
 
 The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
 derivative is computed both by the reconstruction formula
@@ -191,10 +203,25 @@ def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Complex DFT samples per block of times in the series scan: its arrays
-# stay near 1 MiB however many times a call takes, and the default
-# 292-time scan (88 samples per time) is one block.
+# Complex DFT samples (or row sums, on the trig route of the sup scan) per
+# block of times: a scan's arrays stay near 1 MiB however many times a
+# call takes, and the default 292-time scan (88 samples per time) is one
+# block.
 _SCAN_SAMPLES = 2**16
+
+# The work of the two routes, in multiply-adds of the series' product
+# (0.35-0.45 ns each on a 2-vCPU Xeon, NumPy 2.4): one node's cos, product
+# and row sum at one time costs about 45 of them (15-20 ns), one node's
+# step of the Chebyshev recurrence with its row sum about 7 (2.6 ns), and
+# one DFT sample, its share of the exp on theta in [0, pi], of the FFT and
+# of the block's other work, about 150 (50-80 ns for 88 to 2,002 samples).
+# Against both routes timed on the 201 x 128 and 801 x 512 node sets
+# (P = 43 to 1,926; 400 and 3,000 times), the estimate chose the faster
+# route in all 16 cases and came within 35 % of the measured ratio up to
+# P = 790; on 201 x 128 the series stops paying between P = 316 and 790.
+_TRIG_WORK = 45
+_BUILD_WORK = 7
+_SAMPLE_WORK = 150
 
 
 def _order(z: float, cap: int) -> int:
@@ -203,6 +230,21 @@ def _order(z: float, cap: int) -> int:
     while p < cap and z > 0 and p * math.log(0.5 * z) - math.lgamma(p + 1) >= -53 * math.log(2):
         p += 1
     return p
+
+
+def _series_order(z: float, times: int, nodes: int, rows: int) -> int:
+    """The Jacobi-Anger order P that sums ``times`` times at z = h max|t| over
+    ``nodes`` support nodes in ``rows`` rows, or 0 where trig costs less.
+
+    The series builds P moment rows over the nodes once, then takes a DFT of
+    2P + 2 samples and P multiply-adds per row and time; trig takes one cos
+    or sin per node and time.  A call with at most P times always takes trig.
+    """
+    order = _order(z, times)
+    if times <= order:
+        return 0
+    series = _BUILD_WORK * order * nodes + times * (order * rows + _SAMPLE_WORK * (2 * order + 2))
+    return order if series < _TRIG_WORK * times * nodes else 0
 
 
 class MomentCalculator:
@@ -246,13 +288,13 @@ class MomentCalculator:
         self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
         self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
         # The support nodes are stored row by row: one segment per |x| row
-        # that has any.  ``_grid`` lists the grid nodes on such a row and
-        # ``_gather`` the segment each reads.
+        # that has any.  ``_rows`` lists those rows, ``_grid`` the grid nodes
+        # on them and ``_gather`` the segment each reads.
         counts = inside.sum(axis=1)
-        rows = np.flatnonzero(counts)
-        self._starts = (np.cumsum(counts) - counts)[rows]
+        self._rows = np.flatnonzero(counts)
+        self._starts = (np.cumsum(counts) - counts)[self._rows]
         segment = np.full(self.abs_x.size, -1)
-        segment[rows] = np.arange(rows.size)
+        segment[self._rows] = np.arange(self._rows.size)
         self._grid = np.flatnonzero(segment[row_of] >= 0)
         self._gather = segment[row_of[self._grid]]
         # The reflection's signs at x < 0.  (-1)^m comes from the integer m:
@@ -273,57 +315,123 @@ class MomentCalculator:
         """Sum support-node values (last axis) into the grid nodes, even in x."""
         return self._to_grid(np.add.reduceat(vals, self._starts, axis=-1))
 
+    def _series_order(self, flat: np.ndarray) -> int:
+        """The Jacobi-Anger order that sums these times, or 0 for trig."""
+        z = self._h * np.max(np.abs(flat), initial=0.0)
+        return _series_order(z, flat.size, self._rate.size, self._starts.size)
+
+    def _trig_sums(self, flat: np.ndarray, amp: np.ndarray, part: str) -> np.ndarray:
+        """Row sums of amp * cos (``part="real"``) or sin(m c t), one time at a time."""
+        trig = np.cos if part == "real" else np.sin
+        sums = np.empty((flat.size, self._starts.size))
+        row = np.empty(self._rate.size)
+        for i, ti in enumerate(flat):
+            trig(np.multiply(ti, self._rate, out=row), out=row)
+            row *= amp
+            np.add.reduceat(row, self._starts, out=sums[i])
+        return sums
+
     def _integrate(self, t, amp: np.ndarray, part: str, sign: np.ndarray) -> np.ndarray:
         """Row sums of amp * Re (``part="real"``) or Im exp(i m c t) at each time,
         times ``sign`` at each grid node."""
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
-        order = _order(self._h * np.max(np.abs(flat), initial=0.0), flat.size)
-        if flat.size <= order:
-            trig = np.cos if part == "real" else np.sin
+        order = self._series_order(flat)
+        if order:
+            sums = np.empty((flat.size, self._starts.size))
+            for lo, block in self._series(flat, self._moments(amp, order), part):
+                sums[lo : lo + block.shape[0]] = block
+        else:
             # Scattering each time's row sums to the grid at once, not time
             # by time, keeps 0.13 MiB off validate's peak RSS.
-            sums = np.empty((flat.size, self._starts.size))
-            row = np.empty(self._rate.size)
-            for i, ti in enumerate(flat):
-                trig(np.multiply(ti, self._rate, out=row), out=row)
-                row *= amp
-                np.add.reduceat(row, self._starts, out=sums[i])
-        else:
-            sums = self._jacobi_anger(flat, amp, part, order)
+            sums = self._trig_sums(flat, amp, part)
         return self._to_grid(sums, sign).reshape(times.shape + (self.x.size,))
 
-    def _jacobi_anger(self, flat: np.ndarray, amp: np.ndarray, part: str, order: int) -> np.ndarray:
-        """Re or Im of exp(i r0 t) sum_k a_k(h t) M_k, k < order, per time and row."""
+    def _moments(self, amp: np.ndarray, order: int) -> np.ndarray:
+        """The Chebyshev moments M_k, the row sums of amp T_k(u), k < order."""
         # T_k(u) by T_{k+1} = 2u T_k - T_{k-1}, started from T_{-1} = T_1 = u.
         u = (self._rate - self._r0) / self._h if order > 1 else 0.0
+        two_u = 2.0 * u
         moments = np.empty((order, self._starts.size))
-        prev, cur = amp * u, amp
+        prev, cur, spare = amp * u, amp.copy(), np.empty_like(amp)
         for k in range(order):
             np.add.reduceat(cur, self._starts, out=moments[k])
-            prev, cur = cur, 2.0 * u * cur - prev
+            np.multiply(two_u, cur, out=spare)
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+        return moments
+
+    def _series(self, flat: np.ndarray, rows: np.ndarray, part: str):
+        """Re or Im of exp(i r0 t) sum_k a_k(h t) rows_k, k < len(rows), per time
+        and column: yields (index of the first time, values) a block of times
+        at a time."""
+        order = rows.shape[0]
         # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
         # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
         # aliased terms are J_k with k > order + 2, below the truncation.
+        # The samples are even in theta, so only theta in [0, pi] is taken.
         n = 2 * order + 2
-        cos_theta = np.cos(2.0 * np.pi / n * np.arange(n))
-        sums = np.empty((flat.size, self._starts.size))
+        half = order + 2
+        cos_theta = np.cos(2.0 * np.pi / n * np.arange(half))
         block = max(1, _SCAN_SAMPLES // n)
         for lo in range(0, flat.size, block):
             t = flat[lo : lo + block]
-            samples = np.exp(1j * (self._h * t)[:, None] * cos_theta)
+            samples = np.empty((t.size, n), dtype=complex)
+            angle = np.multiply.outer(self._h * t, cos_theta)
+            np.cos(angle, out=samples.real[:, :half])
+            np.sin(angle, out=samples.imag[:, :half])
+            samples[:, half:] = samples[:, half - 2 : 0 : -1]
             coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
             coeffs[:, 1:] *= 2.0
             # a_k is real for even k and imaginary for odd k, so the sum splits
             # into two real products; the DFT's rounding in the other part drops.
-            even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, moments[0::2])
-            odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, moments[1::2])
+            even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, rows[0::2])
+            odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, rows[1::2])
             # r0 t in extended precision, where the platform has it.
             phase = np.longdouble(self._r0) * t
             cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
-            sums[lo : lo + block] = (cos * even - sin * odd if part == "real"
-                                     else sin * even + cos * odd)
-        return sums
+            if part == "real":
+                even *= cos
+                even -= sin * odd
+            else:
+                even *= sin
+                even += cos * odd
+            yield lo, even
+
+    def _phi_t_table(self, sums: np.ndarray) -> np.ndarray:
+        """int_0^x (s - s(0)) on the x >= 0 half of the grid for row sums s
+        (last axis), with s(0) in place of the integral's 0 at x = 0."""
+        values = np.zeros(sums.shape[:-1] + (self.abs_x.size,))
+        values[..., self._rows] = sums
+        table = _cumulative_simpson(values - values[..., :1], self.abs_x)
+        table[..., 0] = values[..., 0]
+        return table
+
+    def phi_t_sup(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sup_x |phi_t| and |j(t, 0)| at each time, from the x >= 0 half alone.
+
+        Streams blocks of times, so no (times x grid) array is held (see the
+        module docstring).  Needs a grid mirrored about x = 0, as
+        ``spatial_grid`` builds.  For even m the full-grid route's j(0) is
+        rounding, not 0, and moves its sup by about 1e-15 relative.
+        """
+        i0 = self.x.size // 2
+        if not np.array_equal(self.x[i0:], -self.x[i0::-1]):
+            raise ValueError("the grid must be mirrored about x = 0 at its central node")
+        flat = np.asarray(times, dtype=float).reshape(-1)
+        order, amp = self._series_order(flat), self._j_amp
+        if order:
+            blocks = self._series(flat, self._phi_t_table(self._moments(amp, order)), "real")
+        else:
+            step = max(1, _SCAN_SAMPLES // self.abs_x.size)
+            blocks = ((lo, self._phi_t_table(self._trig_sums(flat[lo : lo + step], amp, "real")))
+                      for lo in range(0, flat.size, step))
+        sup, tail = np.empty(flat.size), np.empty(flat.size)
+        for lo, block in blocks:
+            hi = lo + block.shape[0]
+            tail[lo:hi] = np.abs(block[:, 0])
+            sup[lo:hi] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)
+        return sup, tail
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""

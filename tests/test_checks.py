@@ -1,5 +1,6 @@
 """The validate invariants, called directly and through the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -46,6 +47,20 @@ def test_margin_is_null_without_a_measurement(experiment):
         result = checks.run(check, experiment)
         assert result["measured"] is None and result["margin"] is None, result
         assert not result["passed"]
+
+
+def test_unmodulated_datum_fails_the_mode_checks(experiment):
+    # The config rejects alpha = 0, yet data with no mode m must still fail
+    # these two checks with an error, not crash: both phi_t routes are 0, so
+    # their gap ratio is not finite, and mode m of the spectrum has no phase.
+    exp = Experiment(experiment.cfg)
+    exp.f0 = dataclasses.replace(experiment.f0, alpha=0.0)
+    route = checks.run(checks.phi_t_route_equivalence, exp)
+    spectrum = checks.run(checks.spectrum_translation, exp)
+    assert not route["passed"] and route["measured"] is None
+    assert "not finite: inf" in route["error"]
+    assert not spectrum["passed"] and spectrum["measured"] is None
+    assert "phase is undefined" in spectrum["error"]
 
 
 def test_mass_conservation_measures_the_quadrature_at_even_m():

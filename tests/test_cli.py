@@ -37,6 +37,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig(c_s=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=1.0)
+    with pytest.raises(ConfigError, match="alpha"):
+        ExperimentConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(fit_window=(50.0, 20.0))
 
@@ -55,7 +57,7 @@ def valid_configs(draw):
     return ExperimentConfig(
         epsilon=draw(st.floats(0.0, 100.0)),
         c_s=draw(st.floats(0.02, 0.95)),
-        alpha=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         m=draw(n(1, 16)),
         n_k=draw(n(4, 1024)),
         n_chi=2 * draw(n(4, 512)),
@@ -118,6 +120,7 @@ def test_bad_override_exit_code(tmp_path):
         ("evolve", "epsilon=NaN"),
         ("evolve", "c_s=NaN"),
         ("evolve", "alpha=NaN"),
+        ("validate", "alpha=0"),
         ("decay", "t_max=Infinity"),
         ("decay", "samples_per_period=NaN"),
         ("evolve", "evolve_samples=0"),
@@ -316,17 +319,13 @@ def test_validate_records_an_unresolved_support(tmp_path):
     assert "no node of the 801-point grid x 512 velocity nodes" in route["error"]
 
 
-def test_validate_records_an_unmodulated_datum(tmp_path):
-    # At alpha = 0 the data has no mode m: both phi_t routes are 0, so
-    # their gap ratio is not finite, and the spectrum's mode m has no phase.
-    assert run(tmp_path, "validate", "--set", "alpha=0") == 1
-    checks = _strict_checks(tmp_path / "validate.json")
-    failed = {name for name, c in checks.items() if not c["passed"]}
-    assert failed == {"phi_t_route_equivalence", "spectrum_translation"}
-    for name in failed:
-        assert checks[name]["measured"] is None
-    assert "not finite: inf" in checks["phi_t_route_equivalence"]["error"]
-    assert "phase is undefined" in checks["spectrum_translation"]["error"]
+def test_validate_records_an_unmodulated_datum(tmp_path, capsys):
+    # At alpha = 0 the data has no mode m: both phi_t routes would be 0 and
+    # the spectrum's mode m would have no phase, so validate could never
+    # pass.  The config is rejected before anything is built.
+    assert run(tmp_path, "validate", "--set", "alpha=0") == 2
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # -- decay ------------------------------------------------------------------

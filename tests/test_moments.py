@@ -16,6 +16,7 @@ from phasemix import (
 from phasemix import moments
 from phasemix.moments import gauss_legendre
 from phasemix.experiment import Experiment, ExperimentConfig
+from phasemix.mixing import sup_phi_t
 from phasemix.potential import invert_phi, phi
 
 
@@ -255,9 +256,10 @@ def _long_double_current(calc, times):
 
 
 def _sup_phi_t_error(calc, times):
-    """Largest relative error of sup_x |phi_t| at any time against long-double sums."""
+    """Largest relative error of the shipped sup_x |phi_t| at any time against
+    the full-grid route on long-double sums."""
     ref = calc.phi_t_of(_long_double_current(calc, times).astype(float))
-    sup = np.max(np.abs(calc.phi_t_of(calc.current(times))), axis=-1)
+    sup, _ = sup_phi_t(calc, times)
     sup_ref = np.max(np.abs(ref), axis=-1)
     return float(np.max(np.abs(sup - sup_ref) / sup_ref))
 
@@ -282,7 +284,7 @@ def test_default_scan_stays_near_exact_trig(default_scan):
     # scale of its sum, the quadrature of |amplitude|; the phase rounding
     # eps * m c t alone is about 2.5e-14 at t = 200.
     calc, times = default_scan
-    assert _order(calc, times) < times.size
+    assert calc._series_order(times) == _order(calc, times) == 43
     for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
         moment = getattr(calc, name)
         exact = np.array([moment(t) for t in times])
@@ -294,7 +296,7 @@ def test_harmonic_scan_is_one_term(harmonic_f0, grid):
     # At eps = 0 every node turns at the same rate: h = 0, one term.
     calc = MomentCalculator(harmonic_f0, grid, n_quad=128)
     times = np.linspace(0.0, 200.0, 41)
-    assert calc._h == 0.0 and _order(calc, times) == 1
+    assert calc._h == 0.0 and calc._series_order(times) == 1
     bound = 1e-13 * calc._row_sums(np.abs(calc._j_amp))
     exact = np.array([calc.current(t) for t in times])
     assert np.all(np.abs(calc.current(times) - exact) <= bound)
@@ -312,16 +314,17 @@ def test_long_scan_sup_phi_t_against_long_double():
     # exact trig errs by 1.1e-9.
     exp = Experiment(ExperimentConfig(v_quad=512, t_max=1000.0, fit_window=(20.0, 1000.0)))
     calc, times = exp.node_set, exp.times[-128:]
-    assert _order(calc, times) < times.size
+    assert calc._series_order(times) == _order(calc, times) > 0
     assert _sup_phi_t_error(calc, times) <= 1e-10
 
 
 def test_series_scan_memory_is_blocked(params, f0):
-    # 4,000 times to t = 4000 at order 408: holding every time's 818 DFT
-    # samples at once peaked at 125 MiB for a 1.6 MiB result.
-    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=64)
+    # 4,000 times to t = 4000 at order about 410: holding every time's
+    # 2 * order + 2 DFT samples at once peaked at 125 MiB for a 1.6 MiB
+    # result.  The series pays against trig with 512 velocity nodes, not 64.
+    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=512)
     times = np.linspace(0.0, 4000.0, 4000)
-    assert _order(calc, times) == 408
+    assert calc._series_order(times) == 411
     tracemalloc.start()
     try:
         calc.current(times)
@@ -329,3 +332,75 @@ def test_series_scan_memory_is_blocked(params, f0):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _full_grid_sup(calc, times):
+    """sup_x |phi_t| and |j(t, 0)| from the current on the whole grid."""
+    j = calc.current(times)
+    return np.max(np.abs(calc.phi_t_of(j)), axis=-1), np.abs(j[:, calc.x.size // 2])
+
+
+@pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control", "fewer times than P"])
+def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, case):
+    # The streamed sup integrates the moment rows on the x >= 0 half, the
+    # full-grid route each time's current on the whole grid, so the two
+    # round differently, at the scale of the node sums: relative to the
+    # scan's largest sup they agree to about 1e-15.  Relative to each
+    # time's own sup, which falls by 1e3 over the scan, the gap grows to
+    # about 1e-13 (9e-13 at m = 3), with both routes equally far from
+    # long-double sums.  The tail is the same sum, bit for bit.
+    calc, times = experiment.node_set, experiment.times
+    if case == "m = 2":
+        calc = MomentCalculator(dataclasses.replace(experiment.f0, m=2), grid, n_quad=128)
+    elif case == "eps = 0 control":
+        calc, times = harmonic_experiment.node_set, harmonic_experiment.times
+    elif case == "fewer times than P":
+        times = np.array([3.0, 17.5, 42.0, 99.9, 150.0])
+    route = {"m = 1": 43, "m = 2": 65, "eps = 0 control": 1, "fewer times than P": 0}
+    assert calc._series_order(times) == route[case]
+    sup, tail = sup_phi_t(calc, times)
+    ref_sup, ref_tail = _full_grid_sup(calc, times)
+    assert np.max(np.abs(sup - ref_sup)) <= 1e-13 * np.max(ref_sup)
+    assert np.array_equal(tail, ref_tail)
+
+
+def test_streamed_scan_needs_a_mirrored_grid(f0):
+    calc = MomentCalculator(f0, np.linspace(-1.0, 1.0, 11) + 1e-3, n_quad=64)
+    with pytest.raises(ValueError, match="mirrored"):
+        sup_phi_t(calc, np.array([1.0, 2.0]))
+
+
+def test_streamed_scan_memory(params, f0):
+    # The 1,456-time t_max = 1000 scan at 201 x 128, order 124: the
+    # full-grid route held every time's current and phi_t with their
+    # Simpson temporaries at once (12.2 MiB traced); the stream holds one
+    # block of times (3.9 MiB).
+    exp = Experiment(ExperimentConfig(t_max=1000.0, fit_window=(20.0, 1000.0)))
+    calc, times = exp.node_set, exp.times
+    assert times.size == 1456 and calc._series_order(times) == 124
+    tracemalloc.start()
+    try:
+        sup_phi_t(calc, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_route_by_work(default_scan):
+    # Trig wherever it costs less than the series, not only with at most P
+    # times.  At samples_per_period = 2 to t_max = 200000 (72,798 times,
+    # P = 18,968) the series took 1,552 s; the config is built, not run.
+    calc, times = default_scan
+    assert calc._series_order(times) == 43
+    long = Experiment(ExperimentConfig(samples_per_period=2.0, t_max=200000.0,
+                                       fit_window=(20.0, 200000.0)))
+    calc, times = long.node_set, long.times
+    assert times.size == 72798
+    assert _order(calc, times) == 18968 and calc._series_order(times) == 0
+    # The resolved long scans keep the series.  Their counts (support nodes,
+    # rows, times) are those of the 801 x 1024 and 1601 x 1024 node sets at
+    # 17 samples per period, whose rates span the same band 2h.
+    z = calc._h * 1000.0
+    assert moments._series_order(z, 3094, 174397, 400) == 124
+    assert moments._series_order(2.0 * z, 6188, 348873, 800) == 221

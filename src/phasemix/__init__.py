@@ -24,7 +24,7 @@ from .mixing import (
     sup_phi_t,
     vector_field_norms,
 )
-from .moments import MomentCalculator, cumulative_from_zero, spatial_grid
+from .moments import MomentCalculator, spatial_grid
 from .potential import (
     PotentialParams,
     hamiltonian,

@@ -67,8 +67,7 @@ def load_config(path: str | None, overrides: list[str] | None) -> ExperimentConf
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +120,8 @@ def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
             )
     calc = exp.node_set
     times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    rho, j = calc.density(times), calc.current(times)
     t, x = np.meshgrid(times, calc.x, indexing="ij")
-    columns = (t, x, rho, j, calc.potential_of(rho), calc.phi_t_of(j))
+    columns = (t, x, *calc.fields(times))
     rows = np.column_stack([a.ravel() for a in columns])
     np.savetxt(out / "evolve.csv", rows, fmt="%.17g", delimiter=",",
                header="t,x,rho,j,phi,phi_t", comments="")

@@ -59,24 +59,18 @@ amplitudes.  The times are summed a block at a time, so the coefficients
 a_k(h t) of all times are never held at once.  Otherwise it takes one sin
 (density) or cos (current) per half node and time.
 
-The decay scan (``MomentCalculator.phi_t_sup``) never builds the current
-or phi_t on the grid.  phi_t is linear in the current, so the series
-route integrates the moment rows once on the x >= 0 half of the grid,
-Phi_k = int_0^x (M_k - M_k(0)), keeping M_k(0) in the column x = 0,
-where Phi_k is 0; a block of times then sums the Phi_k and M_k(0) with
-their coefficients into phi_t and j(t, 0) on the half rows, and keeps
-only their maxima.  The trig route integrates a block of times' row
-sums on the half rows instead.  The reflection gives |phi_t(-x)| =
-|phi_t(x)|: for odd m the current is even in x, and for even m it is
-odd, so j(0) = 0.
-
-The potential solves -phi'' = rho with phi(0) = phi'(0) = 0; its time
-derivative is computed both by the reconstruction formula
-
-    phi_t(x') = int_0^{x'} (j(y) - j(0)) dy
-
-and by a centered time difference of phi, giving two independent routes
-whose difference converges at O(dt**2).
+Every moment is a linear table of these row sums on the x >= 0 rows,
+reflected to the grid once with its sign.  One generator
+(``MomentCalculator._stream``) picks the route and cuts the times into
+blocks; the series applies the table once to the P moment rows, trig to
+each block's row sums.  The potential phi = -int_0^x int_0^y rho solves
+-phi'' = rho with phi(0) = phi'(0) = 0; its mean part is integrated once,
+and its oscillating part is (-1)^m-signed at -x, as the density's is, and
+so is phi_t(x) = int_0^x (j(y) - j(0)) dy: for odd m the current is even
+in x, and for even m it is odd, so j(0) = 0.  The decay scan
+(``phi_t_sup``) keeps only each block's maximum over the half rows and
+j(t, 0).  A centered time difference of phi is a second, independent
+phi_t route, whose gap from the first converges at O(dt**2).
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ import numpy as np
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
-__all__ = ["gauss_legendre", "spatial_grid", "MomentCalculator", "cumulative_from_zero"]
+__all__ = ["gauss_legendre", "spatial_grid", "MomentCalculator"]
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,29 +178,9 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral int_0^{x_i} y dx on a symmetric grid containing 0.
-
-    Composite Simpson on each half, anchored at the central node; ``y``
-    may carry leading batch axes, integrated along its last axis.
-    """
-    n = x.size
-    i0 = n // 2
-    if abs(x[i0]) > 1e-12 * (abs(x[-1]) + 1.0):
-        raise ValueError("grid must contain x = 0 at its central node")
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    out[..., i0:] = _cumulative_simpson(y[..., i0:], x[i0:])
-    # int_0^{x'} y dx = -int_0^{-x'} y(-u) du for x' < 0
-    left = _cumulative_simpson(y[..., i0::-1], -x[i0::-1])
-    out[..., : i0 + 1] = -left[..., ::-1]
-    return out
-
-
-# Complex DFT samples (or row sums, on the trig route of the sup scan) per
-# block of times: a scan's arrays stay near 1 MiB however many times a
-# call takes, and the default 292-time scan (88 samples per time) is one
-# block.
+# Complex DFT samples (series) or abs_x row sums (trig) per block of times:
+# a stream's arrays stay near 1 MiB however many times a call takes, and
+# the default 292-time scan (88 samples per time) is one block.
 _SCAN_SAMPLES = 2**16
 
 # The work of the two routes, in multiply-adds of the series' product
@@ -254,23 +228,24 @@ class MomentCalculator:
     ----------
     f0 : the initial data, which fixes the potential, the support and the
         chart.
-    x : the spatial grid.  The cumulative integrals (``potential_of``,
-        ``phi_t_*``) need a symmetric grid with x = 0 at its central node;
-        ``density`` and ``current`` take any points.
+    x : the spatial grid.  ``density`` and ``current`` take any points; the
+        integrals from x = 0 need it mirrored about x = 0 at its central
+        node, as ``spatial_grid`` builds.
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
-    node, or a 1-D array of times, giving one row per time.
-    ``support_nodes`` counts the nodes inside the support in the x >= 0,
-    v >= 0 quarter that is pulled back: one row per distinct |x| of the
-    grid (``abs_x``, ascending, with the support half-width ``v_max``).
+    node, or a 1-D array of times, giving one row per time: one stream of
+    an amplitude's row sums, its table on the rows of the distinct |x| of
+    the grid (``abs_x``, ascending, with the support half-width ``v_max``),
+    and one reflection to the grid.  ``support_nodes`` counts the nodes
+    inside the support in the x >= 0, v >= 0 quarter that is pulled back.
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.abs_x, row_of = np.unique(np.abs(self.x), return_inverse=True)
+        self.abs_x, self._row_of = np.unique(np.abs(self.x), return_inverse=True)
         room = f0.h_max - np.asarray(potential_phi(f0.params, self.abs_x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
         nodes, weights = gauss_legendre(n_quad)
@@ -288,32 +263,29 @@ class MomentCalculator:
         self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
         self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
         # The support nodes are stored row by row: one segment per |x| row
-        # that has any.  ``_rows`` lists those rows, ``_grid`` the grid nodes
-        # on them and ``_gather`` the segment each reads.
+        # that has any, the rows listed in ``_rows``; rows with none sum to 0.
         counts = inside.sum(axis=1)
         self._rows = np.flatnonzero(counts)
         self._starts = (np.cumsum(counts) - counts)[self._rows]
-        segment = np.full(self.abs_x.size, -1)
-        segment[self._rows] = np.arange(self._rows.size)
-        self._grid = np.flatnonzero(segment[row_of] >= 0)
-        self._gather = segment[row_of[self._grid]]
-        # The reflection's signs at x < 0.  (-1)^m comes from the integer m:
-        # a float (-1.0) ** m reads every odd m above 2^53 as even.
-        left = self.x[self._grid] < 0
+        # The reflection's signs at x < 0: (-1)^m for the density, the
+        # potential and phi_t, -(-1)^m for the current.  (-1)^m comes from the
+        # integer m: a float (-1.0) ** m reads every odd m above 2^53 as even.
+        left = self.x < 0
         parity = -1.0 if f0.m % 2 else 1.0
         self._rho_sign = np.where(left, parity, 1.0)
         self._j_sign = np.where(left, -parity, 1.0)
-        self._rho_mean = self._row_sums(weight)
+        # The time-independent means of rho and phi, both even in x.
+        rho_bar = np.zeros(self.abs_x.size)
+        rho_bar[self._rows] = np.add.reduceat(weight, self._starts)
+        self._rho_mean = self._to_grid(rho_bar)
+        self._phi_mean = self._to_grid(self._phi_table(rho_bar))
 
-    def _to_grid(self, sums: np.ndarray, sign=1.0) -> np.ndarray:
-        """Scatter per-segment sums (last axis) to the grid nodes, times ``sign``."""
-        out = np.zeros(sums.shape[:-1] + (self.x.size,), dtype=sums.dtype)
-        out[..., self._grid] = sums[..., self._gather] * sign
-        return out
-
-    def _row_sums(self, vals: np.ndarray) -> np.ndarray:
-        """Sum support-node values (last axis) into the grid nodes, even in x."""
-        return self._to_grid(np.add.reduceat(vals, self._starts, axis=-1))
+    def _to_grid(self, rows: np.ndarray, sign=1.0, mean=None) -> np.ndarray:
+        """abs_x rows (last axis) reflected to the grid, times ``sign``, plus ``mean``."""
+        # take, not rows[..., row_of], whose result is not C-contiguous: a
+        # BLAS dot over it sums in another order.
+        grid = np.take(rows, self._row_of, axis=-1) * sign
+        return grid if mean is None else mean + grid
 
     def _series_order(self, flat: np.ndarray) -> int:
         """The Jacobi-Anger order that sums these times, or 0 for trig."""
@@ -321,61 +293,52 @@ class MomentCalculator:
         return _series_order(z, flat.size, self._rate.size, self._starts.size)
 
     def _trig_sums(self, flat: np.ndarray, amp: np.ndarray, part: str) -> np.ndarray:
-        """Row sums of amp * cos (``part="real"``) or sin(m c t), one time at a time."""
+        """abs_x row sums of amp * cos (``part="real"``) or sin(m c t), one time at a time."""
         trig = np.cos if part == "real" else np.sin
-        sums = np.empty((flat.size, self._starts.size))
+        sums = np.zeros((flat.size, self.abs_x.size))
         row = np.empty(self._rate.size)
         for i, ti in enumerate(flat):
             trig(np.multiply(ti, self._rate, out=row), out=row)
             row *= amp
-            np.add.reduceat(row, self._starts, out=sums[i])
+            sums[i, self._rows] = np.add.reduceat(row, self._starts)
         return sums
 
-    def _integrate(self, t, amp: np.ndarray, part: str, sign: np.ndarray) -> np.ndarray:
-        """Row sums of amp * Re (``part="real"``) or Im exp(i m c t) at each time,
-        times ``sign`` at each grid node."""
-        times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        order = self._series_order(flat)
-        if order:
-            sums = np.empty((flat.size, self._starts.size))
-            for lo, block in self._series(flat, self._moments(amp, order), part):
-                sums[lo : lo + block.shape[0]] = block
-        else:
-            # Scattering each time's row sums to the grid at once, not time
-            # by time, keeps 0.13 MiB off validate's peak RSS.
-            sums = self._trig_sums(flat, amp, part)
-        return self._to_grid(sums, sign).reshape(times.shape + (self.x.size,))
-
     def _moments(self, amp: np.ndarray, order: int) -> np.ndarray:
-        """The Chebyshev moments M_k, the row sums of amp T_k(u), k < order."""
+        """The Chebyshev moments M_k, the abs_x row sums of amp T_k(u), k < order."""
         # T_k(u) by T_{k+1} = 2u T_k - T_{k-1}, started from T_{-1} = T_1 = u.
         u = (self._rate - self._r0) / self._h if order > 1 else 0.0
         two_u = 2.0 * u
-        moments = np.empty((order, self._starts.size))
+        moments = np.zeros((order, self.abs_x.size))
         prev, cur, spare = amp * u, amp.copy(), np.empty_like(amp)
         for k in range(order):
-            np.add.reduceat(cur, self._starts, out=moments[k])
+            moments[k, self._rows] = np.add.reduceat(cur, self._starts)
             np.multiply(two_u, cur, out=spare)
             spare -= prev
             prev, cur, spare = cur, spare, prev
         return moments
 
-    def _series(self, flat: np.ndarray, rows: np.ndarray, part: str):
-        """Re or Im of exp(i r0 t) sum_k a_k(h t) rows_k, k < len(rows), per time
-        and column: yields (index of the first time, values) a block of times
-        at a time."""
-        order = rows.shape[0]
-        # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
-        # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
-        # aliased terms are J_k with k > order + 2, below the truncation.
-        # The samples are even in theta, so only theta in [0, pi] is taken.
-        n = 2 * order + 2
-        half = order + 2
-        cos_theta = np.cos(2.0 * np.pi / n * np.arange(half))
-        block = max(1, _SCAN_SAMPLES // n)
-        for lo in range(0, flat.size, block):
-            t = flat[lo : lo + block]
+    def _stream(self, flat: np.ndarray, amp: np.ndarray, part: str, table=None):
+        """Yields (index of the first time, values) a block of times at a time:
+        ``table`` of the abs_x row sums of amp * Re (``part="real"``) or Im
+        exp(i m c t).  ``table`` is a linear map along the last axis, the rows
+        themselves by default; the series applies it once to the moment rows,
+        trig to each block's row sums."""
+        table = table or (lambda rows: rows)
+        order = self._series_order(flat)
+        if order:
+            rows = table(self._moments(amp, order))
+            # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
+            # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
+            # aliased terms are J_k with k > order + 2, below the truncation.
+            # The samples are even in theta, so only theta in [0, pi] is taken.
+            n, half = 2 * order + 2, order + 2
+            cos_theta = np.cos(2.0 * np.pi / n * np.arange(half))
+        step = max(1, _SCAN_SAMPLES // (2 * order + 2 if order else self.abs_x.size))
+        for lo in range(0, flat.size, step):
+            t = flat[lo : lo + step]
+            if not order:
+                yield lo, table(self._trig_sums(t, amp, part))
+                continue
             samples = np.empty((t.size, n), dtype=complex)
             angle = np.multiply.outer(self._h * t, cos_theta)
             np.cos(angle, out=samples.real[:, :half])
@@ -398,64 +361,89 @@ class MomentCalculator:
                 even += cos * odd
             yield lo, even
 
-    def _phi_t_table(self, sums: np.ndarray) -> np.ndarray:
-        """int_0^x (s - s(0)) on the x >= 0 half of the grid for row sums s
-        (last axis), with s(0) in place of the integral's 0 at x = 0."""
-        values = np.zeros(sums.shape[:-1] + (self.abs_x.size,))
-        values[..., self._rows] = sums
-        table = _cumulative_simpson(values - values[..., :1], self.abs_x)
-        table[..., 0] = values[..., 0]
-        return table
+    def _stream_rows(self, t, amp: np.ndarray, part: str, table=None) -> np.ndarray:
+        """The stream's values held at once: one abs_x row per time of ``t``."""
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        rows = np.empty((flat.size, self.abs_x.size))
+        for lo, block in self._stream(flat, amp, part, table):
+            rows[lo : lo + block.shape[0]] = block
+        return rows.reshape(times.shape + self.abs_x.shape)
 
-    def phi_t_sup(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sup_x |phi_t| and |j(t, 0)| at each time, from the x >= 0 half alone.
-
-        Streams blocks of times, so no (times x grid) array is held (see the
-        module docstring).  Needs a grid mirrored about x = 0, as
-        ``spatial_grid`` builds.  For even m the full-grid route's j(0) is
-        rounding, not 0, and moves its sup by about 1e-15 relative.
-        """
+    def _require_mirror(self) -> None:
+        """The integrals from x = 0 reflect their x >= 0 rows to x < 0."""
         i0 = self.x.size // 2
         if not np.array_equal(self.x[i0:], -self.x[i0::-1]):
             raise ValueError("the grid must be mirrored about x = 0 at its central node")
-        flat = np.asarray(times, dtype=float).reshape(-1)
-        order, amp = self._series_order(flat), self._j_amp
-        if order:
-            blocks = self._series(flat, self._phi_t_table(self._moments(amp, order)), "real")
-        else:
-            step = max(1, _SCAN_SAMPLES // self.abs_x.size)
-            blocks = ((lo, self._phi_t_table(self._trig_sums(flat[lo : lo + step], amp, "real")))
-                      for lo in range(0, flat.size, step))
-        sup, tail = np.empty(flat.size), np.empty(flat.size)
-        for lo, block in blocks:
-            hi = lo + block.shape[0]
-            tail[lo:hi] = np.abs(block[:, 0])
-            sup[lo:hi] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)
-        return sup, tail
+
+    def _phi_table(self, rows: np.ndarray) -> np.ndarray:
+        """-int_0^x int_0^y of abs_x rows (last axis), on the x >= 0 half."""
+        return _cumulative_simpson(-_cumulative_simpson(rows, self.abs_x), self.abs_x)
+
+    def _phi_t_table(self, rows: np.ndarray) -> np.ndarray:
+        """int_0^x (s - s(0)) of abs_x rows s (last axis) on the x >= 0 half,
+        with s(0) in place of the integral's 0 at x = 0."""
+        table = _cumulative_simpson(rows - rows[..., :1], self.abs_x)
+        table[..., 0] = rows[..., 0]
+        return table
+
+    def _phi_t_rows(self, rows: np.ndarray) -> np.ndarray:
+        """phi_t of abs_x current rows: the table with 0 at x = 0, signed -0.0
+        as the integral over x <= 0 ends there (evolve.csv prints it -0)."""
+        table = self._phi_t_table(rows)
+        table[..., 0] = -0.0
+        return table
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._rho_mean + self._integrate(t, self._rho_amp, "imag", self._rho_sign)
+        return self._to_grid(self._stream_rows(t, self._rho_amp, "imag"), self._rho_sign,
+                             self._rho_mean)
 
     def current(self, t) -> np.ndarray:
         """j(t, x) = int v f dv over the exact support interval."""
-        return self._integrate(t, self._j_amp, "real", self._j_sign)
+        return self._to_grid(self._stream_rows(t, self._j_amp, "real"), self._j_sign)
 
-    def potential_of(self, rho: np.ndarray) -> np.ndarray:
-        """Potential of a density, value and slope pinned to zero at x = 0."""
-        return -cumulative_from_zero(cumulative_from_zero(rho, self.x), self.x)
+    def potential(self, t) -> np.ndarray:
+        """phi(t, x) = -int_0^x int_0^y rho: -phi'' = rho, phi(0) = phi'(0) = 0."""
+        self._require_mirror()
+        rows = self._stream_rows(t, self._rho_amp, "imag", self._phi_table)
+        return self._to_grid(rows, self._rho_sign, self._phi_mean)
 
-    def phi_t_of(self, j: np.ndarray) -> np.ndarray:
-        """phi_t of a current by the reconstruction formula."""
-        return cumulative_from_zero(j - j[..., self.x.size // 2, None], self.x)
+    def phi_t(self, t) -> np.ndarray:
+        """phi_t(t, x) = int_0^x (j(t, y) - j(t, 0)) dy, the reconstruction formula."""
+        self._require_mirror()
+        return self._to_grid(self._stream_rows(t, self._j_amp, "real", self._phi_t_rows),
+                             self._rho_sign)
 
-    def phi_t_reconstruct(self, t) -> np.ndarray:
-        """phi_t on the grid from the current-reconstruction formula."""
-        return self.phi_t_of(self.current(t))
+    def fields(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rho, j, phi, phi_t) from one stream of each amplitude: phi and phi_t
+        apply their tables to the streamed density and current rows."""
+        self._require_mirror()
+        rho = self._stream_rows(t, self._rho_amp, "imag")
+        j = self._stream_rows(t, self._j_amp, "real")
+        return (self._to_grid(rho, self._rho_sign, self._rho_mean),
+                self._to_grid(j, self._j_sign),
+                self._to_grid(self._phi_table(rho), self._rho_sign, self._phi_mean),
+                self._to_grid(self._phi_t_rows(j), self._rho_sign))
 
     def phi_t_fd(self, t: float, dt: float) -> np.ndarray:
         """Centered time difference of phi; independent phi_t route."""
         if not dt > 0:
             raise ValueError("dt must be > 0")
-        ahead, behind = self.potential_of(self.density(np.array([t + dt, t - dt])))
+        ahead, behind = self.potential(np.array([t + dt, t - dt]))
         return (ahead - behind) / (2.0 * dt)
+
+    def phi_t_sup(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sup_x |phi_t| and |j(t, 0)| at each time, from the x >= 0 half alone.
+
+        Reduces each block of the stream to its maxima, so no (times x grid)
+        array is held; |phi_t(-x)| = |phi_t(x)| by the reflection.
+        """
+        self._require_mirror()
+        flat = np.asarray(times, dtype=float).reshape(-1)
+        sup, tail = np.empty(flat.size), np.empty(flat.size)
+        for lo, block in self._stream(flat, self._j_amp, "real", self._phi_t_table):
+            hi = lo + block.shape[0]
+            tail[lo:hi] = np.abs(block[:, 0])
+            sup[lo:hi] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)
+        return sup, tail

@@ -1,24 +1,23 @@
-"""Cost, memory and agreement of the streamed decay scan against the full-grid route.
+"""Cost, memory and agreement of the streamed decay scan against phi_t held on the grid.
 
 ``mixing.sup_phi_t`` streams sup_x |phi_t| and the tail |j(t, 0)| from the
 x >= 0 half of the grid, a block of times at a time
-(``MomentCalculator.phi_t_sup``).  The full-grid route builds the current
-on the whole grid at every time and integrates it there
-(``MomentCalculator.current`` and ``phi_t_of``).  For the decay scan of
-each config this script reports
+(``MomentCalculator.phi_t_sup``).  The grid route holds phi_t and the
+current on the whole grid at every time (``MomentCalculator.phi_t`` and
+``current``), reflected from the same stream's tables.  For the decay scan
+of each config this script reports
 
 * ``ms``: the best in-process wall time of each route over a few repeats;
 * ``MiB``: the ``tracemalloc`` peak of one call of each route;
-* ``dev``: the largest deviation of the streamed sup from the full-grid
-  one, relative to the scan's largest sup, and whether the two tails agree
-  bit for bit.
+* ``dev``: the largest deviation of the streamed sup from the grid one,
+  relative to the scan's largest sup, and whether the two tails agree bit
+  for bit.
 
 Run from the repository root::
 
     PYTHONPATH=src python studies/scan_stream.py [--repeats N] [--set key=value ...]
 
 With ``--set``, only the default config with those overrides is measured.
-The full-grid route of the t_max = 2000 scan peaks at about 0.4 GiB traced.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ CONFIGS = {
 
 
 def full_grid(calc, times):
-    """sup_x |phi_t| and |j(t, 0)| from the current on the whole grid."""
-    j = calc.current(times)
-    return np.max(np.abs(calc.phi_t_of(j)), axis=-1), np.abs(j[:, calc.x.size // 2])
+    """sup_x |phi_t| and |j(t, 0)| from phi_t and the current held on the whole grid."""
+    j0 = calc.current(times)[:, calc.x.size // 2]
+    return np.max(np.abs(calc.phi_t(times)), axis=-1), np.abs(j0)
 
 
 def measure(route, calc, times, repeats):

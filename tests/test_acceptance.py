@@ -216,7 +216,7 @@ def test_criterion_07_phi_t_routes(pipeline):
     calc = MomentCalculator(f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
     ratios = []
     for t in (5.0, 50.0):
-        ref = calc.phi_t_reconstruct(t)
+        ref = calc.phi_t(t)
         errs = [
             float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref)))
             for dt in (2e-3, 1e-3)

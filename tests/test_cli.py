@@ -259,10 +259,47 @@ def test_evolve_csv_holds_the_node_set_moments(tmp_path):
     exp = Experiment(load_config(None, list(EVOLVE_ARGS[2::2])))
     calc = exp.node_set
     times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    rho, j = calc.density(times), calc.current(times)
-    expected = (np.tile(calc.x, times.size), rho, j, calc.potential_of(rho), calc.phi_t_of(j))
+    expected = (np.tile(calc.x, times.size), calc.density(times), calc.current(times),
+                calc.potential(times), calc.phi_t(times))
     for column, moment in zip(rows.T[1:], expected):
         np.testing.assert_array_equal(column, moment.ravel())
+
+
+def test_evolve_csv_potentials_integrate_its_columns(tmp_path):
+    # Independent of the node set: phi = -int_0^x int_0^y rho and
+    # phi_t = int_0^x (j - j(0)) by SciPy's cumulative Simpson of the file's
+    # own rho and j, taken outward from x = 0 on each half of the grid.
+    from scipy.integrate import cumulative_simpson
+
+    assert run(tmp_path, *EVOLVE_ARGS) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    _, x, rho, j, phi, phi_t = rows.T.reshape(6, 3, 51)
+    x, i0 = x[0], 25
+
+    def from_zero(y):
+        right = cumulative_simpson(y[:, i0:], x=x[i0:], initial=0.0)
+        left = cumulative_simpson(y[:, i0::-1], x=-x[i0::-1], initial=0.0)
+        return np.concatenate((-left[:, :0:-1], right), axis=1)
+
+    for got, ref in ((phi, -from_zero(from_zero(rho))), (phi_t, from_zero(j - j[:, i0, None]))):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_evolve_streams_each_amplitude_once(tmp_path, monkeypatch):
+    # phi and phi_t are tables of the density and current rows evolve has
+    # already streamed: two streams, not four.
+    from phasemix.moments import MomentCalculator
+
+    parts = []
+    stream = MomentCalculator._stream
+
+    def counted(self, flat, amp, part, *args):
+        parts.append(part)
+        return stream(self, flat, amp, part, *args)
+
+    monkeypatch.setattr(MomentCalculator, "_stream", counted)
+    assert run(tmp_path, *EVOLVE_ARGS) == 0
+    assert sorted(parts) == ["imag", "real"]
 
 
 def test_evolve_cross_validates(tmp_path):

@@ -7,12 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phasemix import (
-    MomentCalculator,
-    cumulative_from_zero,
-    evaluate_f_actionangle,
-    spatial_grid,
-)
+from phasemix import MomentCalculator, evaluate_f_actionangle, spatial_grid
 from phasemix import moments
 from phasemix.moments import gauss_legendre
 from phasemix.experiment import Experiment, ExperimentConfig
@@ -88,39 +83,78 @@ def test_gauss_legendre_against_mpmath(n):
         assert abs(mpmath.mpf(w[i]) / weight - 1) < 1e-11, i
 
 
+def _from_zero(x, y):
+    """int_0^x y along the last axis by SciPy's cumulative_simpson, taken
+    outward from x = 0 on each half of a grid with x = 0 at its centre."""
+    from scipy.integrate import cumulative_simpson
+
+    i0 = x.size // 2
+    right = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
+    left = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+    return np.concatenate((-left[..., :0:-1], right), axis=-1)
+
+
+def _phi_t_reference(x, j):
+    """phi_t of a current on the whole grid, by the reconstruction formula."""
+    return _from_zero(x, j - j[..., x.size // 2, None])
+
+
+def _half_against_scipy(y, x):
+    """The x >= 0 half's integral from x = 0, checked bit for bit against SciPy."""
+    from scipy.integrate import cumulative_simpson
+
+    got = moments._cumulative_simpson(y, x)
+    assert np.array_equal(got, cumulative_simpson(y, x=x, initial=0.0))
+    return got
+
+
 def test_cumulative_from_zero_polynomial():
-    x = np.linspace(-2.0, 2.0, 401)
+    x = np.linspace(0.0, 2.0, 201)
     # int_0^x 3 y**2 dy = x**3, exact for Simpson.
-    npt.assert_allclose(cumulative_from_zero(3.0 * x**2, x), x**3, atol=1e-13)
+    npt.assert_allclose(_half_against_scipy(3.0 * x**2, x), x**3, atol=1e-13)
 
 
 def test_cumulative_from_zero_smooth():
-    x = np.linspace(-1.0, 1.0, 801)
-    npt.assert_allclose(
-        cumulative_from_zero(np.cos(x), x), np.sin(x), atol=1e-11
-    )
+    x = np.linspace(0.0, 1.0, 401)
+    npt.assert_allclose(_half_against_scipy(np.cos(x), x), np.sin(x), atol=1e-11)
 
 
 @pytest.mark.parametrize("n", [3, 5, 201, 801])
 def test_cumulative_from_zero_matches_scipy(params, n):
-    # Both halves of the grid, each integrated outward from x = 0, equal
-    # SciPy's cumulative_simpson bit for bit.
-    from scipy.integrate import cumulative_simpson
-
-    x = spatial_grid(params, 0.5, n)
-    i0 = x.size // 2
-    y = np.random.default_rng(n).standard_normal((3, x.size))
-    right = cumulative_simpson(y[:, i0:], x=x[i0:], initial=0.0)
-    left = cumulative_simpson(y[:, i0::-1], x=-x[i0::-1], initial=0.0)
-    got = cumulative_from_zero(y, x)
-    assert np.array_equal(got[:, i0:], right)
-    assert np.array_equal(got[:, : i0 + 1], -left[:, ::-1])
+    # The x >= 0 half of the grid, which the potential and phi_t integrate
+    # outward from x = 0 (two nodes at n = 3: the trapezoid).
+    x = spatial_grid(params, 0.5, n)[n // 2 :]
+    _half_against_scipy(np.random.default_rng(n).standard_normal((3, x.size)), x)
 
 
-def test_cumulative_requires_centered_grid():
-    x = np.linspace(0.1, 1.0, 11)
-    with pytest.raises(ValueError):
-        cumulative_from_zero(np.ones_like(x), x)
+def test_cumulative_requires_centered_grid(f0):
+    calc = MomentCalculator(f0, np.linspace(0.1, 1.0, 11), n_quad=64)
+    for moment in (calc.potential, calc.phi_t, calc.fields):
+        with pytest.raises(ValueError, match="mirrored"):
+            moment(1.0)
+
+
+@pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control"])
+def test_reflected_moments_match_scipy(experiment, harmonic_f0, grid, case):
+    # The potential and phi_t integrate the x >= 0 rows and reflect them to
+    # x < 0; SciPy integrates the node set's density and current outward
+    # from x = 0 on each half of the grid.  At one time both take the same
+    # trig row sums, so phi_t, linear in the current alone, is exact where
+    # the current is even in x (odd m).  phi splits off its mean part, for
+    # even m the reference's j(0) is rounding, not 0, and the default scan's
+    # times take the series, which applies the tables to the moment rows.
+    f0 = experiment.f0
+    data = {"m = 1": f0, "m = 2": dataclasses.replace(f0, m=2), "eps = 0 control": harmonic_f0}
+    calc = MomentCalculator(data[case], grid, n_quad=128)
+    for t in (0.0, 7.3, 150.0, experiment.times):
+        phi, phi_t = calc.potential(t), calc.phi_t(t)
+        ref_phi = -_from_zero(grid, _from_zero(grid, calc.density(t)))
+        ref_phi_t = _phi_t_reference(grid, calc.current(t))
+        assert np.max(np.abs(phi - ref_phi)) <= 2e-15 * np.max(np.abs(ref_phi)), (case, t)
+        if case == "m = 2" or np.ndim(t):
+            assert np.max(np.abs(phi_t - ref_phi_t)) <= 2e-15 * np.max(np.abs(ref_phi_t)), (case, t)
+        else:
+            assert np.array_equal(phi_t, ref_phi_t), (case, t)
 
 
 def test_density_even_at_t0(calc, grid):
@@ -167,7 +201,7 @@ def test_current_odd_at_quarter_turn(calc, grid):
 
 
 def test_phi_pinned_at_origin(calc, grid):
-    p = calc.potential_of(calc.density(0.0))
+    p = calc.potential(0.0)
     mid = grid.size // 2
     npt.assert_allclose(p[mid], 0.0, atol=1e-15)
     # -phi'' = rho: check curvature sign near the origin where rho > 0.
@@ -177,7 +211,7 @@ def test_phi_pinned_at_origin(calc, grid):
 def test_phi_t_routes_converge(params, f0):
     calc = MomentCalculator(f0, spatial_grid(params, 0.5, 801), n_quad=512)
     t = 5.0
-    ref = calc.phi_t_reconstruct(t)
+    ref = calc.phi_t(t)
     err = [
         float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref)))
         for dt in (2e-3, 1e-3)
@@ -186,12 +220,15 @@ def test_phi_t_routes_converge(params, f0):
 
 
 def test_series_assembles_everything(calc, grid):
-    # evolve's columns over a schedule: one row per time of each moment.
+    # evolve's columns over a schedule: one row per time of each moment,
+    # from two streams where the moment methods take four.
     times = np.array([0.0, 1.0])
-    rho, j = calc.density(times), calc.current(times)
-    assert rho.shape == j.shape == calc.potential_of(rho).shape == (2, grid.size)
-    npt.assert_allclose(rho[0], calc.density(0.0), atol=1e-14)
-    npt.assert_allclose(calc.phi_t_of(j)[1], calc.phi_t_reconstruct(1.0), atol=1e-14)
+    fields = calc.fields(times)
+    methods = (calc.density, calc.current, calc.potential, calc.phi_t)
+    for field, moment in zip(fields, methods):
+        assert field.shape == (2, grid.size)
+        npt.assert_allclose(field, moment(times), atol=1e-14)
+        npt.assert_allclose(field[1], moment(1.0), atol=1e-14)
 
 
 def test_n_quad_floor(f0, grid):
@@ -245,20 +282,29 @@ def _order(calc, times):
     return moments._order(calc._h * np.max(np.abs(times)), times.size + 1)
 
 
+def _rounding_scale(calc, amp):
+    """The quadrature of |amp| at each grid node, the rounding scale of its sums."""
+    rows = np.zeros(calc.abs_x.size)
+    rows[calc._rows] = np.add.reduceat(np.abs(amp), calc._starts)
+    return calc._to_grid(rows)
+
+
 def _long_double_current(calc, times):
-    """The current's row sums with long-double phases, trig and sums."""
+    """The current on the grid from row sums with long-double phases, trig and
+    sums, reflected to x < 0 with the current's sign."""
     rate = calc._rate.astype(np.longdouble)
-    sums = np.empty((times.size, calc._starts.size), dtype=np.longdouble)
+    rows = np.zeros((times.size, calc.abs_x.size), dtype=np.longdouble)
     for i, t in enumerate(times):
         vals = calc._j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
-        sums[i] = np.add.reduceat(vals, calc._starts)
-    return calc._to_grid(sums, calc._j_sign)
+        rows[i, calc._rows] = np.add.reduceat(vals, calc._starts)
+    _, row_of = np.unique(np.abs(calc.x), return_inverse=True)
+    return rows[:, row_of] * calc._j_sign
 
 
 def _sup_phi_t_error(calc, times):
     """Largest relative error of the shipped sup_x |phi_t| at any time against
-    the full-grid route on long-double sums."""
-    ref = calc.phi_t_of(_long_double_current(calc, times).astype(float))
+    SciPy's integral of the long-double current on the whole grid."""
+    ref = _phi_t_reference(calc.x, _long_double_current(calc, times).astype(float))
     sup, _ = sup_phi_t(calc, times)
     sup_ref = np.max(np.abs(ref), axis=-1)
     return float(np.max(np.abs(sup - sup_ref) / sup_ref))
@@ -288,7 +334,7 @@ def test_default_scan_stays_near_exact_trig(default_scan):
     for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
         moment = getattr(calc, name)
         exact = np.array([moment(t) for t in times])
-        bound = 1e-13 * calc._row_sums(np.abs(amp))
+        bound = 1e-13 * _rounding_scale(calc, amp)
         assert np.all(np.abs(moment(times) - exact) <= bound), name
 
 
@@ -297,7 +343,7 @@ def test_harmonic_scan_is_one_term(harmonic_f0, grid):
     calc = MomentCalculator(harmonic_f0, grid, n_quad=128)
     times = np.linspace(0.0, 200.0, 41)
     assert calc._h == 0.0 and calc._series_order(times) == 1
-    bound = 1e-13 * calc._row_sums(np.abs(calc._j_amp))
+    bound = 1e-13 * _rounding_scale(calc, calc._j_amp)
     exact = np.array([calc.current(t) for t in times])
     assert np.all(np.abs(calc.current(times) - exact) <= bound)
 
@@ -335,15 +381,16 @@ def test_series_scan_memory_is_blocked(params, f0):
 
 
 def _full_grid_sup(calc, times):
-    """sup_x |phi_t| and |j(t, 0)| from the current on the whole grid."""
+    """sup_x |phi_t| and |j(t, 0)| from SciPy's integral of the current on the
+    whole grid."""
     j = calc.current(times)
-    return np.max(np.abs(calc.phi_t_of(j)), axis=-1), np.abs(j[:, calc.x.size // 2])
+    return np.max(np.abs(_phi_t_reference(calc.x, j)), axis=-1), np.abs(j[:, calc.x.size // 2])
 
 
 @pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control", "fewer times than P"])
 def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, case):
     # The streamed sup integrates the moment rows on the x >= 0 half, the
-    # full-grid route each time's current on the whole grid, so the two
+    # reference each time's current on the whole grid, so the two
     # round differently, at the scale of the node sums: relative to the
     # scan's largest sup they agree to about 1e-15.  Relative to each
     # time's own sup, which falls by 1e3 over the scan, the gap grows to

@@ -15,9 +15,16 @@ The per-energy reparametrization dQ/dchi = c/a is a smooth, even,
 2*pi-periodic function of chi, so the chart tabulates its Fourier sine
 antiderivative: Q(chi) = chi + sum_k b_k sin(k chi).  That form is odd,
 spectrally accurate, exactly 2*pi-equivariant, and pins Q(pi/2) = pi/2
-and Q(pi) = pi by symmetry.  Since a depends on chi only through
-cos^2(chi), dQ/dchi is pi-periodic and every odd b_k vanishes; the
-chart keeps only the modes above a floor, which are even.
+and Q(pi) = pi by symmetry.  The rate a, and with it 1/a and the
+integrand of c', depends on chi only through cos^2(chi): each is even
+and pi-periodic.  The chart therefore solves for x**2 once, on the quarter
+orbit chi_j = 2 pi j / n_chi, j = 0, ..., n_chi // 4, evaluates both
+integrands from that one table, and mirrors it (j <-> n_chi/2 - j) onto
+the half period [0, pi).  c and c' are means over the half period, and
+one rfft of length n_chi/2 gives the even modes b_2j; the odd b_k are
+exactly absent, and the chart keeps the even modes above a floor (the
+periodic trapezoid rule on the symmetry-reduced period: L. N. Trefethen
+and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
 Coefficients, c and c' are interpolated across the energy grid by
 not-a-knot cubic splines; the inverse map is solved by Newton iteration
 on the monotone forward series.
@@ -218,6 +225,21 @@ def from_angle_energy(params: PotentialParams, chi, h):
     return np.sign(c) * invert_phi(params, h * c * c), v
 
 
+def _orbit_integrands(params: PotentialParams, cos2, h):
+    """The angular rate a and g = d(1/a)/dh at fixed chi, at the angles
+    with cos^2(chi) = cos2 on energy h, both from one
+    x**2 = Phi^{-1}(h cos2)**2.
+
+    g = (d/dx)(1/a) * dx/dh with dx/dh = cos^2(chi) / Phi'(x); the 1/x
+    factors cancel, leaving a sign-definite integrand that is smooth
+    through x = 0.
+    """
+    eps = params.epsilon
+    xsq = invert_phi_squared(params, h * cos2)
+    root, lin = np.sqrt(1.0 + eps * xsq), 1.0 + 2.0 * eps * xsq
+    return lin / root, cos2 * (3.0 * eps + 2.0 * eps * eps * xsq) / (root * lin**3)
+
+
 def rate_a(params: PotentialParams, chi, h):
     """Angular speed |dchi/dt| = (1 + 2 eps x**2) / sqrt(1 + eps x**2).
 
@@ -229,10 +251,7 @@ def rate_a(params: PotentialParams, chi, h):
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0):
         raise ValueError("energy must be > 0")
-    cos2 = np.cos(chi) ** 2
-    xsq = invert_phi_squared(params, h * cos2)
-    eps = params.epsilon
-    return (1.0 + 2.0 * eps * xsq) / np.sqrt(1.0 + eps * xsq)
+    return _orbit_integrands(params, np.cos(chi) ** 2, h)[0]
 
 
 def _angle_nodes(n_quad: int):
@@ -242,8 +261,10 @@ def _angle_nodes(n_quad: int):
 def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
     """Orbital frequency c(h) = 2*pi / closed-orbit integral of 1/a.
 
-    The integral uses the periodic trapezoid rule on equispaced angles,
-    spectrally accurate for this smooth periodic integrand.
+    The integral uses the periodic trapezoid rule on equispaced angles
+    over the full circle, spectrally accurate for this smooth periodic
+    integrand; ``build_chart`` reduces it by symmetry, and this full-circle
+    rule is its independent reference.
     """
     if n_quad < 16:
         raise ValueError("n_quad must be >= 16")
@@ -252,28 +273,17 @@ def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
     return 1.0 / inv_a.mean(axis=-1)
 
 
-def _c_prime_integrand(params: PotentialParams, chi, h):
-    # d/dh of 1/a at fixed chi: (d/dx)(1/a) * dx/dh with
-    # dx/dh = cos^2(chi) / Phi'(x); the 1/x factors cancel, leaving a
-    # sign-definite integrand that is smooth through x = 0.
-    eps = params.epsilon
-    cos2 = np.cos(chi) ** 2
-    xsq = invert_phi_squared(params, h * cos2)
-    num = 3.0 * eps + 2.0 * eps * eps * xsq
-    den = np.sqrt(1.0 + eps * xsq) * (1.0 + 2.0 * eps * xsq) ** 3
-    return cos2 * num / den
-
-
 def compute_c_prime(params: PotentialParams, h):
     """Frequency derivative c'(h) from the analytic integrand.
 
     c' = c**2 * <cos^2(chi) (3 eps + 2 eps**2 x**2) /
     (sqrt(1 + eps x**2) (1 + 2 eps x**2)**3)>, the periodic-trapezoid
-    average over the orbit; strictly positive for eps > 0 and zero in
-    the isochronous case.
+    average over the full circle; strictly positive for eps > 0 and zero
+    in the isochronous case.
     """
     h = np.asarray(h, dtype=float)
-    g = _c_prime_integrand(params, _angle_nodes(_ORBIT_NODES), h[..., None])
+    cos2 = np.cos(_angle_nodes(_ORBIT_NODES)) ** 2
+    g = _orbit_integrands(params, cos2, h[..., None])[1]
     return compute_c(params, h) ** 2 * g.mean(axis=-1)
 
 
@@ -290,8 +300,9 @@ class OrbitChart:
 
     ``sine_coeffs[i, j]`` holds the coefficient b_k, k = ``modes[j]``, of
     the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
-    modes not listed are below the chart's floor, every mode at eps = 0,
-    where the table is n_k x 0 and Q = chi.  ``delta`` is the
+    modes not listed are the odd ones, which vanish, and the even ones
+    below the chart's floor, every mode at eps = 0, where the table is
+    n_k x 0 and Q = chi.  ``delta`` is the
     measured lower bound of c' over the grid.
     """
 
@@ -313,6 +324,12 @@ class OrbitChart:
     @property
     def k_max(self) -> float:
         return float(self.k_grid[-1])
+
+    @property
+    def last_mode(self) -> float:
+        """Largest magnitude over the grid of the last kept mode, the
+        estimate of the truncated tail; 0 on a chart with no modes."""
+        return float(np.max(np.abs(self.sine_coeffs[:, -1:]), initial=0.0))
 
     def check_range(self, k) -> None:
         k = np.asarray(k, dtype=float)
@@ -400,9 +417,12 @@ def build_chart(
 ) -> OrbitChart:
     """Tabulate c, c' and the angle reparametrization on an energy grid.
 
-    For each grid energy the smooth periodic weight dQ/dchi = c/a is
-    sampled on n_chi equispaced angles; its Fourier antiderivative gives
-    Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
+    For each grid energy, 1/a and the integrand of c' are evaluated on
+    the n_chi // 4 + 1 angles 2 pi j / n_chi of the quarter orbit [0, pi/2]
+    from one x**2 table, and mirrored onto the half period [0, pi), where
+    both repeat.  c and c' are means over it, and one rfft of length
+    n_chi/2 of the smooth periodic weight dQ/dchi = c/a gives the even
+    modes of Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
     dQ/dchi > 0 is verified at every grid energy, and the last kept mode
     must lie below a floor (1e-6), before the chart is returned, or
     :class:`ChartError` is raised.
@@ -415,48 +435,61 @@ def build_chart(
         raise ValueError("n_chi must be an even integer >= 8")
 
     k_grid = np.linspace(k_min, k_max, n_k)
-    chi_nodes = _angle_nodes(n_chi)
-    inv_a = 1.0 / rate_a(params, chi_nodes, k_grid[:, None])
-    mean_inv = inv_a.mean(axis=1)
+    half, quarter = n_chi // 2, n_chi // 4 + 1
+    cos2 = np.cos(_angle_nodes(n_chi)[:quarter]) ** 2
+    a, g = _orbit_integrands(params, cos2, k_grid[:, None])
+    # Angle j of the half period reads quarter-orbit angle min(j, half - j):
+    # one buffer, filled by slicing, holds each mirrored table in turn.
+    period = np.empty((n_k, half))
+
+    def mirrored(table: np.ndarray) -> np.ndarray:
+        period[:, :quarter] = table
+        period[:, quarter:] = table[:, half - quarter : 0 : -1]
+        return period
+
+    c_prime_mean = mirrored(g).mean(axis=1)
+    w = mirrored(1.0 / a)
+    mean_inv = w.mean(axis=1)
     c = 1.0 / mean_inv
-    c_prime = c**2 * _c_prime_integrand(params, chi_nodes, k_grid[:, None]).mean(axis=1)
+    c_prime = c**2 * c_prime_mean
 
     # Fourier antiderivative of w = (1/a) / <1/a>, whose mean is 1 by
-    # construction.  w is even in chi, so the rfft coefficients are real.
-    w = inv_a / mean_inv[:, None]
-    spectrum = rfft(w, axis=1) / n_chi
-    modes = np.arange(1, n_chi // 2 + 1)
+    # construction.  w is even in chi, so the rfft coefficients are real;
+    # its bin j is mode 2j of the full circle.  The half period has a
+    # Nyquist bin, which appears once, only when n_chi is divisible by 4.
+    w /= mean_inv[:, None]
+    spectrum = rfft(w, axis=1) / half
+    modes = 2 * np.arange(1, quarter)
     factor = np.full(modes.shape, 2.0)
-    factor[-1] = 1.0  # Nyquist mode appears once
+    if half % 2 == 0:
+        factor[-1] = 1.0
     b = factor * spectrum[:, 1:].real / modes
     # NaN fails every comparison below, so an overflowed table would pass
     # the mode floor, monotonicity and tail checks unseen.
-    if not all(np.isfinite(a).all() for a in (k_grid, c, c_prime, b)):
+    if not all(np.isfinite(table).all() for table in (k_grid, c, c_prime, b)):
         raise ChartError("chart tables are not finite: the energy range or the potential overflows")
 
     keep = np.max(np.abs(b), axis=0) > _MODE_FLOOR
     modes, b = modes[keep], b[:, keep]
 
     # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node, a
-    # block of angles at a time.  The slope is even and 2*pi-periodic in
-    # chi, so [0, pi] covers it.  einsum, not a BLAS product: a one-off
-    # threaded BLAS call leaves OpenBLAS's other thread spinning after it.
+    # block of angles at a time.  The slope is even and, with only even
+    # modes, pi-periodic, so it is symmetric about pi/2 and [0, pi/2]
+    # covers it: the first half of 4 n_half angles spaced pi / (4 n_half - 1)
+    # over [0, pi], whose other half mirrors onto it.  einsum, not a BLAS
+    # product: a one-off threaded BLAS call leaves OpenBLAS's other thread
+    # spinning after it.
     n_half = min(513, max(65, n_chi // 2 + 1))
     if n_half % 2 == 0:
         n_half += 1
-    fine = np.linspace(0.0, np.pi, 4 * n_half)
+    fine = np.arange(2 * n_half) * (np.pi / (4 * n_half - 1))
     kb, rows = (modes * b).T, _block_rows(modes.size)
     for lo in range(0, fine.size, rows):
         cos = np.cos(fine[lo : lo + rows, None] * modes)
         if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
             raise ChartError("tabulated angle map is not monotone")
-    tail = float(np.max(np.abs(b[:, -1:]), initial=0.0))
-    if tail > _TAIL_FLOOR:
-        raise ChartError(
-            f"angle map truncated: last kept mode {tail:.1e} > {_TAIL_FLOOR:.0e}; raise n_chi"
-        )
 
-    return OrbitChart(
+    chart = OrbitChart(
         params=params,
         k_grid=k_grid,
         c=c,
@@ -468,6 +501,12 @@ def build_chart(
         _cp_spline=_Spline(k_grid, c_prime),
         _b_spline=_Spline(k_grid, b),
     )
+    if chart.last_mode > _TAIL_FLOOR:
+        raise ChartError(
+            f"angle map truncated: last kept mode {chart.last_mode:.1e} > {_TAIL_FLOOR:.0e}; "
+            "raise n_chi"
+        )
+    return chart
 
 
 def to_action_angle(chart: OrbitChart, x, v):

@@ -95,6 +95,8 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
             "k_max": chart.k_max,
             "n_k": cfg.n_k,
             "n_chi": cfg.n_chi,
+            "modes": int(chart.modes.size),
+            "last_mode": chart.last_mode,
             "convergence": {
                 "n_quad": n_quad,
                 "n_quad_doubled": 2 * n_quad,

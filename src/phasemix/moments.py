@@ -75,6 +75,7 @@ phi_t route, whose gap from the first converges at O(dt**2).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,13 +86,15 @@ from .transport import InitialData, pull_back
 __all__ = ["gauss_legendre", "spatial_grid", "MomentCalculator"]
 
 
+@functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton in theta = arccos x on the three-term recurrence finds the n // 2
     roots with theta in (0, pi/2), from Tricomi's estimate; the rule mirrors
     them, so ``x == -x[::-1]`` and ``w == w[::-1]`` hold exactly, and an odd
-    rule's centre node is 0.  O(n^2) work, no linear algebra.
+    rule's centre node is 0.  O(n^2) work, no linear algebra.  Each rule is
+    built once per process and shared: its arrays are read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -122,7 +125,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         # The centre node 0: P_n'(0) = n P_{n-1}(0), and P_{j+1}(0) = -j/(j+1) P_{j-1}(0).
         p0 = math.prod(-j / (j + 1) for j in range(1, n - 1, 2))
         centre_x, centre_w = np.zeros(1), np.array([2.0 / (n * p0) ** 2])
-    return np.concatenate((-x[::-1], centre_x, x)), np.concatenate((w[::-1], centre_w, w))
+    rule = np.concatenate((-x[::-1], centre_x, x)), np.concatenate((w[::-1], centre_w, w))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def spatial_grid(params: PotentialParams, c_s: float, n: int) -> np.ndarray:
@@ -280,8 +286,13 @@ class MomentCalculator:
         self._rho_mean = self._to_grid(rho_bar)
         self._phi_mean = self._to_grid(self._phi_table(rho_bar))
 
-    def _to_grid(self, rows: np.ndarray, sign=1.0, mean=None) -> np.ndarray:
-        """abs_x rows (last axis) reflected to the grid, times ``sign``, plus ``mean``."""
+    def _to_grid(self, rows: np.ndarray, sign=1.0, mean=0.0) -> np.ndarray:
+        """abs_x rows (last axis) reflected to the grid, times ``sign``, plus ``mean``.
+
+        Adding the mean, 0.0 by default, turns a -0.0 into 0.0: a row with no
+        support node reads -0.0 on the series route, and a 0.0 reflected with
+        sign -1 reads -0.0.  ``mean=None`` keeps the sign of a zero.
+        """
         # take, not rows[..., row_of], whose result is not C-contiguous: a
         # BLAS dot over it sums in another order.
         grid = np.take(rows, self._row_of, axis=-1) * sign
@@ -413,7 +424,7 @@ class MomentCalculator:
         """phi_t(t, x) = int_0^x (j(t, y) - j(t, 0)) dy, the reconstruction formula."""
         self._require_mirror()
         return self._to_grid(self._stream_rows(t, self._j_amp, "real", self._phi_t_rows),
-                             self._rho_sign)
+                             self._rho_sign, None)
 
     def fields(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho, j, phi, phi_t) from one stream of each amplitude: phi and phi_t
@@ -424,7 +435,7 @@ class MomentCalculator:
         return (self._to_grid(rho, self._rho_sign, self._rho_mean),
                 self._to_grid(j, self._j_sign),
                 self._to_grid(self._phi_table(rho), self._rho_sign, self._phi_mean),
-                self._to_grid(self._phi_t_rows(j), self._rho_sign))
+                self._to_grid(self._phi_t_rows(j), self._rho_sign, None))
 
     def phi_t_fd(self, t: float, dt: float) -> np.ndarray:
         """Centered time difference of phi; independent phi_t route."""

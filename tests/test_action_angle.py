@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.fft import rfft
 
 from phasemix import (
     ChartError,
@@ -24,7 +25,8 @@ from phasemix import (
     to_action_angle,
     to_angle_energy,
 )
-from phasemix.action_angle import _Spline
+from phasemix import action_angle
+from phasemix.action_angle import _orbit_integrands, _Spline
 from phasemix.experiment import Experiment, ExperimentConfig
 
 
@@ -190,6 +192,56 @@ def test_flow_is_rigid_rotation_in_q(params, chart):
     # Q decreases along the flow: Q(t) = Q(0) - c(K) t.
     drift = (qt - q0 + chart.c_of_k(k0) * t + np.pi) % (2.0 * np.pi) - np.pi
     npt.assert_allclose(drift, 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 100.0])
+@pytest.mark.parametrize("n_chi", [8, 10, 512, 514])
+def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
+    # The chart evaluates the integrands on the quarter orbit and mirrors
+    # them onto [0, pi); here they are evaluated on all n_chi angles.
+    # Eight or ten angles resolve only a nearly harmonic chart, so those
+    # take energies of 1e-4 / max(eps, 1).
+    params = PotentialParams(eps)
+    if n_chi < 16:
+        lo, hi = 0.5e-4 / max(eps, 1.0), 2e-4 / max(eps, 1.0)
+    else:
+        lo, hi = chart_range_for_support(0.5)
+    solved = []
+    original = action_angle.invert_phi_squared
+
+    def counted(p, h):
+        solved.append(np.size(h))
+        return original(p, h)
+
+    monkeypatch.setattr(action_angle, "invert_phi_squared", counted)
+    chart = build_chart(params, lo, hi, n_k=16, n_chi=n_chi)
+    monkeypatch.undo()
+    assert sum(solved) == 16 * (n_chi // 4 + 1)
+
+    # compute_c's full-circle rule, which it refuses below 16 angles.
+    chi = np.arange(n_chi) * (2.0 * np.pi / n_chi)
+    inv_a = 1.0 / rate_a(params, chi, chart.k_grid[:, None])
+    mean_inv = inv_a.mean(axis=1)
+    c = 1.0 / mean_inv
+    if n_chi >= 16:
+        assert np.array_equal(c, compute_c(params, chart.k_grid, n_quad=n_chi))
+    assert np.max(np.abs(chart.c / c - 1.0)) <= 4e-15
+    g = _orbit_integrands(params, np.cos(chi) ** 2, chart.k_grid[:, None])[1]
+    c_prime = c**2 * g.mean(axis=1)
+    assert np.max(np.abs(chart.c_prime - c_prime)) <= 4e-15 * np.max(np.abs(c_prime))
+
+    # Every mode of the full-circle rfft: the kept ones match, the rest lie
+    # below the mode floor.  The rounding scale is that of the weight
+    # (1/a) / <1/a>, whose mean is 1.
+    modes = np.arange(1, n_chi // 2 + 1)
+    factor = np.full(modes.shape, 2.0)
+    factor[-1] = 1.0
+    b = factor * (rfft(inv_a / mean_inv[:, None], axis=1) / n_chi)[:, 1:].real / modes
+    kept = np.zeros_like(b)
+    kept[:, chart.modes - 1] = chart.sine_coeffs
+    assert np.max(np.abs(kept - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
+    assert np.all(chart.modes % 2 == 0)
+    assert (chart.modes.size == 0) == (eps == 0.0)
 
 
 def test_chart_range_check(chart):

@@ -209,7 +209,7 @@ def test_uncreatable_out_dir_exit_code(tmp_path, capsys):
 # -- chart ------------------------------------------------------------------
 
 
-def test_chart_artifacts(tmp_path):
+def test_chart_artifacts(tmp_path, chart):
     assert run(tmp_path, "chart") == 0
     with open(tmp_path / "chart.csv") as fh:
         rows = list(csv.reader(fh))
@@ -220,6 +220,11 @@ def test_chart_artifacts(tmp_path):
     summary = json.loads((tmp_path / "chart_summary.json").read_text())
     assert summary["delta"] > 0
     assert summary["convergence"]["max_rel_change"] < 1e-10
+    # The truncation: the kept modes (2, 4, ..., 40 by default) and the
+    # last one's magnitude, which the chart's 1e-6 tail floor checks.
+    assert summary["modes"] == chart.modes.size == 20
+    assert summary["last_mode"] == chart.last_mode
+    assert 0 < summary["last_mode"] <= 1e-6
 
 
 def test_chart_deterministic(tmp_path):
@@ -283,6 +288,21 @@ def test_evolve_csv_potentials_integrate_its_columns(tmp_path):
 
     for got, ref in ((phi, -from_zero(from_zero(rho))), (phi_t, from_zero(j - j[:, i0, None]))):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("extra", [("evolve_samples=100",), ("m=2",)])
+def test_evolve_csv_has_no_negative_zero_moment(tmp_path, extra):
+    # The grid ends x = +-x_max hold no support node, so rho and j are 0
+    # there: 100 times take the series route, which summed them to -0.0,
+    # and at m = 2 the current's reflection to x < 0 has sign -1.  (phi_t
+    # reads -0 at x = 0, as the integral over x <= 0 ends there.)
+    sets = ("grid_points=51", "v_quad=64", *extra)
+    assert run(tmp_path, "evolve", *(a for kv in sets for a in ("--set", kv))) == 0
+    with open(tmp_path / "evolve.csv") as fh:
+        rows = list(csv.reader(fh))
+    rho, j = rows[0].index("rho"), rows[0].index("j")
+    assert not [r for r in rows[1:] if "-0" in (r[rho], r[j])]
+    assert any(r[j] == "0" for r in rows[1:])
 
 
 def test_evolve_streams_each_amplitude_once(tmp_path, monkeypatch):

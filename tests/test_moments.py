@@ -64,6 +64,16 @@ def _legendre_node(n, x0):
         return x, 2 / ((1 - x * x) * slope**2)
 
 
+def test_gauss_legendre_is_built_once_and_read_only():
+    # validate asks for the 128-node rule twice (velocity nodes, K nodes).
+    x, w = gauss_legendre(128)
+    again = gauss_legendre(128)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [64, 65, 128, 201, 512])
 def test_gauss_legendre_against_mpmath(n):
     # The 5 largest nodes and 3 middle ones (0 for odd n).  NumPy's

@@ -25,9 +25,9 @@ one rfft of length n_chi/2 gives the even modes b_2j; the odd b_k are
 exactly absent, and the chart keeps the even modes above a floor (the
 periodic trapezoid rule on the symmetry-reduced period: L. N. Trefethen
 and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
-Coefficients, c and c' are interpolated across the energy grid by
-not-a-knot cubic splines; the inverse map is solved by Newton iteration
-on the monotone forward series.
+One not-a-knot cubic spline through the stacked columns c, c', b_k
+interpolates the chart across the energy grid; the inverse map is solved
+by Newton iteration on the monotone forward series.
 
 The series is summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
 Tables Aids Comput. 9 (1955) 118) in theta = g chi, g the gcd of the kept
@@ -115,6 +115,8 @@ _SPLINE_ROWS = 2048
 # rows, so each gathered table stays under 8 MiB.  At the default's 20
 # modes it caps none of the block sizes the study sweeps.
 _BLOCK_CELLS = 2**20
+# Columns of the b_k in a chart's energy table, after c and c'.
+_B_COLS = slice(2, None)
 
 
 def _block_rows(columns: int) -> int:
@@ -123,13 +125,13 @@ def _block_rows(columns: int) -> int:
 
 
 class _Spline:
-    """Not-a-knot cubic spline through (x_i, y_i), along y's first axis.
+    """Not-a-knot cubic splines through (x_i, y_ij), one per column j of y.
 
     The arithmetic is SciPy's ``CubicSpline`` operation for operation:
     the tridiagonal system for the node slopes, its elimination without
     pivoting (LAPACK ``gtsv`` pivots nowhere on this matrix), the Hermite
-    coefficients, and the power-sum evaluation of ``PPoly``.  So the two
-    give bit-identical values, which the chart's golden outputs rely on.
+    coefficients, and the power-sum evaluation of ``PPoly``, per column.  So
+    each column equals its ``CubicSpline`` bit for bit, as golden outputs need.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -137,7 +139,7 @@ class _Spline:
         if n < 4:
             raise ValueError("a not-a-knot spline needs at least 4 nodes")
         dx = np.diff(x)
-        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
 
         # The node slopes s solve the tridiagonal system whose row i is
@@ -172,10 +174,12 @@ class _Spline:
         # Interval-i coefficients of d**3, d**2, d and 1, one table each.
         self.coeffs = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
 
-    def __call__(self, xq) -> np.ndarray:
+    def __call__(self, xq, cols) -> np.ndarray:
+        """Columns ``cols`` (an index or a slice) at xq; gathers no other."""
         xq = np.asarray(xq, dtype=float)
         flat = xq.reshape(-1)
-        tail = self.coeffs[0].shape[1:]
+        coeffs = [np.ascontiguousarray(c[:, cols]) for c in self.coeffs]
+        tail = coeffs[0].shape[1:]
         out = np.empty(flat.shape + tail)
         rows = _block_rows(math.prod(tail))
         for lo in range(0, flat.size, rows):
@@ -185,7 +189,7 @@ class _Spline:
             i = np.searchsorted(self.x[1:-1], pts, side="right")
             d = (pts - self.x[i]).reshape(pts.shape + (1,) * len(tail))
             dd = d * d
-            c3, c2, c1, c0 = (np.take(c, i, axis=0) for c in self.coeffs)
+            c3, c2, c1, c0 = (np.take(c, i, axis=0) for c in coeffs)
             # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3,
             # in place on the gathered copies.
             res = out[lo : lo + pts.size]
@@ -300,10 +304,11 @@ class OrbitChart:
 
     ``sine_coeffs[i, j]`` holds the coefficient b_k, k = ``modes[j]``, of
     the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
-    modes not listed are the odd ones, which vanish, and the even ones
-    below the chart's floor, every mode at eps = 0, where the table is
-    n_k x 0 and Q = chi.  ``delta`` is the
-    measured lower bound of c' over the grid.
+    modes not listed are the odd ones, which vanish, and the even ones below
+    the chart's floor, every mode at eps = 0, where the table is n_k x 0 and
+    Q = chi.  ``delta`` is the measured lower bound of c' over the grid.  One
+    spline through the stacked columns c, c', b_k, built from these tables
+    on construction, interpolates all three in energy.
     """
 
     params: PotentialParams
@@ -313,9 +318,11 @@ class OrbitChart:
     sine_coeffs: np.ndarray
     modes: np.ndarray
     delta: float
-    _c_spline: _Spline = field(repr=False)
-    _cp_spline: _Spline = field(repr=False)
-    _b_spline: _Spline = field(repr=False)
+    _table: _Spline = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stacked = np.column_stack((self.c, self.c_prime, self.sine_coeffs))
+        object.__setattr__(self, "_table", _Spline(self.k_grid, stacked))
 
     @property
     def k_min(self) -> float:
@@ -341,12 +348,12 @@ class OrbitChart:
     def c_of_k(self, k):
         """Orbital frequency at energy k (cubic interpolation)."""
         self.check_range(k)
-        return self._c_spline(k)
+        return self._table(k, 0)
 
     def c_prime_of_k(self, k):
         """Frequency derivative at energy k (cubic interpolation)."""
         self.check_range(k)
-        return self._cp_spline(k)
+        return self._table(k, 1)
 
     def _sine_sum(self, chi: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_k b_k sin(k chi) by the module's Clenshaw recurrence; b holds
@@ -380,7 +387,7 @@ class OrbitChart:
         rows = _block_rows(self.modes.size)
         for lo in range(0, q.size, rows):
             block = slice(lo, lo + rows)
-            q[block] = self._sine_sum(chi_f[block], self._b_spline(k_f[block]))
+            q[block] = self._sine_sum(chi_f[block], self._table(k_f[block], _B_COLS))
             q[block] += chi_f[block]
         return q.reshape(chi_b.shape)
 
@@ -394,7 +401,7 @@ class OrbitChart:
         q = np.asarray(q, dtype=float)
         k = np.asarray(k, dtype=float)
         q_b, k_b = np.broadcast_arrays(q, k)
-        b = self._b_spline(k_b)
+        b = self._table(k_b, _B_COLS)
         kb = self.modes * b
         chi = np.array(q_b, dtype=float, copy=True)
         for _ in range(_NEWTON_STEPS):
@@ -497,9 +504,6 @@ def build_chart(
         sine_coeffs=b,
         modes=modes,
         delta=float(c_prime.min()),
-        _c_spline=_Spline(k_grid, c),
-        _cp_spline=_Spline(k_grid, c_prime),
-        _b_spline=_Spline(k_grid, b),
     )
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(

@@ -53,7 +53,7 @@ def direct_error(chart: action_angle.OrbitChart, chi, k, q) -> float:
     worst = 0.0
     for lo in range(0, chi.size, DIRECT_CHUNK):
         c, kk = chi[lo : lo + DIRECT_CHUNK], k[lo : lo + DIRECT_CHUNK]
-        b = chart._b_spline(kk)
+        b = chart._table(kk, action_angle._B_COLS)
         direct = c + np.sum(np.sin(np.multiply.outer(c, chart.modes)) * b, axis=-1)
         scale = 1.0 + np.sum(np.abs(b), axis=-1)
         worst = max(worst, float(np.max(np.abs(q[lo : lo + DIRECT_CHUNK] - direct) / scale)))

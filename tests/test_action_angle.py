@@ -26,7 +26,7 @@ from phasemix import (
     to_angle_energy,
 )
 from phasemix import action_angle
-from phasemix.action_angle import _orbit_integrands, _Spline
+from phasemix.action_angle import _B_COLS, _orbit_integrands
 from phasemix.experiment import Experiment, ExperimentConfig
 
 
@@ -152,7 +152,34 @@ def test_chart_splines_match_scipy(chart):
     assert np.array_equal(chart.c_of_k(ks), CubicSpline(chart.k_grid, chart.c)(ks))
     assert np.array_equal(chart.c_prime_of_k(ks), CubicSpline(chart.k_grid, chart.c_prime)(ks))
     b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(ks)
-    assert np.array_equal(chart._b_spline(ks), b)
+    assert np.array_equal(chart._table(ks, _B_COLS), b)
+
+
+def test_chart_table_follows_replaced_tables(chart):
+    # The energy table is built from the chart's own tables, so a chart
+    # given new tables interpolates those, never the ones it was copied from.
+    doubled = dataclasses.replace(chart, c=2 * chart.c, sine_coeffs=2 * chart.sine_coeffs)
+    ks = np.linspace(chart.k_min, chart.k_max, 37)
+    chi = np.linspace(-3.0, 3.0, 37)
+    assert np.array_equal(doubled.c_of_k(ks), 2 * chart.c_of_k(ks))
+    assert np.array_equal(doubled.c_prime_of_k(ks), chart.c_prime_of_k(ks))
+    series = chart.q_from_chi(chi, ks) - chi
+    npt.assert_allclose(doubled.q_from_chi(chi, ks), chi + 2 * series, rtol=0, atol=1e-15)
+    npt.assert_allclose(doubled.chi_from_q(chi + 2 * series, ks), chi, rtol=0, atol=1e-12)
+
+
+def test_build_chart_builds_one_spline(monkeypatch, params):
+    # c, c' and every b_k share one elimination on the energy grid.
+    built = []
+    original = action_angle._Spline.__init__
+
+    def counted(self, x, y):
+        built.append(y.shape)
+        original(self, x, y)
+
+    monkeypatch.setattr(action_angle._Spline, "__init__", counted)
+    chart = build_chart(params, *chart_range_for_support(0.5), n_k=16, n_chi=64)
+    assert built == [(16, 2 + chart.modes.size)]
 
 
 def test_chart_delta_frozen(chart):
@@ -295,7 +322,7 @@ def _series_points(chart, n=4000, seed=3):
 
 def _assert_matches_direct_sum(chart):
     chi, k = _series_points(chart)
-    b = chart._b_spline(k)
+    b = chart._table(k, _B_COLS)
     direct = chi + np.sum(np.sin(np.multiply.outer(chi, chart.modes)) * b, axis=-1)
     scale = 1.0 + np.sum(np.abs(b), axis=-1)
     err = np.abs(chart.q_from_chi(chi, k) - direct) / scale
@@ -318,9 +345,7 @@ def test_q_from_chi_matches_per_mode_sum(series_chart):
 
 
 def _with_modes(chart, modes, b):
-    return dataclasses.replace(
-        chart, modes=modes, sine_coeffs=b, _b_spline=_Spline(chart.k_grid, b)
-    )
+    return dataclasses.replace(chart, modes=modes, sine_coeffs=b)
 
 
 def test_q_from_chi_mode_gaps_and_odd_modes(chart):

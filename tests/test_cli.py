@@ -480,6 +480,12 @@ def test_validate_passes(tmp_path):
     assert len(report["checks"]) == 11
 
 
+def test_validate_passes_above_the_default_spectrum_modes(tmp_path):
+    # spectrum_translation reads mode m of the Q-spectrum, and m = 9 lies
+    # past the modes 0..8 that q_fourier_spectrum returns by default.
+    assert run(tmp_path, "validate", "--set", "m=9") == 0
+
+
 # -- imports ----------------------------------------------------------------
 
 

@@ -18,11 +18,9 @@ from .flow import FlowError, flow_map, orbit_period
 from .mixing import (
     DecayFit,
     FitError,
-    VectorFieldProbe,
     fit_decay,
     q_fourier_spectrum,
     sup_phi_t,
-    vector_field_norms,
 )
 from .moments import MomentCalculator, spatial_grid
 from .potential import (

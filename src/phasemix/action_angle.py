@@ -306,9 +306,9 @@ class OrbitChart:
     the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
     modes not listed are the odd ones, which vanish, and the even ones below
     the chart's floor, every mode at eps = 0, where the table is n_k x 0 and
-    Q = chi.  ``delta`` is the measured lower bound of c' over the grid.  One
-    spline through the stacked columns c, c', b_k, built from these tables
-    on construction, interpolates all three in energy.
+    Q = chi.  One spline through the stacked columns c, c', b_k, built from
+    these tables on construction, interpolates all three in energy, and
+    ``delta`` reads c' too, so neither goes stale under ``replace``.
     """
 
     params: PotentialParams
@@ -317,7 +317,6 @@ class OrbitChart:
     c_prime: np.ndarray
     sine_coeffs: np.ndarray
     modes: np.ndarray
-    delta: float
     _table: _Spline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -331,6 +330,11 @@ class OrbitChart:
     @property
     def k_max(self) -> float:
         return float(self.k_grid[-1])
+
+    @property
+    def delta(self) -> float:
+        """The measured lower bound of c' over the grid."""
+        return float(self.c_prime.min())
 
     @property
     def last_mode(self) -> float:
@@ -503,7 +507,6 @@ def build_chart(
         c_prime=c_prime,
         sine_coeffs=b,
         modes=modes,
-        delta=float(c_prime.min()),
     )
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(

@@ -1,9 +1,10 @@
-"""Decay-rate measurement, commuting-field probes, and angle spectra.
+"""Decay-rate measurement and angle spectra.
 
 This module turns solution evaluations into the quantitative mixing
-diagnostics: the time envelope and log-log slope of sup_x |phi_t|, the
-uniform-in-time norms of the commuted fields Y^l fbar with
-Y = t c'(K) d_Q - d_K, and the Fourier spectrum of fbar in the angle.
+diagnostics: the time envelope and log-log slope of sup_x |phi_t| and the
+Fourier spectrum of fbar in the angle.  The commuted fields Y^l fbar,
+Y = t c'(K) d_Q - d_K, which no subcommand measures, are probed by the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -18,28 +19,15 @@ from .transport import InitialData, solution_bar
 
 __all__ = [
     "DecayFit",
-    "VectorFieldProbe",
     "FitError",
-    "FDValidationError",
     "sup_phi_t",
     "fit_decay",
-    "vector_field_norms",
     "q_fourier_spectrum",
 ]
-
-# vector_field_norms samples fbar on _PROBE_Q angles x _PROBE_K energies and
-# requires its sup norms to agree to _FD_RTOL relative under step halving.
-_PROBE_Q = 96
-_PROBE_K = 81
-_FD_RTOL = 0.01
 
 
 class FitError(RuntimeError):
     """Fit window does not contain enough envelope points."""
-
-
-class FDValidationError(RuntimeError):
-    """Finite-difference probe failed its step-halving validation."""
 
 
 @dataclass(frozen=True)
@@ -110,63 +98,6 @@ def fit_decay(
     slope, intercept = np.polyfit(log_t, log_v, 1)
     resid = log_v - (slope * log_t + intercept)
     return DecayFit(env_t, env_v, float(slope), float(np.sqrt(np.mean(resid**2))))
-
-
-@dataclass
-class VectorFieldProbe:
-    """Sup norms of f, Yf, Y^2 f plus plain-derivative contrasts."""
-
-    sup: dict[int, float]
-    dq_sup: float
-    dk_sup: float
-
-
-def vector_field_norms(
-    f0: InitialData, t: float, dq: float = 1e-3, dk: float = 1e-3
-) -> VectorFieldProbe:
-    """Apply Y = t c'(K) d_Q - d_K by centered differences on a sample grid.
-
-    Y^2 nests the same stencil.  The probe repeats the computation at half
-    steps and requires the sup norms of Yf and Y^2 f to agree to
-    ``_FD_RTOL`` relative, guarding against under-resolved differences.
-    """
-    qs = np.linspace(0.0, 2.0 * np.pi, _PROBE_Q, endpoint=False)
-    ks = np.linspace(f0.h_min, f0.h_max, _PROBE_K)
-    qq, kk = np.meshgrid(qs, ks, indexing="ij")
-
-    def f(q, k):
-        return solution_bar(f0, t, q, k)
-
-    def apply_y(g, hq, hk):
-        def yg(q, k):
-            dq_term = (g(q + hq, k) - g(q - hq, k)) / (2.0 * hq)
-            dk_term = (g(q, k + hk) - g(q, k - hk)) / (2.0 * hk)
-            return t * f0.chart.c_prime_of_k(k) * dq_term - dk_term
-        return yg
-
-    def measure(hq, hk):
-        y1 = apply_y(f, hq, hk)
-        y2 = apply_y(y1, hq, hk)
-        s0 = float(np.max(np.abs(f(qq, kk))))
-        s1 = float(np.max(np.abs(y1(qq, kk))))
-        s2 = float(np.max(np.abs(y2(qq, kk))))
-        dq_sup = float(np.max(np.abs((f(qq + hq, kk) - f(qq - hq, kk)) / (2.0 * hq))))
-        dk_sup = float(np.max(np.abs((f(qq, kk + hk) - f(qq, kk - hk)) / (2.0 * hk))))
-        return s0, s1, s2, dq_sup, dk_sup
-
-    base = measure(dq, dk)
-    fine = measure(dq / 2.0, dk / 2.0)
-    for coarse_v, fine_v in zip(base[1:3], fine[1:3]):
-        scale = max(abs(fine_v), 1e-300)
-        if abs(coarse_v - fine_v) / scale > _FD_RTOL:
-            raise FDValidationError(
-                f"finite-difference probe not converged at steps ({dq}, {dk})"
-            )
-    return VectorFieldProbe(
-        sup={0: base[0], 1: base[1], 2: base[2]},
-        dq_sup=base[3],
-        dk_sup=base[4],
-    )
 
 
 def q_fourier_spectrum(

@@ -39,9 +39,9 @@ even modes, Q(pi - chi) = pi - Q(chi), with K and c(K) unchanged.  Then
 cos(m (pi - Q)) = (-1)^m cos(mQ) and v sin(m (pi - Q)) = -(-1)^m v sin(mQ),
 so at -x the density's oscillating part is (-1)^m times, the current
 (-1)^(m+1) times, and the mean density rho_bar equal to, their values at
-x.  So only the distinct |x| of the grid are pulled back, the x >= 0,
-v >= 0 quarter of the nodes, and each grid node reads its row's sums
-with its sign.
+x.  The grid is mirrored about its central node x = 0, so only its x >= 0
+half is pulled back, the x >= 0, v >= 0 quarter of the nodes, and each
+node x < 0 reads the sums of its mirror's row with its sign.
 
 The rates lie in one narrow band [r0 - h, r0 + h], and with u = (r - r0)/h
 the Jacobi-Anger expansion (DLMF 10.12.3) gives
@@ -234,24 +234,29 @@ class MomentCalculator:
     ----------
     f0 : the initial data, which fixes the potential, the support and the
         chart.
-    x : the spatial grid.  ``density`` and ``current`` take any points; the
-        integrals from x = 0 need it mirrored about x = 0 at its central
-        node, as ``spatial_grid`` builds.
+    x : the spatial grid: odd-length, strictly ascending and mirrored about
+        x = 0 at its central node, as ``spatial_grid`` and the odd
+        Gauss-Legendre rules build it.
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
     node, or a 1-D array of times, giving one row per time: one stream of
-    an amplitude's row sums, its table on the rows of the distinct |x| of
-    the grid (``abs_x``, ascending, with the support half-width ``v_max``),
-    and one reflection to the grid.  ``support_nodes`` counts the nodes
+    an amplitude's row sums, its table on the rows of the x >= 0 half of the
+    grid (``abs_x``, with the support half-width ``v_max``), and one
+    reflection to the grid.  ``support_nodes`` counts the nodes
     inside the support in the x >= 0, v >= 0 quarter that is pulled back.
     """
 
     def __init__(self, f0: InitialData, x, n_quad: int):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
-        self.x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.abs_x, self._row_of = np.unique(np.abs(self.x), return_inverse=True)
+        self.x = np.asarray(x, dtype=float)
+        i0 = self.x.size // 2
+        if (self.x.ndim != 1 or self.x.size % 2 == 0 or np.any(np.diff(self.x) <= 0)
+                or not np.array_equal(self.x[i0:], -self.x[i0::-1])):
+            raise ValueError("the grid must be odd-length, strictly ascending and "
+                             "mirrored about x = 0 at its central node")
+        self.abs_x = self.x[i0:]
         room = f0.h_max - np.asarray(potential_phi(f0.params, self.abs_x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
         nodes, weights = gauss_legendre(n_quad)
@@ -273,13 +278,10 @@ class MomentCalculator:
         counts = inside.sum(axis=1)
         self._rows = np.flatnonzero(counts)
         self._starts = (np.cumsum(counts) - counts)[self._rows]
-        # The reflection's signs at x < 0: (-1)^m for the density, the
-        # potential and phi_t, -(-1)^m for the current.  (-1)^m comes from the
+        # The reflection's sign at x < 0: the parity (-1)^m for the density,
+        # the potential and phi_t, -(-1)^m for the current.  It comes from the
         # integer m: a float (-1.0) ** m reads every odd m above 2^53 as even.
-        left = self.x < 0
-        parity = -1.0 if f0.m % 2 else 1.0
-        self._rho_sign = np.where(left, parity, 1.0)
-        self._j_sign = np.where(left, -parity, 1.0)
+        self._parity = -1.0 if f0.m % 2 else 1.0
         # The time-independent means of rho and phi, both even in x.
         rho_bar = np.zeros(self.abs_x.size)
         rho_bar[self._rows] = np.add.reduceat(weight, self._starts)
@@ -287,16 +289,14 @@ class MomentCalculator:
         self._phi_mean = self._to_grid(self._phi_table(rho_bar))
 
     def _to_grid(self, rows: np.ndarray, sign=1.0, mean=0.0) -> np.ndarray:
-        """abs_x rows (last axis) reflected to the grid, times ``sign``, plus ``mean``.
+        """abs_x rows (last axis) reflected to the grid, times ``sign`` at x < 0,
+        plus ``mean``.
 
         Adding the mean, 0.0 by default, turns a -0.0 into 0.0: a row with no
         support node reads -0.0 on the series route, and a 0.0 reflected with
-        sign -1 reads -0.0.  ``mean=None`` keeps the sign of a zero.
+        sign -1 reads -0.0.
         """
-        # take, not rows[..., row_of], whose result is not C-contiguous: a
-        # BLAS dot over it sums in another order.
-        grid = np.take(rows, self._row_of, axis=-1) * sign
-        return grid if mean is None else mean + grid
+        return mean + np.concatenate((sign * rows[..., :0:-1], rows), axis=-1)
 
     def _series_order(self, flat: np.ndarray) -> int:
         """The Jacobi-Anger order that sums these times, or 0 for trig."""
@@ -381,61 +381,42 @@ class MomentCalculator:
             rows[lo : lo + block.shape[0]] = block
         return rows.reshape(times.shape + self.abs_x.shape)
 
-    def _require_mirror(self) -> None:
-        """The integrals from x = 0 reflect their x >= 0 rows to x < 0."""
-        i0 = self.x.size // 2
-        if not np.array_equal(self.x[i0:], -self.x[i0::-1]):
-            raise ValueError("the grid must be mirrored about x = 0 at its central node")
-
     def _phi_table(self, rows: np.ndarray) -> np.ndarray:
         """-int_0^x int_0^y of abs_x rows (last axis), on the x >= 0 half."""
         return _cumulative_simpson(-_cumulative_simpson(rows, self.abs_x), self.abs_x)
 
     def _phi_t_table(self, rows: np.ndarray) -> np.ndarray:
-        """int_0^x (s - s(0)) of abs_x rows s (last axis) on the x >= 0 half,
-        with s(0) in place of the integral's 0 at x = 0."""
-        table = _cumulative_simpson(rows - rows[..., :1], self.abs_x)
-        table[..., 0] = rows[..., 0]
-        return table
-
-    def _phi_t_rows(self, rows: np.ndarray) -> np.ndarray:
-        """phi_t of abs_x current rows: the table with 0 at x = 0, signed -0.0
-        as the integral over x <= 0 ends there (evolve.csv prints it -0)."""
-        table = self._phi_t_table(rows)
-        table[..., 0] = -0.0
-        return table
+        """int_0^x (s - s(0)) of abs_x rows s (last axis), on the x >= 0 half."""
+        return _cumulative_simpson(rows - rows[..., :1], self.abs_x)
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._to_grid(self._stream_rows(t, self._rho_amp, "imag"), self._rho_sign,
+        return self._to_grid(self._stream_rows(t, self._rho_amp, "imag"), self._parity,
                              self._rho_mean)
 
     def current(self, t) -> np.ndarray:
         """j(t, x) = int v f dv over the exact support interval."""
-        return self._to_grid(self._stream_rows(t, self._j_amp, "real"), self._j_sign)
+        return self._to_grid(self._stream_rows(t, self._j_amp, "real"), -self._parity)
 
     def potential(self, t) -> np.ndarray:
         """phi(t, x) = -int_0^x int_0^y rho: -phi'' = rho, phi(0) = phi'(0) = 0."""
-        self._require_mirror()
         rows = self._stream_rows(t, self._rho_amp, "imag", self._phi_table)
-        return self._to_grid(rows, self._rho_sign, self._phi_mean)
+        return self._to_grid(rows, self._parity, self._phi_mean)
 
     def phi_t(self, t) -> np.ndarray:
         """phi_t(t, x) = int_0^x (j(t, y) - j(t, 0)) dy, the reconstruction formula."""
-        self._require_mirror()
-        return self._to_grid(self._stream_rows(t, self._j_amp, "real", self._phi_t_rows),
-                             self._rho_sign, None)
+        return self._to_grid(self._stream_rows(t, self._j_amp, "real", self._phi_t_table),
+                             self._parity)
 
     def fields(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho, j, phi, phi_t) from one stream of each amplitude: phi and phi_t
         apply their tables to the streamed density and current rows."""
-        self._require_mirror()
         rho = self._stream_rows(t, self._rho_amp, "imag")
         j = self._stream_rows(t, self._j_amp, "real")
-        return (self._to_grid(rho, self._rho_sign, self._rho_mean),
-                self._to_grid(j, self._j_sign),
-                self._to_grid(self._phi_table(rho), self._rho_sign, self._phi_mean),
-                self._to_grid(self._phi_t_rows(j), self._rho_sign, None))
+        return (self._to_grid(rho, self._parity, self._rho_mean),
+                self._to_grid(j, -self._parity),
+                self._to_grid(self._phi_table(rho), self._parity, self._phi_mean),
+                self._to_grid(self._phi_t_table(j), self._parity))
 
     def phi_t_fd(self, t: float, dt: float) -> np.ndarray:
         """Centered time difference of phi; independent phi_t route."""
@@ -450,10 +431,15 @@ class MomentCalculator:
         Reduces each block of the stream to its maxima, so no (times x grid)
         array is held; |phi_t(-x)| = |phi_t(x)| by the reflection.
         """
-        self._require_mirror()
+        def table(rows):
+            # phi_t, with j(0) in place of its 0 at x = 0.
+            out = self._phi_t_table(rows)
+            out[..., 0] = rows[..., 0]
+            return out
+
         flat = np.asarray(times, dtype=float).reshape(-1)
         sup, tail = np.empty(flat.size), np.empty(flat.size)
-        for lo, block in self._stream(flat, self._j_amp, "real", self._phi_t_table):
+        for lo, block in self._stream(flat, self._j_amp, "real", table):
             hi = lo + block.shape[0]
             tail[lo:hi] = np.abs(block[:, 0])
             sup[lo:hi] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)

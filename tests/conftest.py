@@ -2,13 +2,16 @@
 
 The potential, chart and initial data come from the same
 :class:`~phasemix.experiment.Experiment` the CLI builds, so the tests
-and the commands share one chart per parameter set.
+and the commands share one chart per parameter set.  The probe of the
+commuted fields, which no subcommand runs, lives here too.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from phasemix import from_angle_energy
+from phasemix import from_angle_energy, solution_bar
 from phasemix.experiment import Experiment, ExperimentConfig
 
 
@@ -62,3 +65,37 @@ def support_sample(experiment):
     h = rng.uniform(c_s * 1.1, 0.9 / c_s, 40)
     chi = rng.uniform(0.0, 2.0 * np.pi, 40)
     return from_angle_energy(experiment.params, chi, h)
+
+
+@pytest.fixture(scope="session")
+def commuted_sups():
+    """The probe of the commuting field Y = t c'(K) d_Q - d_K.
+
+    ``probe(f0, t, dq, dk)`` returns sup |f|, |Yf|, |Y^2 f|, |d_Q f| and
+    |d_K f| of fbar(t) on 96 x 81 (Q, K) samples, by centred differences of
+    steps (dq, dk), Y^2 nesting the same stencil.  It asserts that the sups
+    of Yf and Y^2 f agree to 1 % at half steps.
+    """
+    def probe(f0, t, dq=1e-3, dk=1e-3):
+        qq, kk = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
+                             np.linspace(f0.h_min, f0.h_max, 81), indexing="ij")
+        f = functools.partial(solution_bar, f0, t)
+
+        def sups(hq, hk):
+            def d_q(g):
+                return lambda q, k: (g(q + hq, k) - g(q - hq, k)) / (2.0 * hq)
+
+            def d_k(g):
+                return lambda q, k: (g(q, k + hk) - g(q, k - hk)) / (2.0 * hk)
+
+            def y(g):
+                return lambda q, k: t * f0.chart.c_prime_of_k(k) * d_q(g)(q, k) - d_k(g)(q, k)
+
+            return [float(np.max(np.abs(g(qq, kk)))) for g in (f, y(f), y(y(f)), d_q(f), d_k(f))]
+
+        base, fine = sups(dq, dk), sups(dq / 2.0, dk / 2.0)
+        for coarse, halved in zip(base[1:3], fine[1:3]):
+            assert abs(coarse - halved) <= 0.01 * abs(halved), f"probe not converged at ({dq}, {dk})"
+        return base
+
+    return probe

@@ -189,6 +189,12 @@ def test_chart_delta_frozen(chart):
     assert chart.delta > 0
 
 
+def test_chart_delta_follows_replaced_c_prime(chart):
+    # delta is read from the c' table, not stored beside it.
+    doubled = dataclasses.replace(chart, c_prime=2 * chart.c_prime)
+    assert doubled.delta == 2 * chart.delta == float(2 * chart.c_prime.min())
+
+
 def test_chart_convergence(params):
     lo, hi = chart_range_for_support(0.5)
     coarse = build_chart(params, lo, hi, n_k=16, n_chi=64)

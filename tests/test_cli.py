@@ -294,14 +294,15 @@ def test_evolve_csv_potentials_integrate_its_columns(tmp_path):
 def test_evolve_csv_has_no_negative_zero_moment(tmp_path, extra):
     # The grid ends x = +-x_max hold no support node, so rho and j are 0
     # there: 100 times take the series route, which summed them to -0.0,
-    # and at m = 2 the current's reflection to x < 0 has sign -1.  (phi_t
-    # reads -0 at x = 0, as the integral over x <= 0 ends there.)
+    # and at m = 2 the current's reflection to x < 0 has sign -1.  phi and
+    # phi_t are 0 at x = 0.
     sets = ("grid_points=51", "v_quad=64", *extra)
     assert run(tmp_path, "evolve", *(a for kv in sets for a in ("--set", kv))) == 0
     with open(tmp_path / "evolve.csv") as fh:
         rows = list(csv.reader(fh))
-    rho, j = rows[0].index("rho"), rows[0].index("j")
-    assert not [r for r in rows[1:] if "-0" in (r[rho], r[j])]
+    cols = [rows[0].index(name) for name in ("rho", "j", "phi", "phi_t")]
+    assert not [r for r in rows[1:] if "-0" in (r[c] for c in cols)]
+    j = rows[0].index("j")
     assert any(r[j] == "0" for r in rows[1:])
 
 

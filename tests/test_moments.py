@@ -137,11 +137,21 @@ def test_cumulative_from_zero_matches_scipy(params, n):
     _half_against_scipy(np.random.default_rng(n).standard_normal((3, x.size)), x)
 
 
-def test_cumulative_requires_centered_grid(f0):
-    calc = MomentCalculator(f0, np.linspace(0.1, 1.0, 11), n_quad=64)
-    for moment in (calc.potential, calc.phi_t, calc.fields):
+def test_node_set_requires_an_ascending_mirrored_grid(f0):
+    # Every moment reflects the x >= 0 half to x < 0, so the grid must be
+    # odd, ascending and mirrored about its central node: an even grid has no
+    # x = 0 node, and [a, 0, -a] is mirrored but would make abs_x negative.
+    for x in (np.linspace(-1.0, 1.0, 10), np.linspace(-1.0, 1.0, 11) + 1e-3,
+              np.array([1.0, 0.0, -1.0])):
         with pytest.raises(ValueError, match="mirrored"):
-            moment(1.0)
+            MomentCalculator(f0, x, n_quad=64)
+
+
+def test_cumulative_requires_centered_grid(f0):
+    # A grid without its x = 0 node at the centre is refused when the node
+    # set is built, so no moment is ever integrated outward from a wrong x.
+    with pytest.raises(ValueError, match="mirrored"):
+        MomentCalculator(f0, np.linspace(0.1, 1.0, 11), n_quad=64)
 
 
 @pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control"])
@@ -176,8 +186,9 @@ def test_density_even_at_t0(calc, grid):
 
 
 def test_density_vanishes_outside_support(f0, grid):
-    edge = MomentCalculator(f0, np.array([grid[-1]]), n_quad=128)
-    assert abs(edge.density(0.0)[0]) < 1e-14
+    edge = MomentCalculator(f0, np.array([-grid[-1], 0.0, grid[-1]]), n_quad=128)
+    rho = edge.density(0.0)
+    assert abs(rho[0]) < 1e-14 and abs(rho[-1]) < 1e-14
 
 
 def test_mass_conservation(fine_calc):
@@ -253,29 +264,27 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
     # summing with the Gauss weights, for an even node count and for odd
     # ones, which have a centre node v = 0.  The reference pulls (-x, v)
     # back itself, so it checks the reflection's signs, which depend on the
-    # parity of m, on the symmetric grid and on one with an unpaired node.
+    # parity of m.
     # Both routes take the package's Gauss rule, so this checks how the
     # node set is assembled.  The two routes round differently (mirror pairs folded by a trig
     # identity against one node at a time), so the bound is relative to
     # the rounding scale of each sum, the quadrature of |f| and of |f v|.
-    a = 0.7 * grid[-1]
+    v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, grid)), 0.0, None))
     for m in (1, 2):
         data = dataclasses.replace(f0, m=m)
-        for x in (grid, np.array([-a, 0.3 * a, a])):
-            v_max = np.sqrt(np.clip(2.0 * (f0.h_max - phi(params, x)), 0.0, None))
-            for n_quad in (128, 65, 129):
-                case = (m, x.size, n_quad)
-                calc = MomentCalculator(data, x, n_quad=n_quad)
-                nodes, w = gauss_legendre(n_quad)
-                v = v_max[:, None] * nodes
-                f = evaluate_f_actionangle(data, t, x[:, None], v)
-                rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
-                rho_scale = v_max * (np.abs(f) @ w)
-                j_scale = v_max * (np.abs(f * v) @ w)
-                assert np.all(np.abs(calc.density(t) - rho) <= 1e-14 * rho_scale), case
-                assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), case
-                batch = calc.density(np.array([t, t]))
-                assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), case
+        for n_quad in (128, 65, 129):
+            case = (m, n_quad)
+            calc = MomentCalculator(data, grid, n_quad=n_quad)
+            nodes, w = gauss_legendre(n_quad)
+            v = v_max[:, None] * nodes
+            f = evaluate_f_actionangle(data, t, grid[:, None], v)
+            rho, j = v_max * (f @ w), v_max * ((f * v) @ w)
+            rho_scale = v_max * (np.abs(f) @ w)
+            j_scale = v_max * (np.abs(f * v) @ w)
+            assert np.all(np.abs(calc.density(t) - rho) <= 1e-14 * rho_scale), case
+            assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), case
+            batch = calc.density(np.array([t, t]))
+            assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), case
 
 
 def test_reflection_parity_is_exact_for_huge_odd_m(f0, grid):
@@ -307,8 +316,7 @@ def _long_double_current(calc, times):
     for i, t in enumerate(times):
         vals = calc._j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
         rows[i, calc._rows] = np.add.reduceat(vals, calc._starts)
-    _, row_of = np.unique(np.abs(calc.x), return_inverse=True)
-    return rows[:, row_of] * calc._j_sign
+    return calc._to_grid(rows, -calc._parity)
 
 
 def _sup_phi_t_error(calc, times):
@@ -422,9 +430,11 @@ def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, 
 
 
 def test_streamed_scan_needs_a_mirrored_grid(f0):
-    calc = MomentCalculator(f0, np.linspace(-1.0, 1.0, 11) + 1e-3, n_quad=64)
+    # The stream reflects the x >= 0 rows to x < 0; a shifted grid stops at
+    # the node set, before sup_phi_t sees it.
     with pytest.raises(ValueError, match="mirrored"):
-        sup_phi_t(calc, np.array([1.0, 2.0]))
+        sup_phi_t(MomentCalculator(f0, np.linspace(-1.0, 1.0, 11) + 1e-3, n_quad=64),
+                  np.array([1.0, 2.0]))
 
 
 def test_streamed_scan_memory(params, f0):

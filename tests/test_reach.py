@@ -1,0 +1,72 @@
+"""Every function in ``src/phasemix`` is one that some subcommand runs.
+
+The subcommands are run in process under ``sys.setprofile``, which records
+the code of every Python function entered.  A function that none of them
+enters is either deleted or named in ``UNREACHED`` with the reason it stays.
+"""
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import phasemix
+from phasemix import cli, moments
+
+SRC = Path(phasemix.__file__).resolve().parent
+
+UNREACHED = {
+    ("action_angle.py", "OrbitChart.c_prime_of_k"): "c' for the commuted-field probe",
+    ("moments.py", "MomentCalculator.current"): "a layer that perfbench's tracer times",
+    ("experiment.py", "ExperimentConfig.to_dict"): "the JSON round trip of a config",
+}
+
+RUNS = [
+    ["chart"],
+    ["evolve", "--validate"],
+    ["decay"],
+    ["decay", "--set", "include_control=true"],
+    ["decay", "--self-test", "power-law"],
+    ["decay", "--self-test", "oscillating"],
+    ["validate"],
+    ["validate", "--list"],
+]
+
+
+def _defined():
+    """(file, qualified name) of every function defined under src/phasemix."""
+    found = set()
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add((file, prefix + child.name))
+                walk(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+            else:
+                walk(child, file, prefix)
+
+    for path in SRC.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.name, "")
+    return found
+
+
+def test_subcommands_enter_every_function(tmp_path):
+    entered, src = set(), str(SRC)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == src:
+            entered.add((os.path.basename(code.co_filename), code.co_qualname))
+
+    # A rule built earlier in this process would not be built again.
+    moments.gauss_legendre.cache_clear()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main([*argv, "--out", str(tmp_path)]) for argv in RUNS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(RUNS)
+    unreached = _defined() - entered
+    assert unreached == set(UNREACHED)

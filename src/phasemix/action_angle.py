@@ -22,24 +22,24 @@ orbit chi_j = 2 pi j / n_chi, j = 0, ..., n_chi // 4, evaluates both
 integrands from that one table, and mirrors it (j <-> n_chi/2 - j) onto
 the half period [0, pi).  c and c' are means over the half period, and
 one rfft of length n_chi/2 gives the even modes b_2j; the odd b_k are
-exactly absent, and the chart keeps the even modes above a floor (the
-periodic trapezoid rule on the symmetry-reduced period: L. N. Trefethen
-and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
-One not-a-knot cubic spline through the stacked columns c, c', b_k
+exactly absent (the periodic trapezoid rule on the symmetry-reduced
+period: L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
+The chart keeps the even modes 2, 4, ..., 2J, cut after the last one
+above a floor, so Q(pi - chi) = pi - Q(chi) holds for every chart.
+One not-a-knot cubic spline through the stacked columns c, b_k
 interpolates the chart across the energy grid; the inverse map is solved
 by Newton iteration on the monotone forward series.
 
 The series is summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
-Tables Aids Comput. 9 (1955) 118) in theta = g chi, g the gcd of the kept
-modes: with u_{J+1} = u_{J+2} = 0 and b_k = 0 for the modes not kept,
+Tables Aids Comput. 9 (1955) 118) in theta = 2 chi: with
+u_{J+1} = u_{J+2} = 0,
 
-    u_j = b_{gj} + 2 cos(theta) u_{j+1} - u_{j+2},  j = J, ..., 1,
-    sum_k b_k sin(k chi) = u_1 sin(theta),
+    u_j = b_{2j} + 2 cos(theta) u_{j+1} - u_{j+2},  j = J, ..., 1,
+    sum_k b_k sin(k chi) = u_1 sin(theta).
 
-J = max(modes) / g.  That costs one cos and one sin per point and a
-multiply and two adds per mode, where the per-mode sum takes one sin per mode.
-Points are summed a block at a time, so no (points x modes) array
-outlives its block.
+That costs one cos and one sin per point and a multiply and two adds per
+mode, where the per-mode sum takes one sin per mode.  Points are summed a
+block at a time, so no (points x modes) array outlives its block.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ __all__ = [
     "from_action_angle",
 ]
 
-# Fourier modes below this magnitude (max over the energy grid) are
-# dropped from the chart.
+# The chart's series ends at its last mode above this magnitude (max over
+# the energy grid).
 _MODE_FLOOR = 1e-15
 # Largest magnitude the last kept mode may have.  A chart whose modes do
 # not fall below _MODE_FLOOR by the Nyquist mode is truncated there, and
@@ -115,8 +115,8 @@ _SPLINE_ROWS = 2048
 # rows, so each gathered table stays under 8 MiB.  At the default's 20
 # modes it caps none of the block sizes the study sweeps.
 _BLOCK_CELLS = 2**20
-# Columns of the b_k in a chart's energy table, after c and c'.
-_B_COLS = slice(2, None)
+# Columns of the b_k in a chart's energy table, after c.
+_B_COLS = slice(1, None)
 
 
 def _block_rows(columns: int) -> int:
@@ -302,13 +302,14 @@ def chart_range_for_support(c_s: float):
 class OrbitChart:
     """Precomputed per-energy tables for the action-angle chart.
 
-    ``sine_coeffs[i, j]`` holds the coefficient b_k, k = ``modes[j]``, of
-    the node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi); the
-    modes not listed are the odd ones, which vanish, and the even ones below
-    the chart's floor, every mode at eps = 0, where the table is n_k x 0 and
-    Q = chi.  One spline through the stacked columns c, c', b_k, built from
-    these tables on construction, interpolates all three in energy, and
-    ``delta`` reads c' too, so neither goes stale under ``replace``.
+    ``sine_coeffs[i, j]`` holds the coefficient b_k, k = 2 (j + 1), of the
+    node-i reparametrization Q(chi) = chi + sum_k b_k sin(k chi).  The
+    columns are the even modes 2, 4, ..., 2J (``modes``, derived from the
+    table's width), since the odd ones vanish for an even potential; at
+    eps = 0 the table is n_k x 0 and Q = chi.  One spline through the
+    stacked columns c, b_k, built from these tables on construction,
+    interpolates both in energy, and ``delta`` reads the c' table, so
+    neither goes stale under ``replace``.
     """
 
     params: PotentialParams
@@ -316,11 +317,10 @@ class OrbitChart:
     c: np.ndarray
     c_prime: np.ndarray
     sine_coeffs: np.ndarray
-    modes: np.ndarray
     _table: _Spline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stacked = np.column_stack((self.c, self.c_prime, self.sine_coeffs))
+        stacked = np.column_stack((self.c, self.sine_coeffs))
         object.__setattr__(self, "_table", _Spline(self.k_grid, stacked))
 
     @property
@@ -330,6 +330,11 @@ class OrbitChart:
     @property
     def k_max(self) -> float:
         return float(self.k_grid[-1])
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The wavenumbers 2, 4, ..., 2J of the columns of ``sine_coeffs``."""
+        return 2 * np.arange(1, self.sine_coeffs.shape[1] + 1)
 
     @property
     def delta(self) -> float:
@@ -354,27 +359,17 @@ class OrbitChart:
         self.check_range(k)
         return self._table(k, 0)
 
-    def c_prime_of_k(self, k):
-        """Frequency derivative at energy k (cubic interpolation)."""
-        self.check_range(k)
-        return self._table(k, 1)
-
-    def _sine_sum(self, chi: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_k b_k sin(k chi) by the module's Clenshaw recurrence; b holds
-        each point's coefficients on its last axis; 0 on a chart with no modes."""
-        if not self.modes.size:
-            return np.zeros_like(chi)
-        g = int(np.gcd.reduce(self.modes))
-        cols = np.full(int(self.modes[-1]) // g, -1)
-        cols[self.modes // g - 1] = np.arange(self.modes.size)
-        theta = g * chi
+    @staticmethod
+    def _sine_sum(chi: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k b_k sin(k chi) over the even modes by the module's Clenshaw
+        recurrence; b holds each point's coefficients on its last axis."""
+        theta = 2.0 * chi
         two_cos = 2.0 * np.cos(theta)
         u1, u2, u = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
-        for col in cols[::-1]:
+        for j in reversed(range(b.shape[-1])):
             np.multiply(two_cos, u1, out=u)
             u -= u2
-            if col >= 0:
-                u += b[..., col]
+            u += b[..., j]
             u1, u2, u = u, u1, u2
         u1 *= np.sin(theta)
         return u1
@@ -480,8 +475,11 @@ def build_chart(
     if not all(np.isfinite(table).all() for table in (k_grid, c, c_prime, b)):
         raise ChartError("chart tables are not finite: the energy range or the potential overflows")
 
-    keep = np.max(np.abs(b), axis=0) > _MODE_FLOOR
-    modes, b = modes[keep], b[:, keep]
+    # The series ends at its last mode above the floor; the copy frees the
+    # rest of the spectrum.
+    above = np.flatnonzero(np.max(np.abs(b), axis=0) > _MODE_FLOOR)
+    b = b[:, : np.max(above, initial=-1) + 1].copy()
+    modes = modes[: b.shape[1]]
 
     # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node, a
     # block of angles at a time.  The slope is even and, with only even
@@ -506,7 +504,6 @@ def build_chart(
         c=c,
         c_prime=c_prime,
         sine_coeffs=b,
-        modes=modes,
     )
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(

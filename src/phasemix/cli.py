@@ -130,14 +130,16 @@ def cmd_evolve(exp: Experiment, out: Path, validate: bool) -> int:
     return EXIT_OK
 
 
+# The synthetic series of ``decay --self-test``, by mode.
+_SELF_TESTS = {
+    "power-law": lambda times: times**-2.0,
+    "oscillating": lambda times: times**-1.0 * (2.0 + np.sin(times)),
+}
+
+
 def _self_test_report(mode: str) -> dict:
     times = np.geomspace(1.0, 1000.0, 400)
-    if mode == "power-law":
-        sup = times**-2.0
-    elif mode == "oscillating":
-        sup = times**-1.0 * (2.0 + np.sin(times))
-    else:
-        raise ConfigError(f"unknown self-test mode: {mode!r}")
+    sup = _SELF_TESTS[mode](times)
     window = (1.0, 1000.0)
     fitted = fit_decay(times, sup, window)
     return {
@@ -223,7 +225,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="cross-check the two solution routes")
         if name == "decay":
             p.add_argument("--self-test", dest="self_test",
-                           choices=["power-law", "oscillating"],
+                           choices=list(_SELF_TESTS),
                            help="fit a synthetic series with known exponent")
         if name == "validate":
             p.add_argument("--list", action="store_true", dest="list_only",

@@ -87,9 +87,13 @@ def _overflows(epsilon: float, c_s: float) -> bool:
     return not all(np.isfinite(v).all() for v in values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment description; round-trips losslessly through JSON."""
+    """Full experiment description; round-trips losslessly through JSON.
+
+    Frozen, so an :class:`Experiment` built from it never holds objects
+    cached from values the config no longer has.
+    """
 
     epsilon: float = 0.1
     c_s: float = 0.5
@@ -152,7 +156,7 @@ class ExperimentConfig:
         lo, hi = window
         if not 0 < lo < hi <= self.t_max:
             raise ConfigError("fit_window must satisfy 0 < lo < hi <= t_max")
-        self.fit_window = (float(lo), float(hi))
+        object.__setattr__(self, "fit_window", (float(lo), float(hi)))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -100,21 +100,15 @@ def fit_decay(
     return DecayFit(env_t, env_v, float(slope), float(np.sqrt(np.mean(resid**2))))
 
 
-def q_fourier_spectrum(
-    f0: InitialData,
-    t: float,
-    k_energy: float,
-    k_max: int = 8,
-    n_q: int = 64,
-) -> np.ndarray:
-    """Discrete Fourier coefficients fhat_k, k = 0..k_max, of Q -> fbar(t, Q, K)
-    at fixed K.
+def q_fourier_spectrum(f0: InitialData, t: float, k_energy: float) -> np.ndarray:
+    """Discrete Fourier coefficients fhat_k, k = 0..max(8, m), of
+    Q -> fbar(t, Q, K) at fixed K, from max(64, 4 max(8, m)) angles.
 
-    For the built-in data the exact evolution is a phase rotation:
-    fhat_k(t) = fhat_k(0) * exp(i k c(K) t).
+    Mode m of the data is among them.  For the built-in data the exact
+    evolution is a phase rotation: fhat_k(t) = fhat_k(0) * exp(i k c(K) t).
     """
-    if n_q < 4 * k_max:
-        raise ValueError("n_q must be >= 4 * k_max")
+    k_max = max(8, f0.m)
+    n_q = max(64, 4 * k_max)
     qs = np.arange(n_q) * (2.0 * np.pi / n_q)
     vals = solution_bar(f0, t, qs, k_energy)
     return (rfft(vals) / n_q)[: k_max + 1]

@@ -139,7 +139,6 @@ def test_chart_inverse(chart):
 def test_chart_c_interpolation(params, chart):
     ks = np.linspace(chart.k_min + 0.01, chart.k_max - 0.01, 11)
     npt.assert_allclose(chart.c_of_k(ks), compute_c(params, ks), atol=1e-11)
-    npt.assert_allclose(chart.c_prime_of_k(ks), compute_c_prime(params, ks), atol=1e-9)
 
 
 def test_chart_splines_match_scipy(chart):
@@ -150,7 +149,6 @@ def test_chart_splines_match_scipy(chart):
     rng = np.random.default_rng(7)
     ks = np.concatenate([chart.k_grid, rng.uniform(chart.k_min, chart.k_max, 10_000)])
     assert np.array_equal(chart.c_of_k(ks), CubicSpline(chart.k_grid, chart.c)(ks))
-    assert np.array_equal(chart.c_prime_of_k(ks), CubicSpline(chart.k_grid, chart.c_prime)(ks))
     b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(ks)
     assert np.array_equal(chart._table(ks, _B_COLS), b)
 
@@ -162,14 +160,13 @@ def test_chart_table_follows_replaced_tables(chart):
     ks = np.linspace(chart.k_min, chart.k_max, 37)
     chi = np.linspace(-3.0, 3.0, 37)
     assert np.array_equal(doubled.c_of_k(ks), 2 * chart.c_of_k(ks))
-    assert np.array_equal(doubled.c_prime_of_k(ks), chart.c_prime_of_k(ks))
     series = chart.q_from_chi(chi, ks) - chi
     npt.assert_allclose(doubled.q_from_chi(chi, ks), chi + 2 * series, rtol=0, atol=1e-15)
     npt.assert_allclose(doubled.chi_from_q(chi + 2 * series, ks), chi, rtol=0, atol=1e-12)
 
 
 def test_build_chart_builds_one_spline(monkeypatch, params):
-    # c, c' and every b_k share one elimination on the energy grid.
+    # c and every b_k share one elimination on the energy grid.
     built = []
     original = action_angle._Spline.__init__
 
@@ -179,7 +176,7 @@ def test_build_chart_builds_one_spline(monkeypatch, params):
 
     monkeypatch.setattr(action_angle._Spline, "__init__", counted)
     chart = build_chart(params, *chart_range_for_support(0.5), n_k=16, n_chi=64)
-    assert built == [(16, 2 + chart.modes.size)]
+    assert built == [(16, 1 + chart.modes.size)]
 
 
 def test_chart_delta_frozen(chart):
@@ -317,7 +314,7 @@ def test_build_chart_tail_floor():
 
 def _series_points(chart, n=4000, seed=3):
     """Seeded (chi, K) over the chart, plus angles near 0, pi/2 and pi,
-    where the recurrence's 2 cos(g chi) sits at +-2."""
+    where the recurrence's 2 cos(2 chi) sits at +-2."""
     rng = np.random.default_rng(seed)
     offsets = np.array([0.0, 1e-12, 1e-8, 1e-4, 1e-2])
     special = (np.array([0.0, np.pi / 2, np.pi])[:, None] + np.concatenate([offsets, -offsets])).ravel()
@@ -350,20 +347,12 @@ def test_q_from_chi_matches_per_mode_sum(series_chart):
     _assert_matches_direct_sum(series_chart)
 
 
-def _with_modes(chart, modes, b):
-    return dataclasses.replace(chart, modes=modes, sine_coeffs=b)
-
-
-def test_q_from_chi_mode_gaps_and_odd_modes(chart):
-    # Drop mode 4: the recurrence runs over a gap.  Shift every mode down
-    # by one: the odd modes 1, 3, ... have gcd 1.
-    keep = chart.modes != 4
-    gapped = _with_modes(chart, chart.modes[keep], chart.sine_coeffs[:, keep])
-    assert gapped.modes[1] == 6
-    _assert_matches_direct_sum(gapped)
-    odd = _with_modes(chart, chart.modes - 1, chart.sine_coeffs)
-    assert np.gcd.reduce(odd.modes) == 1
-    _assert_matches_direct_sum(odd)
+def test_chart_modes_are_the_dense_even_modes(series_chart):
+    # The modes follow from the table's width, so a chart cannot carry an
+    # odd mode, which would break the node set's x -> -x reflection.
+    assert np.array_equal(series_chart.modes, 2 * np.arange(1, series_chart.sine_coeffs.shape[1] + 1))
+    with pytest.raises(TypeError):
+        dataclasses.replace(series_chart, modes=series_chart.modes - 1)
 
 
 def test_q_from_chi_identity_without_modes(harmonic_chart):

@@ -43,6 +43,20 @@ def test_config_rejects_bad_values():
         ExperimentConfig(fit_window=(50.0, 20.0))
 
 
+def test_config_is_frozen():
+    # A config changed after its experiment cached a chart or node set
+    # would describe a run other than the one the cache holds, and would
+    # skip validation.
+    exp = Experiment(ExperimentConfig())
+    exp.f0
+    with pytest.raises(AttributeError):
+        exp.cfg.c_s = 0.3
+    with pytest.raises(AttributeError):
+        exp.cfg.c_s = 5.0
+    assert exp.cfg == ExperimentConfig()
+    assert exp.cfg.fit_window == (20.0, 200.0)
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(epsilon=0.05, t_max=40.0, fit_window=(5.0, 40.0))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,8 +1,11 @@
-"""Every function in ``src/phasemix`` is one that some subcommand runs.
+"""Every function in ``src/phasemix`` is one that some subcommand runs,
+and every name a module imports is one it reads.
 
 The subcommands are run in process under ``sys.setprofile``, which records
 the code of every Python function entered.  A function that none of them
 enters is either deleted or named in ``UNREACHED`` with the reason it stays.
+An import that its module never reads is either deleted or named in
+``UNREAD_IMPORTS`` with the reason it stays.
 """
 
 import ast
@@ -16,9 +19,12 @@ from phasemix import cli, moments
 SRC = Path(phasemix.__file__).resolve().parent
 
 UNREACHED = {
-    ("action_angle.py", "OrbitChart.c_prime_of_k"): "c' for the commuted-field probe",
     ("moments.py", "MomentCalculator.current"): "a layer that perfbench's tracer times",
     ("experiment.py", "ExperimentConfig.to_dict"): "the JSON round trip of a config",
+}
+
+UNREAD_IMPORTS = {
+    ("cli.py", "evaluate_f_actionangle"): "perfbench's tracer test checks that the tracer rebinds it",
 }
 
 RUNS = [
@@ -70,3 +76,22 @@ def test_subcommands_enter_every_function(tmp_path):
     assert codes == [0] * len(RUNS)
     unreached = _defined() - entered
     assert unreached == set(UNREACHED)
+
+
+def test_modules_read_every_import():
+    # The package's __init__ imports in order to export.
+    unread = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread |= {(path.name, name) for name in imported - read}
+    assert unread == set(UNREAD_IMPORTS)

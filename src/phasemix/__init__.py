@@ -11,7 +11,6 @@ from .action_angle import (
     from_action_angle,
     from_angle_energy,
     rate_a,
-    to_action_angle,
     to_angle_energy,
 )
 from .flow import FlowError, flow_map, orbit_period

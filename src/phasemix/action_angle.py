@@ -39,12 +39,13 @@ u_{J+1} = u_{J+2} = 0,
 
 That costs one cos and one sin per point and a multiply and two adds per
 mode, where the per-mode sum takes one sin per mode.  Points are summed a
-block at a time, so no (points x modes) array outlives its block.
+block at a time: one interval search in the energy table per block, and
+each b_{2j}(K) is evaluated from the table just before its step, so no
+(points x modes) array is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,6 @@ __all__ = [
     "compute_c_prime",
     "build_chart",
     "chart_range_for_support",
-    "to_action_angle",
     "from_action_angle",
 ]
 
@@ -103,25 +103,19 @@ class ChartRangeError(ValueError):
     """Energy outside the tabulated chart range."""
 
 
-# Query points per block in ``_Spline.__call__`` and ``OrbitChart.q_from_chi``:
-# bounds the gathered coefficients (4 x rows x m) and the recurrence's
-# arrays however many points are evaluated, and keeps them in cache.  On a
-# 2-vCPU Xeon the 801 x 512 and 1601 x 1024 node sets (87,195 and 348,873
-# support nodes) build in 71-85 and 270-318 ms at 2048, against 82-114 and
-# 315-418 ms at 512-1024 and 78-94 and 300-406 ms at 4096-16384, best of 3
-# in two runs of studies/pullback_block.py.
-_SPLINE_ROWS = 2048
-# Largest rows x columns of one block: a chart with many modes takes fewer
-# rows, so each gathered table stays under 8 MiB.  At the default's 20
-# modes it caps none of the block sizes the study sweeps.
+# Points per block of ``OrbitChart.q_from_chi`` and ``_Spline.columns``:
+# bounds their per-point arrays however many points are evaluated.  On a
+# 2-vCPU Xeon the 201 x 128, 801 x 512 and 1601 x 1024 node sets (5,441,
+# 87,195 and 348,873 support nodes) build in 2.7-2.9, 23-37 and 92-131 ms
+# at 8192, against 3.3-3.6, 43-45 and 114-174 ms at 2048 and 4.2-4.4, 56-65
+# and 150-254 ms at 1024, best of 3-5 in four runs of
+# studies/pullback_block.py; 16384 is as fast but traces 7.2 MiB, not 6.2,
+# at 801 x 512.
+_BLOCK_POINTS = 8192
+# Largest angles x modes of one block of build_chart's monotonicity check:
+# a chart with many modes takes fewer angles, so each cosine table stays
+# under 8 MiB.
 _BLOCK_CELLS = 2**20
-# Columns of the b_k in a chart's energy table, after c.
-_B_COLS = slice(1, None)
-
-
-def _block_rows(columns: int) -> int:
-    """Rows per block of a table ``columns`` wide."""
-    return max(1, min(_SPLINE_ROWS, _BLOCK_CELLS // max(columns, 1)))
 
 
 class _Spline:
@@ -132,6 +126,9 @@ class _Spline:
     pivoting (LAPACK ``gtsv`` pivots nowhere on this matrix), the Hermite
     coefficients, and the power-sum evaluation of ``PPoly``, per column.  So
     each column equals its ``CubicSpline`` bit for bit, as golden outputs need.
+    The coefficients are stored column by column, so one interval search
+    (:meth:`locate`) serves every column and a column's four coefficients
+    are gathered from one contiguous table (:meth:`column`).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -171,50 +168,63 @@ class _Spline:
 
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x = x
-        # Interval-i coefficients of d**3, d**2, d and 1, one table each.
-        self.coeffs = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+        # coeffs[j, i]: column j's coefficients of d**3, d**2, d and 1 on
+        # interval i, the four side by side.
+        coeffs = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+        self.coeffs = np.ascontiguousarray(np.stack(coeffs, axis=-1).transpose(1, 0, 2))
 
-    def __call__(self, xq, cols) -> np.ndarray:
-        """Columns ``cols`` (an index or a slice) at xq; gathers no other."""
-        xq = np.asarray(xq, dtype=float)
-        flat = xq.reshape(-1)
-        coeffs = [np.ascontiguousarray(c[:, cols]) for c in self.coeffs]
-        tail = coeffs[0].shape[1:]
-        out = np.empty(flat.shape + tail)
-        rows = _block_rows(math.prod(tail))
-        for lo in range(0, flat.size, rows):
-            pts = flat[lo : lo + rows]
-            # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
-            # outward, and x[-1] itself falls in the last.
-            i = np.searchsorted(self.x[1:-1], pts, side="right")
-            d = (pts - self.x[i]).reshape(pts.shape + (1,) * len(tail))
-            dd = d * d
-            c3, c2, c1, c0 = (np.take(c, i, axis=0) for c in coeffs)
-            # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3,
-            # in place on the gathered copies.
-            res = out[lo : lo + pts.size]
-            np.multiply(c1, d, out=res)
-            res += c0
-            c2 *= dd
-            res += c2
-            c3 *= dd * d
-            res += c3
-        return out.reshape(xq.shape + tail)
+    def locate(self, xq: np.ndarray):
+        """For :meth:`column`: the interval of each 1-D point, its offset d
+        in it, d**2, d**3, and room for one column's coefficients."""
+        # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
+        # outward, and x[-1] itself falls in the last.
+        i = np.searchsorted(self.x[1:-1], xq, side="right")
+        d = xq - self.x[i]
+        dd = d * d
+        return i, d, dd, dd * d, np.empty((xq.size, 4))
+
+    def column(self, j: int, at, out: np.ndarray) -> np.ndarray:
+        """Column j at the points located by ``at``, written to ``out``."""
+        i, d, dd, ddd, gathered = at
+        # Every index is in range; "clip" lets take fill ``gathered`` unbuffered.
+        np.take(self.coeffs[j], i, axis=0, out=gathered, mode="clip")
+        c3, c2, c1, c0 = gathered.T
+        # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
+        np.multiply(c1, d, out=out)
+        out += c0
+        c2 *= dd
+        out += c2
+        c3 *= ddd
+        out += c3
+        return out
+
+    def columns(self, xq: np.ndarray, cols: range) -> np.ndarray:
+        """Columns ``cols`` at the 1-D points xq, side by side, a block of
+        points at a time."""
+        out = np.empty((xq.size, len(cols)))
+        for lo in range(0, xq.size, _BLOCK_POINTS):
+            block = slice(lo, lo + _BLOCK_POINTS)
+            at = self.locate(xq[block])
+            for n, j in enumerate(cols):
+                self.column(j, at, out[block, n])
+        return out
 
 
 def to_angle_energy(params: PotentialParams, x, v):
-    """Map phase points to (chi, h); rejects the elliptic fixed point.
+    """Map phase points to (chi, h) on their broadcast shape.
 
     x > 0 maps into (-pi/2, pi/2) and x < 0 into the complementary arc,
     so the right turning point sits at chi = 0 and the left at chi = pi.
+    The elliptic fixed point (0, 0), at h = 0, has no angle: chi is NaN
+    there.  Phi is evaluated on x as given: per row, not per point, on a
+    column of grid rows x against rows of v.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     h = hamiltonian(params, x, v)
-    if np.any(h <= 0):
-        raise ValueError("the fixed point (0, 0) has no angle coordinate")
-    sin_part = v / np.sqrt(2.0 * h)
-    cos_part = np.sign(x) * np.sqrt(phi(params, x) / h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_part = v / np.sqrt(2.0 * h)
+        cos_part = np.sign(x) * np.sqrt(phi(params, x) / h)
     return np.arctan2(sin_part, cos_part), h
 
 
@@ -357,54 +367,51 @@ class OrbitChart:
     def c_of_k(self, k):
         """Orbital frequency at energy k (cubic interpolation)."""
         self.check_range(k)
-        return self._table(k, 0)
-
-    @staticmethod
-    def _sine_sum(chi: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_k b_k sin(k chi) over the even modes by the module's Clenshaw
-        recurrence; b holds each point's coefficients on its last axis."""
-        theta = 2.0 * chi
-        two_cos = 2.0 * np.cos(theta)
-        u1, u2, u = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
-        for j in reversed(range(b.shape[-1])):
-            np.multiply(two_cos, u1, out=u)
-            u -= u2
-            u += b[..., j]
-            u1, u2, u = u, u1, u2
-        u1 *= np.sin(theta)
-        return u1
+        k = np.asarray(k, dtype=float)
+        return self._table.columns(k.reshape(-1), range(1)).reshape(k.shape)
 
     def q_from_chi(self, chi, k):
-        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant,
-        evaluated a block of points at a time."""
+        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
+
+        A block of points at a time, the series is summed by the module's
+        Clenshaw recurrence from the last mode down, each b_k(K) read from
+        the energy table just before its step: one interval search per
+        block, and no (points x modes) array.
+        """
         self.check_range(k)
-        chi = np.asarray(chi, dtype=float)
-        k = np.asarray(k, dtype=float)
-        chi_b, k_b = np.broadcast_arrays(chi, k)
+        chi_b, k_b = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(k, dtype=float))
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
-        rows = _block_rows(self.modes.size)
-        for lo in range(0, q.size, rows):
-            block = slice(lo, lo + rows)
-            q[block] = self._sine_sum(chi_f[block], self._table(k_f[block], _B_COLS))
-            q[block] += chi_f[block]
+        table = self._table
+        for lo in range(0, q.size, _BLOCK_POINTS):
+            block = slice(lo, lo + _BLOCK_POINTS)
+            at = table.locate(k_f[block])
+            theta = 2.0 * chi_f[block]
+            two_cos = 2.0 * np.cos(theta)
+            u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
+            u, b = np.empty_like(theta), np.empty_like(theta)
+            for j in range(self.sine_coeffs.shape[1], 0, -1):
+                np.multiply(two_cos, u1, out=u)
+                u -= u2
+                u += table.column(j, at, b)
+                u1, u2, u = u, u1, u2
+            u1 *= np.sin(theta)
+            np.add(u1, chi_f[block], out=q[block])
         return q.reshape(chi_b.shape)
 
     def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.
 
-        The residual sums the series as :meth:`q_from_chi` does; the
-        slope, which only steers the iteration, is summed mode by mode.
+        The residual is :meth:`q_from_chi`'s; the slope, which only steers
+        the iteration, is summed mode by mode.
         """
         self.check_range(k)
-        q = np.asarray(q, dtype=float)
-        k = np.asarray(k, dtype=float)
-        q_b, k_b = np.broadcast_arrays(q, k)
-        b = self._table(k_b, _B_COLS)
-        kb = self.modes * b
+        q_b, k_b = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(k, dtype=float))
+        b = self._table.columns(k_b.reshape(-1), range(1, self.modes.size + 1))
+        kb = self.modes * b.reshape(k_b.shape + self.modes.shape)
         chi = np.array(q_b, dtype=float, copy=True)
         for _ in range(_NEWTON_STEPS):
-            resid = chi + self._sine_sum(chi, b) - q_b
+            resid = self.q_from_chi(chi, k_b) - q_b
             slope = 1.0 + np.sum(np.cos(chi[..., None] * self.modes) * kb, axis=-1)
             chi = chi - resid / slope
             if np.max(np.abs(resid)) < _NEWTON_TOL:
@@ -492,7 +499,7 @@ def build_chart(
     if n_half % 2 == 0:
         n_half += 1
     fine = np.arange(2 * n_half) * (np.pi / (4 * n_half - 1))
-    kb, rows = (modes * b).T, _block_rows(modes.size)
+    kb, rows = (modes * b).T, max(1, _BLOCK_CELLS // max(modes.size, 1))
     for lo in range(0, fine.size, rows):
         cos = np.cos(fine[lo : lo + rows, None] * modes)
         if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
@@ -511,12 +518,6 @@ def build_chart(
             "raise n_chi"
         )
     return chart
-
-
-def to_action_angle(chart: OrbitChart, x, v):
-    """Full chart (x, v) -> (Q, K); energy must lie in the chart range."""
-    chi, h = to_angle_energy(chart.params, x, v)
-    return chart.q_from_chi(chi, h), h
 
 
 def from_action_angle(chart: OrbitChart, q, k):

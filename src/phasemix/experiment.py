@@ -36,13 +36,13 @@ __all__ = ["ConfigError", "ResolutionError", "ExperimentConfig", "Experiment"]
 # Bounds on the work one config may ask for.  The resolved t_max = 2000
 # run (1601 grid points x 1024 velocity nodes, 17 samples per period:
 # 6,188 times) fits each.  Its node set pulls back only the x >= 0, v >= 0
-# quarter of the 1.6 M velocity nodes (348,873 support nodes): 28 MiB
-# traced by tracemalloc, about 18 bytes per grid point and velocity node,
-# a process peak RSS of 59 MiB and 0.2 s on a 2-vCPU Xeon.  Its decay scan
-# streams blocks of times and raises neither (1.0 s, 15 MiB traced), so
-# MAX_SCAN bounds the scan's work, not its memory: each time costs about
-# P multiply-adds per x >= 0 grid row (P = 221 there), or trig at every
-# support node.
+# quarter of the 1.6 M velocity nodes (348,873 support nodes): 25 MiB
+# traced by tracemalloc, about 16 bytes per grid point and velocity node,
+# a process peak RSS of 57 MiB and 0.11-0.16 s on a 2-vCPU Xeon.  Its
+# decay scan streams blocks of times and raises neither (1.0 s, 15 MiB
+# traced), so MAX_SCAN bounds the scan's work, not its memory: each time
+# costs about P multiply-adds per x >= 0 grid row (P = 221 there), or trig
+# at every support node.
 MAX_CHART_CELLS = 2**20   # n_k * n_chi, the chart's energy-angle table
 MAX_NODES = 2**22         # grid_points * v_quad, the velocity nodes of the node set
 MAX_SCAN = 2**24          # decay times * grid_points, the work of the scan

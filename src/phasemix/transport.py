@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_angle import OrbitChart, to_action_angle
+from .action_angle import OrbitChart, to_angle_energy
 from .flow import flow_map
-from .potential import PotentialParams, hamiltonian
+from .potential import PotentialParams
 
 __all__ = [
     "InitialData",
@@ -101,15 +101,15 @@ def pull_back(f0: InitialData, x, v):
 
     Returns ``(inside, q, k)``: the mask of the broadcast points with
     h_min < H < h_max, and the angle Q and energy K in ``f0.chart`` of
-    those points in row-major order.  Points outside the annulus never
-    touch the chart, which covers the annulus.
+    those points in row-major order.  One :func:`to_angle_energy` pass
+    gives every point's angle and energy, so a grid given as a column of x
+    and rows of v evaluates Phi per row and H once per point.  Points
+    outside the annulus never touch the chart, which covers the annulus.
     """
-    x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    h = np.asarray(hamiltonian(f0.params, x_b, v_b))
+    chi, h = (np.asarray(a) for a in to_angle_energy(f0.params, x, v))
     inside = (h > f0.h_min) & (h < f0.h_max)
-    if not inside.any():
-        return inside, h[inside], h[inside]
-    return (inside, *to_action_angle(f0.chart, x_b[inside], v_b[inside]))
+    k = h[inside]
+    return inside, f0.chart.q_from_chi(chi[inside], k), k
 
 
 def evaluate_f_actionangle(f0: InitialData, t: float, x, v):

@@ -1,7 +1,7 @@
 """Cost and accuracy of the chart's pull-back against its block size.
 
 ``OrbitChart.q_from_chi`` sums the angle series Q = chi + sum_k b_k sin(k chi)
-by Clenshaw's recurrence, ``_SPLINE_ROWS`` points at a time
+by Clenshaw's recurrence, ``_BLOCK_POINTS`` points at a time
 (``phasemix.action_angle``).  For the node sets of a config at three
 resolutions (grid points x velocity nodes) and each candidate block size,
 this script reports
@@ -32,7 +32,7 @@ from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
 from phasemix.transport import pull_back
 
 RESOLUTIONS = ((201, 128), (801, 512), (1601, 1024))
-BLOCKS = (512, 1024, 2048, 4096, 16384)
+BLOCKS = (1024, 2048, 4096, 8192, 16384)
 # Points per chunk of the direct sum, whose (points x modes) temporaries
 # are what the recurrence avoids.
 DIRECT_CHUNK = 1 << 16
@@ -53,7 +53,7 @@ def direct_error(chart: action_angle.OrbitChart, chi, k, q) -> float:
     worst = 0.0
     for lo in range(0, chi.size, DIRECT_CHUNK):
         c, kk = chi[lo : lo + DIRECT_CHUNK], k[lo : lo + DIRECT_CHUNK]
-        b = chart._table(kk, action_angle._B_COLS)
+        b = chart._table.columns(kk, range(1, chart.modes.size + 1))
         direct = c + np.sum(np.sin(np.multiply.outer(c, chart.modes)) * b, axis=-1)
         scale = 1.0 + np.sum(np.abs(b), axis=-1)
         worst = max(worst, float(np.max(np.abs(q[lo : lo + DIRECT_CHUNK] - direct) / scale)))
@@ -74,7 +74,7 @@ def main() -> None:
     for grid, n_quad in RESOLUTIONS:
         x = spatial_grid(exp.params, exp.cfg.c_s, grid)
         for block in BLOCKS:
-            action_angle._SPLINE_ROWS = block
+            action_angle._BLOCK_POINTS = block
             best = np.inf
             for _ in range(args.repeats):
                 start = time.perf_counter()

@@ -28,6 +28,12 @@ def harmonic_experiment():
 
 
 @pytest.fixture(scope="session")
+def wide_experiment():
+    """A chart of 2,242 modes: eps = 100, c_s = 0.02, n_k = 4, n_chi = 262144."""
+    return Experiment(ExperimentConfig(epsilon=100.0, c_s=0.02, n_k=4, n_chi=262144))
+
+
+@pytest.fixture(scope="session")
 def params(experiment):
     return experiment.params
 

@@ -27,8 +27,8 @@ from phasemix import (
     q_fourier_spectrum,
     spatial_grid,
     sup_phi_t,
-    to_action_angle,
 )
+from phasemix.transport import pull_back
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -242,7 +242,8 @@ def test_criterion_08_chart_geometry(pipeline):
     x, v = x[keep], v[keep]
     from phasemix import from_action_angle
 
-    q, k = to_action_angle(chart, x, v)
+    inside, q, k = pull_back(f0, x, v)
+    assert inside.all()
     xb, vb = from_action_angle(chart, q, k)
     rt_err = float(max(np.max(np.abs(xb - x)), np.max(np.abs(vb - v))))
     ok = half_err <= 1e-10 and rt_err <= 1e-9

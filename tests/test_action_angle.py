@@ -22,12 +22,18 @@ from phasemix import (
     hamiltonian,
     orbit_period,
     rate_a,
-    to_action_angle,
     to_angle_energy,
 )
 from phasemix import action_angle
-from phasemix.action_angle import _B_COLS, _orbit_integrands
+from phasemix.action_angle import _orbit_integrands
 from phasemix.experiment import Experiment, ExperimentConfig
+from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
+from phasemix.transport import pull_back
+
+
+def _b_table(chart, k):
+    """The energy table's b_k columns at the 1-D energies k."""
+    return chart._table.columns(k, range(1, chart.modes.size + 1))
 
 
 def test_rate_harmonic_is_one(harmonic):
@@ -150,7 +156,7 @@ def test_chart_splines_match_scipy(chart):
     ks = np.concatenate([chart.k_grid, rng.uniform(chart.k_min, chart.k_max, 10_000)])
     assert np.array_equal(chart.c_of_k(ks), CubicSpline(chart.k_grid, chart.c)(ks))
     b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(ks)
-    assert np.array_equal(chart._table(ks, _B_COLS), b)
+    assert np.array_equal(_b_table(chart, ks), b)
 
 
 def test_chart_table_follows_replaced_tables(chart):
@@ -203,21 +209,22 @@ def test_chart_convergence(params):
     assert err_c < 1e-7 and err_q < 1e-7
 
 
-def test_action_angle_round_trip(chart, support_sample):
+def test_action_angle_round_trip(chart, f0, support_sample):
     x, v = support_sample
-    q, k = to_action_angle(chart, x, v)
+    inside, q, k = pull_back(f0, x, v)
+    assert inside.all()
     xb, vb = from_action_angle(chart, q, k)
     npt.assert_allclose(xb, x, atol=1e-10)
     npt.assert_allclose(vb, v, atol=1e-10)
 
 
-def test_flow_is_rigid_rotation_in_q(params, chart):
+def test_flow_is_rigid_rotation_in_q(params, chart, f0):
     # The conjugated flow translates Q at rate c(K) and freezes K.
     x0, v0 = from_angle_energy(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
     xt, vt = flow_map(params, x0, v0, t, tolerance=1e-12)
-    q0, k0 = to_action_angle(chart, x0, v0)
-    qt, kt = to_action_angle(chart, xt, vt)
+    _, q0, k0 = pull_back(f0, x0, v0)
+    _, qt, kt = pull_back(f0, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)
     # Q decreases along the flow: Q(t) = Q(0) - c(K) t.
     drift = (qt - q0 + chart.c_of_k(k0) * t + np.pi) % (2.0 * np.pi) - np.pi
@@ -325,7 +332,7 @@ def _series_points(chart, n=4000, seed=3):
 
 def _assert_matches_direct_sum(chart):
     chi, k = _series_points(chart)
-    b = chart._table(k, _B_COLS)
+    b = _b_table(chart, k)
     direct = chi + np.sum(np.sin(np.multiply.outer(chi, chart.modes)) * b, axis=-1)
     scale = 1.0 + np.sum(np.abs(b), axis=-1)
     err = np.abs(chart.q_from_chi(chi, k) - direct) / scale
@@ -362,6 +369,38 @@ def test_q_from_chi_identity_without_modes(harmonic_chart):
     assert np.array_equal(harmonic_chart.chi_from_q(chi, k), chi)
 
 
+def _scipy_q(chart, chi, k):
+    """chi plus the module's Clenshaw sum of the series, operation for
+    operation, with the b_k(K) of SciPy's CubicSpline through the table."""
+    from scipy.interpolate import CubicSpline
+
+    theta = 2.0 * chi
+    two_cos = 2.0 * np.cos(theta)
+    u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
+    if chart.modes.size:
+        b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(k)
+        for j in reversed(range(chart.modes.size)):
+            u1, u2 = two_cos * u1 - u2 + b[:, j], u1
+    return u1 * np.sin(theta) + chi
+
+
+@pytest.mark.parametrize("name, n", [
+    ("experiment", 2 * action_angle._BLOCK_POINTS + 37),  # three blocks, the last partial
+    ("harmonic_experiment", 500),  # no modes
+    ("wide_experiment", 300),  # 2,242 modes
+    ("experiment", 0),
+])
+def test_q_from_chi_is_the_scipy_spline_summed_by_clenshaw(request, name, n):
+    # The fused pass evaluates each b_k(K) inside the recurrence; its sums
+    # equal the recurrence over SciPy's spline values bit for bit.
+    chart = request.getfixturevalue(name).chart
+    rng = np.random.default_rng(11)
+    chi, k = rng.uniform(-np.pi, np.pi, n), rng.uniform(chart.k_min, chart.k_max, n)
+    q = chart.q_from_chi(chi, k)
+    assert q.shape == (n,)
+    assert q.tobytes() == _scipy_q(chart, chi, k).tobytes()
+
+
 def test_q_from_chi_memory_is_blocked(chart):
     # Direct summation holds (points x modes) temporaries: 91.6 MiB here.
     rng = np.random.default_rng(5)
@@ -389,3 +428,19 @@ def test_wide_chart_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_validate_node_set_memory(experiment):
+    # validate's 801 x 512 node set: 87,195 support nodes, 6.2 MiB traced.
+    # Gathering (points x modes) blocks of the energy table and evaluating
+    # H and Phi twice per support node peaked at 7.0 MiB.
+    x = spatial_grid(experiment.params, experiment.cfg.c_s, 801)
+    gauss_legendre(512)  # memoized: built before the trace
+    tracemalloc.start()
+    try:
+        calc = MomentCalculator(experiment.f0, x, n_quad=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calc.support_nodes == 87_195
+    assert peak < 7.0 * 2**20

@@ -15,8 +15,10 @@ from phasemix import (
     from_action_angle,
     hamiltonian,
     solution_bar,
-    to_action_angle,
+    to_angle_energy,
 )
+from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
+from phasemix.transport import pull_back
 
 
 def test_bump_support(f0):
@@ -127,6 +129,33 @@ def test_annulus_point_outside_chart_raises(params, chart, f0):
     v_bad = np.sqrt(2.0 * 2.3)  # h = 2.3 > chart.k_max = 2.1
     assert hamiltonian(params, x_bad, v_bad) < 1.0 / 0.4
     with pytest.raises(ChartRangeError):
-        to_action_angle(chart, x_bad, v_bad)
+        chart.q_from_chi(*to_angle_energy(params, x_bad, v_bad))
     with pytest.raises(ChartRangeError):
         from_action_angle(chart, 0.0, 2.3)
+
+
+@pytest.mark.parametrize("name, grid, n_quad", [
+    ("experiment", 201, 128),  # the default node set: 5,441 support nodes
+    ("harmonic_experiment", 201, 129),  # no modes; an odd rule puts v = 0 on x = 0
+    ("wide_experiment", 21, 64),  # 2,242 modes on a few hundred nodes
+])
+def test_pull_back_is_the_pointwise_chart(request, name, grid, n_quad):
+    # The node set's pull-back evaluates Phi per grid row and H per node on
+    # the broadcast grid; it equals the chart applied to the gathered
+    # support nodes one by one, bit for bit.
+    exp = request.getfixturevalue(name)
+    calc = MomentCalculator(exp.f0, spatial_grid(exp.params, exp.cfg.c_s, grid), n_quad=n_quad)
+    x = calc.abs_x[:, None]
+    v = calc.v_max[:, None] * gauss_legendre(n_quad)[0][n_quad // 2:]
+    inside, q, k = pull_back(exp.f0, x, v)
+    assert inside.sum() == calc.support_nodes > 0
+    chi, h = to_angle_energy(exp.params, np.broadcast_to(x, v.shape)[inside], v[inside])
+    assert k.tobytes() == h.tobytes()
+    assert q.tobytes() == exp.chart.q_from_chi(chi, h).tobytes()
+
+
+def test_pull_back_of_an_empty_support(f0):
+    # The fixed point and points off the annulus never reach the chart.
+    inside, q, k = pull_back(f0, np.array([[0.0], [0.1], [3.0]]), np.array([[0.0, 0.1], [0.0, 0.2], [3.0, 0.0]]))
+    assert inside.shape == (3, 2) and not inside.any()
+    assert q.shape == k.shape == (0,)

@@ -15,12 +15,11 @@ The per-energy reparametrization dQ/dchi = c/a is a smooth, even,
 2*pi-periodic function of chi, so the chart tabulates its Fourier sine
 antiderivative: Q(chi) = chi + sum_k b_k sin(k chi).  That form is odd,
 spectrally accurate, exactly 2*pi-equivariant, and pins Q(pi/2) = pi/2
-and Q(pi) = pi by symmetry.  The rate a, and with it 1/a and the
-integrand of c', depends on chi only through cos^2(chi): each is even
-and pi-periodic.  The chart therefore solves for x**2 once, on the quarter
-orbit chi_j = 2 pi j / n_chi, j = 0, ..., n_chi // 4, evaluates both
-integrands from that one table, and mirrors it (j <-> n_chi/2 - j) onto
-the half period [0, pi).  c and c' are means over the half period, and
+and Q(pi) = pi by symmetry.  The rate a, and with it 1/a, depends on chi
+only through cos^2(chi): it is even and pi-periodic.  The chart therefore
+evaluates 1/a on the quarter orbit chi_j = 2 pi j / n_chi, j = 0, ...,
+n_chi // 4, and mirrors it (j <-> n_chi/2 - j) onto the half period
+[0, pi).  c is the reciprocal of its mean over the half period, and
 one rfft of length n_chi/2 gives the even modes b_2j; the odd b_k are
 exactly absent (the periodic trapezoid rule on the symmetry-reduced
 period: L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
@@ -28,7 +27,8 @@ The chart keeps the even modes 2, 4, ..., 2J, cut after the last one
 above a floor, so Q(pi - chi) = pi - Q(chi) holds for every chart.
 One not-a-knot cubic spline through the stacked columns c, b_k
 interpolates the chart across the energy grid; the inverse map is solved
-by Newton iteration on the monotone forward series.
+by Newton iteration on the monotone forward series.  The chart holds no c'
+table: ``compute_c_prime`` evaluates c' wherever it is needed.
 
 The series is summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
 Tables Aids Comput. 9 (1955) 118) in theta = 2 chi: with
@@ -292,13 +292,17 @@ def compute_c_prime(params: PotentialParams, h):
 
     c' = c**2 * <cos^2(chi) (3 eps + 2 eps**2 x**2) /
     (sqrt(1 + eps x**2) (1 + 2 eps x**2)**3)>, the periodic-trapezoid
-    average over the full circle; strictly positive for eps > 0 and zero
-    in the isochronous case.
+    average over the full circle; c comes from the same angles and x**2
+    table, bit for bit :func:`compute_c` at its default nodes.  Strictly
+    positive for eps > 0 and zero in the isochronous case.
     """
     h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("energy must be > 0")
     cos2 = np.cos(_angle_nodes(_ORBIT_NODES)) ** 2
-    g = _orbit_integrands(params, cos2, h[..., None])[1]
-    return compute_c(params, h) ** 2 * g.mean(axis=-1)
+    a, g = _orbit_integrands(params, cos2, h[..., None])
+    c = 1.0 / (1.0 / a).mean(axis=-1)
+    return c**2 * g.mean(axis=-1)
 
 
 def chart_range_for_support(c_s: float):
@@ -318,14 +322,12 @@ class OrbitChart:
     table's width), since the odd ones vanish for an even potential; at
     eps = 0 the table is n_k x 0 and Q = chi.  One spline through the
     stacked columns c, b_k, built from these tables on construction,
-    interpolates both in energy, and ``delta`` reads the c' table, so
-    neither goes stale under ``replace``.
+    interpolates both in energy, so it never goes stale under ``replace``.
     """
 
     params: PotentialParams
     k_grid: np.ndarray
     c: np.ndarray
-    c_prime: np.ndarray
     sine_coeffs: np.ndarray
     _table: _Spline = field(init=False, repr=False, compare=False)
 
@@ -345,11 +347,6 @@ class OrbitChart:
     def modes(self) -> np.ndarray:
         """The wavenumbers 2, 4, ..., 2J of the columns of ``sine_coeffs``."""
         return 2 * np.arange(1, self.sine_coeffs.shape[1] + 1)
-
-    @property
-    def delta(self) -> float:
-        """The measured lower bound of c' over the grid."""
-        return float(self.c_prime.min())
 
     @property
     def last_mode(self) -> float:
@@ -428,14 +425,13 @@ def build_chart(
     n_k: int,
     n_chi: int,
 ) -> OrbitChart:
-    """Tabulate c, c' and the angle reparametrization on an energy grid.
+    """Tabulate c and the angle reparametrization on an energy grid.
 
-    For each grid energy, 1/a and the integrand of c' are evaluated on
-    the n_chi // 4 + 1 angles 2 pi j / n_chi of the quarter orbit [0, pi/2]
-    from one x**2 table, and mirrored onto the half period [0, pi), where
-    both repeat.  c and c' are means over it, and one rfft of length
-    n_chi/2 of the smooth periodic weight dQ/dchi = c/a gives the even
-    modes of Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
+    For each grid energy, 1/a is evaluated on the n_chi // 4 + 1 angles
+    2 pi j / n_chi of the quarter orbit [0, pi/2] and mirrored onto the
+    half period [0, pi), where it repeats.  c is the reciprocal of its
+    mean, and one rfft of length n_chi/2 of the smooth periodic weight
+    dQ/dchi = c/a gives the even modes of Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
     dQ/dchi > 0 is verified at every grid energy, and the last kept mode
     must lie below a floor (1e-6), before the chart is returned, or
     :class:`ChartError` is raised.
@@ -449,22 +445,13 @@ def build_chart(
 
     k_grid = np.linspace(k_min, k_max, n_k)
     half, quarter = n_chi // 2, n_chi // 4 + 1
-    cos2 = np.cos(_angle_nodes(n_chi)[:quarter]) ** 2
-    a, g = _orbit_integrands(params, cos2, k_grid[:, None])
-    # Angle j of the half period reads quarter-orbit angle min(j, half - j):
-    # one buffer, filled by slicing, holds each mirrored table in turn.
-    period = np.empty((n_k, half))
-
-    def mirrored(table: np.ndarray) -> np.ndarray:
-        period[:, :quarter] = table
-        period[:, quarter:] = table[:, half - quarter : 0 : -1]
-        return period
-
-    c_prime_mean = mirrored(g).mean(axis=1)
-    w = mirrored(1.0 / a)
+    a = rate_a(params, _angle_nodes(n_chi)[:quarter], k_grid[:, None])
+    # Angle j of the half period reads quarter-orbit angle min(j, half - j).
+    w = np.empty((n_k, half))
+    w[:, :quarter] = 1.0 / a
+    w[:, quarter:] = w[:, half - quarter : 0 : -1]
     mean_inv = w.mean(axis=1)
     c = 1.0 / mean_inv
-    c_prime = c**2 * c_prime_mean
 
     # Fourier antiderivative of w = (1/a) / <1/a>, whose mean is 1 by
     # construction.  w is even in chi, so the rfft coefficients are real;
@@ -479,7 +466,7 @@ def build_chart(
     b = factor * spectrum[:, 1:].real / modes
     # NaN fails every comparison below, so an overflowed table would pass
     # the mode floor, monotonicity and tail checks unseen.
-    if not all(np.isfinite(table).all() for table in (k_grid, c, c_prime, b)):
+    if not all(np.isfinite(table).all() for table in (k_grid, c, b)):
         raise ChartError("chart tables are not finite: the energy range or the potential overflows")
 
     # The series ends at its last mode above the floor; the copy frees the
@@ -505,13 +492,7 @@ def build_chart(
         if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
             raise ChartError("tabulated angle map is not monotone")
 
-    chart = OrbitChart(
-        params=params,
-        k_grid=k_grid,
-        c=c,
-        c_prime=c_prime,
-        sine_coeffs=b,
-    )
+    chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b)
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(
             f"angle map truncated: last kept mode {chart.last_mode:.1e} > {_TAIL_FLOOR:.0e}; "

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .action_angle import ChartError, compute_c
+from .action_angle import ChartError, compute_c, compute_c_prime
 from .experiment import ConfigError, Experiment, ExperimentConfig, ResolutionError
 from .mixing import FitError, fit_decay, sup_phi_t
 # Unused here: perfbench's tracer test checks that the tracer rebinds this name.
@@ -85,12 +85,13 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
     c_fine = compute_c(exp.params, probes, n_quad=2 * n_quad)
     max_rel = float(np.max(np.abs(c_fine - c_base) / np.abs(c_fine)))
 
-    np.savetxt(out / "chart.csv", np.column_stack((chart.k_grid, chart.c, chart.c_prime)),
+    c_prime = compute_c_prime(exp.params, chart.k_grid)
+    np.savetxt(out / "chart.csv", np.column_stack((chart.k_grid, chart.c, c_prime)),
                fmt="%.17g", delimiter=",", header="K,c,c_prime", comments="")
     _write_json(
         out / "chart_summary.json",
         {
-            "delta": chart.delta,
+            "delta": float(c_prime.min()),
             "k_min": chart.k_min,
             "k_max": chart.k_max,
             "n_k": cfg.n_k,

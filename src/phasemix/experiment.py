@@ -24,7 +24,6 @@ from .action_angle import (
     OrbitChart,
     build_chart,
     chart_range_for_support,
-    compute_c,
     compute_c_prime,
 )
 from .moments import MomentCalculator, gauss_legendre, spatial_grid
@@ -69,19 +68,15 @@ def _is_finite_real(value) -> bool:
 def _overflows(epsilon: float, c_s: float) -> bool:
     """Whether the potential overflows over the chart's energy range.
 
-    c and c' at both ends of the range (16 angle nodes for c) and the
-    support's turning point must evaluate without overflow, invalid
-    values or division by zero, and be finite; underflow is harmless.
+    c' (and with it c) at both ends of the range and the support's
+    turning point must evaluate without overflow, invalid values or
+    division by zero, and be finite; underflow is harmless.
     """
     params = PotentialParams(epsilon)
     ends = np.array(chart_range_for_support(c_s))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = (
-                compute_c(params, ends, n_quad=16),
-                compute_c_prime(params, ends),
-                invert_phi(params, 1.0 / c_s),
-            )
+            values = (compute_c_prime(params, ends), invert_phi(params, 1.0 / c_s))
     except FloatingPointError:
         return True
     return not all(np.isfinite(v).all() for v in values)

@@ -11,8 +11,9 @@ from the size of the last two coefficients, after A. Jorba and M. Zou,
 Exp. Math. 14 (2005) 99.  It drives the backward-characteristics route
 against which the action-angle chart is checked, and the tests check it
 in turn against SciPy's DOP853.  The orbit period, an independent oracle
-for the orbital frequency, is located by Newton iteration on the series
-for v of the step that crosses the turning point.
+for the orbital frequency, is four times the time to the first turning
+point, located by Newton iteration on the series for v of the step that
+crosses it.
 """
 
 from __future__ import annotations
@@ -132,26 +133,21 @@ def _downward_root(v: np.ndarray, h: float) -> float:
 def orbit_period(params: PotentialParams, h: float) -> float:
     """Period of the closed orbit of energy h > 0.
 
-    Starts on the level set at (0, sqrt(2h)) and measures the time
-    between the first two passages through the right turning point
-    (v = 0 crossed downward; on these orbits v vanishes only at the two
-    turning points, and the crossing at x > 0 is the downward one).
-    Each crossing is located on the series of the step that contains it.
+    Starts on the level set at (0, sqrt(2h)) and measures the time to the
+    right turning point, where v first crosses 0 downward, located on the
+    series of the step that contains it.  Phi is even and the flow is
+    reversible, so that quarter orbit takes a quarter of the period.
     """
     if not h > 0:
         raise ValueError("energy must be > 0")
     x = np.zeros(1)
     v = np.array([math.sqrt(2.0 * h)])
     t = 0.0
-    crossings = []
     for _ in range(MAX_STEPS):
         cx, cv = _series(params.epsilon, x, v)
         step = _step(cx, cv, PERIOD_TOLERANCE)
-        x_end, v_end = _at(cx, step), _at(cv, step)
-        if v[0] > 0 >= v_end[0]:
-            crossings.append(t + _downward_root(cv[:, 0], step))
-            if len(crossings) == 2:
-                return crossings[1] - crossings[0]
-        x, v = x_end, v_end
+        x, v = _at(cx, step), _at(cv, step)
+        if v[0] <= 0:
+            return 4.0 * (t + _downward_root(cv[:, 0], step))
         t += step
-    raise FlowError(f"fewer than two turning-point crossings in {MAX_STEPS} steps")
+    raise FlowError(f"no turning-point crossing in {MAX_STEPS} steps")

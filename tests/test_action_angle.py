@@ -104,6 +104,35 @@ def test_c_prime_positive_and_matches_fd(params):
     npt.assert_allclose(cp, fd, atol=1e-8)
 
 
+def test_c_prime_and_config_probe_solve_the_orbit_once(monkeypatch, params):
+    # compute_c_prime takes c from its own integrand pass, and the config's
+    # overflow probe is that one call.
+    calls = []
+    original = action_angle._orbit_integrands
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(action_angle, "_orbit_integrands", counted)
+    hs = np.linspace(0.5, 2.0, 7)
+    c_prime = compute_c_prime(params, hs)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # c from that pass is compute_c's at its default nodes, bit for bit.
+    _, g = _orbit_integrands(params, np.cos(np.arange(256) * (2.0 * np.pi / 256)) ** 2, hs[:, None])
+    assert np.array_equal(c_prime, compute_c(params, hs) ** 2 * g.mean(axis=-1))
+    monkeypatch.setattr(action_angle, "_orbit_integrands", counted)
+    calls.clear()
+    ExperimentConfig()
+    assert len(calls) == 1
+
+
+def test_c_prime_rejects_nonpositive_energy(params):
+    with pytest.raises(ValueError):
+        compute_c_prime(params, np.array([1.0, 0.0]))
+
+
 def test_c_prime_frozen_value(params):
     npt.assert_allclose(compute_c_prime(params, 1.0), 0.09831091905424386, rtol=1e-10)
 
@@ -159,6 +188,14 @@ def test_chart_splines_match_scipy(chart):
     assert np.array_equal(_b_table(chart, ks), b)
 
 
+def test_chart_holds_no_c_prime_table(chart):
+    # c' has one route, compute_c_prime; the chart keeps what the pull-back reads.
+    assert [f.name for f in dataclasses.fields(chart) if f.init] == [
+        "params", "k_grid", "c", "sine_coeffs"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(chart, c_prime=chart.c)
+
+
 def test_chart_table_follows_replaced_tables(chart):
     # The energy table is built from the chart's own tables, so a chart
     # given new tables interpolates those, never the ones it was copied from.
@@ -188,14 +225,9 @@ def test_build_chart_builds_one_spline(monkeypatch, params):
 def test_chart_delta_frozen(chart):
     # delta = min c' over the grid (anisochronism floor), frozen from
     # the converged build; positive for eps > 0.
-    npt.assert_allclose(chart.delta, 0.07382233778093006, rtol=1e-8)
-    assert chart.delta > 0
-
-
-def test_chart_delta_follows_replaced_c_prime(chart):
-    # delta is read from the c' table, not stored beside it.
-    doubled = dataclasses.replace(chart, c_prime=2 * chart.c_prime)
-    assert doubled.delta == 2 * chart.delta == float(2 * chart.c_prime.min())
+    delta = compute_c_prime(chart.params, chart.k_grid).min()
+    npt.assert_allclose(delta, 0.07382233778093006, rtol=1e-8)
+    assert delta > 0
 
 
 def test_chart_convergence(params):
@@ -234,8 +266,8 @@ def test_flow_is_rigid_rotation_in_q(params, chart, f0):
 @pytest.mark.parametrize("eps", [0.0, 0.1, 100.0])
 @pytest.mark.parametrize("n_chi", [8, 10, 512, 514])
 def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
-    # The chart evaluates the integrands on the quarter orbit and mirrors
-    # them onto [0, pi); here they are evaluated on all n_chi angles.
+    # The chart evaluates 1/a on the quarter orbit and mirrors it onto
+    # [0, pi); here it is evaluated on all n_chi angles.
     # Eight or ten angles resolve only a nearly harmonic chart, so those
     # take energies of 1e-4 / max(eps, 1).
     params = PotentialParams(eps)
@@ -263,9 +295,6 @@ def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
     if n_chi >= 16:
         assert np.array_equal(c, compute_c(params, chart.k_grid, n_quad=n_chi))
     assert np.max(np.abs(chart.c / c - 1.0)) <= 4e-15
-    g = _orbit_integrands(params, np.cos(chi) ** 2, chart.k_grid[:, None])[1]
-    c_prime = c**2 * g.mean(axis=1)
-    assert np.max(np.abs(chart.c_prime - c_prime)) <= 4e-15 * np.max(np.abs(c_prime))
 
     # Every mode of the full-circle rfft: the kept ones match, the rest lie
     # below the mode floor.  The rounding scale is that of the weight

@@ -85,6 +85,24 @@ def test_anharmonic_period_shrinks(params):
     assert t2 < t1 < 2.0 * np.pi
 
 
+def test_orbit_period_stops_at_the_first_turning_point(monkeypatch, params):
+    # One quarter orbit: every step starts in the quadrant x >= 0, v > 0,
+    # and the step that crosses v = 0 is the last.
+    starts = []
+    original = flow._series
+
+    def counted(eps, x, v):
+        starts.append((float(x[0]), float(v[0])))
+        return original(eps, x, v)
+
+    monkeypatch.setattr(flow, "_series", counted)
+    orbit_period(params, 1.0)
+    assert starts and all(x >= 0 and v > 0 for x, v in starts)
+    xs, vs = flow._series(params.epsilon, np.array([starts[-1][0]]), np.array([starts[-1][1]]))
+    step = flow._step(xs, vs, flow.PERIOD_TOLERANCE)
+    assert flow._at(vs, step)[0] <= 0
+
+
 def test_period_frozen_value(params):
     # Independently computed orbital period at eps = 0.1, h = 1.
     npt.assert_allclose(orbit_period(params, 1.0), 5.610769032243066, rtol=1e-9)

@@ -1,15 +1,20 @@
 """Smoke tests of the scripts under studies/, run as their docstrings say."""
 
+import ast
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.moments import MomentCalculator, spatial_grid
 
 ROOT = Path(__file__).resolve().parents[1]
+STUDIES = sorted((ROOT / "studies").glob("*.py"))
 
 
 def _load_study(name):
@@ -42,3 +47,49 @@ def test_pullback_block_study_measures_the_node_set():
     chi, k, q = study.support_points(exp, calc, 64)
     assert chi.size > 0
     assert study.direct_error(exp.chart, chi, k, q) <= 4e-15
+
+
+def _assigned_attributes(tree):
+    """The ``value.attr`` targets of every assignment in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    yield sub
+
+
+def _resolve(node, namespace):
+    """The object a ``name.attr...`` chain names in ``namespace``, else None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+@pytest.mark.parametrize("path", STUDIES, ids=lambda path: path.stem)
+def test_study_sets_only_existing_phasemix_attributes(path):
+    # A study that tunes a module constant by assignment would, after the
+    # constant is renamed, quietly add a new attribute and time the default.
+    study = _load_study(path.stem)
+    for target in _assigned_attributes(ast.parse(path.read_text())):
+        owner = _resolve(target.value, vars(study))
+        if isinstance(owner, ModuleType) and owner.__name__.split(".")[0] == "phasemix":
+            assert hasattr(owner, target.attr), (
+                f"{path.name}:{target.lineno} sets {owner.__name__}.{target.attr}, "
+                "which does not exist")
+
+
+def test_gauss_rule_study_measures_the_rules():
+    # The study's accuracy table at one node count: gauss_legendre against
+    # 40-digit Newton, and more accurate than leggauss in its weights.
+    errors = _load_study("gauss_rule").errors(128)
+    node, weight = errors["gauss_legendre"]
+    assert node <= 2e-16 and weight <= 1e-13
+    assert weight < errors["leggauss"][1]

@@ -1,8 +1,7 @@
 """The invariants ``phasemix validate`` checks, one function each.
 
 Each check takes an :class:`~phasemix.experiment.Experiment` and returns
-``(measured, tolerance)``; it passes when ``measured <= tolerance``.  A
-check that needs another verdict returns it as a third element.  The
+``(measured, tolerance)``; it passes when ``measured <= tolerance``.  The
 checks share the experiment, so its chart is built at most once; a chart
 that fails to build fails each check that needs it.  :data:`CHECKS`
 lists them in report order and :func:`run` turns one into its
@@ -108,7 +107,8 @@ def cross_solver_equivalence(exp: Experiment):
 
 
 def phi_t_route_equivalence(exp: Experiment):
-    """Gap ratio of the phi_t routes at dt = 2e-3 and 1e-3: a band, [3, 5], not a tolerance."""
+    """|r - 4| for the gap ratio r of the phi_t routes at dt = 2e-3 and 1e-3,
+    against 1: the O(dt**2) gap ratio lies in [3, 5]."""
     # 512 velocity nodes: the quadrature floor must sit below the
     # O(dt**2) difference for the convergence ratio to be visible.
     calc = exp.node_set_on(spatial_grid(exp.params, exp.cfg.c_s, 801), 512,
@@ -117,7 +117,9 @@ def phi_t_route_equivalence(exp: Experiment):
     ref = calc.phi_t(t)
     err = [float(np.max(np.abs(calc.phi_t_fd(t, dt) - ref))) for dt in (2e-3, 1e-3)]
     ratio = err[0] / err[1] if err[1] > 0 else np.inf
-    return ratio, 0.0, 3.0 <= ratio <= 5.0
+    # |ratio - 4| <= 1 is the band exactly: ratio - 4 is exact for ratio in
+    # [2, 8] (Sterbenz), and outside it both reject.
+    return abs(ratio - 4.0), 1.0
 
 
 def spectrum_translation(exp: Experiment):
@@ -155,20 +157,17 @@ def run(check, exp: Experiment) -> dict:
     """Run one check into its report entry.
 
     ``margin`` is ``measured / tolerance``, how close the check came to
-    failing; it is ``None`` where either is missing or the tolerance is 0
-    (a check with its own verdict).  A crash or a measured value that is
-    not finite is a failed check carrying ``error``, so the entry stays
-    valid JSON.
+    failing; it is ``None`` where ``measured`` is.  A crash or a measured
+    value that is not finite is a failed check carrying ``error``, so the
+    entry stays valid JSON.
     """
     try:
-        measured, tolerance, *verdict = check(exp)
+        measured, tolerance = check(exp)
     except Exception as exc:
         return {"name": check.__name__, "tolerance": None, "measured": None, "margin": None,
                 "passed": False, "error": str(exc)}
     if not np.isfinite(measured):
         return {"name": check.__name__, "tolerance": tolerance, "measured": None, "margin": None,
                 "passed": False, "error": f"the measured value is not finite: {float(measured)}"}
-    passed = verdict[0] if verdict else measured <= tolerance
-    margin = float(measured) / tolerance if tolerance else None
     return {"name": check.__name__, "tolerance": tolerance, "measured": float(measured),
-            "margin": margin, "passed": bool(passed)}
+            "margin": float(measured) / tolerance, "passed": bool(measured <= tolerance)}

@@ -155,6 +155,11 @@ def _late_early_ratio(exp: Experiment, times: np.ndarray, sup: np.ndarray) -> fl
     """Largest sup|phi_t| over the last period against the first."""
     early = sup[times <= exp.period]
     late = sup[times >= exp.cfg.t_max - exp.period]
+    if not late.size:
+        raise ConvergenceError(
+            f"no decay sample time in the last period ({exp.period:.6g}) before t_max: "
+            f"samples_per_period = {exp.cfg.samples_per_period:g} is too sparse; raise it"
+        )
     return float(late.max() / early.max()) if early.max() > 0 else 0.0
 
 

@@ -12,7 +12,7 @@ Exp. Math. 14 (2005) 99.  It drives the backward-characteristics route
 against which the action-angle chart is checked, and the tests check it
 in turn against SciPy's DOP853.  The orbit period, an independent oracle
 for the orbital frequency, is four times the time to the first turning
-point, located by Newton iteration on the series for v of the step that
+point, located by bisection on the series for v of the step that
 crosses it.
 """
 
@@ -109,25 +109,15 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
 def _downward_root(v: np.ndarray, h: float) -> float:
     """Root in (0, h] of the series v(s), which falls from v(0) > 0 to v(h) <= 0.
 
-    Newton from the secant guess, kept inside the bracket by bisection.
+    Bisection down to adjacent floats: the first float with v <= 0.
     """
-    dv = v[1:] * np.arange(1, v.size)
     lo, hi = 0.0, h
-    s = h * v[0] / (v[0] - _at(v, h))
-    for _ in range(100):
-        val = _at(v, s)
-        if val > 0:
-            lo = s
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _at(v, mid) > 0:
+            lo = mid
         else:
-            hi = s
-        slope = _at(dv, s)
-        nxt = s - val / slope if slope != 0 else 0.5 * (lo + hi)
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - s) <= 4 * np.finfo(float).eps * h:
-            return float(nxt)
-        s = nxt
-    raise FlowError("turning-point root did not converge")
+            hi = mid
+    return hi
 
 
 def orbit_period(params: PotentialParams, h: float) -> float:

@@ -62,15 +62,16 @@ a_k(h t) of all times are never held at once.  Otherwise it takes one sin
 Every moment is a linear table of these row sums on the x >= 0 rows,
 reflected to the grid once with its sign.  One generator
 (``MomentCalculator._stream``) picks the route and cuts the times into
-blocks; the series applies the table once to the P moment rows, trig to
-each block's row sums.  The potential phi = -int_0^x int_0^y rho solves
--phi'' = rho with phi(0) = phi'(0) = 0; its mean part is integrated once,
-and its oscillating part is (-1)^m-signed at -x, as the density's is, and
-so is phi_t(x) = int_0^x (j(y) - j(0)) dy: for odd m the current is even
-in x, and for even m it is odd, so j(0) = 0.  The decay scan
-(``phi_t_sup``) keeps only each block's maximum over the half rows and
-j(t, 0).  A centered time difference of phi is a second, independent
-phi_t route, whose gap from the first converges at O(dt**2).
+blocks of row sums, to which each moment applies its table.  The
+potential phi = -int_0^x int_0^y rho solves -phi'' = rho with
+phi(0) = phi'(0) = 0; its mean part is integrated once, and its
+oscillating part is (-1)^m-signed at -x, as the density's is, and so is
+phi_t(x) = int_0^x (j(y) - j(0)) dy: for odd m the current is even in x,
+and for even m it is odd, so j(0) = 0.  Only the decay scan
+(``phi_t_sup``) tables inside the stream, so that the series applies its
+table once to the P moment rows; it keeps each block's maximum over the
+half rows and j(t, 0).  A centered time difference of phi is a second,
+independent phi_t route, whose gap from the first converges at O(dt**2).
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ class MomentCalculator:
         ``table`` of the abs_x row sums of amp * Re (``part="real"``) or Im
         exp(i m c t).  ``table`` is a linear map along the last axis, the rows
         themselves by default; the series applies it once to the moment rows,
-        trig to each block's row sums."""
+        trig to each block's row sums.  Only the decay scan passes one."""
         table = table or (lambda rows: rows)
         order = self._series_order(flat)
         if order:
@@ -372,12 +373,12 @@ class MomentCalculator:
                 even += cos * odd
             yield lo, even
 
-    def _stream_rows(self, t, amp: np.ndarray, part: str, table=None) -> np.ndarray:
-        """The stream's values held at once: one abs_x row per time of ``t``."""
+    def _stream_rows(self, t, amp: np.ndarray, part: str) -> np.ndarray:
+        """The stream's row sums held at once: one abs_x row per time of ``t``."""
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         rows = np.empty((flat.size, self.abs_x.size))
-        for lo, block in self._stream(flat, amp, part, table):
+        for lo, block in self._stream(flat, amp, part):
             rows[lo : lo + block.shape[0]] = block
         return rows.reshape(times.shape + self.abs_x.shape)
 
@@ -400,12 +401,12 @@ class MomentCalculator:
 
     def potential(self, t) -> np.ndarray:
         """phi(t, x) = -int_0^x int_0^y rho: -phi'' = rho, phi(0) = phi'(0) = 0."""
-        rows = self._stream_rows(t, self._rho_amp, "imag", self._phi_table)
-        return self._to_grid(rows, self._parity, self._phi_mean)
+        rows = self._stream_rows(t, self._rho_amp, "imag")
+        return self._to_grid(self._phi_table(rows), self._parity, self._phi_mean)
 
     def phi_t(self, t) -> np.ndarray:
         """phi_t(t, x) = int_0^x (j(t, y) - j(t, 0)) dy, the reconstruction formula."""
-        return self._to_grid(self._stream_rows(t, self._j_amp, "real", self._phi_t_table),
+        return self._to_grid(self._phi_t_table(self._stream_rows(t, self._j_amp, "real")),
                              self._parity)
 
     def fields(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -29,11 +29,7 @@ def test_check_passes_at_default_config(experiment, check):
     result = checks.run(check, experiment)
     assert result["passed"], result
     assert "error" not in result
-    if result["tolerance"] == 0:
-        # phi_t_route_equivalence's band [3, 5] is its own verdict.
-        assert result["margin"] is None, result
-    else:
-        assert result["margin"] == result["measured"] / result["tolerance"] <= 1.0, result
+    assert result["margin"] == result["measured"] / result["tolerance"] <= 1.0, result
 
 
 def test_margin_is_null_without_a_measurement(experiment):

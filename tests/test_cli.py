@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import phasemix
 from phasemix.action_angle import compute_c_prime
@@ -276,16 +276,22 @@ def test_evolve_artifacts(tmp_path):
 
 
 def test_evolve_csv_holds_the_node_set_moments(tmp_path):
-    # %.17g round-trips a float64, so each column equals its moment exactly.
-    assert run(tmp_path, *EVOLVE_ARGS) == 0
-    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
-    exp = Experiment(load_config(None, list(EVOLVE_ARGS[2::2])))
-    calc = exp.node_set
-    times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-    expected = (np.tile(calc.x, times.size), calc.density(times), calc.current(times),
-                calc.potential(times), calc.phi_t(times))
-    for column, moment in zip(rows.T[1:], expected):
-        np.testing.assert_array_equal(column, moment.ravel())
+    # %.17g round-trips a float64, so each column equals its moment exactly:
+    # on the trig route (3 times) and on the series route (100 times to
+    # t = 200, P = 43).
+    series_args = ("evolve", "--set", "evolve_samples=100", "--set", "grid_points=51",
+                   "--set", "v_quad=64")
+    for argv, order in ((EVOLVE_ARGS, 0), (series_args, 43)):
+        assert run(tmp_path, *argv) == 0
+        rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+        exp = Experiment(load_config(None, list(argv[2::2])))
+        calc = exp.node_set
+        times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
+        assert calc._series_order(times) == order
+        expected = (np.tile(calc.x, times.size), calc.density(times), calc.current(times),
+                    calc.potential(times), calc.phi_t(times))
+        for column, moment in zip(rows.T[1:], expected):
+            np.testing.assert_array_equal(column, moment.ravel())
 
 
 def test_evolve_csv_potentials_integrate_its_columns(tmp_path):
@@ -459,6 +465,50 @@ def test_decay_control_needs_no_fit(tmp_path):
     assert code == 0
     control = json.loads((tmp_path / "decay.json").read_text())["control"]
     assert sorted(control) == ["decays", "late_early_ratio"]
+
+
+@pytest.mark.parametrize("overrides", [
+    # The run's own last period (5.49) holds no sample time at 0.4 per period,
+    # and the control's (2 pi) none at 0.5, where the run's own holds one.
+    ("samples_per_period=0.4",),
+    ("samples_per_period=0.5", "include_control=true"),
+], ids=["run", "control"])
+def test_decay_without_a_late_sample_exit_code(tmp_path, capsys, overrides):
+    argv = [arg for item in overrides for arg in ("--set", item)]
+    assert run(tmp_path, "decay", *argv) == 3
+    err = capsys.readouterr().err
+    assert "convergence error: no decay sample time in the last period" in err
+    assert "samples_per_period" in err and "Traceback" not in err
+    assert not (tmp_path / "decay.json").exists()
+
+
+@st.composite
+def small_decay_configs(draw):
+    """Small decay configs inside the config checks, sparse schedules included."""
+    t_max = draw(st.floats(1.0, 200.0))
+    lo = t_max * draw(st.floats(0.01, 0.9))
+    return {
+        "epsilon": draw(st.floats(0.0, 10.0)),
+        "c_s": draw(st.floats(0.05, 0.95)),
+        "m": draw(st.integers(1, 8)),
+        "grid_points": 2 * draw(st.integers(1, 25)) + 1,
+        "v_quad": 64,
+        "t_max": t_max,
+        "samples_per_period": draw(st.floats(0.2, 4.0)),
+        "fit_window": [lo, draw(st.floats(lo, t_max, exclude_min=True))],
+        "include_control": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(small_decay_configs())
+@example({"samples_per_period": 0.4})
+@example({"samples_per_period": 0.5, "include_control": True})
+def test_decay_exits_with_a_documented_code(tmp_path_factory, overrides):
+    argv = [arg for key, value in overrides.items()
+            for arg in ("--set", f"{key}={json.dumps(value)}")]
+    out = tmp_path_factory.mktemp("decay")
+    assert main(["decay", "--out", str(out), *argv]) in (0, 2, 3)
 
 
 # -- validate ---------------------------------------------------------------

@@ -112,9 +112,9 @@ class ChartRangeError(ValueError):
 # studies/pullback_block.py; 16384 is as fast but traces 7.2 MiB, not 6.2,
 # at 801 x 512.
 _BLOCK_POINTS = 8192
-# Largest angles x modes of one block of build_chart's monotonicity check:
-# a chart with many modes takes fewer angles, so each cosine table stays
-# under 8 MiB.
+# Largest angles x modes of one block of the sampled monotonicity check
+# (``_require_monotone``): a chart with many modes takes fewer angles, so
+# each cosine table stays under 8 MiB.
 _BLOCK_CELLS = 2**20
 
 
@@ -367,22 +367,27 @@ class OrbitChart:
         k = np.asarray(k, dtype=float)
         return self._table.columns(k.reshape(-1), range(1)).reshape(k.shape)
 
-    def q_from_chi(self, chi, k):
+    def q_from_chi(self, chi, k, *, with_c=False):
         """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
 
         A block of points at a time, the series is summed by the module's
         Clenshaw recurrence from the last mode down, each b_k(K) read from
         the energy table just before its step: one interval search per
-        block, and no (points x modes) array.
+        block, and no (points x modes) array.  With ``with_c``, returns
+        (Q, c(k)), the frequency read in the same interval search, bit for
+        bit :meth:`c_of_k`.
         """
         self.check_range(k)
         chi_b, k_b = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(k, dtype=float))
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
+        c = np.empty(chi_f.shape) if with_c else None
         table = self._table
         for lo in range(0, q.size, _BLOCK_POINTS):
             block = slice(lo, lo + _BLOCK_POINTS)
             at = table.locate(k_f[block])
+            if with_c:
+                table.column(0, at, c[block])
             theta = 2.0 * chi_f[block]
             two_cos = 2.0 * np.cos(theta)
             u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
@@ -394,7 +399,8 @@ class OrbitChart:
                 u1, u2, u = u, u1, u2
             u1 *= np.sin(theta)
             np.add(u1, chi_f[block], out=q[block])
-        return q.reshape(chi_b.shape)
+        q = q.reshape(chi_b.shape)
+        return (q, c.reshape(chi_b.shape)) if with_c else q
 
     def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.
@@ -418,6 +424,34 @@ class OrbitChart:
         return chi
 
 
+def _require_monotone(modes: np.ndarray, b: np.ndarray, n_chi: int) -> None:
+    """Raise :class:`ChartError` unless dQ/dchi = 1 + sum_k k b_k cos(k chi) > 0
+    at every energy, the rows of the sine table ``b``.
+
+    An energy with sum_k k |b_k| < 1 is proven monotone by that bound (at
+    every default energy the sum is at most 0.213).  The others are sampled
+    on a fine angle grid, a block of angles at a time.  The slope is even
+    and, with only even modes, pi-periodic, so it is symmetric about pi/2
+    and [0, pi/2] covers it: the first half of 4 n_half angles spaced
+    pi / (4 n_half - 1) over [0, pi], whose other half mirrors onto it.
+    einsum, not a BLAS product: a one-off threaded BLAS call leaves
+    OpenBLAS's other thread spinning after it.
+    """
+    kb = modes * b
+    kb = kb[np.sum(np.abs(kb), axis=1) >= 1.0].T
+    if not kb.size:
+        return
+    n_half = min(513, max(65, n_chi // 2 + 1))
+    if n_half % 2 == 0:
+        n_half += 1
+    fine = np.arange(2 * n_half) * (np.pi / (4 * n_half - 1))
+    rows = max(1, _BLOCK_CELLS // modes.size)
+    for lo in range(0, fine.size, rows):
+        cos = np.cos(fine[lo : lo + rows, None] * modes)
+        if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
+            raise ChartError("tabulated angle map is not monotone")
+
+
 def build_chart(
     params: PotentialParams,
     k_min: float,
@@ -431,10 +465,11 @@ def build_chart(
     2 pi j / n_chi of the quarter orbit [0, pi/2] and mirrored onto the
     half period [0, pi), where it repeats.  c is the reciprocal of its
     mean, and one rfft of length n_chi/2 of the smooth periodic weight
-    dQ/dchi = c/a gives the even modes of Q(chi) = chi + sum b_k sin(k chi).  The tables must be finite,
-    dQ/dchi > 0 is verified at every grid energy, and the last kept mode
-    must lie below a floor (1e-6), before the chart is returned, or
-    :class:`ChartError` is raised.
+    dQ/dchi = c/a gives the even modes of Q(chi) = chi + sum b_k sin(k chi).
+    The tables must be finite, dQ/dchi > 0 must hold at every grid energy,
+    proved by the bound sum_k k |b_k| < 1 or else sampled on a fine angle
+    grid, and the last kept mode must lie below a floor (1e-6), before the
+    chart is returned, or :class:`ChartError` is raised.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -475,23 +510,7 @@ def build_chart(
     b = b[:, : np.max(above, initial=-1) + 1].copy()
     modes = modes[: b.shape[1]]
 
-    # Monotonicity: dQ/dchi > 0 on a fine angle grid at every node, a
-    # block of angles at a time.  The slope is even and, with only even
-    # modes, pi-periodic, so it is symmetric about pi/2 and [0, pi/2]
-    # covers it: the first half of 4 n_half angles spaced pi / (4 n_half - 1)
-    # over [0, pi], whose other half mirrors onto it.  einsum, not a BLAS
-    # product: a one-off threaded BLAS call leaves OpenBLAS's other thread
-    # spinning after it.
-    n_half = min(513, max(65, n_chi // 2 + 1))
-    if n_half % 2 == 0:
-        n_half += 1
-    fine = np.arange(2 * n_half) * (np.pi / (4 * n_half - 1))
-    kb, rows = (modes * b).T, max(1, _BLOCK_CELLS // max(modes.size, 1))
-    for lo in range(0, fine.size, rows):
-        cos = np.cos(fine[lo : lo + rows, None] * modes)
-        if np.any(1.0 + np.einsum("rm,mk->rk", cos, kb) <= 0):
-            raise ChartError("tabulated angle map is not monotone")
-
+    _require_monotone(modes, b, n_chi)
     chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b)
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(

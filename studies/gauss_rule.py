@@ -2,8 +2,9 @@
 
 ``leggauss`` takes the nodes as the eigenvalues of the Jacobi matrix
 (LAPACK, O(n^3)); ``phasemix.moments.gauss_legendre`` runs Newton in
-theta = arccos x on the three-term recurrence (O(n^2), no BLAS or LAPACK).
-For each rule and node count n this script reports
+theta = arccos x on the three-term recurrence (O(n^2), no BLAS or LAPACK),
+from a Bessel-zero first guess.  For each rule and node count n this
+script reports
 
 * ``ms``, ``cpu ms``: the median wall and process CPU time of one call,
   measured in a child process with ``OPENBLAS_NUM_THREADS`` 1 and 2.  The
@@ -13,6 +14,15 @@ For each rule and node count n this script reports
   the largest relative error of a weight, against a 40-digit ``mpmath``
   Newton on the recurrence, over the 8 largest nodes and 8 others spread
   down to the middle of the x >= 0 half.
+
+and, for ``gauss_legendre`` alone, per n:
+
+* ``guess err``: the largest error of its first guess in theta = arccos x,
+  against the same 40-digit roots, over the 8 largest roots and 8 others
+  spread down to the middle, where the guess is weakest;
+* ``passes``: the recurrence passes Newton takes from that guess.  The
+  iteration stops one step after a step below 1e-10, so a guess within
+  1e-10 ends it after two.
 
 Run from the repository root::
 
@@ -33,7 +43,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from phasemix.moments import gauss_legendre
+from phasemix.moments import _first_guess, _newton, gauss_legendre
 
 SIZES = (64, 128, 201, 256, 512, 1024)
 # gauss_legendre memoizes its rules; the study times the uncached build.
@@ -74,6 +84,17 @@ def errors(n: int) -> dict[str, tuple[float, float]]:
         out[name] = (max(float(abs(x[i] - rx)) for i, (rx, _) in zip(sample, refs)),
                      max(float(abs(w[i] / rw - 1)) for i, (_, rw) in zip(sample, refs)))
     return out
+
+
+def first_guess(n: int) -> tuple[float, int]:
+    """(guess err, passes) of ``gauss_legendre``'s first guess at n nodes."""
+    theta = _first_guess(n)
+    roots = gauss_legendre(n)[0][::-1][: theta.size]
+    pick = np.unique(np.concatenate((np.arange(min(8, theta.size)),
+                                     np.linspace(0, theta.size - 1, 8).astype(int))))
+    with mpmath.workdps(40):
+        err = max(float(abs(mpmath.acos(reference(n, roots[j])[0]) - theta[j])) for j in pick)
+    return err, _newton(n, theta)[2]
 
 
 def child(name: str, repeats: int) -> None:
@@ -118,6 +139,10 @@ def main() -> None:
                 wall, cpu = costs[name, threads][str(n)]
                 print(f"{n:>5} {name:>15} {threads:>7} {wall:7.2f} {cpu:7.2f} "
                       f"{err[name][0]:9.1e} {err[name][1]:10.1e}")
+    print(f"\n{'n':>5} {'guess err':>9} {'passes':>6}")
+    for n in SIZES:
+        err, passes = first_guess(n)
+        print(f"{n:>5} {err:9.1e} {passes:>6}")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.fft import rfft
 
 from phasemix import (
@@ -243,7 +245,7 @@ def test_chart_convergence(params):
 
 def test_action_angle_round_trip(chart, f0, support_sample):
     x, v = support_sample
-    inside, q, k = pull_back(f0, x, v)
+    inside, q, k, _ = pull_back(f0, x, v)
     assert inside.all()
     xb, vb = from_action_angle(chart, q, k)
     npt.assert_allclose(xb, x, atol=1e-10)
@@ -255,8 +257,8 @@ def test_flow_is_rigid_rotation_in_q(params, chart, f0):
     x0, v0 = from_angle_energy(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
     xt, vt = flow_map(params, x0, v0, t, tolerance=1e-12)
-    _, q0, k0 = pull_back(f0, x0, v0)
-    _, qt, kt = pull_back(f0, xt, vt)
+    _, q0, k0, _ = pull_back(f0, x0, v0)
+    _, qt, kt, _ = pull_back(f0, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)
     # Q decreases along the flow: Q(t) = Q(0) - c(K) t.
     drift = (qt - q0 + chart.c_of_k(k0) * t + np.pi) % (2.0 * np.pi) - np.pi
@@ -325,6 +327,77 @@ def test_build_chart_validation(params):
     # Under-resolved: the truncated series has dQ/dchi <= 0 somewhere.
     with pytest.raises(ChartError, match="not monotone"):
         build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=4, n_chi=8)
+
+
+def _bound(chart):
+    """sum_k k |b_k| at each grid energy: below 1 proves dQ/dchi > 0 there."""
+    return np.sum(np.abs(chart.modes * chart.sine_coeffs), axis=1)
+
+
+def _sampled_monotone(modes, b, n_chi):
+    """dQ/dchi > 0 sampled at every energy on build_chart's fine angle grid."""
+    n_half = min(513, max(65, n_chi // 2 + 1))
+    n_half += n_half % 2 == 0
+    fine = np.arange(2 * n_half) * (np.pi / (4 * n_half - 1))
+    slope = 1.0 + np.einsum("rm,mk->rk", np.cos(fine[:, None] * modes), (modes * b).T)
+    return not np.any(slope <= 0)
+
+
+def test_default_chart_is_proved_monotone_without_sampling(monkeypatch, params, chart):
+    # Every default energy has sum_k k |b_k| <= 0.213, so no angle is sampled.
+    assert np.max(_bound(chart)) < 1.0
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("build_chart sampled dQ/dchi")
+
+    monkeypatch.setattr(np, "einsum", sampled)
+    built = build_chart(params, chart.k_min, chart.k_max, chart.k_grid.size, 512)
+    assert np.array_equal(built.sine_coeffs, chart.sine_coeffs)
+
+
+def test_chart_beyond_the_bound_is_sampled():
+    # At eps = 1, c_s = 0.3 the sum reaches 1.045: those energies are
+    # sampled, and the chart is monotone all the same.
+    chart = build_chart(PotentialParams(1.0), *chart_range_for_support(0.3), n_k=64, n_chi=512)
+    assert 1.0 < np.max(_bound(chart)) < 1.1
+    assert _sampled_monotone(chart.modes, chart.sine_coeffs, 512)
+
+
+@pytest.mark.parametrize("b, monotone", [
+    ([-0.45], True),  # sum 0.9: proved by the bound
+    ([-0.5], False),  # sum 1: the slope 1 - cos(2 chi) reaches 0 at chi = 0
+    ([-0.55], False),  # sum 1.1
+    ([0.3, 0.15], True),  # sum 1.2, yet the slope stays above 0.32
+])
+def test_monotonicity_at_the_bound(b, monotone):
+    modes, table = 2 * np.arange(1, len(b) + 1), np.array([b])
+    if monotone:
+        action_angle._require_monotone(modes, table, 512)
+    else:
+        with pytest.raises(ChartError, match="not monotone"):
+            action_angle._require_monotone(modes, table, 512)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(eps=st.floats(0.0, 100.0), c_s=st.floats(0.05, 0.9),
+       n_chi=st.sampled_from([8, 10, 12, 16, 24, 32, 64]), n_k=st.integers(4, 8))
+def test_bound_accepts_what_sampling_accepts(eps, c_s, n_chi, n_k):
+    # build_chart refuses a chart as not monotone exactly when the slope
+    # sampled at every energy, the bound aside, reaches 0 somewhere.
+    tables, require_monotone = [], action_angle._require_monotone
+
+    def spy(modes, b, n):
+        tables.append((modes, b))
+        return require_monotone(modes, b, n)
+
+    with mock.patch.object(action_angle, "_require_monotone", spy):
+        try:
+            build_chart(PotentialParams(eps), *chart_range_for_support(c_s), n_k=n_k, n_chi=n_chi)
+            refused = False
+        except ChartError as err:
+            refused = "not monotone" in str(err)
+    (modes, b), = tables
+    assert refused == (not _sampled_monotone(modes, b, n_chi))
 
 
 def test_build_chart_rejects_non_finite_tables():

@@ -93,6 +93,44 @@ def test_gauss_legendre_against_mpmath(n):
         assert abs(mpmath.mpf(w[i]) / weight - 1) < 1e-11, i
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 17, 33])
+def test_gauss_legendre_few_nodes_against_mpmath(n):
+    # Every node of the rules where the Bessel-zero guess is weakest
+    # (2.3e-4 at n = 2): Newton still ends on the roots.
+    import mpmath
+
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for i in range(n):
+        node, weight = _legendre_node(n, x[i])
+        assert abs(x[i] - node) < 2.5e-16, i
+        assert abs(mpmath.mpf(w[i]) / weight - 1) < 1e-11, i
+
+
+@pytest.mark.parametrize("n", [128, 201, 512])
+def test_gauss_legendre_first_guess_ends_in_two_passes(n):
+    # The guess's error grows toward the middle root (9.6e-11 at n = 128),
+    # so the sample takes the 4 largest roots and the 8 middle ones.  Within
+    # 1e-10, Newton's first step is below the stopping threshold.
+    import mpmath
+
+    theta = moments._first_guess(n)
+    x = gauss_legendre(n)[0][::-1]
+    worst = 0.0
+    for i in [*range(4), *range(n // 2 - 8, n // 2)]:
+        node, _ = _legendre_node(n, x[i])
+        with mpmath.workdps(40):
+            worst = max(worst, abs(float(mpmath.acos(node) - theta[i])))
+    assert worst <= 1e-10
+    assert moments._newton(n, theta)[2] == 2
+
+
+def test_bessel_zero_table_is_mpmath_rounded():
+    import mpmath
+
+    assert moments._BESSEL_J0_ZEROS == tuple(float(mpmath.besseljzero(0, k)) for k in range(1, 11))
+
+
 def _from_zero(x, y):
     """int_0^x y along the last axis by SciPy's cumulative_simpson, taken
     outward from x = 0 on each half of a grid with x = 0 at its centre."""

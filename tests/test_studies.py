@@ -87,9 +87,13 @@ def test_study_sets_only_existing_phasemix_attributes(path):
 
 
 def test_gauss_rule_study_measures_the_rules():
-    # The study's accuracy table at one node count: gauss_legendre against
+    # The study's accuracy tables at one node count: gauss_legendre against
     # 40-digit Newton, and more accurate than leggauss in its weights.
-    errors = _load_study("gauss_rule").errors(128)
+    study = _load_study("gauss_rule")
+    errors = study.errors(128)
     node, weight = errors["gauss_legendre"]
     assert node <= 2e-16 and weight <= 1e-13
     assert weight < errors["leggauss"][1]
+    # Its first guess, within 1e-10 of the roots, ends Newton in two passes.
+    guess, passes = study.first_guess(128)
+    assert guess <= 1e-10 and passes <= 2

@@ -367,27 +367,22 @@ class OrbitChart:
         k = np.asarray(k, dtype=float)
         return self._table.columns(k.reshape(-1), range(1)).reshape(k.shape)
 
-    def q_from_chi(self, chi, k, *, with_c=False):
+    def q_from_chi(self, chi, k):
         """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
 
         A block of points at a time, the series is summed by the module's
         Clenshaw recurrence from the last mode down, each b_k(K) read from
         the energy table just before its step: one interval search per
-        block, and no (points x modes) array.  With ``with_c``, returns
-        (Q, c(k)), the frequency read in the same interval search, bit for
-        bit :meth:`c_of_k`.
+        block, and no (points x modes) array.
         """
         self.check_range(k)
         chi_b, k_b = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(k, dtype=float))
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
-        c = np.empty(chi_f.shape) if with_c else None
         table = self._table
         for lo in range(0, q.size, _BLOCK_POINTS):
             block = slice(lo, lo + _BLOCK_POINTS)
             at = table.locate(k_f[block])
-            if with_c:
-                table.column(0, at, c[block])
             theta = 2.0 * chi_f[block]
             two_cos = 2.0 * np.cos(theta)
             u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
@@ -399,8 +394,7 @@ class OrbitChart:
                 u1, u2, u = u, u1, u2
             u1 *= np.sin(theta)
             np.add(u1, chi_f[block], out=q[block])
-        q = q.reshape(chi_b.shape)
-        return (q, c.reshape(chi_b.shape)) if with_c else q
+        return q.reshape(chi_b.shape)
 
     def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.

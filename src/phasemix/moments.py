@@ -305,9 +305,9 @@ class MomentCalculator:
         if n_quad % 2:
             w[0] = weights[half]
         v = self.v_max[:, None] * nodes[half:]
-        inside, q, k, c = pull_back(f0, self.abs_x[:, None], v)
+        inside, q, k = pull_back(f0, self.abs_x[:, None], v)
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
-        self._rate = f0.m * c
+        self._rate = f0.m * f0.chart.c_of_k(k)
         self.support_nodes = self._rate.size
         lo, hi = (self._rate.min(), self._rate.max()) if self._rate.size else (0.0, 0.0)
         self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -44,7 +44,7 @@ def support_points(exp: Experiment, calc: MomentCalculator, n_quad: int):
     nodes, _ = gauss_legendre(n_quad)
     x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * nodes[n_quad // 2 :]
-    inside, q, k, _ = pull_back(exp.f0, x, v)
+    inside, q, k = pull_back(exp.f0, x, v)
     chi, _ = action_angle.to_angle_energy(exp.params, np.broadcast_to(x, v.shape)[inside], v[inside])
     return chi, k, q
 

@@ -242,7 +242,7 @@ def test_criterion_08_chart_geometry(pipeline):
     x, v = x[keep], v[keep]
     from phasemix import from_action_angle
 
-    inside, q, k, _ = pull_back(f0, x, v)
+    inside, q, k = pull_back(f0, x, v)
     assert inside.all()
     xb, vb = from_action_angle(chart, q, k)
     rt_err = float(max(np.max(np.abs(xb - x)), np.max(np.abs(vb - v))))

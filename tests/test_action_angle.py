@@ -245,7 +245,7 @@ def test_chart_convergence(params):
 
 def test_action_angle_round_trip(chart, f0, support_sample):
     x, v = support_sample
-    inside, q, k, _ = pull_back(f0, x, v)
+    inside, q, k = pull_back(f0, x, v)
     assert inside.all()
     xb, vb = from_action_angle(chart, q, k)
     npt.assert_allclose(xb, x, atol=1e-10)
@@ -257,8 +257,8 @@ def test_flow_is_rigid_rotation_in_q(params, chart, f0):
     x0, v0 = from_angle_energy(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
     xt, vt = flow_map(params, x0, v0, t, tolerance=1e-12)
-    _, q0, k0, _ = pull_back(f0, x0, v0)
-    _, qt, kt, _ = pull_back(f0, xt, vt)
+    _, q0, k0 = pull_back(f0, x0, v0)
+    _, qt, kt = pull_back(f0, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)
     # Q decreases along the flow: Q(t) = Q(0) - c(K) t.
     drift = (qt - q0 + chart.c_of_k(k0) * t + np.pi) % (2.0 * np.pi) - np.pi

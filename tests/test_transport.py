@@ -95,19 +95,6 @@ def test_solution_bar_translation(chart, f0):
     npt.assert_allclose(shifted, direct, rtol=1e-14)
 
 
-@pytest.mark.parametrize("t", [0.0, 1.0, 37.5])
-def test_evaluate_f_actionangle_is_solution_bar(f0, support_sample, t):
-    # The frequency read in the pull-back's interval search is c_of_k's, so
-    # the chart route equals solution_bar at the pulled-back points bit for
-    # bit, zero off the annulus.
-    x = np.concatenate((support_sample[0], [0.0, 3.0]))
-    v = np.concatenate((support_sample[1], [0.1, 0.0]))
-    inside, q, k, _ = pull_back(f0, x, v)
-    expected = np.zeros(x.shape)
-    expected[inside] = solution_bar(f0, t, q, k)
-    assert evaluate_f_actionangle(f0, t, x, v).tobytes() == expected.tobytes()
-
-
 def test_make_initial_data_validation(params, chart, f0):
     with pytest.raises(ValueError):
         InitialData(1.5, 0.5, 1, chart)
@@ -154,23 +141,21 @@ def test_annulus_point_outside_chart_raises(params, chart, f0):
 ])
 def test_pull_back_is_the_pointwise_chart(request, name, grid, n_quad):
     # The node set's pull-back evaluates Phi per grid row and H per node on
-    # the broadcast grid, and reads c(K) in the angle series' interval
-    # search; it equals the chart applied to the gathered support nodes one
-    # by one, bit for bit.
+    # the broadcast grid; it equals the chart applied to the gathered
+    # support nodes one by one, bit for bit.
     exp = request.getfixturevalue(name)
     calc = MomentCalculator(exp.f0, spatial_grid(exp.params, exp.cfg.c_s, grid), n_quad=n_quad)
     x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * gauss_legendre(n_quad)[0][n_quad // 2:]
-    inside, q, k, c = pull_back(exp.f0, x, v)
+    inside, q, k = pull_back(exp.f0, x, v)
     assert inside.sum() == calc.support_nodes > 0
     chi, h = to_angle_energy(exp.params, np.broadcast_to(x, v.shape)[inside], v[inside])
     assert k.tobytes() == h.tobytes()
     assert q.tobytes() == exp.chart.q_from_chi(chi, h).tobytes()
-    assert c.tobytes() == exp.chart.c_of_k(h).tobytes()
 
 
 def test_pull_back_of_an_empty_support(f0):
     # The fixed point and points off the annulus never reach the chart.
-    inside, q, k, c = pull_back(f0, np.array([[0.0], [0.1], [3.0]]), np.array([[0.0, 0.1], [0.0, 0.2], [3.0, 0.0]]))
+    inside, q, k = pull_back(f0, np.array([[0.0], [0.1], [3.0]]), np.array([[0.0, 0.1], [0.0, 0.2], [3.0, 0.0]]))
     assert inside.shape == (3, 2) and not inside.any()
-    assert q.shape == k.shape == c.shape == (0,)
+    assert q.shape == k.shape == (0,)

@@ -30,18 +30,19 @@ interpolates the chart across the energy grid; the inverse map is solved
 by Newton iteration on the monotone forward series.  The chart holds no c'
 table: ``compute_c_prime`` evaluates c' wherever it is needed.
 
-The series is summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
-Tables Aids Comput. 9 (1955) 118) in theta = 2 chi: with
-u_{J+1} = u_{J+2} = 0,
+The series is summed a block of points at a time, grouped by energy
+interval, since the spline makes each b_{2j}(K) a cubic in d = K - K_i on
+interval i.  With theta = 2 chi, the sines come from the three-term
+recurrence
 
-    u_j = b_{2j} + 2 cos(theta) u_{j+1} - u_{j+2},  j = J, ..., 1,
-    sum_k b_k sin(k chi) = u_1 sin(theta).
+    sin((j + 1) theta) = 2 cos(theta) sin(j theta) - sin((j - 1) theta),
 
-That costs one cos and one sin per point and a multiply and two adds per
-mode, where the per-mode sum takes one sin per mode.  Points are summed a
-block at a time: one interval search in the energy table per block, and
-each b_{2j}(K) is evaluated from the table just before its step, so no
-(points x modes) array is formed.
+one cos and one sin per point and a multiply and a subtract per mode.
+For the points of interval i, one product of its (4 x J) cubic
+coefficients with their (J x n_i) sines gives the four sums
+S_p = sum_j C_p[i, j] sin(2j chi), C_p the coefficients of d**p, and
+Q = chi + ((S_3 d + S_2) d + S_1) d + S_0.  No (points x modes) array of
+b_{2j}(K) is gathered.
 """
 
 from __future__ import annotations
@@ -106,15 +107,17 @@ class ChartRangeError(ValueError):
 # Points per block of ``OrbitChart.q_from_chi`` and ``_Spline.columns``:
 # bounds their per-point arrays however many points are evaluated.  On a
 # 2-vCPU Xeon the 201 x 128, 801 x 512 and 1601 x 1024 node sets (5,441,
-# 87,195 and 348,873 support nodes) build in 2.7-2.9, 23-37 and 92-131 ms
-# at 8192, against 3.3-3.6, 43-45 and 114-174 ms at 2048 and 4.2-4.4, 56-65
-# and 150-254 ms at 1024, best of 3-5 in four runs of
-# studies/pullback_block.py; 16384 is as fast but traces 7.2 MiB, not 6.2,
-# at 801 x 512.
+# 87,195 and 348,873 support nodes) build in 1.4, 15.7 and 60 ms at 8192,
+# against 1.6, 17.7 and 61 ms at 4096 and 2.4, 26 and 110 ms at 1024, best
+# of 5 in studies/pullback_block.py; 16384 is as fast but traces 8.6 MiB,
+# not 6.5, at 801 x 512.  q_from_chi takes min(_BLOCK_POINTS,
+# _BLOCK_CELLS // J) points at a time, so its table of sines stays bounded
+# on a chart with many modes J.
 _BLOCK_POINTS = 8192
 # Largest angles x modes of one block of the sampled monotonicity check
-# (``_require_monotone``): a chart with many modes takes fewer angles, so
-# each cosine table stays under 8 MiB.
+# (``_require_monotone``), and points x modes of one block of
+# ``q_from_chi``: a chart with many modes takes fewer, so each cosine or
+# sine table stays under 8 MiB.
 _BLOCK_CELLS = 2**20
 
 
@@ -127,8 +130,9 @@ class _Spline:
     coefficients, and the power-sum evaluation of ``PPoly``, per column.  So
     each column equals its ``CubicSpline`` bit for bit, as golden outputs need.
     The coefficients are stored column by column, so one interval search
-    (:meth:`locate`) serves every column and a column's four coefficients
-    are gathered from one contiguous table (:meth:`column`).
+    (:meth:`locate`, which ``OrbitChart.q_from_chi`` shares) serves every
+    column and a column's four coefficients are gathered from one
+    contiguous table.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -174,29 +178,11 @@ class _Spline:
         self.coeffs = np.ascontiguousarray(np.stack(coeffs, axis=-1).transpose(1, 0, 2))
 
     def locate(self, xq: np.ndarray):
-        """For :meth:`column`: the interval of each 1-D point, its offset d
-        in it, d**2, d**3, and room for one column's coefficients."""
+        """The interval i of each 1-D point and its offset d = xq - x[i]."""
         # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
         # outward, and x[-1] itself falls in the last.
         i = np.searchsorted(self.x[1:-1], xq, side="right")
-        d = xq - self.x[i]
-        dd = d * d
-        return i, d, dd, dd * d, np.empty((xq.size, 4))
-
-    def column(self, j: int, at, out: np.ndarray) -> np.ndarray:
-        """Column j at the points located by ``at``, written to ``out``."""
-        i, d, dd, ddd, gathered = at
-        # Every index is in range; "clip" lets take fill ``gathered`` unbuffered.
-        np.take(self.coeffs[j], i, axis=0, out=gathered, mode="clip")
-        c3, c2, c1, c0 = gathered.T
-        # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
-        np.multiply(c1, d, out=out)
-        out += c0
-        c2 *= dd
-        out += c2
-        c3 *= ddd
-        out += c3
-        return out
+        return i, xq - self.x[i]
 
     def columns(self, xq: np.ndarray, cols: range) -> np.ndarray:
         """Columns ``cols`` at the 1-D points xq, side by side, a block of
@@ -204,9 +190,22 @@ class _Spline:
         out = np.empty((xq.size, len(cols)))
         for lo in range(0, xq.size, _BLOCK_POINTS):
             block = slice(lo, lo + _BLOCK_POINTS)
-            at = self.locate(xq[block])
+            i, d = self.locate(xq[block])
+            dd = d * d
+            ddd = dd * d
+            gathered = np.empty((d.size, 4))
             for n, j in enumerate(cols):
-                self.column(j, at, out[block, n])
+                # Every index is in range; "clip" lets take fill ``gathered`` unbuffered.
+                np.take(self.coeffs[j], i, axis=0, out=gathered, mode="clip")
+                c3, c2, c1, c0 = gathered.T
+                # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
+                col = out[block, n]
+                np.multiply(c1, d, out=col)
+                col += c0
+                c2 *= dd
+                col += c2
+                c3 *= ddd
+                col += c3
         return out
 
 
@@ -330,10 +329,16 @@ class OrbitChart:
     c: np.ndarray
     sine_coeffs: np.ndarray
     _table: _Spline = field(init=False, repr=False, compare=False)
+    _sine_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stacked = np.column_stack((self.c, self.sine_coeffs))
-        object.__setattr__(self, "_table", _Spline(self.k_grid, stacked))
+        table = _Spline(self.k_grid, stacked)
+        object.__setattr__(self, "_table", table)
+        # _sine_table[i, :, j]: b_{2j}'s coefficients of d**3, d**2, d and 1
+        # on energy interval i, for q_from_chi's per-interval products.
+        object.__setattr__(self, "_sine_table",
+                           np.ascontiguousarray(table.coeffs[1:].transpose(1, 2, 0)))
 
     @property
     def k_min(self) -> float:
@@ -370,30 +375,46 @@ class OrbitChart:
     def q_from_chi(self, chi, k):
         """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
 
-        A block of points at a time, the series is summed by the module's
-        Clenshaw recurrence from the last mode down, each b_k(K) read from
-        the energy table just before its step: one interval search per
-        block, and no (points x modes) array.
+        A block of points at a time, grouped by energy interval: the sines
+        sin(2j chi) come from the module's recurrence, and each interval
+        present takes one product of its cubic coefficients with its
+        points' sines, so no (points x modes) gather is formed.
         """
         self.check_range(k)
         chi_b, k_b = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(k, dtype=float))
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
         q = np.empty(chi_f.shape)
-        table = self._table
-        for lo in range(0, q.size, _BLOCK_POINTS):
-            block = slice(lo, lo + _BLOCK_POINTS)
-            at = table.locate(k_f[block])
-            theta = 2.0 * chi_f[block]
-            two_cos = 2.0 * np.cos(theta)
-            u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
-            u, b = np.empty_like(theta), np.empty_like(theta)
-            for j in range(self.sine_coeffs.shape[1], 0, -1):
-                np.multiply(two_cos, u1, out=u)
-                u -= u2
-                u += table.column(j, at, b)
-                u1, u2, u = u, u1, u2
-            u1 *= np.sin(theta)
-            np.add(u1, chi_f[block], out=q[block])
+        table = self._sine_table
+        n_modes = table.shape[2]
+        size = min(_BLOCK_POINTS, _BLOCK_CELLS // max(n_modes, 1))
+        # Row j of ``sines`` holds sin(2j chi), row 0 the recurrence's sin(0).
+        sines = np.zeros((n_modes + 1, min(size, q.size)))
+        sums = np.empty((4, sines.shape[1]))
+        for lo in range(0, q.size, size):
+            block = slice(lo, lo + size)
+            i, d = self._table.locate(k_f[block])
+            order = np.argsort(i, kind="stable")
+            d, chi_s = d[order], chi_f[block][order]
+            s, sums_s = sines[:, : chi_s.size], sums[:, : chi_s.size]
+            theta = 2.0 * chi_s
+            np.sin(theta, out=s[1:2])  # writes nothing on a chart without modes
+            two_cos = np.cos(theta, out=theta)
+            two_cos *= 2.0
+            for j in range(2, n_modes + 1):
+                np.multiply(two_cos, s[j - 1], out=s[j])
+                s[j] -= s[j - 2]
+            # sums_s[c] = sum_j table[i, c, j] sin(2j chi), one product per
+            # interval over its points, which the sort made contiguous.
+            # A BLAS product, on one thread unless the environment sets
+            # OPENBLAS_NUM_THREADS (``phasemix/__init__.py``).
+            counts = np.bincount(i)
+            start = 0
+            for interval in np.flatnonzero(counts).tolist():
+                end = start + counts[interval]
+                np.matmul(table[interval], s[1:, start:end], out=sums_s[:, start:end])
+                start = end
+            s3, s2, s1, s0 = sums_s
+            q[block][order] = chi_s + (((s3 * d + s2) * d + s1) * d + s0)
         return q.reshape(chi_b.shape)
 
     def chi_from_q(self, q, k):

@@ -1,10 +1,14 @@
 """Cost and accuracy of the chart's pull-back against its block size.
 
 ``OrbitChart.q_from_chi`` sums the angle series Q = chi + sum_k b_k sin(k chi)
-by Clenshaw's recurrence, ``_BLOCK_POINTS`` points at a time
-(``phasemix.action_angle``).  For the node sets of a config at three
-resolutions (grid points x velocity nodes) and each candidate block size,
-this script reports
+a block of points at a time (``phasemix.action_angle``): it sorts the block
+by energy interval, fills a table of sin(2j chi), j = 1..J, by the
+three-term recurrence, and takes one product of each interval's cubic
+coefficients with its points' sines.  The effective block is
+``min(_BLOCK_POINTS, _BLOCK_CELLS // J)`` points, so a chart with many modes
+takes fewer; the candidate sizes below set ``_BLOCK_POINTS``.  For the
+node sets of a config at three resolutions (grid points x velocity nodes)
+and each candidate block size, this script reports
 
 * ``ms``: the best in-process wall time of building the node set
   (``MomentCalculator``) over a few repeats;
@@ -34,7 +38,7 @@ from phasemix.transport import pull_back
 RESOLUTIONS = ((201, 128), (801, 512), (1601, 1024))
 BLOCKS = (1024, 2048, 4096, 8192, 16384)
 # Points per chunk of the direct sum, whose (points x modes) temporaries
-# are what the recurrence avoids.
+# are what the blocked sum avoids.
 DIRECT_CHUNK = 1 << 16
 
 

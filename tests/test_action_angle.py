@@ -418,7 +418,7 @@ def test_build_chart_tail_floor():
     assert 1e-7 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6
 
 
-# -- the angle series, summed by Clenshaw's recurrence ----------------------
+# -- the angle series, its sines by the three-term recurrence ---------------
 
 
 def _series_points(chart, n=4000, seed=3):
@@ -472,18 +472,30 @@ def test_q_from_chi_identity_without_modes(harmonic_chart):
 
 
 def _scipy_q(chart, chi, k):
-    """chi plus the module's Clenshaw sum of the series, operation for
-    operation, with the b_k(K) of SciPy's CubicSpline through the table."""
+    """chi plus the series summed by Clenshaw's recurrence over the b_k(K)
+    of SciPy's CubicSpline through the table, and 1 + sum_k |b_k(K)|, the
+    scale of the sum's rounding."""
     from scipy.interpolate import CubicSpline
 
     theta = 2.0 * chi
     two_cos = 2.0 * np.cos(theta)
     u1, u2 = np.zeros_like(theta), np.zeros_like(theta)
+    scale = np.ones_like(theta)
     if chart.modes.size:
         b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(k)
         for j in reversed(range(chart.modes.size)):
             u1, u2 = two_cos * u1 - u2 + b[:, j], u1
-    return u1 * np.sin(theta) + chi
+        scale += np.sum(np.abs(b), axis=-1)
+    return u1 * np.sin(theta) + chi, scale
+
+
+def _assert_is_scipy_q(chart, chi, k):
+    """q_from_chi at (chi, k), within round-off of :func:`_scipy_q`."""
+    q = chart.q_from_chi(chi, k)
+    reference, scale = _scipy_q(chart, chi, k)
+    assert q.shape == chi.shape
+    assert np.all(np.abs(q - reference) <= 4e-15 * scale)
+    return q, scale
 
 
 @pytest.mark.parametrize("name, n", [
@@ -493,14 +505,29 @@ def _scipy_q(chart, chi, k):
     ("experiment", 0),
 ])
 def test_q_from_chi_is_the_scipy_spline_summed_by_clenshaw(request, name, n):
-    # The fused pass evaluates each b_k(K) inside the recurrence; its sums
-    # equal the recurrence over SciPy's spline values bit for bit.
+    # Grouped by energy interval, the pull-back sums the series in another
+    # order than Clenshaw's recurrence over SciPy's spline values, and
+    # agrees with it to round-off.
     chart = request.getfixturevalue(name).chart
     rng = np.random.default_rng(11)
     chi, k = rng.uniform(-np.pi, np.pi, n), rng.uniform(chart.k_min, chart.k_max, n)
-    q = chart.q_from_chi(chi, k)
-    assert q.shape == (n,)
-    assert q.tobytes() == _scipy_q(chart, chi, k).tobytes()
+    _assert_is_scipy_q(chart, chi, k)
+
+
+def test_q_from_chi_follows_a_permuted_input(experiment):
+    # Energies shuffled across the intervals of three blocks, some exactly
+    # on the grid's nodes and on k_max: each point's Q is its own, whatever
+    # order the points come in and whichever points share its block.
+    chart = experiment.chart
+    rng = np.random.default_rng(17)
+    n = 2 * action_angle._BLOCK_POINTS + 37
+    k = np.concatenate([np.sort(rng.uniform(chart.k_min, chart.k_max, n)), chart.k_grid,
+                        np.full(5, chart.k_max)])
+    chi = rng.uniform(-np.pi, np.pi, k.size)
+    q, scale = _assert_is_scipy_q(chart, chi, k)
+    perm = rng.permutation(k.size)
+    q_perm, _ = _assert_is_scipy_q(chart, chi[perm], k[perm])
+    assert np.all(np.abs(q_perm - q[perm]) <= 4e-15 * scale[perm])
 
 
 def test_q_from_chi_memory_is_blocked(chart):
@@ -533,9 +560,10 @@ def test_wide_chart_memory_is_blocked():
 
 
 def test_validate_node_set_memory(experiment):
-    # validate's 801 x 512 node set: 87,195 support nodes, 6.2 MiB traced.
-    # Gathering (points x modes) blocks of the energy table and evaluating
-    # H and Phi twice per support node peaked at 7.0 MiB.
+    # validate's 801 x 512 node set: 87,195 support nodes, 6.6 MiB traced,
+    # 1.3 MiB of it one block's 21 x 8192 table of sines.  Gathering
+    # (points x modes) blocks of the energy table and evaluating H and Phi
+    # twice per support node peaked at 7.0 MiB.
     x = spatial_grid(experiment.params, experiment.cfg.c_s, 801)
     gauss_legendre(512)  # memoized: built before the trace
     tracemalloc.start()

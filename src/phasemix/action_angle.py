@@ -37,9 +37,10 @@ recurrence
 
     sin((j + 1) theta) = 2 cos(theta) sin(j theta) - sin((j - 1) theta),
 
-one cos and one sin per point and a multiply and a subtract per mode.
-For the points of interval i, one product of its (4 x J) cubic
-coefficients with their (J x n_i) sines gives the four sums
+a multiply and a subtract per mode, from sin(theta) and cos(theta), which
+the half-angle formulas give from one tan(chi) per point.  For the points
+of interval i, one product of its (4 x J) cubic coefficients with their
+(J x n_i) sines gives the four sums
 S_p = sum_j C_p[i, j] sin(2j chi), C_p the coefficients of d**p, and
 Q = chi + ((S_3 d + S_2) d + S_1) d + S_0.  No (points x modes) array of
 b_{2j}(K) is gathered.
@@ -107,12 +108,12 @@ class ChartRangeError(ValueError):
 # Points per block of ``OrbitChart.q_from_chi`` and ``_Spline.columns``:
 # bounds their per-point arrays however many points are evaluated.  On a
 # 2-vCPU Xeon the 201 x 128, 801 x 512 and 1601 x 1024 node sets (5,441,
-# 87,195 and 348,873 support nodes) build in 1.4, 15.7 and 60 ms at 8192,
-# against 1.6, 17.7 and 61 ms at 4096 and 2.4, 26 and 110 ms at 1024, best
-# of 5 in studies/pullback_block.py; 16384 is as fast but traces 8.6 MiB,
-# not 6.5, at 801 x 512.  q_from_chi takes min(_BLOCK_POINTS,
-# _BLOCK_CELLS // J) points at a time, so its table of sines stays bounded
-# on a chart with many modes J.
+# 87,195 and 348,873 support nodes) build in 1.2, 14.5 and 62 ms at 8192,
+# against 1.3, 15.5 and 61 ms at 4096 and 2.4, 31 and 119 ms at 1024, best
+# of 5 in the quietest of four runs of studies/pullback_block.py; 16384 is
+# as fast but traces 8.7 MiB, not 6.6, at 801 x 512.  q_from_chi takes
+# min(_BLOCK_POINTS, _BLOCK_CELLS // J) points at a time, so its table of
+# sines stays bounded on a chart with many modes J.
 _BLOCK_POINTS = 8192
 # Largest angles x modes of one block of the sampled monotonicity check
 # (``_require_monotone``), and points x modes of one block of
@@ -387,18 +388,27 @@ class OrbitChart:
         table = self._sine_table
         n_modes = table.shape[2]
         size = min(_BLOCK_POINTS, _BLOCK_CELLS // max(n_modes, 1))
+        key = np.min_scalar_type(table.shape[0])
         # Row j of ``sines`` holds sin(2j chi), row 0 the recurrence's sin(0).
         sines = np.zeros((n_modes + 1, min(size, q.size)))
         sums = np.empty((4, sines.shape[1]))
         for lo in range(0, q.size, size):
             block = slice(lo, lo + size)
             i, d = self._table.locate(k_f[block])
-            order = np.argsort(i, kind="stable")
+            # A key of at most 16 bits is radix-sorted, in linear time.
+            order = np.argsort(i.astype(key), kind="stable")
             d, chi_s = d[order], chi_f[block][order]
             s, sums_s = sines[:, : chi_s.size], sums[:, : chi_s.size]
-            theta = 2.0 * chi_s
-            np.sin(theta, out=s[1:2])  # writes nothing on a chart without modes
-            two_cos = np.cos(theta, out=theta)
+            # sin(2 chi) = t u and cos(2 chi) = u - 1, with t = tan(chi) and
+            # u = 2 / (1 + t**2).  On AVX-512 NumPy vectorizes float64 tan,
+            # not sin and cos: 2.6 against 13.6 ns a point.
+            t = np.tan(chi_s)
+            u = t * t
+            u += 1.0
+            np.divide(2.0, u, out=u)
+            np.multiply(t, u, out=s[1:2])  # writes nothing on a chart without modes
+            two_cos = u
+            two_cos -= 1.0
             two_cos *= 2.0
             for j in range(2, n_modes + 1):
                 np.multiply(two_cos, s[j - 1], out=s[j])

@@ -560,7 +560,7 @@ def test_wide_chart_memory_is_blocked():
 
 
 def test_validate_node_set_memory(experiment):
-    # validate's 801 x 512 node set: 87,195 support nodes, 6.6 MiB traced,
+    # validate's 801 x 512 node set: 87,195 support nodes, 6.7 MiB traced,
     # 1.3 MiB of it one block's 21 x 8192 table of sines.  Gathering
     # (points x modes) blocks of the energy table and evaluating H and Phi
     # twice per support node peaked at 7.0 MiB.

@@ -514,6 +514,14 @@ def test_q_from_chi_is_the_scipy_spline_summed_by_clenshaw(request, name, n):
     _assert_is_scipy_q(chart, chi, k)
 
 
+def test_q_from_chi_sorts_by_a_wide_interval_key(params):
+    # 299 energy intervals: the sort key needs more than 8 bits.
+    chart = build_chart(params, *chart_range_for_support(0.5), n_k=300, n_chi=64)
+    rng = np.random.default_rng(19)
+    chi, k = rng.uniform(-np.pi, np.pi, 3000), rng.uniform(chart.k_min, chart.k_max, 3000)
+    _assert_is_scipy_q(chart, chi, k)
+
+
 def test_q_from_chi_follows_a_permuted_input(experiment):
     # Energies shuffled across the intervals of three blocks, some exactly
     # on the grid's nodes and on k_max: each point's Q is its own, whatever

@@ -26,9 +26,11 @@ period: L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56 (2014) 385).
 The chart keeps the even modes 2, 4, ..., 2J, cut after the last one
 above a floor, so Q(pi - chi) = pi - Q(chi) holds for every chart.
 One not-a-knot cubic spline through the stacked columns c, b_k
-interpolates the chart across the energy grid; the inverse map is solved
-by Newton iteration on the monotone forward series.  The chart holds no c'
-table: ``compute_c_prime`` evaluates c' wherever it is needed.
+interpolates the chart across the energy grid; c(K) and the series read
+its coefficients, held once.  The inverse map is solved by Newton iteration
+on the monotone forward series, its slope a centred difference of that
+same series.  The chart holds no c' table: ``compute_c_prime`` evaluates
+c' wherever it is needed.
 
 The series is summed a block of points at a time, grouped by energy
 interval, since the spline makes each b_{2j}(K) a cubic in d = K - K_i on
@@ -43,7 +45,7 @@ of interval i, one product of its (4 x J) cubic coefficients with their
 (J x n_i) sines gives the four sums
 S_p = sum_j C_p[i, j] sin(2j chi), C_p the coefficients of d**p, and
 Q = chi + ((S_3 d + S_2) d + S_1) d + S_0.  No (points x modes) array of
-b_{2j}(K) is gathered.
+b_{2j}(K) is gathered, by the series or by its inverse.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ _CHART_MARGIN = 0.05
 # _NEWTON_TOL, and fails after _NEWTON_STEPS steps.
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 40
+# Half-width of the centred difference that is chi_from_q's Newton slope:
+# from 1e-4 to 1e-8 it takes as many steps as the exact slope.
+_NEWTON_DELTA = 2.0**-20
 
 
 class ChartError(RuntimeError):
@@ -105,7 +110,7 @@ class ChartRangeError(ValueError):
     """Energy outside the tabulated chart range."""
 
 
-# Points per block of ``OrbitChart.q_from_chi`` and ``_Spline.columns``:
+# Points per block of ``OrbitChart.q_from_chi`` and ``OrbitChart.c_of_k``:
 # bounds their per-point arrays however many points are evaluated.  On a
 # 2-vCPU Xeon the 201 x 128, 801 x 512 and 1601 x 1024 node sets (5,441,
 # 87,195 and 348,873 support nodes) build in 1.2, 14.5 and 62 ms at 8192,
@@ -122,92 +127,53 @@ _BLOCK_POINTS = 8192
 _BLOCK_CELLS = 2**20
 
 
-class _Spline:
+def _spline_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Not-a-knot cubic splines through (x_i, y_ij), one per column j of y.
 
-    The arithmetic is SciPy's ``CubicSpline`` operation for operation:
-    the tridiagonal system for the node slopes, its elimination without
-    pivoting (LAPACK ``gtsv`` pivots nowhere on this matrix), the Hermite
-    coefficients, and the power-sum evaluation of ``PPoly``, per column.  So
-    each column equals its ``CubicSpline`` bit for bit, as golden outputs need.
-    The coefficients are stored column by column, so one interval search
-    (:meth:`locate`, which ``OrbitChart.q_from_chi`` shares) serves every
-    column and a column's four coefficients are gathered from one
-    contiguous table.
+    Returns ``table[i, :, j]``, column j's coefficients of d**3, d**2, d and
+    1 on interval i, d = x - x[i]: SciPy's ``PPoly.c`` with its first two
+    axes swapped.  The arithmetic is SciPy's ``CubicSpline`` operation for
+    operation: the tridiagonal system for the node slopes, its elimination
+    without pivoting (LAPACK ``gtsv`` pivots nowhere on this matrix) and the
+    Hermite coefficients, per column.  So each column equals its
+    ``CubicSpline`` bit for bit, as golden outputs need.
     """
+    n = x.size
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 nodes")
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        n = x.size
-        if n < 4:
-            raise ValueError("a not-a-knot spline needs at least 4 nodes")
-        dx = np.diff(x)
-        dxr = dx[:, None]
-        slope = np.diff(y, axis=0) / dxr
+    # The node slopes s solve the tridiagonal system whose row i is
+    # lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; the
+    # array s holds rhs and is solved in place.
+    diag = np.empty(n)
+    upper = np.empty(n - 1)
+    lower = np.empty(n - 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    s = np.empty_like(y)
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # Not-a-knot: the third derivative is continuous at x[1] and x[-2].
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    s[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
 
-        # The node slopes s solve the tridiagonal system whose row i is
-        # lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; the
-        # array s holds rhs and is solved in place.
-        diag = np.empty(n)
-        upper = np.empty(n - 1)
-        lower = np.empty(n - 1)
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        upper[1:] = dx[:-1]
-        lower[:-1] = dx[1:]
-        s = np.empty_like(y)
-        s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        # Not-a-knot: the third derivative is continuous at x[1] and x[-2].
-        d = x[2] - x[0]
-        diag[0], upper[0] = dx[1], d
-        s[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        diag[-1], lower[-1] = dx[-2], d
-        s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    for i in range(n - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] = diag[i + 1] - fact * upper[i]
+        s[i + 1] = s[i + 1] - fact * s[i]
+    s[-1] = s[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
 
-        for i in range(n - 1):
-            fact = lower[i] / diag[i]
-            diag[i + 1] = diag[i + 1] - fact * upper[i]
-            s[i + 1] = s[i + 1] - fact * s[i]
-        s[-1] = s[-1] / diag[-1]
-        for i in range(n - 2, -1, -1):
-            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
-
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        self.x = x
-        # coeffs[j, i]: column j's coefficients of d**3, d**2, d and 1 on
-        # interval i, the four side by side.
-        coeffs = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
-        self.coeffs = np.ascontiguousarray(np.stack(coeffs, axis=-1).transpose(1, 0, 2))
-
-    def locate(self, xq: np.ndarray):
-        """The interval i of each 1-D point and its offset d = xq - x[i]."""
-        # Interval i has x[i] <= pt < x[i + 1]; the end intervals extend
-        # outward, and x[-1] itself falls in the last.
-        i = np.searchsorted(self.x[1:-1], xq, side="right")
-        return i, xq - self.x[i]
-
-    def columns(self, xq: np.ndarray, cols: range) -> np.ndarray:
-        """Columns ``cols`` at the 1-D points xq, side by side, a block of
-        points at a time."""
-        out = np.empty((xq.size, len(cols)))
-        for lo in range(0, xq.size, _BLOCK_POINTS):
-            block = slice(lo, lo + _BLOCK_POINTS)
-            i, d = self.locate(xq[block])
-            dd = d * d
-            ddd = dd * d
-            gathered = np.empty((d.size, 4))
-            for n, j in enumerate(cols):
-                # Every index is in range; "clip" lets take fill ``gathered`` unbuffered.
-                np.take(self.coeffs[j], i, axis=0, out=gathered, mode="clip")
-                c3, c2, c1, c0 = gathered.T
-                # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
-                col = out[block, n]
-                np.multiply(c1, d, out=col)
-                col += c0
-                c2 *= dd
-                col += c2
-                c3 *= ddd
-                col += c3
-        return out
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]), axis=1)
 
 
 def to_angle_energy(params: PotentialParams, x, v):
@@ -322,24 +288,24 @@ class OrbitChart:
     table's width), since the odd ones vanish for an even potential; at
     eps = 0 the table is n_k x 0 and Q = chi.  One spline through the
     stacked columns c, b_k, built from these tables on construction,
-    interpolates both in energy, so it never goes stale under ``replace``.
+    interpolates both in energy, so it never goes stale under ``replace``;
+    its coefficients are held once, split between their two readers.
     """
 
     params: PotentialParams
     k_grid: np.ndarray
     c: np.ndarray
     sine_coeffs: np.ndarray
-    _table: _Spline = field(init=False, repr=False, compare=False)
+    _c_table: np.ndarray = field(init=False, repr=False, compare=False)
     _sine_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stacked = np.column_stack((self.c, self.sine_coeffs))
-        table = _Spline(self.k_grid, stacked)
-        object.__setattr__(self, "_table", table)
-        # _sine_table[i, :, j]: b_{2j}'s coefficients of d**3, d**2, d and 1
-        # on energy interval i, for q_from_chi's per-interval products.
-        object.__setattr__(self, "_sine_table",
-                           np.ascontiguousarray(table.coeffs[1:].transpose(1, 2, 0)))
+        table = _spline_table(self.k_grid, np.column_stack((self.c, self.sine_coeffs)))
+        # _c_table[p, i] and _sine_table[i, p, j]: the coefficients of
+        # d**(3 - p) on energy interval i of c and of b_{2j}, laid out for
+        # c_of_k's gather and q_from_chi's per-interval products.
+        object.__setattr__(self, "_c_table", np.ascontiguousarray(table[:, :, 0].T))
+        object.__setattr__(self, "_sine_table", np.ascontiguousarray(table[:, :, 1:]))
 
     @property
     def k_min(self) -> float:
@@ -367,11 +333,36 @@ class OrbitChart:
                 f"energy outside chart range [{self.k_min}, {self.k_max}]"
             )
 
+    def _locate(self, k: np.ndarray):
+        """The energy interval i of each 1-D energy and its offset
+        d = k - k_grid[i]."""
+        # Interval i has k_grid[i] <= k < k_grid[i + 1]; the end intervals
+        # extend outward, and k_max itself falls in the last.
+        i = np.searchsorted(self.k_grid[1:-1], k, side="right")
+        return i, k - self.k_grid[i]
+
     def c_of_k(self, k):
-        """Orbital frequency at energy k (cubic interpolation)."""
+        """Orbital frequency at energy k (cubic interpolation), a block of
+        energies at a time."""
         self.check_range(k)
         k = np.asarray(k, dtype=float)
-        return self._table.columns(k.reshape(-1), range(1)).reshape(k.shape)
+        k_f = k.reshape(-1)
+        out = np.empty(k_f.shape)
+        for lo in range(0, k_f.size, _BLOCK_POINTS):
+            block = slice(lo, lo + _BLOCK_POINTS)
+            i, d = self._locate(k_f[block])
+            # Every index is in range; "clip" skips take's bounds check.
+            c3, c2, c1, c0 = np.take(self._c_table, i, axis=1, mode="clip")
+            # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
+            dd = d * d
+            col = out[block]
+            np.multiply(c1, d, out=col)
+            col += c0
+            c2 *= dd
+            col += c2
+            c3 *= dd * d
+            col += c3
+        return out.reshape(k.shape)
 
     def q_from_chi(self, chi, k):
         """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
@@ -394,7 +385,7 @@ class OrbitChart:
         sums = np.empty((4, sines.shape[1]))
         for lo in range(0, q.size, size):
             block = slice(lo, lo + size)
-            i, d = self._table.locate(k_f[block])
+            i, d = self._locate(k_f[block])
             # A key of at most 16 bits is radix-sorted, in linear time.
             order = np.argsort(i.astype(key), kind="stable")
             d, chi_s = d[order], chi_f[block][order]
@@ -430,19 +421,18 @@ class OrbitChart:
     def chi_from_q(self, q, k):
         """Inverse reparametrization, by Newton on the monotone series.
 
-        The residual is :meth:`q_from_chi`'s; the slope, which only steers
-        the iteration, is summed mode by mode.
+        Each step makes one :meth:`q_from_chi` call, at chi and chi +- delta
+        on a leading axis: the middle row gives the residual, and the centred
+        difference of the outer rows the slope, which only steers.
         """
-        self.check_range(k)
         q_b, k_b = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(k, dtype=float))
-        b = self._table.columns(k_b.reshape(-1), range(1, self.modes.size + 1))
-        kb = self.modes * b.reshape(k_b.shape + self.modes.shape)
+        steps = np.reshape([-_NEWTON_DELTA, 0.0, _NEWTON_DELTA], (3,) + (1,) * q_b.ndim)
         chi = np.array(q_b, dtype=float, copy=True)
         for _ in range(_NEWTON_STEPS):
-            resid = self.q_from_chi(chi, k_b) - q_b
-            slope = 1.0 + np.sum(np.cos(chi[..., None] * self.modes) * kb, axis=-1)
-            chi = chi - resid / slope
-            if np.max(np.abs(resid)) < _NEWTON_TOL:
+            below, at, above = self.q_from_chi(chi + steps, k_b)
+            resid = at - q_b
+            chi = chi - resid * (2.0 * _NEWTON_DELTA) / (above - below)
+            if np.max(np.abs(resid), initial=0.0) < _NEWTON_TOL:
                 break
         else:
             raise ChartError("Newton inversion of the angle map did not converge")

@@ -28,6 +28,7 @@ import time
 import tracemalloc
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from phasemix import action_angle
 from phasemix.cli import load_config
@@ -54,10 +55,13 @@ def support_points(exp: Experiment, calc: MomentCalculator, n_quad: int):
 
 
 def direct_error(chart: action_angle.OrbitChart, chi, k, q) -> float:
+    """Largest |Q - direct sum| / (1 + sum_k |b_k(K)|), with b_k(K) from
+    SciPy's CubicSpline through the chart's sine table."""
+    spline = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)
     worst = 0.0
     for lo in range(0, chi.size, DIRECT_CHUNK):
         c, kk = chi[lo : lo + DIRECT_CHUNK], k[lo : lo + DIRECT_CHUNK]
-        b = chart._table.columns(kk, range(1, chart.modes.size + 1))
+        b = spline(kk)
         direct = c + np.sum(np.sin(np.multiply.outer(c, chart.modes)) * b, axis=-1)
         scale = 1.0 + np.sum(np.abs(b), axis=-1)
         worst = max(worst, float(np.max(np.abs(q[lo : lo + DIRECT_CHUNK] - direct) / scale)))

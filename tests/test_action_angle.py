@@ -34,8 +34,11 @@ from phasemix.transport import pull_back
 
 
 def _b_table(chart, k):
-    """The energy table's b_k columns at the 1-D energies k."""
-    return chart._table.columns(k, range(1, chart.modes.size + 1))
+    """b_k(K) at the 1-D energies k, from SciPy's CubicSpline through the
+    chart's sine table."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(k)
 
 
 def test_rate_harmonic_is_one(harmonic):
@@ -180,14 +183,16 @@ def test_chart_c_interpolation(params, chart):
 
 def test_chart_splines_match_scipy(chart):
     # The chart's NumPy spline reproduces SciPy's not-a-knot CubicSpline
-    # bit for bit, at the grid nodes and between them.
+    # bit for bit: its coefficients, and c(K) at the grid nodes and between them.
     from scipy.interpolate import CubicSpline
 
+    c_spline = CubicSpline(chart.k_grid, chart.c)
+    assert np.array_equal(chart._c_table, c_spline.c)
+    b_coeffs = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0).c
+    assert np.array_equal(chart._sine_table, b_coeffs.transpose(1, 0, 2))
     rng = np.random.default_rng(7)
     ks = np.concatenate([chart.k_grid, rng.uniform(chart.k_min, chart.k_max, 10_000)])
-    assert np.array_equal(chart.c_of_k(ks), CubicSpline(chart.k_grid, chart.c)(ks))
-    b = CubicSpline(chart.k_grid, chart.sine_coeffs, axis=0)(ks)
-    assert np.array_equal(_b_table(chart, ks), b)
+    assert np.array_equal(chart.c_of_k(ks), c_spline(ks))
 
 
 def test_chart_holds_no_c_prime_table(chart):
@@ -213,13 +218,13 @@ def test_chart_table_follows_replaced_tables(chart):
 def test_build_chart_builds_one_spline(monkeypatch, params):
     # c and every b_k share one elimination on the energy grid.
     built = []
-    original = action_angle._Spline.__init__
+    original = action_angle._spline_table
 
-    def counted(self, x, y):
+    def counted(x, y):
         built.append(y.shape)
-        original(self, x, y)
+        return original(x, y)
 
-    monkeypatch.setattr(action_angle._Spline, "__init__", counted)
+    monkeypatch.setattr(action_angle, "_spline_table", counted)
     chart = build_chart(params, *chart_range_for_support(0.5), n_k=16, n_chi=64)
     assert built == [(16, 1 + chart.modes.size)]
 
@@ -503,15 +508,17 @@ def _assert_is_scipy_q(chart, chi, k):
     ("harmonic_experiment", 500),  # no modes
     ("wide_experiment", 300),  # 2,242 modes
     ("experiment", 0),
+    ("harmonic_experiment", 0),
 ])
 def test_q_from_chi_is_the_scipy_spline_summed_by_clenshaw(request, name, n):
     # Grouped by energy interval, the pull-back sums the series in another
     # order than Clenshaw's recurrence over SciPy's spline values, and
-    # agrees with it to round-off.
+    # agrees with it to round-off.  Newton inverts it, on empty input too.
     chart = request.getfixturevalue(name).chart
     rng = np.random.default_rng(11)
     chi, k = rng.uniform(-np.pi, np.pi, n), rng.uniform(chart.k_min, chart.k_max, n)
-    _assert_is_scipy_q(chart, chi, k)
+    q, _ = _assert_is_scipy_q(chart, chi, k)
+    npt.assert_allclose(chart.chi_from_q(q, k), chi, rtol=0, atol=1e-12)
 
 
 def test_q_from_chi_sorts_by_a_wide_interval_key(params):
@@ -565,6 +572,25 @@ def test_wide_chart_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_wide_chart_inverse_memory_is_blocked(wide_experiment):
+    # Newton's slope summed mode by mode held (points x modes) tables of
+    # b_k(K) and cos(k chi): 68.4 MiB here.  Its three rows of q_from_chi
+    # trace 8.1 MiB.
+    chart = wide_experiment.chart
+    rng = np.random.default_rng(23)
+    chi = rng.uniform(-np.pi, np.pi, 1000)
+    k = rng.uniform(chart.k_min, chart.k_max, 1000)
+    q = chart.q_from_chi(chi, k)
+    tracemalloc.start()
+    try:
+        inverse = chart.chi_from_q(q, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    npt.assert_allclose(inverse, chi, rtol=0, atol=1e-12)
 
 
 def test_validate_node_set_memory(experiment):

@@ -88,6 +88,8 @@ _MODE_FLOOR = 1e-15
 # 1.4e-5, gap 4.5e-4; at n_chi = 2048: 4.1e-10 and 1.9e-6), so this floor
 # keeps the truncation's share of the gap below its 1e-4 tolerance.
 _TAIL_FLOOR = 1e-6
+# Largest relative change of c under angle doubling that a chart may show.
+_DOUBLING_TOL = 1e-10
 # Equispaced angle nodes of the orbit averages that give c and c'.
 _ORBIT_NODES = 256
 # The default chart's energy range extends the support annulus by this
@@ -290,12 +292,15 @@ class OrbitChart:
     stacked columns c, b_k, built from these tables on construction,
     interpolates both in energy, so it never goes stale under ``replace``;
     its coefficients are held once, split between their two readers.
+    ``doubling_change`` is the largest relative change of c at the probe
+    energies when ``build_chart`` doubled the angles.
     """
 
     params: PotentialParams
     k_grid: np.ndarray
     c: np.ndarray
     sine_coeffs: np.ndarray
+    doubling_change: float
     _c_table: np.ndarray = field(init=False, repr=False, compare=False)
     _sine_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -467,6 +472,17 @@ def _require_monotone(modes: np.ndarray, b: np.ndarray, n_chi: int) -> None:
             raise ChartError("tabulated angle map is not monotone")
 
 
+def _inverse_rate(params: PotentialParams, k: np.ndarray, n_chi: int) -> np.ndarray:
+    """1/a at the energies k on the n_chi / 2 angles 2 pi j / n_chi of the
+    half period [0, pi), from the n_chi // 4 + 1 of the quarter orbit."""
+    half, quarter = n_chi // 2, n_chi // 4 + 1
+    w = np.empty((k.size, half))
+    w[:, :quarter] = 1.0 / rate_a(params, _angle_nodes(n_chi)[:quarter], k[:, None])
+    # Angle j of the half period reads quarter-orbit angle min(j, half - j).
+    w[:, quarter:] = w[:, half - quarter : 0 : -1]
+    return w
+
+
 def build_chart(
     params: PotentialParams,
     k_min: float,
@@ -483,8 +499,11 @@ def build_chart(
     dQ/dchi = c/a gives the even modes of Q(chi) = chi + sum b_k sin(k chi).
     The tables must be finite, dQ/dchi > 0 must hold at every grid energy,
     proved by the bound sum_k k |b_k| < 1 or else sampled on a fine angle
-    grid, and the last kept mode must lie below a floor (1e-6), before the
-    chart is returned, or :class:`ChartError` is raised.
+    grid, the last kept mode must lie below a floor (1e-6), and c must
+    change by at most 1e-10 relative at 5 grid energies, k_min and k_max
+    among them, when the angles are doubled, before the chart is returned,
+    or :class:`ChartError` is raised.  The doubling probes the periodic
+    trapezoid rule's error on the same quarter-orbit samples.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -495,11 +514,7 @@ def build_chart(
 
     k_grid = np.linspace(k_min, k_max, n_k)
     half, quarter = n_chi // 2, n_chi // 4 + 1
-    a = rate_a(params, _angle_nodes(n_chi)[:quarter], k_grid[:, None])
-    # Angle j of the half period reads quarter-orbit angle min(j, half - j).
-    w = np.empty((n_k, half))
-    w[:, :quarter] = 1.0 / a
-    w[:, quarter:] = w[:, half - quarter : 0 : -1]
+    w = _inverse_rate(params, k_grid, n_chi)
     mean_inv = w.mean(axis=1)
     c = 1.0 / mean_inv
 
@@ -526,11 +541,19 @@ def build_chart(
     modes = modes[: b.shape[1]]
 
     _require_monotone(modes, b, n_chi)
-    chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b)
+    probes = np.linspace(0, n_k - 1, 5, dtype=int)
+    c_doubled = 1.0 / _inverse_rate(params, k_grid[probes], 2 * n_chi).mean(axis=1)
+    change = float(np.max(np.abs(c_doubled - c[probes]) / np.abs(c_doubled)))
+    chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b, doubling_change=change)
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(
             f"angle map truncated: last kept mode {chart.last_mode:.1e} > {_TAIL_FLOOR:.0e}; "
             "raise n_chi"
+        )
+    if not change <= _DOUBLING_TOL:  # NaN fails too
+        raise ChartError(
+            f"frequency quadrature changed by {change:.3e} under node doubling "
+            f"> {_DOUBLING_TOL:.0e}; raise n_chi"
         )
     return chart
 

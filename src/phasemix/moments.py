@@ -309,7 +309,9 @@ class MomentCalculator:
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
         self._rate = f0.m * f0.chart.c_of_k(k)
         self.support_nodes = self._rate.size
-        lo, hi = (self._rate.min(), self._rate.max()) if self._rate.size else (0.0, 0.0)
+        # The band of the support's rates, from the chart: one band, and one
+        # Chebyshev basis, for every node set of f0.
+        lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
         self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
         self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)

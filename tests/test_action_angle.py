@@ -198,7 +198,7 @@ def test_chart_splines_match_scipy(chart):
 def test_chart_holds_no_c_prime_table(chart):
     # c' has one route, compute_c_prime; the chart keeps what the pull-back reads.
     assert [f.name for f in dataclasses.fields(chart) if f.init] == [
-        "params", "k_grid", "c", "sine_coeffs"]
+        "params", "k_grid", "c", "sine_coeffs", "doubling_change"]
     with pytest.raises(TypeError):
         dataclasses.replace(chart, c_prime=chart.c)
 
@@ -276,12 +276,14 @@ def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
     # The chart evaluates 1/a on the quarter orbit and mirrors it onto
     # [0, pi); here it is evaluated on all n_chi angles.
     # Eight or ten angles resolve only a nearly harmonic chart, so those
-    # take energies of 1e-4 / max(eps, 1).
+    # take energies of 1e-4 / max(eps, 1).  At eps = 100, 512 angles change
+    # c by 1.6e-7 under doubling over the default energies, so that chart
+    # takes a fifth of them, where it still keeps modes up to Nyquist.
     params = PotentialParams(eps)
     if n_chi < 16:
         lo, hi = 0.5e-4 / max(eps, 1.0), 2e-4 / max(eps, 1.0)
     else:
-        lo, hi = chart_range_for_support(0.5)
+        lo, hi = (k / (5.0 if eps > 1.0 else 1.0) for k in chart_range_for_support(0.5))
     solved = []
     original = action_angle.invert_phi_squared
 
@@ -292,7 +294,8 @@ def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
     monkeypatch.setattr(action_angle, "invert_phi_squared", counted)
     chart = build_chart(params, lo, hi, n_k=16, n_chi=n_chi)
     monkeypatch.undo()
-    assert sum(solved) == 16 * (n_chi // 4 + 1)
+    # The 16 grid energies, then the doubling probe's 5 at 2 n_chi angles.
+    assert solved == [16 * (n_chi // 4 + 1), 5 * (n_chi // 2 + 1)]
 
     # compute_c's full-circle rule, which it refuses below 16 angles.
     chi = np.arange(n_chi) * (2.0 * np.pi / n_chi)
@@ -415,12 +418,39 @@ def test_build_chart_rejects_non_finite_tables():
 def test_build_chart_tail_floor():
     # At eps = 100, c_s = 0.1 the modes do not decay below the mode floor
     # by the Nyquist mode: 512 angles end the series on a mode of 1.4e-5,
-    # above the 1e-6 tail floor, and 1024 angles on one of 3.1e-7.
+    # above the 1e-6 tail floor, and 2048 angles on one of 4.1e-10.
     params, (lo, hi) = PotentialParams(100.0), chart_range_for_support(0.1)
     with pytest.raises(ChartError, match="truncated"):
         build_chart(params, lo, hi, n_k=64, n_chi=512)
-    chart = build_chart(params, lo, hi, n_k=64, n_chi=1024)
-    assert 1e-7 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6
+    chart = build_chart(params, lo, hi, n_k=64, n_chi=2048)
+    assert 1e-10 < np.max(np.abs(chart.sine_coeffs[:, -1])) <= 1e-6
+
+
+@pytest.mark.parametrize("eps, c_s, n_chi, change", [
+    (10.0, 0.05, 512, 1.599e-7),
+    (100.0, 0.1, 1024, 4.209e-7),
+])
+def test_build_chart_refuses_what_doubling_changes(eps, c_s, n_chi, change):
+    # The last kept mode (4.6e-7, 3.1e-7) passes the tail floor, yet c
+    # changes by more than 1e-10 when the angles are doubled.
+    with pytest.raises(ChartError, match=f"changed by {change:.3e} under node doubling"):
+        build_chart(PotentialParams(eps), *chart_range_for_support(c_s), n_k=64, n_chi=n_chi)
+    chart = build_chart(PotentialParams(eps), *chart_range_for_support(c_s), n_k=64,
+                        n_chi=2 * n_chi)
+    assert chart.last_mode <= 1e-6 and chart.doubling_change <= 1e-10
+
+
+def test_doubling_probe_reads_the_reference_rule():
+    # At eps = 1, c_s = 0.02 the chart's c changes by 6.1e-13 under angle
+    # doubling.  compute_c's full-circle rule at n_chi and 2 n_chi angles,
+    # on the 5 probe energies from k_min to k_max, reads the same change.
+    params = PotentialParams(1.0)
+    chart = build_chart(params, *chart_range_for_support(0.02), n_k=64, n_chi=512)
+    probes = chart.k_grid[[0, 15, 31, 47, 63]]
+    reference = compute_c(params, probes, n_quad=1024)
+    change = np.max(np.abs(reference - compute_c(params, probes, n_quad=512)) / reference)
+    assert 1e-13 < chart.doubling_change <= 1e-10
+    npt.assert_allclose(chart.doubling_change, change, rtol=1e-3)
 
 
 # -- the angle series, its sines by the three-term recurrence ---------------
@@ -454,7 +484,7 @@ def series_chart(request, chart):
         return chart
     if request.param == "eps1":
         return build_chart(PotentialParams(1.0), *chart_range_for_support(0.1), n_k=64, n_chi=512)
-    return build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=64, n_chi=1024)
+    return build_chart(PotentialParams(100.0), *chart_range_for_support(0.1), n_k=64, n_chi=2048)
 
 
 def test_q_from_chi_matches_per_mode_sum(series_chart):

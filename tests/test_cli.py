@@ -185,6 +185,23 @@ def test_unresolved_chart_exit_code(tmp_path, command):
     assert run(tmp_path, command, *UNRESOLVED_CHART) == 3
 
 
+@pytest.mark.parametrize("overrides", [
+    ("epsilon=10", "c_s=0.05"),
+    ("epsilon=100", "c_s=0.1", "n_chi=1024"),
+])
+def test_every_subcommand_refuses_an_unconverged_chart(tmp_path, capsys, overrides):
+    # The last kept mode passes the tail floor, but c changes by more than
+    # 1e-10 when the angles are doubled.  chart, evolve and decay exit 3 on
+    # build_chart's message; validate fails the checks that need the chart.
+    argv = [arg for item in overrides for arg in ("--set", item)]
+    for command in ("chart", "evolve", "decay"):
+        assert run(tmp_path, command, *argv) == 3
+    messages = set(capsys.readouterr().err.splitlines())
+    assert len(messages) == 1 and "under node doubling" in messages.pop()
+    assert run(tmp_path, "validate", *argv) == 1
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "decay.json").exists()
+
+
 def test_truncated_chart_exit_code(tmp_path, capsys):
     # 512 angle nodes (the default) end this chart's series on a mode of
     # 1.4e-5, above the tail floor: monotone, but truncated.

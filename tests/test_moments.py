@@ -278,6 +278,15 @@ def test_series_assembles_everything(calc, grid):
         npt.assert_allclose(field[1], moment(1.0), atol=1e-14)
 
 
+def test_node_sets_of_one_f0_share_one_band(f0, calc, fine_calc):
+    # The band [r0 - h, r0 + h] is m c(K) over the support, from the chart,
+    # so every node set of f0 expands in the same Chebyshev basis.
+    gauss = MomentCalculator(f0, gauss_legendre(201)[0] * fine_calc.x[-1], n_quad=64)
+    bands = {(c._r0, c._h) for c in (calc, fine_calc, gauss)}
+    lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
+    assert bands == {(0.5 * (hi + lo), 0.5 * (hi - lo))}
+
+
 def test_n_quad_floor(f0, grid):
     with pytest.raises(ValueError):
         MomentCalculator(f0, grid, n_quad=32)
@@ -483,14 +492,15 @@ def test_streamed_scan_memory(params, f0):
 def test_route_by_work(default_scan):
     # Trig wherever it costs less than the series, not only with at most P
     # times.  At samples_per_period = 2 to t_max = 200000 (72,798 times,
-    # P = 18,968) the series took 1,552 s; the config is built, not run.
+    # P = 18,972) the series took 1,552 s (timed at P = 18,968, before the
+    # band came from the chart); the config is built, not run.
     calc, times = default_scan
     assert calc._series_order(times) == 43
     long = Experiment(ExperimentConfig(samples_per_period=2.0, t_max=200000.0,
                                        fit_window=(20.0, 200000.0)))
     calc, times = long.node_set, long.times
     assert times.size == 72798
-    assert _order(calc, times) == 18968 and calc._series_order(times) == 0
+    assert _order(calc, times) == 18972 and calc._series_order(times) == 0
     # The resolved long scans keep the series.  Their counts (support nodes,
     # rows, times) are those of the 801 x 1024 and 1601 x 1024 node sets at
     # 17 samples per period, whose rates span the same band 2h.

@@ -58,7 +58,9 @@ def _defined():
     return found
 
 
-def test_subcommands_enter_every_function(tmp_path):
+def _enter(tmp_path, runs):
+    """Exit codes of ``runs`` in process, and (file, qualified name) of every
+    function under src/phasemix that they entered."""
     entered, src = set(), str(SRC)
 
     def profile(frame, event, arg):
@@ -70,12 +72,26 @@ def test_subcommands_enter_every_function(tmp_path):
     moments.gauss_legendre.cache_clear()
     sys.setprofile(profile)
     try:
-        codes = [cli.main([*argv, "--out", str(tmp_path)]) for argv in RUNS]
+        codes = [cli.main([*argv, "--out", str(tmp_path)]) for argv in runs]
     finally:
         sys.setprofile(None)
+    return codes, entered
+
+
+def test_subcommands_enter_every_function(tmp_path):
+    codes, entered = _enter(tmp_path, RUNS)
     assert codes == [0] * len(RUNS)
     unreached = _defined() - entered
     assert unreached == set(UNREACHED)
+
+
+def test_only_validate_enters_the_reference_frequency(tmp_path):
+    # compute_c is the independent reference that validate's checks hold the
+    # chart to; no other subcommand may compute with it.
+    runs = [argv for argv in RUNS if argv[0] != "validate"]
+    codes, entered = _enter(tmp_path, runs)
+    assert codes == [0] * len(runs)
+    assert ("action_angle.py", "compute_c") not in entered
 
 
 def test_modules_read_every_import():

@@ -54,21 +54,29 @@ def _series(eps: float, x: np.ndarray, v: np.ndarray):
     return xs, vs
 
 
+# The powers k of s**k in a series.
+_EXPONENTS = np.arange(ORDER + 1, dtype=float)
+# The series rows whose sizes set a step: the state and the last two terms.
+_SIZED = [0, ORDER - 1, ORDER]
+
+
 def _step(xs: np.ndarray, vs: np.ndarray, tol: float) -> float:
     """Jorba-Zou step: the last two terms of the series stay below tol."""
-    scale = max(1.0, float(np.max(np.abs(xs[0]))), float(np.max(np.abs(vs[0]))))
+    rows = np.concatenate((xs[_SIZED], vs[_SIZED]), axis=1)
+    state, *sizes = np.max(np.abs(rows), axis=1).tolist()
+    scale = max(1.0, state)
     h = math.inf
-    for k in (ORDER - 1, ORDER):
-        size = max(float(np.max(np.abs(xs[k]))), float(np.max(np.abs(vs[k]))))
+    for k, size in zip(_SIZED[1:], sizes):
         if size > 0:
             h = min(h, (tol * scale / size) ** (1.0 / k))
     return h * math.exp(-0.7 / (ORDER - 1))
 
 
-def _at(coeffs: np.ndarray, s: float):
+def _at(coeffs: np.ndarray, s: float, out=None):
     """Sum of the series coeffs[k] s**k (k along the first axis)."""
-    powers = s ** np.arange(coeffs.shape[0], dtype=float)
-    return np.vecdot(powers.reshape(powers.shape + (1,) * (coeffs.ndim - 1)), coeffs, axis=0)
+    powers = s**_EXPONENTS
+    return np.vecdot(powers.reshape(powers.shape + (1,) * (coeffs.ndim - 1)), coeffs, axis=0,
+                     out=out)
 
 
 def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
@@ -83,27 +91,28 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
         raise ValueError("tolerance must lie in (0, 1e-3]")
     x_b, v_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     shape = x_b.shape
-    xs = x_b.ravel().copy()
-    vs = v_b.ravel().copy()
+    # The state pair, rows x and v.
+    state = np.stack((x_b.ravel(), v_b.ravel()))
 
     left = abs(float(t))
     direction = math.copysign(1.0, t)
     steps = 0
-    while left > 0 and xs.size:
+    while left > 0 and state.size:
         if steps == MAX_STEPS:
             raise FlowError(f"flow exceeded {MAX_STEPS} Taylor steps")
-        cx, cv = _series(params.epsilon, xs, vs)
+        cx, cv = _series(params.epsilon, *state)
         h = _step(cx, cv, tolerance)
         if not h > 0:
             raise FlowError("Taylor step collapsed")
         h = min(h, left)
         left = 0.0 if h == left else left - h
-        xs, vs = _at(cx, direction * h), _at(cv, direction * h)
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        _at(cx, direction * h, out=state[0])
+        _at(cv, direction * h, out=state[1])
+        if not np.isfinite(state).all():
             raise FlowError("flow left the finite range")
         steps += 1
 
-    return xs.reshape(shape), vs.reshape(shape)
+    return state[0].reshape(shape), state[1].reshape(shape)
 
 
 def _downward_root(v: np.ndarray, h: float) -> float:

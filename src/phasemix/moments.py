@@ -13,8 +13,8 @@ and mirrors them, in O(n^2) and with no BLAS or LAPACK call; NumPy's
 ``leggauss`` takes an O(n^3) eigenvalue solve, whose threaded LAPACK
 call leaves OpenBLAS's other thread spinning, and its weights err by
 1.1e-10 relative at n = 512.  Newton starts from the Bessel-zero
-asymptotic of the roots, within 1e-10 of them for n >= 128, so two
-recurrence passes end it there.
+asymptotic of the roots, within 1e-10 of them for n >= 128, so one
+recurrence pass ends it there.
 
 Its nodes come in exact mirror pairs +-v, and the chart maps a mirror
 pair to Q(x, -v) = -Q(x, v), K(x, -v) = K(x, v) (the angle chi is an
@@ -58,8 +58,10 @@ Chebyshev moments M_k, the row sums of amp T_k(u), once, then costs a
 P-term sum per time and row, and rounds the phase r0 t once per time, not
 once per node: that matters, as sup|phi_t| is about 1e-5 of the node
 amplitudes.  The times are summed a block at a time, so the coefficients
-a_k(h t) of all times are never held at once.  Otherwise it takes one sin
-(density) or cos (current) per half node and time.
+a_k(h t) of all times are never held at once.  Otherwise it takes one tan
+per half node and time, from which the half-angle formulas
+(``half_angle_sin_cos``) give the sin (density) or cos (current).  The
+node set's cos(mQ) and sin(mQ), and each DFT sample, come from one tan too.
 
 Every moment is a linear table of these row sums on the x >= 0 rows,
 reflected to the grid once with its sign.  One generator
@@ -83,6 +85,7 @@ import math
 
 import numpy as np
 
+from .action_angle import half_angle_sin_cos
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
@@ -119,12 +122,14 @@ def _newton(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton in theta on the three-term recurrence for P_n, from ``theta``.
 
     Returns the roots x = cos(theta), dP_n/dtheta there, and the number of
-    recurrence passes taken.  The iteration stops one step after the first
-    step below 1e-10: convergence is quadratic, so that step leaves theta
+    recurrence passes taken.  The iteration stops after the pass whose step
+    is below 2e-8 / n, and returns the cosine of the stepped theta.  Near a
+    root theta_k the error e goes to (cot(theta_k) / 2) e^2, and
+    cot(theta_k) < n / 2 at the largest root, so that step leaves theta
     exact to rounding.
     """
     coeffs = [((2 * j + 1) / (j + 1), j / (j + 1)) for j in range(1, n)]
-    passes, last = 0, False
+    passes = 0
     while True:
         passes += 1
         x = np.cos(theta)
@@ -134,14 +139,13 @@ def _newton(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         # dP_n/dtheta = n (x P_n - P_{n-1}) / sin(theta), plus cot(theta) P_n
         # to carry it to the root (there d^2 P_n/dtheta^2 = -cot(theta)
         # dP_n/dtheta), with theta = arccos of the rounded x.  Then the
-        # weights 2 / (dP_n/dtheta)^2 do not inherit the rounding of x,
-        # which near x = 1 costs them a relative n^2 eps.
+        # weights 2 / (dP_n/dtheta)^2 inherit neither the rounding of x,
+        # which near x = 1 costs them a relative n^2 eps, nor the last step.
         slope = ((n + 1) * x * p - n * prev) / np.sqrt((1.0 - x) * (1.0 + x))
         step = p / slope
         theta = theta - step
-        if last:
-            return x, slope, passes
-        last = np.max(np.abs(step), initial=0.0) < 1e-10
+        if n * np.max(np.abs(step), initial=0.0) < 2e-8:
+            return np.cos(theta), slope, passes
 
 
 @functools.cache
@@ -150,7 +154,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Newton in theta = arccos x on the three-term recurrence finds the n // 2
     roots with theta in (0, pi/2), from a Bessel-zero first guess close
-    enough that two recurrence passes end it for n >= 128 (three at n = 64);
+    enough that one recurrence pass ends it for n >= 128 (two at n = 64);
     the rule mirrors them, so ``x == -x[::-1]`` and ``w == w[::-1]`` hold
     exactly, and an odd rule's centre node is 0.  O(n^2) work, no linear
     algebra.  Each rule is built once per process and shared: its arrays are
@@ -230,16 +234,17 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 _SCAN_SAMPLES = 2**16
 
 # The work of the two routes, in multiply-adds of the series' product
-# (0.35-0.45 ns each on a 2-vCPU Xeon, NumPy 2.4): one node's cos, product
-# and row sum at one time costs about 45 of them (15-20 ns), one node's
-# step of the Chebyshev recurrence with its row sum about 7 (2.6 ns), and
-# one DFT sample, its share of the exp on theta in [0, pi], of the FFT and
-# of the block's other work, about 150 (50-80 ns for 88 to 2,002 samples).
-# Against both routes timed on the 201 x 128 and 801 x 512 node sets
-# (P = 43 to 1,926; 400 and 3,000 times), the estimate chose the faster
-# route in all 16 cases and came within 35 % of the measured ratio up to
-# P = 790; on 201 x 128 the series stops paying between P = 316 and 790.
-_TRIG_WORK = 45
+# (0.26-0.50 ns each on a 2-vCPU Xeon, NumPy 2.4): one node's tan, its
+# half-angle cos or sin, product and row sum at one time costs about 25 of
+# them (5.5-10 ns; 11-28 ns with libm's cos or sin), one node's step of
+# the Chebyshev recurrence with its row sum about 7 (2.6 ns), and one DFT
+# sample, its share of the exp on theta in [0, pi], of the FFT and of the
+# block's other work, about 150 (50-80 ns for 88 to 2,002 samples).
+# Against both routes timed on the 201 x 128 and 801 x 512 node sets, 400
+# times at P = 43, 124, 221 and 316 and 3,000 at P = 43, 316, 790 and
+# 1,926, the estimate chose the faster route in 15 of the 16 cases; it
+# took the series at 801 x 512 and P = 1,926, which ran 1.4 times trig's.
+_TRIG_WORK = 25
 _BUILD_WORK = 7
 _SAMPLE_WORK = 150
 
@@ -257,8 +262,8 @@ def _series_order(z: float, times: int, nodes: int, rows: int) -> int:
     ``nodes`` support nodes in ``rows`` rows, or 0 where trig costs less.
 
     The series builds P moment rows over the nodes once, then takes a DFT of
-    2P + 2 samples and P multiply-adds per row and time; trig takes one cos
-    or sin per node and time.  A call with at most P times always takes trig.
+    2P + 2 samples and P multiply-adds per row and time; trig takes one tan
+    per node and time.  A call with at most P times always takes trig.
     """
     order = _order(z, times)
     if times <= order:
@@ -313,8 +318,10 @@ class MomentCalculator:
         # Chebyshev basis, for every node set of f0.
         lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
         self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        self._rho_amp = f0.alpha * weight * np.cos(f0.m * q)
-        self._j_amp = f0.alpha * weight * v[inside] * np.sin(f0.m * q)
+        # sin(mQ) and cos(mQ); the sines overwrite q, which is not read again.
+        sin, cos = half_angle_sin_cos(np.multiply(0.5 * f0.m, q, out=q), q)
+        self._rho_amp = f0.alpha * weight * cos
+        self._j_amp = f0.alpha * weight * v[inside] * sin
         # The support nodes are stored row by row: one segment per |x| row
         # that has any, the rows listed in ``_rows``; rows with none sum to 0.
         counts = inside.sum(axis=1)
@@ -347,11 +354,11 @@ class MomentCalculator:
 
     def _trig_sums(self, flat: np.ndarray, amp: np.ndarray, part: str) -> np.ndarray:
         """abs_x row sums of amp * cos (``part="real"``) or sin(m c t), one time at a time."""
-        trig = np.cos if part == "real" else np.sin
         sums = np.zeros((flat.size, self.abs_x.size))
-        row = np.empty(self._rate.size)
+        sin, cos = np.empty(self._rate.size), np.empty(self._rate.size)
+        row = cos if part == "real" else sin
         for i, ti in enumerate(flat):
-            trig(np.multiply(ti, self._rate, out=row), out=row)
+            half_angle_sin_cos(np.multiply(0.5 * ti, self._rate, out=sin), sin, cos)
             row *= amp
             sums[i, self._rows] = np.add.reduceat(row, self._starts)
         return sums
@@ -393,9 +400,9 @@ class MomentCalculator:
                 yield lo, table(self._trig_sums(t, amp, part))
                 continue
             samples = np.empty((t.size, n), dtype=complex)
-            angle = np.multiply.outer(self._h * t, cos_theta)
-            np.cos(angle, out=samples.real[:, :half])
-            np.sin(angle, out=samples.imag[:, :half])
+            angle = np.multiply.outer((0.5 * self._h) * t, cos_theta)
+            sin, cos = half_angle_sin_cos(angle, angle)
+            samples.real[:, :half], samples.imag[:, :half] = cos, sin
             samples[:, half:] = samples[:, half - 2 : 0 : -1]
             coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
             coeffs[:, 1:] *= 2.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_angle import OrbitChart, to_angle_energy
+from .action_angle import OrbitChart, half_angle_sin_cos, to_angle_energy
 from .flow import flow_map
 from .potential import PotentialParams
 
@@ -77,8 +77,8 @@ class InitialData:
 
     def value_bar(self, q, k):
         """Data in action-angle coordinates: B(K) * (1 + alpha sin(mQ))."""
-        q = np.asarray(q, dtype=float)
-        return self.bump(k) * (1.0 + self.alpha * np.sin(self.m * q))
+        sin = half_angle_sin_cos((0.5 * self.m) * np.asarray(q, dtype=float))[0]
+        return self.bump(k) * (1.0 + self.alpha * sin)
 
     def value(self, x, v):
         """Data in phase-space coordinates; zero off the annulus."""

@@ -21,8 +21,8 @@ and, for ``gauss_legendre`` alone, per n:
   against the same 40-digit roots, over the 8 largest roots and 8 others
   spread down to the middle, where the guess is weakest;
 * ``passes``: the recurrence passes Newton takes from that guess.  The
-  iteration stops one step after a step below 1e-10, so a guess within
-  1e-10 ends it after two.
+  iteration stops after the pass whose step is below 2e-8 / n, so from
+  n = 128 up, where the guess is within 1e-10, one pass ends it.
 
 Run from the repository root::
 

@@ -27,7 +27,7 @@ from phasemix import (
     to_angle_energy,
 )
 from phasemix import action_angle
-from phasemix.action_angle import _orbit_integrands
+from phasemix.action_angle import _orbit_integrands, half_angle_sin_cos
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
 from phasemix.transport import pull_back
@@ -50,6 +50,24 @@ def test_rate_at_least_one(params):
     chi = np.linspace(0.0, 2.0 * np.pi, 64)
     h = np.linspace(0.25, 4.0, 9)[:, None]
     assert np.all(rate_a(params, chi, h) >= 1.0)
+
+
+def test_half_angle_sin_cos_matches_libm():
+    # Random angles up to 1e6 in size, and the angles where sin or cos is
+    # 0 or +-1, including the signed zeros.
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1.5 * np.pi]
+    a = np.concatenate((special, rng.uniform(-10.0, 10.0, 50_000),
+                        rng.uniform(-1e6, 1e6, 50_000)))
+    half = 0.5 * a
+    sin, cos = half_angle_sin_cos(half, half, np.empty(a.size))  # in place
+    assert sin is half
+    assert np.max(np.abs(sin - np.sin(a))) <= 4e-16
+    assert np.max(np.abs(cos - np.cos(a))) <= 4e-16
+    assert np.array_equal(np.signbit(sin[:2]), [False, True])
+    assert np.array_equal(cos[:2], [1.0, 1.0])
+    sin, cos = half_angle_sin_cos(np.array([np.nan, 1.0]))
+    assert np.isnan(sin[0]) and np.isnan(cos[0]) and not np.isnan(sin[1] + cos[1])
 
 
 def test_angle_energy_round_trip(params, support_sample):

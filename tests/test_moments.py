@@ -96,10 +96,10 @@ def test_gauss_legendre_against_mpmath(n):
 
 
 @pytest.mark.parametrize("n", [128, 201, 512])
-def test_gauss_legendre_first_guess_ends_in_two_passes(n):
+def test_gauss_legendre_first_guess_ends_in_one_pass(n):
     # The guess's error grows toward the middle root (9.6e-11 at n = 128),
     # so the sample takes the 4 largest roots and the 8 middle ones.  Within
-    # 1e-10, Newton's first step is below the stopping threshold.
+    # 1e-10, Newton's first step is below the stopping threshold 2e-8 / n.
     import mpmath
 
     theta = moments._first_guess(n)
@@ -110,7 +110,7 @@ def test_gauss_legendre_first_guess_ends_in_two_passes(n):
         with mpmath.workdps(40):
             worst = max(worst, abs(float(mpmath.acos(node) - theta[i])))
     assert worst <= 1e-10
-    assert moments._newton(n, theta)[2] == 2
+    assert moments._newton(n, theta)[2] == 1
 
 
 def test_bessel_zero_table_is_mpmath_rounded():
@@ -420,8 +420,9 @@ def test_long_scan_sup_phi_t_against_long_double():
 def test_series_scan_memory_is_blocked(params, f0):
     # 4,000 times to t = 4000 at order about 410: holding every time's
     # 2 * order + 2 DFT samples at once peaked at 125 MiB for a 1.6 MiB
-    # result.  The series pays against trig with 512 velocity nodes, not 64.
-    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=512)
+    # result.  The series pays against trig with 1,024 velocity nodes; at
+    # 512, trig, one tan a node and time, is the faster (0.19 s against 0.24 s).
+    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=1024)
     times = np.linspace(0.0, 4000.0, 4000)
     assert calc._series_order(times) == 411
     tracemalloc.start()

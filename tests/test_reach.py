@@ -1,11 +1,15 @@
 """Every function in ``src/phasemix`` is one that some subcommand runs,
-and every name a module imports is one it reads.
+every name a module imports is one it reads, and no node-sized array takes
+libm's sin or cos.
 
 The subcommands are run in process under ``sys.setprofile``, which records
 the code of every Python function entered.  A function that none of them
 enters is either deleted or named in ``UNREACHED`` with the reason it stays.
 An import that its module never reads is either deleted or named in
-``UNREAD_IMPORTS`` with the reason it stays.
+``UNREAD_IMPORTS`` with the reason it stays.  Each ``np.sin`` or ``np.cos``
+is named in ``LIBM_TRIG`` with the reason it is not the one-tan kernel
+``half_angle_sin_cos``, and so is each ``np.tan``, so that the kernel's
+half-angle formulas are written once.
 """
 
 import ast
@@ -25,6 +29,25 @@ UNREACHED = {
 
 UNREAD_IMPORTS = {
     ("cli.py", "evaluate_f_actionangle"): "perfbench's tracer test checks that the tracer rebinds it",
+}
+
+# (file, enclosing function): its np.sin, np.cos and np.tan in source order,
+# and why they stay.  NumPy vectorizes float64 tan on AVX-512, not sin and
+# cos, so every array as large as a node set takes ``half_angle_sin_cos``.
+LIBM_TRIG = {
+    ("action_angle.py", "half_angle_sin_cos"): (("tan",), "the kernel"),
+    ("action_angle.py", "rate_a"): (("cos",), "the chart's angle row: n_chi // 4 + 1 "
+                                    "quarter-orbit angles, or compute_c's n_quad"),
+    ("action_angle.py", "compute_c_prime"): (("cos",), "the orbit average's 256 angles"),
+    ("action_angle.py", "_require_monotone"): (("cos",), "the chart's angle rows: a "
+                                               "sampled slope, only at energies the "
+                                               "coefficient bound leaves unproved"),
+    ("moments.py", "_first_guess"): (("tan",), "cot(psi) of the n // 2 first guesses"),
+    ("moments.py", "_newton"): (("cos", "cos"), "Newton's cos(theta), n // 2 roots a pass"),
+    ("moments.py", "MomentCalculator._stream"): (("cos", "cos", "sin"),
+                                                 "the DFT's order + 2 angles, and the "
+                                                 "long-double phase r0 t, one per time"),
+    ("cli.py", "<module>"): (("sin",), "the synthetic series of decay --self-test"),
 }
 
 RUNS = [
@@ -111,3 +134,25 @@ def test_modules_read_every_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread |= {(path.name, name) for name in imported - read}
     assert unread == set(UNREAD_IMPORTS)
+
+
+def test_libm_trig_only_where_allowed():
+    # Any reference counts, a call or a function passed on (trig = np.cos).
+    found = {}
+
+    def walk(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+                walk(child, file, inner)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("sin", "cos", "tan")
+                    and isinstance(child.value, ast.Name) and child.value.id == "np"):
+                found.setdefault((file, scope), []).append((child.lineno, child.col_offset,
+                                                            child.attr))
+            walk(child, file, scope)
+
+    for path in SRC.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.name, "<module>")
+    sites = {key: tuple(name for *_, name in sorted(calls)) for key, calls in found.items()}
+    assert sites == {key: names for key, (names, _) in LIBM_TRIG.items()}

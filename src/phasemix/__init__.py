@@ -24,12 +24,13 @@ from .action_angle import (
     chart_range_for_support,
     compute_c,
     compute_c_prime,
+    exact_frequency,
     from_action_angle,
     from_angle_energy,
     rate_a,
     to_angle_energy,
 )
-from .flow import FlowError, flow_map, orbit_period
+from .flow import FlowError, flow_map
 from .mixing import (
     DecayFit,
     FitError,

@@ -29,8 +29,15 @@ One not-a-knot cubic spline through the stacked columns c, b_k
 interpolates the chart across the energy grid; c(K) and the series read
 its coefficients, held once.  The inverse map is solved by Newton iteration
 on the monotone forward series, its slope a centred difference of that
-same series.  The chart holds no c' table: ``compute_c_prime`` evaluates
-c' wherever it is needed.
+same series.
+
+c and c' also have a closed form (``exact_frequency``).  The orbit of
+energy h is x = x_max cn(sqrt(s) t, k), with s = sqrt(1 + 8 eps h) and
+k**2 = (s - 1) / (2 s), so its period is 4 K(k) / sqrt(s) and
+c = sqrt(s) AGM(1, k'), where k' = sqrt(1 - k**2) and the
+arithmetic-geometric mean gives K and E (DLMF 19.8.1, 19.8.6).  The chart
+is refused where its c errs from it by more than 1e-10 at a grid energy.
+The chart holds no c' table: ``compute_c_prime`` is the closed form's c'.
 
 The series is summed a block of points at a time, grouped by energy
 interval, since the spline makes each b_{2j}(K) a cubic in d = K - K_i on
@@ -70,6 +77,7 @@ __all__ = [
     "to_angle_energy",
     "from_angle_energy",
     "rate_a",
+    "exact_frequency",
     "compute_c",
     "compute_c_prime",
     "build_chart",
@@ -89,10 +97,16 @@ _MODE_FLOOR = 1e-15
 # 1.4e-5, gap 4.5e-4; at n_chi = 2048: 4.1e-10 and 1.9e-6), so this floor
 # keeps the truncation's share of the gap below its 1e-4 tolerance.
 _TAIL_FLOOR = 1e-6
-# Largest relative change of c under angle doubling that a chart may show.
-_DOUBLING_TOL = 1e-10
-# Equispaced angle nodes of the orbit averages that give c and c'.
+# Largest relative error of the chart's c against the closed form at a
+# grid energy.
+_C_ERROR_TOL = 1e-10
+# Equispaced angle nodes of compute_c's default rule.
 _ORBIT_NODES = 256
+# Steps of exact_frequency's arithmetic-geometric mean after its first,
+# which end on a_4 and c_4.  k' >= 1/sqrt(2) at every energy, and from
+# AGM(1, 1/sqrt(2)) c_4 = 4.1e-11: a_4 lies within 2 c_5 < 1e-21 of the
+# mean, and the E/K sum's last term, 2**3 (c_4 / k)**2, is 2.7e-20.
+_AGM_STEPS = 3
 # The default chart's energy range extends the support annulus by this
 # fraction at both ends.
 _CHART_MARGIN = 0.05
@@ -228,28 +242,6 @@ def from_angle_energy(params: PotentialParams, chi, h):
     return np.sign(c) * invert_phi(params, h * c * c), v
 
 
-def _orbit_rate(params: PotentialParams, cos2, h):
-    """x**2 = Phi^{-1}(h cos2)**2 and the angular rate a there, at the
-    angles with cos^2(chi) = cos2 on energy h."""
-    eps = params.epsilon
-    xsq = invert_phi_squared(params, h * cos2)
-    return xsq, (1.0 + 2.0 * eps * xsq) / np.sqrt(1.0 + eps * xsq)
-
-
-def _orbit_integrands(params: PotentialParams, cos2, h):
-    """The angular rate a and g = d(1/a)/dh at fixed chi, both from one
-    x**2, as :func:`_orbit_rate` takes it.
-
-    g = (d/dx)(1/a) * dx/dh with dx/dh = cos^2(chi) / Phi'(x); the 1/x
-    factors cancel, leaving a sign-definite integrand that is smooth
-    through x = 0.
-    """
-    eps = params.epsilon
-    xsq, a = _orbit_rate(params, cos2, h)
-    root, lin = np.sqrt(1.0 + eps * xsq), 1.0 + 2.0 * eps * xsq
-    return a, cos2 * (3.0 * eps + 2.0 * eps * eps * xsq) / (root * lin**3)
-
-
 def rate_a(params: PotentialParams, chi, h):
     """Angular speed |dchi/dt| = (1 + 2 eps x**2) / sqrt(1 + eps x**2).
 
@@ -261,11 +253,46 @@ def rate_a(params: PotentialParams, chi, h):
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0):
         raise ValueError("energy must be > 0")
-    return _orbit_rate(params, np.cos(chi) ** 2, h)[1]
+    eps = params.epsilon
+    xsq = invert_phi_squared(params, h * np.cos(chi) ** 2)
+    return (1.0 + 2.0 * eps * xsq) / np.sqrt(1.0 + eps * xsq)
 
 
 def _angle_nodes(n_quad: int):
     return np.arange(n_quad) * (2.0 * np.pi / n_quad)
+
+
+def exact_frequency(params: PotentialParams, h):
+    """The orbital frequency c(h) and its derivative c'(h) in closed form.
+
+    c = sqrt(s) AGM(1, k') with s = sqrt(1 + 8 eps h), and
+    c' = c (2 eps / s**2 - eps r / s**3), r = (E/K - k'**2) / (k k')**2,
+    summed as c eps (2 - r / s) / (1 + 8 eps h), which stays finite
+    wherever 1 + 8 eps h does.  Free of cancellation at small eps h:
+    k**2 = 4 eps h / (s (s + 1)), k'**2 = (s + 1) / (2 s), and the AGM's
+    c_n / k, from c_1 / k = k / (2 (1 + k')) and c_{n+1} = c_n**2 /
+    (4 a_{n+1}), give r = (1/2 - sum_{n>=1} 2**(n-1) (c_n / k)**2) / k'**2.
+    Exactly (1, 0) at eps = 0.
+    """
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("energy must be > 0")
+    eps = params.epsilon
+    q = 1.0 + 8.0 * eps * h
+    s = np.sqrt(q)
+    k = np.sqrt(4.0 * eps * h / (s * (s + 1.0)))
+    kp = np.sqrt((s + 1.0) / (2.0 * s))
+    a, b = 0.5 * (1.0 + kp), np.sqrt(kp)
+    ratio = k / (2.0 * (1.0 + kp))
+    total, weight = ratio * ratio, 1.0
+    for _ in range(_AGM_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        ratio = ratio * ratio * k / (4.0 * a)
+        weight *= 2.0
+        total += weight * ratio * ratio
+    c = np.sqrt(s) * a
+    r = (0.5 - total) / (kp * kp)
+    return c, c * eps * (2.0 - r / s) / q
 
 
 def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
@@ -273,8 +300,8 @@ def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
 
     The integral uses the periodic trapezoid rule on equispaced angles
     over the full circle, spectrally accurate for this smooth periodic
-    integrand; ``build_chart`` reduces it by symmetry, and this full-circle
-    rule is its independent reference.
+    integrand; ``build_chart`` reduces it by symmetry, and ``validate``
+    holds this full-circle rule to :func:`exact_frequency`.
     """
     if n_quad < 16:
         raise ValueError("n_quad must be >= 16")
@@ -284,21 +311,11 @@ def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
 
 
 def compute_c_prime(params: PotentialParams, h):
-    """Frequency derivative c'(h) from the analytic integrand.
+    """Frequency derivative c'(h), the closed form's (:func:`exact_frequency`).
 
-    c' = c**2 * <cos^2(chi) (3 eps + 2 eps**2 x**2) /
-    (sqrt(1 + eps x**2) (1 + 2 eps x**2)**3)>, the periodic-trapezoid
-    average over the full circle; c comes from the same angles and x**2
-    table, bit for bit :func:`compute_c` at its default nodes.  Strictly
-    positive for eps > 0 and zero in the isochronous case.
+    Strictly positive for eps > 0 and zero in the isochronous case.
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("energy must be > 0")
-    cos2 = np.cos(_angle_nodes(_ORBIT_NODES)) ** 2
-    a, g = _orbit_integrands(params, cos2, h[..., None])
-    c = 1.0 / (1.0 / a).mean(axis=-1)
-    return c**2 * g.mean(axis=-1)
+    return exact_frequency(params, h)[1]
 
 
 def chart_range_for_support(c_s: float):
@@ -320,15 +337,15 @@ class OrbitChart:
     stacked columns c, b_k, built from these tables on construction,
     interpolates both in energy, so it never goes stale under ``replace``;
     its coefficients are held once, split between their two readers.
-    ``doubling_change`` is the largest relative change of c at the probe
-    energies when ``build_chart`` doubled the angles.
+    ``c_error`` is the largest relative error of c at the grid energies
+    against the closed form (:func:`exact_frequency`).
     """
 
     params: PotentialParams
     k_grid: np.ndarray
     c: np.ndarray
     sine_coeffs: np.ndarray
-    doubling_change: float
+    c_error: float
     _c_table: np.ndarray = field(init=False, repr=False, compare=False)
     _sine_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -492,17 +509,6 @@ def _require_monotone(modes: np.ndarray, b: np.ndarray, n_chi: int) -> None:
             raise ChartError("tabulated angle map is not monotone")
 
 
-def _inverse_rate(params: PotentialParams, k: np.ndarray, n_chi: int) -> np.ndarray:
-    """1/a at the energies k on the n_chi / 2 angles 2 pi j / n_chi of the
-    half period [0, pi), from the n_chi // 4 + 1 of the quarter orbit."""
-    half, quarter = n_chi // 2, n_chi // 4 + 1
-    w = np.empty((k.size, half))
-    w[:, :quarter] = 1.0 / rate_a(params, _angle_nodes(n_chi)[:quarter], k[:, None])
-    # Angle j of the half period reads quarter-orbit angle min(j, half - j).
-    w[:, quarter:] = w[:, half - quarter : 0 : -1]
-    return w
-
-
 def build_chart(
     params: PotentialParams,
     k_min: float,
@@ -519,11 +525,10 @@ def build_chart(
     dQ/dchi = c/a gives the even modes of Q(chi) = chi + sum b_k sin(k chi).
     The tables must be finite, dQ/dchi > 0 must hold at every grid energy,
     proved by the bound sum_k k |b_k| < 1 or else sampled on a fine angle
-    grid, the last kept mode must lie below a floor (1e-6), and c must
-    change by at most 1e-10 relative at 5 grid energies, k_min and k_max
-    among them, when the angles are doubled, before the chart is returned,
-    or :class:`ChartError` is raised.  The doubling probes the periodic
-    trapezoid rule's error on the same quarter-orbit samples.
+    grid, the last kept mode must lie below a floor (1e-6), and c must lie
+    within 1e-10 relative of the closed form (:func:`exact_frequency`) at
+    every grid energy, before the chart is returned, or :class:`ChartError`
+    is raised.
     """
     if not 0 < k_min < k_max:
         raise ValueError("require 0 < k_min < k_max")
@@ -534,7 +539,10 @@ def build_chart(
 
     k_grid = np.linspace(k_min, k_max, n_k)
     half, quarter = n_chi // 2, n_chi // 4 + 1
-    w = _inverse_rate(params, k_grid, n_chi)
+    w = np.empty((n_k, half))
+    w[:, :quarter] = 1.0 / rate_a(params, _angle_nodes(n_chi)[:quarter], k_grid[:, None])
+    # Angle j of the half period reads quarter-orbit angle min(j, half - j).
+    w[:, quarter:] = w[:, half - quarter : 0 : -1]
     mean_inv = w.mean(axis=1)
     c = 1.0 / mean_inv
 
@@ -561,19 +569,18 @@ def build_chart(
     modes = modes[: b.shape[1]]
 
     _require_monotone(modes, b, n_chi)
-    probes = np.linspace(0, n_k - 1, 5, dtype=int)
-    c_doubled = 1.0 / _inverse_rate(params, k_grid[probes], 2 * n_chi).mean(axis=1)
-    change = float(np.max(np.abs(c_doubled - c[probes]) / np.abs(c_doubled)))
-    chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b, doubling_change=change)
+    exact = exact_frequency(params, k_grid)[0]
+    error = float(np.max(np.abs(c - exact) / exact))
+    chart = OrbitChart(params=params, k_grid=k_grid, c=c, sine_coeffs=b, c_error=error)
     if chart.last_mode > _TAIL_FLOOR:
         raise ChartError(
             f"angle map truncated: last kept mode {chart.last_mode:.1e} > {_TAIL_FLOOR:.0e}; "
             "raise n_chi"
         )
-    if not change <= _DOUBLING_TOL:  # NaN fails too
+    if not error <= _C_ERROR_TOL:  # NaN fails too
         raise ChartError(
-            f"frequency quadrature changed by {change:.3e} under node doubling "
-            f"> {_DOUBLING_TOL:.0e}; raise n_chi"
+            f"frequency quadrature errs by {error:.3e} from the closed form "
+            f"> {_C_ERROR_TOL:.0e}; raise n_chi"
         )
     return chart
 

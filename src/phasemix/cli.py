@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .action_angle import ChartError, compute_c_prime
+from .action_angle import ChartError, exact_frequency
 from .experiment import ConfigError, Experiment, ExperimentConfig, ResolutionError
 from .mixing import FitError, fit_decay, sup_phi_t
 # Unused here: perfbench's tracer test checks that the tracer rebinds this name.
@@ -79,7 +79,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_chart(exp: Experiment, out: Path) -> int:
     cfg, chart = exp.cfg, exp.chart
-    c_prime = compute_c_prime(exp.params, chart.k_grid)
+    c_prime = exact_frequency(exp.params, chart.k_grid)[1]
+    # The energy table's error, where the spline is furthest from its nodes.
+    mid = 0.5 * (chart.k_grid[1:] + chart.k_grid[:-1])
+    exact = exact_frequency(exp.params, mid)[0]
     np.savetxt(out / "chart.csv", np.column_stack((chart.k_grid, chart.c, c_prime)),
                fmt="%.17g", delimiter=",", header="K,c,c_prime", comments="")
     _write_json(
@@ -92,11 +95,13 @@ def cmd_chart(exp: Experiment, out: Path) -> int:
             "n_chi": cfg.n_chi,
             "modes": int(chart.modes.size),
             "last_mode": chart.last_mode,
-            # build_chart's probe of c under angle doubling.
-            "convergence": {
+            # The relative error of c against the closed form: the chart's
+            # c at its grid energies, which build_chart gates, and c_of_k
+            # at the midpoints of the energy intervals.
+            "c_error": {
                 "n_quad": cfg.n_chi,
-                "n_quad_doubled": 2 * cfg.n_chi,
-                "max_rel_change": chart.doubling_change,
+                "grid": chart.c_error,
+                "midpoints": float(np.max(np.abs(chart.c_of_k(mid) - exact) / exact)),
             },
         },
     )

@@ -68,9 +68,9 @@ def _is_finite_real(value) -> bool:
 def _overflows(epsilon: float, c_s: float) -> bool:
     """Whether the potential overflows over the chart's energy range.
 
-    c' (and with it c) at both ends of the range and the support's
-    turning point must evaluate without overflow, invalid values or
-    division by zero, and be finite; underflow is harmless.
+    The closed form's c' (and with it c) at both ends of the range and the
+    support's turning point must evaluate without overflow, invalid values
+    or division by zero, and be finite; underflow is harmless.
     """
     params = PotentialParams(epsilon)
     ends = np.array(chart_range_for_support(c_s))

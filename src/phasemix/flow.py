@@ -10,10 +10,7 @@ The integrator sums a fixed-order series per step and chooses the step
 from the size of the last two coefficients, after A. Jorba and M. Zou,
 Exp. Math. 14 (2005) 99.  It drives the backward-characteristics route
 against which the action-angle chart is checked, and the tests check it
-in turn against SciPy's DOP853.  The orbit period, an independent oracle
-for the orbital frequency, is four times the time to the first turning
-point, located by bisection on the series for v of the step that
-crosses it.
+in turn against SciPy's DOP853.
 """
 
 from __future__ import annotations
@@ -24,15 +21,13 @@ import numpy as np
 
 from .potential import PotentialParams
 
-__all__ = ["FlowError", "flow_map", "orbit_period"]
+__all__ = ["FlowError", "flow_map"]
 
 # Series order; Jorba and Zou take about -ln(tolerance) / 2 + 1, which is
 # 19 for 1e-16.
 ORDER = 20
 # Steps allowed per call before the integration counts as failed.
 MAX_STEPS = 100_000
-# Local error tolerance of orbit_period's steps.
-PERIOD_TOLERANCE = 1e-12
 
 
 class FlowError(RuntimeError):
@@ -72,11 +67,9 @@ def _step(xs: np.ndarray, vs: np.ndarray, tol: float) -> float:
     return h * math.exp(-0.7 / (ORDER - 1))
 
 
-def _at(coeffs: np.ndarray, s: float, out=None):
-    """Sum of the series coeffs[k] s**k (k along the first axis)."""
-    powers = s**_EXPONENTS
-    return np.vecdot(powers.reshape(powers.shape + (1,) * (coeffs.ndim - 1)), coeffs, axis=0,
-                     out=out)
+def _at(coeffs: np.ndarray, s: float, out: np.ndarray) -> None:
+    """Sum of the series coeffs[k] s**k, column by column, into ``out``."""
+    np.vecdot((s**_EXPONENTS)[:, None], coeffs, axis=0, out=out)
 
 
 def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
@@ -113,40 +106,3 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
         steps += 1
 
     return state[0].reshape(shape), state[1].reshape(shape)
-
-
-def _downward_root(v: np.ndarray, h: float) -> float:
-    """Root in (0, h] of the series v(s), which falls from v(0) > 0 to v(h) <= 0.
-
-    Bisection down to adjacent floats: the first float with v <= 0.
-    """
-    lo, hi = 0.0, h
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _at(v, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def orbit_period(params: PotentialParams, h: float) -> float:
-    """Period of the closed orbit of energy h > 0.
-
-    Starts on the level set at (0, sqrt(2h)) and measures the time to the
-    right turning point, where v first crosses 0 downward, located on the
-    series of the step that contains it.  Phi is even and the flow is
-    reversible, so that quarter orbit takes a quarter of the period.
-    """
-    if not h > 0:
-        raise ValueError("energy must be > 0")
-    x = np.zeros(1)
-    v = np.array([math.sqrt(2.0 * h)])
-    t = 0.0
-    for _ in range(MAX_STEPS):
-        cx, cv = _series(params.epsilon, x, v)
-        step = _step(cx, cv, PERIOD_TOLERANCE)
-        x, v = _at(cx, step), _at(cv, step)
-        if v[0] <= 0:
-            return 4.0 * (t + _downward_root(cv[:, 0], step))
-        t += step
-    raise FlowError(f"no turning-point crossing in {MAX_STEPS} steps")

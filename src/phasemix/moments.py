@@ -234,19 +234,22 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 _SCAN_SAMPLES = 2**16
 
 # The work of the two routes, in multiply-adds of the series' product
-# (0.26-0.50 ns each on a 2-vCPU Xeon, NumPy 2.4): one node's tan, its
-# half-angle cos or sin, product and row sum at one time costs about 25 of
-# them (5.5-10 ns; 11-28 ns with libm's cos or sin), one node's step of
-# the Chebyshev recurrence with its row sum about 7 (2.6 ns), and one DFT
-# sample, its share of the exp on theta in [0, pi], of the FFT and of the
-# block's other work, about 150 (50-80 ns for 88 to 2,002 samples).
-# Against both routes timed on the 201 x 128 and 801 x 512 node sets, 400
-# times at P = 43, 124, 221 and 316 and 3,000 at P = 43, 316, 790 and
-# 1,926, the estimate chose the faster route in 15 of the 16 cases; it
-# took the series at 801 x 512 and P = 1,926, which ran 1.4 times trig's.
-_TRIG_WORK = 25
-_BUILD_WORK = 7
-_SAMPLE_WORK = 150
+# (0.44 ns each on a 2-vCPU Xeon, NumPy 2.4): one node's tan, its
+# half-angle cos or sin, product and row sum at one time costs about 15 of
+# them (6.1-7.8 ns), one node's step of the Chebyshev recurrence with its
+# row sum about 4 (1.9 ns), and one DFT sample, its share of the exp on
+# theta in [0, pi], of the FFT and of the block's other work, about 87
+# (39 ns).  Those are a least-squares fit to the medians of 5 and 7 runs of
+# both routes on the 201 x 128 and 801 x 512 node sets, 400 times at
+# P = 43, 124, 221 and 316 and 3,000 at P = 43, 316, 790 and 1,926; it
+# predicts the series' times to within 0.78-1.19 of the measured ones.  Of
+# the whole numbers near the fit that choose the faster route in all 16
+# cases, these leave the widest margin at the two closest calls: 3,000
+# times at P = 316 on 201 x 128 (series 0.90 of trig, estimated 0.94) and
+# at P = 1,926 on 801 x 512 (1.29, estimated 1.04).
+_TRIG_WORK = 15
+_BUILD_WORK = 6
+_SAMPLE_WORK = 65
 
 
 def _order(z: float, cap: int) -> int:
@@ -442,10 +445,6 @@ class MomentCalculator:
         """rho(t, x) = int f dv over the exact support interval."""
         return self._to_grid(self._stream_rows(t, self._rho_amp, "imag"), self._parity,
                              self._rho_mean)
-
-    def current(self, t) -> np.ndarray:
-        """j(t, x) = int v f dv over the exact support interval."""
-        return self._to_grid(self._stream_rows(t, self._j_amp, "real"), -self._parity)
 
     def potential(self, t) -> np.ndarray:
         """phi(t, x) = -int_0^x int_0^y rho: -phi'' = rho, phi(0) = phi'(0) = 0."""

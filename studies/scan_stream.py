@@ -3,8 +3,9 @@
 ``mixing.sup_phi_t`` streams sup_x |phi_t| and the tail |j(t, 0)| from the
 x >= 0 half of the grid, a block of times at a time
 (``MomentCalculator.phi_t_sup``).  The grid route holds phi_t and the
-current on the whole grid at every time (``MomentCalculator.phi_t`` and
-``current``), reflected from the same stream's tables.  For the decay scan
+current on the whole grid at every time (``MomentCalculator.fields``, which
+also holds the density and the potential), reflected from the same
+stream's tables.  For the decay scan
 of each config this script reports
 
 * ``ms``: the best in-process wall time of each route over a few repeats;
@@ -44,8 +45,8 @@ CONFIGS = {
 
 def full_grid(calc, times):
     """sup_x |phi_t| and |j(t, 0)| from phi_t and the current held on the whole grid."""
-    j0 = calc.current(times)[:, calc.x.size // 2]
-    return np.max(np.abs(calc.phi_t(times)), axis=-1), np.abs(j0)
+    _, j, _, phi_t = calc.fields(times)
+    return np.max(np.abs(phi_t), axis=-1), np.abs(j[:, calc.x.size // 2])
 
 
 def measure(route, calc, times, repeats):

@@ -79,18 +79,15 @@ def commuted_sups():
 
     ``probe(f0, t, dq, dk)`` returns sup |f|, |Yf|, |Y^2 f|, |d_Q f| and
     |d_K f| of fbar(t) on 96 x 81 (Q, K) samples, by centred differences of
-    steps (dq, dk), Y^2 nesting the same stencil.  c' is the reference
-    ``compute_c_prime``, evaluated once per distinct energy.  It asserts that
+    steps (dq, dk), Y^2 nesting the same stencil.  c' is the closed form
+    ``compute_c_prime``.  It asserts that
     the sups of Yf and Y^2 f agree to 1 % at half steps.
     """
     def probe(f0, t, dq=1e-3, dk=1e-3):
         qq, kk = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
                              np.linspace(f0.h_min, f0.h_max, 81), indexing="ij")
         f = functools.partial(solution_bar, f0, t)
-
-        def c_prime(k):
-            energies, inverse = np.unique(k, return_inverse=True)
-            return compute_c_prime(f0.chart.params, energies)[inverse].reshape(k.shape)
+        c_prime = functools.partial(compute_c_prime, f0.chart.params)
 
         def sups(hq, hk):
             def d_q(g):

@@ -18,16 +18,16 @@ from phasemix import (
     chart_range_for_support,
     compute_c,
     compute_c_prime,
+    exact_frequency,
     flow_map,
     from_action_angle,
     from_angle_energy,
     hamiltonian,
-    orbit_period,
     rate_a,
     to_angle_energy,
 )
 from phasemix import action_angle
-from phasemix.action_angle import _orbit_integrands, half_angle_sin_cos
+from phasemix.action_angle import half_angle_sin_cos
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
 from phasemix.transport import pull_back
@@ -96,17 +96,48 @@ def test_c_harmonic_is_one(harmonic):
 
 def test_c_frozen_values(params):
     # Frozen from the quadrature at converged resolution; cross-checked
-    # against 2*pi / orbit_period below.
+    # against the closed form below.
     npt.assert_allclose(compute_c(params, 0.5), 1.0661707018952897, rtol=1e-12)
     npt.assert_allclose(compute_c(params, 1.0), 1.1198438700778084, rtol=1e-12)
     npt.assert_allclose(compute_c(params, 2.0), 1.2055275837900095, rtol=1e-12)
 
 
 def test_c_against_period_oracle(params):
+    # 2 pi over the closed-form period 2 pi / c.
     for h in (0.25, 1.0, 4.0):
-        npt.assert_allclose(
-            compute_c(params, h), 2.0 * np.pi / orbit_period(params, h), rtol=1e-8
-        )
+        period = 2.0 * np.pi / exact_frequency(params, h)[0]
+        npt.assert_allclose(compute_c(params, h), 2.0 * np.pi / period, rtol=1e-8)
+
+
+def _mp_frequency(eps, h):
+    """c(h) = pi sqrt(s) / (2 K(k)) and its derivative, in 40-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(eps)
+
+        def c(h):
+            s = mpmath.sqrt(1 + 8 * eps * h)
+            return mpmath.pi * mpmath.sqrt(s) / (2 * mpmath.ellipk((s - 1) / (2 * s)))
+
+        h = mpmath.mpf(h)
+        return c(h), mpmath.diff(c, h)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-6, 1e-3, 0.01, 0.1, 1.0, 10.0, 100.0])
+def test_exact_frequency_against_mpmath(eps):
+    # From the nearly harmonic to the strongly quartic orbit, over the
+    # energies of every chart from c_s = 0.01 to 0.9.
+    h = np.geomspace(0.0095, 52.5, 13)
+    c, c_prime = exact_frequency(PotentialParams(eps), h)
+    ref = [_mp_frequency(eps, float(hi)) for hi in h]
+    assert np.max(np.abs([float(ci / r - 1) for ci, (r, _) in zip(c, ref)])) <= 1e-15
+    assert np.max(np.abs([float(ci / r - 1) for ci, (_, r) in zip(c_prime, ref)])) <= 2e-15
+
+
+def test_exact_frequency_is_one_and_zero_when_harmonic(harmonic):
+    c, c_prime = exact_frequency(harmonic, np.geomspace(1e-6, 1e3, 19))
+    assert np.all(c == 1.0) and np.all(c_prime == 0.0)
 
 
 def test_c_first_order_small_eps():
@@ -125,30 +156,6 @@ def test_c_prime_positive_and_matches_fd(params):
     dh = 1e-5
     fd = (compute_c(params, hs + dh) - compute_c(params, hs - dh)) / (2.0 * dh)
     npt.assert_allclose(cp, fd, atol=1e-8)
-
-
-def test_c_prime_and_config_probe_solve_the_orbit_once(monkeypatch, params):
-    # compute_c_prime takes c from its own integrand pass, and the config's
-    # overflow probe is that one call.
-    calls = []
-    original = action_angle._orbit_integrands
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(action_angle, "_orbit_integrands", counted)
-    hs = np.linspace(0.5, 2.0, 7)
-    c_prime = compute_c_prime(params, hs)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    # c from that pass is compute_c's at its default nodes, bit for bit.
-    _, g = _orbit_integrands(params, np.cos(np.arange(256) * (2.0 * np.pi / 256)) ** 2, hs[:, None])
-    assert np.array_equal(c_prime, compute_c(params, hs) ** 2 * g.mean(axis=-1))
-    monkeypatch.setattr(action_angle, "_orbit_integrands", counted)
-    calls.clear()
-    ExperimentConfig()
-    assert len(calls) == 1
 
 
 def test_c_prime_rejects_nonpositive_energy(params):
@@ -216,7 +223,7 @@ def test_chart_splines_match_scipy(chart):
 def test_chart_holds_no_c_prime_table(chart):
     # c' has one route, compute_c_prime; the chart keeps what the pull-back reads.
     assert [f.name for f in dataclasses.fields(chart) if f.init] == [
-        "params", "k_grid", "c", "sine_coeffs", "doubling_change"]
+        "params", "k_grid", "c", "sine_coeffs", "c_error"]
     with pytest.raises(TypeError):
         dataclasses.replace(chart, c_prime=chart.c)
 
@@ -294,8 +301,8 @@ def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
     # The chart evaluates 1/a on the quarter orbit and mirrors it onto
     # [0, pi); here it is evaluated on all n_chi angles.
     # Eight or ten angles resolve only a nearly harmonic chart, so those
-    # take energies of 1e-4 / max(eps, 1).  At eps = 100, 512 angles change
-    # c by 1.6e-7 under doubling over the default energies, so that chart
+    # take energies of 1e-4 / max(eps, 1).  At eps = 100, 512 angles miss
+    # c by 1.6e-7 over the default energies, so that chart
     # takes a fifth of them, where it still keeps modes up to Nyquist.
     params = PotentialParams(eps)
     if n_chi < 16:
@@ -312,8 +319,8 @@ def test_chart_quarter_orbit_tables(monkeypatch, eps, n_chi):
     monkeypatch.setattr(action_angle, "invert_phi_squared", counted)
     chart = build_chart(params, lo, hi, n_k=16, n_chi=n_chi)
     monkeypatch.undo()
-    # The 16 grid energies, then the doubling probe's 5 at 2 n_chi angles.
-    assert solved == [16 * (n_chi // 4 + 1), 5 * (n_chi // 2 + 1)]
+    # The 16 grid energies, once: the closed form takes no orbit samples.
+    assert solved == [16 * (n_chi // 4 + 1)]
 
     # compute_c's full-circle rule, which it refuses below 16 angles.
     chi = np.arange(n_chi) * (2.0 * np.pi / n_chi)
@@ -449,26 +456,31 @@ def test_build_chart_tail_floor():
     (100.0, 0.1, 1024, 4.209e-7),
 ])
 def test_build_chart_refuses_what_doubling_changes(eps, c_s, n_chi, change):
-    # The last kept mode (4.6e-7, 3.1e-7) passes the tail floor, yet c
-    # changes by more than 1e-10 when the angles are doubled.
-    with pytest.raises(ChartError, match=f"changed by {change:.3e} under node doubling"):
+    # The last kept mode (4.6e-7, 3.1e-7) passes the tail floor, yet c errs
+    # from the closed form by more than 1e-10: by as much as it changed
+    # when the angles were doubled, to 4 digits.
+    with pytest.raises(ChartError, match=f"errs by {change:.3e} from the closed form"):
         build_chart(PotentialParams(eps), *chart_range_for_support(c_s), n_k=64, n_chi=n_chi)
     chart = build_chart(PotentialParams(eps), *chart_range_for_support(c_s), n_k=64,
                         n_chi=2 * n_chi)
-    assert chart.last_mode <= 1e-6 and chart.doubling_change <= 1e-10
+    assert chart.last_mode <= 1e-6 and chart.c_error <= 1e-10
 
 
 def test_doubling_probe_reads_the_reference_rule():
-    # At eps = 1, c_s = 0.02 the chart's c changes by 6.1e-13 under angle
-    # doubling.  compute_c's full-circle rule at n_chi and 2 n_chi angles,
-    # on the 5 probe energies from k_min to k_max, reads the same change.
+    # At eps = 1, c_s = 0.02 the chart's c errs from the closed form by
+    # 6.1e-13, at the grid energies where compute_c's full-circle rule at
+    # n_chi angles does.  That rule's change under angle doubling, on 5
+    # energies from k_min to k_max, reads the same error.
     params = PotentialParams(1.0)
     chart = build_chart(params, *chart_range_for_support(0.02), n_k=64, n_chi=512)
+    exact = exact_frequency(params, chart.k_grid)[0]
+    assert chart.c_error == np.max(np.abs(chart.c - exact) / exact)
+    npt.assert_allclose(compute_c(params, chart.k_grid, n_quad=512), chart.c, rtol=4e-15)
     probes = chart.k_grid[[0, 15, 31, 47, 63]]
     reference = compute_c(params, probes, n_quad=1024)
     change = np.max(np.abs(reference - compute_c(params, probes, n_quad=512)) / reference)
-    assert 1e-13 < chart.doubling_change <= 1e-10
-    npt.assert_allclose(chart.doubling_change, change, rtol=1e-3)
+    assert 1e-13 < chart.c_error <= 1e-10
+    npt.assert_allclose(chart.c_error, change, rtol=1e-3)
 
 
 # -- the angle series, its sines by the three-term recurrence ---------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phasemix
-from phasemix.action_angle import compute_c_prime
+from phasemix.action_angle import compute_c_prime, exact_frequency
 from phasemix.cli import load_config, main
 from phasemix.experiment import ConfigError, Experiment, ExperimentConfig
 
@@ -190,14 +190,14 @@ def test_unresolved_chart_exit_code(tmp_path, command):
     ("epsilon=100", "c_s=0.1", "n_chi=1024"),
 ])
 def test_every_subcommand_refuses_an_unconverged_chart(tmp_path, capsys, overrides):
-    # The last kept mode passes the tail floor, but c changes by more than
-    # 1e-10 when the angles are doubled.  chart, evolve and decay exit 3 on
+    # The last kept mode passes the tail floor, but c errs from the closed
+    # form by more than 1e-10.  chart, evolve and decay exit 3 on
     # build_chart's message; validate fails the checks that need the chart.
     argv = [arg for item in overrides for arg in ("--set", item)]
     for command in ("chart", "evolve", "decay"):
         assert run(tmp_path, command, *argv) == 3
     messages = set(capsys.readouterr().err.splitlines())
-    assert len(messages) == 1 and "under node doubling" in messages.pop()
+    assert len(messages) == 1 and "from the closed form" in messages.pop()
     assert run(tmp_path, "validate", *argv) == 1
     assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "decay.json").exists()
 
@@ -209,17 +209,24 @@ def test_truncated_chart_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["epsilon=1e308", "epsilon=1e160", "c_s=5e-324", "c_s=1e-300"])
+@pytest.mark.parametrize("override, code", [
+    pytest.param(override, code, id=override) for override, code in
+    [("epsilon=1e308", 2), ("epsilon=1e160", 3), ("c_s=5e-324", 2), ("c_s=1e-300", 3)]
+])
 @pytest.mark.parametrize("command", ["chart", "decay"])
-def test_non_finite_chart_exit_code(tmp_path, capsys, command, override):
-    # The potential overflows over the chart's energy range, so the chart's
-    # tables would overflow to inf and NaN.  The config is rejected before
-    # any array is built: no NumPy warning, and nothing written.
+def test_non_finite_chart_exit_code(tmp_path, capsys, command, override, code):
+    # At epsilon = 1e308 and c_s = 5e-324 the closed form of c' overflows
+    # over the chart's energy range, so the chart's tables would overflow to
+    # inf and NaN: the config is rejected (exit 2) before any array is
+    # built.  At epsilon = 1e160 and c_s = 1e-300 nothing the pipeline
+    # computes overflows, and the chart refuses its own tables (exit 3).
+    # Either way no NumPy warning, and nothing written.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(tmp_path, command, "--set", override) == 2
+        assert run(tmp_path, command, "--set", override) == code
     err = capsys.readouterr().err
-    assert "overflow" in err and "RuntimeWarning" not in err
+    reason = "overflow" if code == 2 else "tabulated angle map is not monotone"
+    assert reason in err and "RuntimeWarning" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -254,12 +261,31 @@ def test_chart_artifacts(tmp_path, chart):
     assert np.array_equal(k, chart.k_grid) and np.array_equal(cp, c_prime)
     summary = json.loads((tmp_path / "chart_summary.json").read_text())
     assert summary["delta"] == c_prime.min() > 0
-    assert summary["convergence"]["max_rel_change"] < 1e-10
+    # The error of c against the closed form: build_chart's gate at the
+    # grid energies, and the energy table's between them.
+    c_error = summary["c_error"]
+    assert c_error["n_quad"] == 512 and c_error["grid"] == chart.c_error < 1e-10
+    mid = 0.5 * (chart.k_grid[1:] + chart.k_grid[:-1])
+    exact = exact_frequency(chart.params, mid)[0]
+    assert c_error["midpoints"] == np.max(np.abs(chart.c_of_k(mid) - exact) / exact)
+    assert 1e-10 < c_error["midpoints"] < 1e-9
     # The truncation: the kept modes (2, 4, ..., 40 by default) and the
     # last one's magnitude, which the chart's 1e-6 tail floor checks.
     assert summary["modes"] == chart.modes.size == 20
     assert summary["last_mode"] == chart.last_mode
     assert 0 < summary["last_mode"] <= 1e-6
+
+
+def test_chart_delta_is_the_exact_twist_at_k_max(tmp_path):
+    # At epsilon = 100 the twist c' falls with K, so delta is c'(K_max),
+    # which an orbit average on 256 angles misses by 2.6 %.
+    argv = ("--set", "epsilon=100", "--set", "c_s=0.1", "--set", "n_chi=2048")
+    assert run(tmp_path, "chart", *argv) == 0
+    summary = json.loads((tmp_path / "chart_summary.json").read_text())
+    params, k_max = Experiment(load_config(None, list(argv[1::2]))).params, summary["k_max"]
+    assert k_max == 10.5
+    assert summary["delta"] == compute_c_prime(params, np.array([k_max]))[0]
+    np.testing.assert_allclose(summary["delta"], 0.19262014242555053, rtol=1e-14)
 
 
 def test_chart_deterministic(tmp_path):
@@ -305,7 +331,7 @@ def test_evolve_csv_holds_the_node_set_moments(tmp_path):
         calc = exp.node_set
         times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
         assert calc._series_order(times) == order
-        expected = (np.tile(calc.x, times.size), calc.density(times), calc.current(times),
+        expected = (np.tile(calc.x, times.size), calc.density(times), calc.fields(times)[1],
                     calc.potential(times), calc.phi_t(times))
         for column, moment in zip(rows.T[1:], expected):
             np.testing.assert_array_equal(column, moment.ravel())
@@ -544,7 +570,11 @@ def test_validate_records_an_unresolved_chart_per_check(tmp_path):
     checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
     assert len(checks) == 11
     assert checks["potential_round_trip"]["passed"]
-    assert checks["c_prime_vs_fd"]["passed"]
+    # c_prime_vs_fd runs too, and finds that the full-circle rule's
+    # 256 angles do not resolve c at epsilon = 100: their difference
+    # quotient is 9.3e-4 from the exact c'.
+    assert "error" not in checks["c_prime_vs_fd"] and not checks["c_prime_vs_fd"]["passed"]
+    assert abs(checks["c_prime_vs_fd"]["measured"] - 9.289e-4) < 1e-7
     chart_checks = [
         "chart_geometry_roundtrip",
         "chart_convergence",

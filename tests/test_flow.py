@@ -1,4 +1,5 @@
-"""Hamiltonian flow: the Taylor integrator against DOP853, reversibility, orbit periods."""
+"""Hamiltonian flow: the Taylor integrator against DOP853, reversibility, and the
+closed-form orbit period 2 pi / c against DOP853's."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,13 +7,18 @@ import pytest
 
 from phasemix import (
     FlowError,
+    exact_frequency,
     flow_map,
     from_angle_energy,
-    orbit_period,
 )
 from phasemix import flow
 
 TOL = 1e-12
+
+
+def _period(params, h):
+    """The orbit period 2 pi / c(h), c in closed form."""
+    return 2.0 * np.pi / float(exact_frequency(params, h)[0])
 
 
 def test_harmonic_rotation(harmonic):
@@ -75,37 +81,19 @@ def test_flow_preserves_shape(params):
 
 def test_harmonic_period(harmonic):
     for h in (0.25, 1.0, 4.0):
-        npt.assert_allclose(orbit_period(harmonic, h), 2.0 * np.pi, rtol=1e-10)
+        npt.assert_allclose(_period(harmonic, h), 2.0 * np.pi, rtol=1e-10)
 
 
 def test_anharmonic_period_shrinks(params):
     # Stiffer-than-harmonic potential: larger orbits are faster.
-    t1 = orbit_period(params, 0.5)
-    t2 = orbit_period(params, 2.0)
+    t1 = _period(params, 0.5)
+    t2 = _period(params, 2.0)
     assert t2 < t1 < 2.0 * np.pi
-
-
-def test_orbit_period_stops_at_the_first_turning_point(monkeypatch, params):
-    # One quarter orbit: every step starts in the quadrant x >= 0, v > 0,
-    # and the step that crosses v = 0 is the last.
-    starts = []
-    original = flow._series
-
-    def counted(eps, x, v):
-        starts.append((float(x[0]), float(v[0])))
-        return original(eps, x, v)
-
-    monkeypatch.setattr(flow, "_series", counted)
-    orbit_period(params, 1.0)
-    assert starts and all(x >= 0 and v > 0 for x, v in starts)
-    xs, vs = flow._series(params.epsilon, np.array([starts[-1][0]]), np.array([starts[-1][1]]))
-    step = flow._step(xs, vs, flow.PERIOD_TOLERANCE)
-    assert flow._at(vs, step)[0] <= 0
 
 
 def test_period_frozen_value(params):
     # Independently computed orbital period at eps = 0.1, h = 1.
-    npt.assert_allclose(orbit_period(params, 1.0), 5.610769032243066, rtol=1e-9)
+    npt.assert_allclose(_period(params, 1.0), 5.610769032243066, rtol=1e-9)
 
 
 def test_flow_tolerance_validation(params):
@@ -117,8 +105,9 @@ def test_flow_tolerance_validation(params):
 
 @pytest.mark.parametrize("h", [0.25, 1.0, 4.0])
 def test_period_matches_dop853_events(params, h):
-    # The period as DOP853 event detection measures it: the time between
-    # the first two downward crossings of v = 0 from (0, sqrt(2h)).
+    # The closed form against the flow: the period as DOP853 event
+    # detection measures it, the time between the first two downward
+    # crossings of v = 0 from (0, sqrt(2h)).
     from scipy.integrate import solve_ivp
 
     eps = params.epsilon
@@ -133,9 +122,10 @@ def test_period_matches_dop853_events(params, h):
     sol = solve_ivp(rhs, (0.0, 1.6 * 2.0 * np.pi), [0.0, np.sqrt(2.0 * h)],
                     method="DOP853", rtol=1e-12, atol=1e-14, events=turning)
     crossings = sol.t_events[0]
-    npt.assert_allclose(orbit_period(params, h), crossings[1] - crossings[0], rtol=0, atol=1e-12)
+    npt.assert_allclose(_period(params, h), crossings[1] - crossings[0], rtol=0, atol=1e-12)
 
 
-def test_orbit_period_rejects_nonpositive_energy(params):
-    with pytest.raises(ValueError):
-        orbit_period(params, 0.0)
+def test_period_rejects_nonpositive_energy(params):
+    for h in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            exact_frequency(params, h)

@@ -195,7 +195,7 @@ def test_reflected_moments_match_scipy(experiment, harmonic_f0, grid, case):
     for t in (0.0, 7.3, 150.0, experiment.times):
         phi, phi_t = calc.potential(t), calc.phi_t(t)
         ref_phi = -_from_zero(grid, _from_zero(grid, calc.density(t)))
-        ref_phi_t = _phi_t_reference(grid, calc.current(t))
+        ref_phi_t = _phi_t_reference(grid, calc.fields(t)[1])
         assert np.max(np.abs(phi - ref_phi)) <= 2e-15 * np.max(np.abs(ref_phi)), (case, t)
         if case == "m = 2" or np.ndim(t):
             assert np.max(np.abs(phi_t - ref_phi_t)) <= 2e-15 * np.max(np.abs(ref_phi_t)), (case, t)
@@ -243,7 +243,7 @@ def test_current_odd_at_quarter_turn(calc, grid):
     # under x -> -x up to the angle asymmetry; just pin j(0) = 0 is not
     # generally true, so check the tail instead: j -> 0 at the support
     # edge.
-    j = calc.current(0.0)
+    j = calc.fields(0.0)[1]
     assert abs(j[0]) < 1e-14 and abs(j[-1]) < 1e-14
 
 
@@ -268,10 +268,11 @@ def test_phi_t_routes_converge(params, f0):
 
 def test_series_assembles_everything(calc, grid):
     # evolve's columns over a schedule: one row per time of each moment,
-    # from two streams where the moment methods take four.
+    # from two streams where the moment methods take three; the current,
+    # which has no method of its own, against its rows at one time.
     times = np.array([0.0, 1.0])
     fields = calc.fields(times)
-    methods = (calc.density, calc.current, calc.potential, calc.phi_t)
+    methods = (calc.density, lambda t: calc.fields(t)[1], calc.potential, calc.phi_t)
     for field, moment in zip(fields, methods):
         assert field.shape == (2, grid.size)
         npt.assert_allclose(field, moment(times), atol=1e-14)
@@ -317,7 +318,7 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
             rho_scale = v_max * (np.abs(f) @ w)
             j_scale = v_max * (np.abs(f * v) @ w)
             assert np.all(np.abs(calc.density(t) - rho) <= 1e-14 * rho_scale), case
-            assert np.all(np.abs(calc.current(t) - j) <= 1e-14 * j_scale), case
+            assert np.all(np.abs(calc.fields(t)[1] - j) <= 1e-14 * j_scale), case
             batch = calc.density(np.array([t, t]))
             assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), case
 
@@ -326,7 +327,7 @@ def test_reflection_parity_is_exact_for_huge_odd_m(f0, grid):
     # m = 2^53 + 1 is odd, but as a float it rounds to the even 2^53.  For
     # an odd m the current is even in x: (-1)^(m+1) = 1.
     calc = MomentCalculator(dataclasses.replace(f0, m=2**53 + 1), grid, n_quad=64)
-    j = calc.current(0.0)
+    j = calc.fields(0.0)[1]
     assert np.any(j != 0.0)
     npt.assert_array_equal(j[::-1], j)
 
@@ -369,7 +370,7 @@ def test_fewer_times_than_order_take_exact_trig(calc):
     times = np.array([3.0, 17.5, 42.0, 99.9, 150.0])
     assert times.size < _order(calc, times)
     npt.assert_array_equal(calc.density(times), [calc.density(t) for t in times])
-    npt.assert_array_equal(calc.current(times), [calc.current(t) for t in times])
+    npt.assert_array_equal(calc.fields(times)[1], [calc.fields(t)[1] for t in times])
 
 
 @pytest.fixture(scope="module")
@@ -384,8 +385,8 @@ def test_default_scan_stays_near_exact_trig(default_scan):
     # eps * m c t alone is about 2.5e-14 at t = 200.
     calc, times = default_scan
     assert calc._series_order(times) == _order(calc, times) == 43
-    for name, amp in (("density", calc._rho_amp), ("current", calc._j_amp)):
-        moment = getattr(calc, name)
+    for name, moment, amp in (("density", calc.density, calc._rho_amp),
+                              ("current", lambda t: calc.fields(t)[1], calc._j_amp)):
         exact = np.array([moment(t) for t in times])
         bound = 1e-13 * _rounding_scale(calc, amp)
         assert np.all(np.abs(moment(times) - exact) <= bound), name
@@ -397,8 +398,8 @@ def test_harmonic_scan_is_one_term(harmonic_f0, grid):
     times = np.linspace(0.0, 200.0, 41)
     assert calc._h == 0.0 and calc._series_order(times) == 1
     bound = 1e-13 * _rounding_scale(calc, calc._j_amp)
-    exact = np.array([calc.current(t) for t in times])
-    assert np.all(np.abs(calc.current(times) - exact) <= bound)
+    exact = np.array([calc.fields(t)[1] for t in times])
+    assert np.all(np.abs(calc.fields(times)[1] - exact) <= bound)
 
 
 def test_sup_phi_t_against_long_double(default_scan):
@@ -427,7 +428,7 @@ def test_series_scan_memory_is_blocked(params, f0):
     assert calc._series_order(times) == 411
     tracemalloc.start()
     try:
-        calc.current(times)
+        calc.fields(times)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -437,7 +438,7 @@ def test_series_scan_memory_is_blocked(params, f0):
 def _full_grid_sup(calc, times):
     """sup_x |phi_t| and |j(t, 0)| from SciPy's integral of the current on the
     whole grid."""
-    j = calc.current(times)
+    j = calc.fields(times)[1]
     return np.max(np.abs(_phi_t_reference(calc.x, j)), axis=-1), np.abs(j[:, calc.x.size // 2])
 
 

@@ -23,7 +23,6 @@ from phasemix import cli, moments
 SRC = Path(phasemix.__file__).resolve().parent
 
 UNREACHED = {
-    ("moments.py", "MomentCalculator.current"): "a layer that perfbench's tracer times",
     ("experiment.py", "ExperimentConfig.to_dict"): "the JSON round trip of a config",
 }
 
@@ -38,7 +37,6 @@ LIBM_TRIG = {
     ("action_angle.py", "half_angle_sin_cos"): (("tan",), "the kernel"),
     ("action_angle.py", "rate_a"): (("cos",), "the chart's angle row: n_chi // 4 + 1 "
                                     "quarter-orbit angles, or compute_c's n_quad"),
-    ("action_angle.py", "compute_c_prime"): (("cos",), "the orbit average's 256 angles"),
     ("action_angle.py", "_require_monotone"): (("cos",), "the chart's angle rows: a "
                                                "sampled slope, only at energies the "
                                                "coefficient bound leaves unproved"),

@@ -2,12 +2,11 @@
 
 :class:`ExperimentConfig` is the whole experiment description and
 round-trips through JSON.  :class:`Experiment` turns it into the
-potential, the action-angle chart, the initial data, the default
-quadrature node set, a Gauss node set for mass integrals and the decay
-sample times.  The chart and everything built on it are made on first
-use and kept, so one experiment builds its chart once however many
-pipelines or checks use it, and a command that never needs the chart
-never builds it.
+potential, the action-angle chart, the initial data, the quadrature
+node set on the configured grid and the decay sample times.  The chart
+and everything built on it are made on first use and kept, so one
+experiment builds its chart once however many pipelines or checks use
+it, and a command that never needs the chart never builds it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .action_angle import (
     chart_range_for_support,
     compute_c_prime,
 )
-from .moments import MomentCalculator, gauss_legendre, spatial_grid
+from .moments import MomentCalculator
 from .potential import PotentialParams, invert_phi
 from .transport import InitialData
 
@@ -174,9 +173,9 @@ class ExperimentConfig:
 class Experiment:
     """The objects one configuration determines, each built at most once.
 
-    ``params``, ``chart``, ``f0``, ``period``, ``node_set`` and
-    ``mass_node_set`` are built on first access and cached; a chart that
-    fails to build raises :class:`ChartError` at each access.
+    ``params``, ``chart``, ``f0``, ``period`` and ``node_set`` are built on
+    first access and cached; a chart that fails to build raises
+    :class:`ChartError` at each access.
     """
 
     cfg: ExperimentConfig
@@ -206,27 +205,17 @@ class Experiment:
     def node_set(self) -> MomentCalculator:
         """Moments on the configured spatial grid with ``v_quad`` velocity nodes."""
         cfg = self.cfg
-        grid = spatial_grid(self.params, cfg.c_s, cfg.grid_points)
         nodes = f"grid_points = {cfg.grid_points} grid x v_quad = {cfg.v_quad} velocity nodes"
-        return self.node_set_on(grid, cfg.v_quad, nodes)
+        return self.node_set_on(cfg.grid_points, cfg.v_quad, nodes)
 
-    @functools.cached_property
-    def mass_node_set(self) -> tuple[MomentCalculator, float, np.ndarray]:
-        """Moments on a 201-point Gauss grid over [-x_max, x_max], x_max and the weights."""
-        nodes, weights = gauss_legendre(201)
-        x_max = float(invert_phi(self.params, self.f0.h_max))
-        v_quad = self.cfg.v_quad
-        calc = self.node_set_on(x_max * nodes, v_quad,
-                                f"201-point Gauss grid x v_quad = {v_quad} velocity nodes")
-        return calc, x_max, weights
-
-    def node_set_on(self, x: np.ndarray, n_quad: int, nodes: str) -> MomentCalculator:
-        """The node set of ``f0`` on ``x`` with ``n_quad`` velocity nodes.
+    def node_set_on(self, grid_points: int, n_quad: int, nodes: str) -> MomentCalculator:
+        """The node set of ``f0`` on ``grid_points`` uniform grid points with
+        ``n_quad`` velocity nodes.
 
         Raises :class:`ResolutionError`, naming the ``nodes`` (the grid and
         velocity nodes), if none of them lies in the support annulus.
         """
-        calc = MomentCalculator(self.f0, x, n_quad=n_quad)
+        calc = MomentCalculator(self.f0, grid_points, n_quad)
         if calc.support_nodes == 0:
             raise ResolutionError(
                 f"no node of the {nodes} lies in the support annulus [c_s, 1/c_s] "

@@ -2,10 +2,11 @@
 
 The density and current integrate the solution over the exact velocity
 support |v| <= sqrt(2 (1/c_s - Phi(x))) with Gauss-Legendre quadrature
-on a node set bound to one spatial grid.  In action-angle variables the
-transport is a rigid rotation, fbar(t, Q, K) = fbar0(Q + c(K) t, K), so
-the nodes (x_i, v_ij) are pulled back through the chart once, when the
-node set is built.
+on a node set that builds its own uniform spatial grid of an odd node
+count (``spatial_grid``).  In action-angle variables the transport is a
+rigid rotation, fbar(t, Q, K) = fbar0(Q + c(K) t, K), so the nodes
+(x_i, v_ij) are pulled back through the chart once, when the node set is
+built.
 
 The Gauss-Legendre rule (``gauss_legendre``) runs Newton in
 theta = arccos x on the three-term recurrence for the roots with x > 0
@@ -68,7 +69,8 @@ reflected to the grid once with its sign.  One generator
 (``MomentCalculator._stream``) picks the route and cuts the times into
 blocks of row sums, to which each moment applies its table.  The
 potential phi = -int_0^x int_0^y rho solves -phi'' = rho with
-phi(0) = phi'(0) = 0; its mean part is integrated once, and its
+phi(0) = phi'(0) = 0, by Simpson's rule at the grid's step
+(``_cumulative_simpson``); its mean part is integrated once, and its
 oscillating part is (-1)^m-signed at -x, as the density's is, and so is
 phi_t(x) = int_0^x (j(y) - j(0)) dy: for odd m the current is even in x,
 and for even m it is odd, so j(0) = 0.  Only the decay scan
@@ -189,36 +191,22 @@ def spatial_grid(params: PotentialParams, c_s: float, n: int) -> np.ndarray:
     return np.concatenate((-half[:0:-1], half))
 
 
-def _simpson_panels(dx21, dx32, f1, f2, f3):
-    """Integral of the parabola through the values f1, f2, f3 at three nodes
-    spaced dx21, dx32 apart, over the dx21-wide interval between the first two."""
-    x31 = dx21 + dx32
-    x21_x31 = dx21 / x31
-    x21_x32 = dx21 / dx32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return dx21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """int_0^{i dx} y along the last axis on nodes dx apart, 0 at the first.
 
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_{x_0}^{x_i} y dx along the last axis, 0 at x_0.
-
-    SciPy's ``cumulative_simpson(y, x=x, initial=0)`` operation for
-    operation, so the two agree bit for bit: interval i takes the
-    parabola through nodes i, i+1, i+2 when i is even and through
-    i-1, i, i+1 when i is odd (the last interval always the latter).
-    Two nodes fall back to the trapezoid.
+    SciPy's ``cumulative_simpson(y, dx=dx, initial=0)`` operation for
+    operation, so the two agree bit for bit: interval i takes the parabola
+    through nodes i, i+1, i+2, dx/12 (5, 8, -1), when i is even, and through
+    i-1, i, i+1, dx/12 (-1, 8, 5), when i is odd (the last interval always
+    the latter).  Two nodes fall back to the trapezoid.
     """
-    dx = np.diff(x)
-    if x.size < 3:
+    if y.shape[-1] < 3:
         pieces = dx * (y[..., 1:] + y[..., :-1]) / 2.0
     else:
-        mid = y[..., 1:-1]
-        ahead = _simpson_panels(dx[:-1], dx[1:], y[..., :-2], mid, y[..., 2:])
-        behind = _simpson_panels(dx[1:], dx[:-1], y[..., 2:], mid, y[..., :-2])
-        pieces = np.empty(y.shape[:-1] + dx.shape)
+        first, mid, last = y[..., :-2], y[..., 1:-1], y[..., 2:]
+        ahead = dx / 3.0 * (5.0 * first / 4.0 + 2.0 * mid - last / 4.0)
+        behind = dx / 3.0 * (5.0 * last / 4.0 + 2.0 * mid - first / 4.0)
+        pieces = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
         pieces[..., :-1:2] = ahead[..., ::2]
         pieces[..., 1::2] = behind[..., ::2]
         pieces[..., -1] = behind[..., -1]
@@ -282,29 +270,26 @@ class MomentCalculator:
     ----------
     f0 : the initial data, which fixes the potential, the support and the
         chart.
-    x : the spatial grid: odd-length, strictly ascending and mirrored about
-        x = 0 at its central node, as ``spatial_grid`` and the odd
-        Gauss-Legendre rules build it.
+    grid_points : number of nodes of the uniform spatial grid
+        ``spatial_grid(f0.params, f0.c_s, grid_points)``: odd and >= 3, so
+        that it is mirrored about its central node x = 0.
     n_quad : number of Gauss-Legendre velocity nodes (>= 64).
 
     Every moment method takes a scalar time, giving one value per grid
-    node, or a 1-D array of times, giving one row per time: one stream of
-    an amplitude's row sums, its table on the rows of the x >= 0 half of the
-    grid (``abs_x``, with the support half-width ``v_max``), and one
+    node ``x``, or a 1-D array of times, giving one row per time: one stream
+    of an amplitude's row sums, its table on the rows of the x >= 0 half of
+    the grid (``abs_x``, with the support half-width ``v_max``), and one
     reflection to the grid.  ``support_nodes`` counts the nodes
     inside the support in the x >= 0, v >= 0 quarter that is pulled back.
     """
 
-    def __init__(self, f0: InitialData, x, n_quad: int):
+    def __init__(self, f0: InitialData, grid_points: int, n_quad: int):
         if n_quad < 64:
             raise ValueError("n_quad must be >= 64")
-        self.x = np.asarray(x, dtype=float)
-        i0 = self.x.size // 2
-        if (self.x.ndim != 1 or self.x.size % 2 == 0 or np.any(np.diff(self.x) <= 0)
-                or not np.array_equal(self.x[i0:], -self.x[i0::-1])):
-            raise ValueError("the grid must be odd-length, strictly ascending and "
-                             "mirrored about x = 0 at its central node")
-        self.abs_x = self.x[i0:]
+        self.x = spatial_grid(f0.params, f0.c_s, grid_points)
+        self.abs_x = self.x[grid_points // 2 :]
+        # The grid's step: abs_x starts at 0.
+        self._dx = float(self.abs_x[1])
         room = f0.h_max - np.asarray(potential_phi(f0.params, self.abs_x))
         self.v_max = np.sqrt(np.clip(2.0 * room, 0.0, None))
         nodes, weights = gauss_legendre(n_quad)
@@ -435,11 +420,11 @@ class MomentCalculator:
 
     def _phi_table(self, rows: np.ndarray) -> np.ndarray:
         """-int_0^x int_0^y of abs_x rows (last axis), on the x >= 0 half."""
-        return _cumulative_simpson(-_cumulative_simpson(rows, self.abs_x), self.abs_x)
+        return _cumulative_simpson(-_cumulative_simpson(rows, self._dx), self._dx)
 
     def _phi_t_table(self, rows: np.ndarray) -> np.ndarray:
         """int_0^x (s - s(0)) of abs_x rows s (last axis), on the x >= 0 half."""
-        return _cumulative_simpson(rows - rows[..., :1], self.abs_x)
+        return _cumulative_simpson(rows - rows[..., :1], self._dx)
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""

@@ -33,7 +33,7 @@ from scipy.interpolate import CubicSpline
 from phasemix import action_angle
 from phasemix.cli import load_config
 from phasemix.experiment import Experiment
-from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
+from phasemix.moments import MomentCalculator, gauss_legendre
 from phasemix.transport import pull_back
 
 RESOLUTIONS = ((201, 128), (801, 512), (1601, 1024))
@@ -80,16 +80,15 @@ def main() -> None:
     print(f"{chart.modes.size} modes, largest {chart.modes[-1] if chart.modes.size else 0}")
     print(f"{'grid x v':>12} {'support':>8} {'block':>6} {'ms':>8} {'MiB':>7} {'err':>9}")
     for grid, n_quad in RESOLUTIONS:
-        x = spatial_grid(exp.params, exp.cfg.c_s, grid)
         for block in BLOCKS:
             action_angle._BLOCK_POINTS = block
             best = np.inf
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                MomentCalculator(exp.f0, x, n_quad=n_quad)
+                MomentCalculator(exp.f0, grid, n_quad=n_quad)
                 best = min(best, time.perf_counter() - start)
             tracemalloc.start()
-            calc = MomentCalculator(exp.f0, x, n_quad=n_quad)
+            calc = MomentCalculator(exp.f0, grid, n_quad=n_quad)
             peak = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             chi, k, q = support_points(exp, calc, n_quad)

@@ -25,7 +25,6 @@ from phasemix import (
     fit_decay,
     from_angle_energy,
     q_fourier_spectrum,
-    spatial_grid,
     sup_phi_t,
 )
 from phasemix.transport import pull_back
@@ -97,8 +96,7 @@ def test_default_quadrature_resolves_the_scan(pipeline):
     cfg, params, chart, f0, times, sup, _ = pipeline
     coarse = sup[times > 0.0]
     times = times[times > 0.0]
-    grid = spatial_grid(params, cfg.c_s, cfg.grid_points)
-    fine, _ = sup_phi_t(MomentCalculator(f0, grid, n_quad=512), times)
+    fine, _ = sup_phi_t(MomentCalculator(f0, cfg.grid_points, n_quad=512), times)
     rel = np.abs(coarse - fine) / fine
     assert np.max(rel) <= 0.01, f"worst gap {np.max(rel):.4f} at t = {times[np.argmax(rel)]:.1f}"
 
@@ -194,9 +192,8 @@ def test_criterion_06_conservation(pipeline):
     from scipy.integrate import simpson
 
     cfg, params, chart, f0 = pipeline[:4]
-    fine = spatial_grid(params, cfg.c_s, 801)
-    calc = MomentCalculator(f0, fine, n_quad=cfg.v_quad)
-    masses = [simpson(calc.density(t), x=fine) for t in (0.0, 1.0, 10.0, 100.0)]
+    calc = MomentCalculator(f0, 801, n_quad=cfg.v_quad)
+    masses = [simpson(calc.density(t), x=calc.x) for t in (0.0, 1.0, 10.0, 100.0)]
     drift = max(abs(m - masses[0]) / masses[0] for m in masses[1:])
 
     # Mass in action-angle coordinates: the (x, v) area element is
@@ -213,7 +210,7 @@ def test_criterion_06_conservation(pipeline):
 
 def test_criterion_07_phi_t_routes(pipeline):
     cfg, params, chart, f0 = pipeline[:4]
-    calc = MomentCalculator(f0, spatial_grid(params, cfg.c_s, 801), n_quad=512)
+    calc = MomentCalculator(f0, 801, n_quad=512)
     ratios = []
     for t in (5.0, 50.0):
         ref = calc.phi_t(t)

@@ -29,7 +29,7 @@ from phasemix import (
 from phasemix import action_angle
 from phasemix.action_angle import half_angle_sin_cos
 from phasemix.experiment import Experiment, ExperimentConfig
-from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
+from phasemix.moments import MomentCalculator, gauss_legendre
 from phasemix.transport import pull_back
 
 
@@ -658,11 +658,10 @@ def test_validate_node_set_memory(experiment):
     # 1.3 MiB of it one block's 21 x 8192 table of sines.  Gathering
     # (points x modes) blocks of the energy table and evaluating H and Phi
     # twice per support node peaked at 7.0 MiB.
-    x = spatial_grid(experiment.params, experiment.cfg.c_s, 801)
     gauss_legendre(512)  # memoized: built before the trace
     tracemalloc.start()
     try:
-        calc = MomentCalculator(experiment.f0, x, n_quad=512)
+        calc = MomentCalculator(experiment.f0, 801, n_quad=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from phasemix import checks
+from phasemix import checks, moments
 from phasemix.action_angle import OrbitChart
 from phasemix.cli import main
 from phasemix.experiment import Experiment, ExperimentConfig
@@ -60,13 +61,31 @@ def test_unmodulated_datum_fails_the_mode_checks(experiment):
 
 
 def test_mass_conservation_measures_the_quadrature_at_even_m():
-    # At odd m the oscillating density is odd in x, on the symmetric Gauss
-    # grid to the last bit, so the check reads rounding alone (2.4e-16 at
+    # At odd m the oscillating density is odd in x, on the run's mirrored
+    # grid to the last bit, so the check reads rounding alone (1.2e-16 at
     # m = 1).  At m = 2 it is even, and the check sees the quadrature:
-    # 6.05e-8 against the tolerance 1e-6.
+    # 8.5e-9 against the tolerance 1e-6.
     result = checks.run(checks.mass_conservation, Experiment(ExperimentConfig(m=2)))
     assert result["passed"], result
     assert result["measured"] > 1e-10, result
+
+
+def test_jacobian_mass_resolves_the_default_grid(experiment):
+    # The trapezoid rule on the run's uniform grid, spectrally accurate for a
+    # density that vanishes to all orders at +-x_max: 3.5e-8 against 1e-6.
+    measured, tolerance = checks.jacobian_mass_equivalence(experiment)
+    assert measured <= 1e-7 < tolerance
+
+
+@pytest.mark.parametrize("override", ["grid_points=3", "grid_points=5", "epsilon=30"])
+def test_validate_fails_a_grid_that_cannot_hold_the_density(tmp_path, override):
+    # The mass checks integrate the run's own node set, so a grid too coarse
+    # for its density fails them: 0.59, 0.27 and 2.3e-6 against 1e-6.  The
+    # first two passed while the mass checks took a Gauss grid of their own.
+    assert main(["validate", "--set", override, "--out", str(tmp_path)]) == 1
+    results = json.loads((tmp_path / "validate.json").read_text())["checks"]
+    jacobian = {c["name"]: c for c in results}["jacobian_mass_equivalence"]
+    assert not jacobian["passed"] and jacobian["tolerance"] == 1e-6
 
 
 def _count_calls(monkeypatch, cls, counts):
@@ -80,10 +99,27 @@ def _count_calls(monkeypatch, cls, counts):
 
 
 def test_validate_builds_two_charts_and_two_node_sets(tmp_path, monkeypatch):
-    # The configured chart and chart_convergence's doubled one; the mass
-    # checks' shared Gauss node set and phi_t_route_equivalence's own.
-    counts = {"OrbitChart": 0, "MomentCalculator": 0}
+    # The configured chart and chart_convergence's doubled one; the run's
+    # 201 x 128 node set, which the mass checks integrate, and
+    # phi_t_route_equivalence's own 801 x 512.  No Gauss x-grid is built.
+    counts = {"OrbitChart": 0}
     _count_calls(monkeypatch, OrbitChart, counts)
-    _count_calls(monkeypatch, MomentCalculator, counts)
+    node_sets, rules = [], []
+    init, rule = MomentCalculator.__init__, moments.gauss_legendre
+
+    def building(self, f0, grid_points, n_quad):
+        node_sets.append((grid_points, n_quad))
+        init(self, f0, grid_points, n_quad)
+
+    def ruling(n):
+        rules.append(n)
+        return rule(n)
+
+    monkeypatch.setattr(MomentCalculator, "__init__", building)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "phasemix" and getattr(module, "gauss_legendre", None) is rule:
+            monkeypatch.setattr(module, "gauss_legendre", ruling)
     assert main(["validate", "--out", str(tmp_path)]) == 0
-    assert counts == {"OrbitChart": 2, "MomentCalculator": 2}
+    assert counts == {"OrbitChart": 2}
+    assert sorted(node_sets) == [(201, 128), (801, 512)]
+    assert 128 in rules and 201 not in rules

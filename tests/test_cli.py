@@ -438,7 +438,7 @@ def test_validate_records_an_unresolved_support(tmp_path):
     checks = _strict_checks(tmp_path / "validate.json")
     for name in ("jacobian_mass_equivalence", "mass_conservation"):
         assert not checks[name]["passed"]
-        assert "no node of the 201-point Gauss grid x v_quad = 128" in checks[name]["error"]
+        assert "no node of the grid_points = 201 grid x v_quad = 128" in checks[name]["error"]
     route = checks["phi_t_route_equivalence"]
     assert not route["passed"] and route["measured"] is None
     assert "no node of the 801-point grid x 512 velocity nodes" in route["error"]

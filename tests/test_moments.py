@@ -21,13 +21,13 @@ def grid(params):
 
 
 @pytest.fixture(scope="module")
-def calc(f0, grid):
-    return MomentCalculator(f0, grid, n_quad=128)
+def calc(f0):
+    return MomentCalculator(f0, 201, n_quad=128)
 
 
 @pytest.fixture(scope="module")
-def fine_calc(params, f0):
-    return MomentCalculator(f0, spatial_grid(params, 0.5, 801), n_quad=128)
+def fine_calc(f0):
+    return MomentCalculator(f0, 801, n_quad=128)
 
 
 def test_spatial_grid_shape(params):
@@ -39,6 +39,14 @@ def test_spatial_grid_shape(params):
     # An even count has no node at x = 0, and the grid keeps the count asked for.
     with pytest.raises(ValueError):
         spatial_grid(params, 0.5, 200)
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 200])
+def test_node_set_needs_an_odd_grid_of_at_least_three_points(f0, grid_points):
+    # Every moment reflects the x >= 0 half of the grid to x < 0, so the node
+    # set's own grid keeps a node at x = 0 and one on either side.
+    with pytest.raises(ValueError, match="odd number of nodes, at least 3"):
+        MomentCalculator(f0, grid_points, n_quad=64)
 
 
 def _legendre_node(n, x0):
@@ -120,13 +128,15 @@ def test_bessel_zero_table_is_mpmath_rounded():
 
 
 def _from_zero(x, y):
-    """int_0^x y along the last axis by SciPy's cumulative_simpson, taken
-    outward from x = 0 on each half of a grid with x = 0 at its centre."""
+    """int_0^x y along the last axis by SciPy's cumulative_simpson at the
+    step of a uniform grid, taken outward from x = 0 on each half of a grid
+    with x = 0 at its centre."""
     from scipy.integrate import cumulative_simpson
 
     i0 = x.size // 2
-    right = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
-    left = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+    dx = x[i0 + 1]
+    right = cumulative_simpson(y[..., i0:], dx=dx, initial=0.0)
+    left = cumulative_simpson(y[..., i0::-1], dx=dx, initial=0.0)
     return np.concatenate((-left[..., :0:-1], right), axis=-1)
 
 
@@ -136,11 +146,17 @@ def _phi_t_reference(x, j):
 
 
 def _half_against_scipy(y, x):
-    """The x >= 0 half's integral from x = 0, checked bit for bit against SciPy."""
+    """The x >= 0 half's integral from x = 0 at the step x[1] of its uniform
+    nodes x, checked bit for bit against SciPy's rule at that step.  SciPy's
+    rule on the nodes x themselves takes each node's own rounded spacing and
+    its general-spacing arithmetic: they differ by rounding, 5.6e-15 of the
+    largest value at most (801 nodes)."""
     from scipy.integrate import cumulative_simpson
 
-    got = moments._cumulative_simpson(y, x)
-    assert np.array_equal(got, cumulative_simpson(y, x=x, initial=0.0))
+    got = moments._cumulative_simpson(y, x[1])
+    assert np.array_equal(got, cumulative_simpson(y, dx=x[1], initial=0.0))
+    general = cumulative_simpson(y, x=x, initial=0.0)
+    assert np.max(np.abs(got - general)) <= 6e-15 * np.max(np.abs(general))
     return got
 
 
@@ -163,25 +179,8 @@ def test_cumulative_from_zero_matches_scipy(params, n):
     _half_against_scipy(np.random.default_rng(n).standard_normal((3, x.size)), x)
 
 
-def test_node_set_requires_an_ascending_mirrored_grid(f0):
-    # Every moment reflects the x >= 0 half to x < 0, so the grid must be
-    # odd, ascending and mirrored about its central node: an even grid has no
-    # x = 0 node, and [a, 0, -a] is mirrored but would make abs_x negative.
-    for x in (np.linspace(-1.0, 1.0, 10), np.linspace(-1.0, 1.0, 11) + 1e-3,
-              np.array([1.0, 0.0, -1.0])):
-        with pytest.raises(ValueError, match="mirrored"):
-            MomentCalculator(f0, x, n_quad=64)
-
-
-def test_cumulative_requires_centered_grid(f0):
-    # A grid without its x = 0 node at the centre is refused when the node
-    # set is built, so no moment is ever integrated outward from a wrong x.
-    with pytest.raises(ValueError, match="mirrored"):
-        MomentCalculator(f0, np.linspace(0.1, 1.0, 11), n_quad=64)
-
-
 @pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control"])
-def test_reflected_moments_match_scipy(experiment, harmonic_f0, grid, case):
+def test_reflected_moments_match_scipy(experiment, harmonic_f0, case):
     # The potential and phi_t integrate the x >= 0 rows and reflect them to
     # x < 0; SciPy integrates the node set's density and current outward
     # from x = 0 on each half of the grid.  At one time both take the same
@@ -191,7 +190,8 @@ def test_reflected_moments_match_scipy(experiment, harmonic_f0, grid, case):
     # times take the series, which applies the tables to the moment rows.
     f0 = experiment.f0
     data = {"m = 1": f0, "m = 2": dataclasses.replace(f0, m=2), "eps = 0 control": harmonic_f0}
-    calc = MomentCalculator(data[case], grid, n_quad=128)
+    calc = MomentCalculator(data[case], 201, n_quad=128)
+    grid = calc.x
     for t in (0.0, 7.3, 150.0, experiment.times):
         phi, phi_t = calc.potential(t), calc.phi_t(t)
         ref_phi = -_from_zero(grid, _from_zero(grid, calc.density(t)))
@@ -212,7 +212,8 @@ def test_density_even_at_t0(calc, grid):
 
 
 def test_density_vanishes_outside_support(f0, grid):
-    edge = MomentCalculator(f0, np.array([-grid[-1], 0.0, grid[-1]]), n_quad=128)
+    edge = MomentCalculator(f0, 3, n_quad=128)
+    assert np.array_equal(edge.x, [-grid[-1], 0.0, grid[-1]])
     rho = edge.density(0.0)
     assert abs(rho[0]) < 1e-14 and abs(rho[-1]) < 1e-14
 
@@ -255,8 +256,8 @@ def test_phi_pinned_at_origin(calc, grid):
     assert p[mid + 1] + p[mid - 1] - 2.0 * p[mid] < 0.0
 
 
-def test_phi_t_routes_converge(params, f0):
-    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 801), n_quad=512)
+def test_phi_t_routes_converge(f0):
+    calc = MomentCalculator(f0, 801, n_quad=512)
     t = 5.0
     ref = calc.phi_t(t)
     err = [
@@ -282,15 +283,15 @@ def test_series_assembles_everything(calc, grid):
 def test_node_sets_of_one_f0_share_one_band(f0, calc, fine_calc):
     # The band [r0 - h, r0 + h] is m c(K) over the support, from the chart,
     # so every node set of f0 expands in the same Chebyshev basis.
-    gauss = MomentCalculator(f0, gauss_legendre(201)[0] * fine_calc.x[-1], n_quad=64)
-    bands = {(c._r0, c._h) for c in (calc, fine_calc, gauss)}
+    others = [MomentCalculator(f0, n, n_quad=64) for n in (3, 51)]
+    bands = {(c._r0, c._h) for c in (calc, fine_calc, *others)}
     lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
     assert bands == {(0.5 * (hi + lo), 0.5 * (hi - lo))}
 
 
-def test_n_quad_floor(f0, grid):
+def test_n_quad_floor(f0):
     with pytest.raises(ValueError):
-        MomentCalculator(f0, grid, n_quad=32)
+        MomentCalculator(f0, 201, n_quad=32)
 
 
 @pytest.mark.parametrize("t", [0.0, 7.3, 150.0])
@@ -310,7 +311,7 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
         data = dataclasses.replace(f0, m=m)
         for n_quad in (128, 65, 129):
             case = (m, n_quad)
-            calc = MomentCalculator(data, grid, n_quad=n_quad)
+            calc = MomentCalculator(data, 201, n_quad=n_quad)
             nodes, w = gauss_legendre(n_quad)
             v = v_max[:, None] * nodes
             f = evaluate_f_actionangle(data, t, grid[:, None], v)
@@ -323,10 +324,10 @@ def test_node_set_matches_pointwise_route(params, f0, grid, t):
             assert np.all(np.abs(batch - rho) <= 1e-14 * rho_scale), case
 
 
-def test_reflection_parity_is_exact_for_huge_odd_m(f0, grid):
+def test_reflection_parity_is_exact_for_huge_odd_m(f0):
     # m = 2^53 + 1 is odd, but as a float it rounds to the even 2^53.  For
     # an odd m the current is even in x: (-1)^(m+1) = 1.
-    calc = MomentCalculator(dataclasses.replace(f0, m=2**53 + 1), grid, n_quad=64)
+    calc = MomentCalculator(dataclasses.replace(f0, m=2**53 + 1), 201, n_quad=64)
     j = calc.fields(0.0)[1]
     assert np.any(j != 0.0)
     npt.assert_array_equal(j[::-1], j)
@@ -392,9 +393,9 @@ def test_default_scan_stays_near_exact_trig(default_scan):
         assert np.all(np.abs(moment(times) - exact) <= bound), name
 
 
-def test_harmonic_scan_is_one_term(harmonic_f0, grid):
+def test_harmonic_scan_is_one_term(harmonic_f0):
     # At eps = 0 every node turns at the same rate: h = 0, one term.
-    calc = MomentCalculator(harmonic_f0, grid, n_quad=128)
+    calc = MomentCalculator(harmonic_f0, 201, n_quad=128)
     times = np.linspace(0.0, 200.0, 41)
     assert calc._h == 0.0 and calc._series_order(times) == 1
     bound = 1e-13 * _rounding_scale(calc, calc._j_amp)
@@ -418,12 +419,12 @@ def test_long_scan_sup_phi_t_against_long_double():
     assert _sup_phi_t_error(calc, times) <= 1e-10
 
 
-def test_series_scan_memory_is_blocked(params, f0):
+def test_series_scan_memory_is_blocked(f0):
     # 4,000 times to t = 4000 at order about 410: holding every time's
     # 2 * order + 2 DFT samples at once peaked at 125 MiB for a 1.6 MiB
     # result.  The series pays against trig with 1,024 velocity nodes; at
     # 512, trig, one tan a node and time, is the faster (0.19 s against 0.24 s).
-    calc = MomentCalculator(f0, spatial_grid(params, 0.5, 51), n_quad=1024)
+    calc = MomentCalculator(f0, 51, n_quad=1024)
     times = np.linspace(0.0, 4000.0, 4000)
     assert calc._series_order(times) == 411
     tracemalloc.start()
@@ -443,7 +444,7 @@ def _full_grid_sup(calc, times):
 
 
 @pytest.mark.parametrize("case", ["m = 1", "m = 2", "eps = 0 control", "fewer times than P"])
-def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, case):
+def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, case):
     # The streamed sup integrates the moment rows on the x >= 0 half, the
     # reference each time's current on the whole grid, so the two
     # round differently, at the scale of the node sums: relative to the
@@ -453,7 +454,7 @@ def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, 
     # long-double sums.  The tail is the same sum, bit for bit.
     calc, times = experiment.node_set, experiment.times
     if case == "m = 2":
-        calc = MomentCalculator(dataclasses.replace(experiment.f0, m=2), grid, n_quad=128)
+        calc = MomentCalculator(dataclasses.replace(experiment.f0, m=2), 201, n_quad=128)
     elif case == "eps = 0 control":
         calc, times = harmonic_experiment.node_set, harmonic_experiment.times
     elif case == "fewer times than P":
@@ -464,14 +465,6 @@ def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, grid, 
     ref_sup, ref_tail = _full_grid_sup(calc, times)
     assert np.max(np.abs(sup - ref_sup)) <= 1e-13 * np.max(ref_sup)
     assert np.array_equal(tail, ref_tail)
-
-
-def test_streamed_scan_needs_a_mirrored_grid(f0):
-    # The stream reflects the x >= 0 rows to x < 0; a shifted grid stops at
-    # the node set, before sup_phi_t sees it.
-    with pytest.raises(ValueError, match="mirrored"):
-        sup_phi_t(MomentCalculator(f0, np.linspace(-1.0, 1.0, 11) + 1e-3, n_quad=64),
-                  np.array([1.0, 2.0]))
 
 
 def test_streamed_scan_memory(params, f0):

@@ -11,7 +11,7 @@ from types import ModuleType
 import pytest
 
 from phasemix.experiment import Experiment, ExperimentConfig
-from phasemix.moments import MomentCalculator, spatial_grid
+from phasemix.moments import MomentCalculator
 
 ROOT = Path(__file__).resolve().parents[1]
 STUDIES = sorted((ROOT / "studies").glob("*.py"))
@@ -43,7 +43,7 @@ def test_pullback_block_study_measures_the_node_set():
     # than its fixed resolutions: the node set's Q against the per-mode sum.
     study = _load_study("pullback_block")
     exp = Experiment(ExperimentConfig())
-    calc = MomentCalculator(exp.f0, spatial_grid(exp.params, exp.cfg.c_s, 51), n_quad=64)
+    calc = MomentCalculator(exp.f0, 51, n_quad=64)
     chi, k, q = study.support_points(exp, calc, 64)
     assert chi.size > 0
     assert study.direct_error(exp.chart, chi, k, q) <= 4e-15

@@ -17,7 +17,7 @@ from phasemix import (
     solution_bar,
     to_angle_energy,
 )
-from phasemix.moments import MomentCalculator, gauss_legendre, spatial_grid
+from phasemix.moments import MomentCalculator, gauss_legendre
 from phasemix.transport import pull_back
 
 
@@ -144,7 +144,7 @@ def test_pull_back_is_the_pointwise_chart(request, name, grid, n_quad):
     # the broadcast grid; it equals the chart applied to the gathered
     # support nodes one by one, bit for bit.
     exp = request.getfixturevalue(name)
-    calc = MomentCalculator(exp.f0, spatial_grid(exp.params, exp.cfg.c_s, grid), n_quad=n_quad)
+    calc = MomentCalculator(exp.f0, grid, n_quad=n_quad)
     x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * gauss_legendre(n_quad)[0][n_quad // 2:]
     inside, q, k = pull_back(exp.f0, x, v)

@@ -26,7 +26,6 @@ from .action_angle import (
     compute_c_prime,
     exact_frequency,
     from_action_angle,
-    from_angle_energy,
     rate_a,
     to_angle_energy,
 )

@@ -27,9 +27,7 @@ The chart keeps the even modes 2, 4, ..., 2J, cut after the last one
 above a floor, so Q(pi - chi) = pi - Q(chi) holds for every chart.
 One not-a-knot cubic spline through the stacked columns c, b_k
 interpolates the chart across the energy grid; c(K) and the series read
-its coefficients, held once.  The inverse map is solved by Newton iteration
-on the monotone forward series, its slope a centred difference of that
-same series.
+its coefficients, held once.
 
 c and c' also have a closed form (``exact_frequency``).  The orbit of
 energy h is x = x_max cn(sqrt(s) t, k), with s = sqrt(1 + 8 eps h) and
@@ -38,6 +36,10 @@ c = sqrt(s) AGM(1, k'), where k' = sqrt(1 - k**2) and the
 arithmetic-geometric mean gives K and E (DLMF 19.8.1, 19.8.6).  The chart
 is refused where its c errs from it by more than 1e-10 at a grid energy.
 The chart holds no c' table: ``compute_c_prime`` is the closed form's c'.
+The same AGM gives the inverse map (Q, K) -> (x, v) with no chart
+(``from_action_angle``): Q = pi u / (2 K(k)) on the orbit above, and the
+descending Landen transformation takes cn, sn and dn at u from the AGM's
+a_n and c_n (DLMF 22.20(ii)).
 
 The series is summed a block of points at a time, grouped by energy
 interval, since the spline makes each b_{2j}(K) a cubic in d = K - K_i on
@@ -52,7 +54,7 @@ the half-angle formulas give from one tan(chi) per point
 (4 x J) cubic coefficients with their (J x n_i) sines gives the four sums
 S_p = sum_j C_p[i, j] sin(2j chi), C_p the coefficients of d**p, and
 Q = chi + ((S_3 d + S_2) d + S_1) d + S_0.  No (points x modes) array of
-b_{2j}(K) is gathered, by the series or by its inverse.
+b_{2j}(K) is gathered.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ __all__ = [
     "ChartError",
     "ChartRangeError",
     "to_angle_energy",
-    "from_angle_energy",
     "rate_a",
     "exact_frequency",
     "compute_c",
@@ -102,25 +103,20 @@ _TAIL_FLOOR = 1e-6
 _C_ERROR_TOL = 1e-10
 # Equispaced angle nodes of compute_c's default rule.
 _ORBIT_NODES = 256
-# Steps of exact_frequency's arithmetic-geometric mean after its first,
-# which end on a_4 and c_4.  k' >= 1/sqrt(2) at every energy, and from
+# Steps of the arithmetic-geometric mean (``_agm``) after its first, which
+# end on a_4 and c_4.  k' >= 1/sqrt(2) at every energy, and from
 # AGM(1, 1/sqrt(2)) c_4 = 4.1e-11: a_4 lies within 2 c_5 < 1e-21 of the
-# mean, and the E/K sum's last term, 2**3 (c_4 / k)**2, is 2.7e-20.
+# mean, the E/K sum's last term, 2**3 (c_4 / k)**2, is 2.7e-20, and the
+# Landen step that from_action_angle drops, asin((c_5 / a_5) sin phi_5) / 2,
+# is below 1e-21.
 _AGM_STEPS = 3
 # The default chart's energy range extends the support annulus by this
 # fraction at both ends.
 _CHART_MARGIN = 0.05
-# chi_from_q's Newton iteration stops once every residual is below
-# _NEWTON_TOL, and fails after _NEWTON_STEPS steps.
-_NEWTON_TOL = 1e-13
-_NEWTON_STEPS = 40
-# Half-width of the centred difference that is chi_from_q's Newton slope:
-# from 1e-4 to 1e-8 it takes as many steps as the exact slope.
-_NEWTON_DELTA = 2.0**-20
 
 
 class ChartError(RuntimeError):
-    """Internal consistency failure while building or using a chart."""
+    """Internal consistency failure while building a chart."""
 
 
 class ChartRangeError(ValueError):
@@ -231,17 +227,6 @@ def to_angle_energy(params: PotentialParams, x, v):
     return np.arctan2(sin_part, cos_part), h
 
 
-def from_angle_energy(params: PotentialParams, chi, h):
-    """Inverse chart: (chi, h) -> (x, v) for h > 0."""
-    chi = np.asarray(chi, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("energy must be > 0")
-    sin, c = half_angle_sin_cos(0.5 * chi)
-    v = np.sqrt(2.0 * h) * sin
-    return np.sign(c) * invert_phi(params, h * c * c), v
-
-
 def rate_a(params: PotentialParams, chi, h):
     """Angular speed |dchi/dt| = (1 + 2 eps x**2) / sqrt(1 + eps x**2).
 
@@ -262,37 +247,48 @@ def _angle_nodes(n_quad: int):
     return np.arange(n_quad) * (2.0 * np.pi / n_quad)
 
 
+def _agm(params: PotentialParams, h):
+    """The arithmetic-geometric mean of (1, k') at energies h > 0: s, k, k'
+    and the lists of a_n and c_n / k of its steps n = 1, ..., 4.
+
+    s = sqrt(1 + 8 eps h), and k**2 = 4 eps h / (s (s + 1)) and k'**2 =
+    (s + 1) / (2 s) are free of cancellation at small eps h, as are the
+    c_n / k, from c_1 / k = k / (2 (1 + k')) and c_{n+1} = c_n**2 /
+    (4 a_{n+1}).
+    """
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("energy must be > 0")
+    eps = params.epsilon
+    s = np.sqrt(1.0 + 8.0 * eps * h)
+    k = np.sqrt(4.0 * eps * h / (s * (s + 1.0)))
+    kp = np.sqrt((s + 1.0) / (2.0 * s))
+    a, b = [0.5 * (1.0 + kp)], np.sqrt(kp)
+    ratio = [k / (2.0 * (1.0 + kp))]
+    for _ in range(_AGM_STEPS):
+        a.append(0.5 * (a[-1] + b))
+        b = np.sqrt(a[-2] * b)
+        ratio.append(ratio[-1] * ratio[-1] * k / (4.0 * a[-1]))
+    return s, k, kp, a, ratio
+
+
 def exact_frequency(params: PotentialParams, h):
     """The orbital frequency c(h) and its derivative c'(h) in closed form.
 
     c = sqrt(s) AGM(1, k') with s = sqrt(1 + 8 eps h), and
     c' = c (2 eps / s**2 - eps r / s**3), r = (E/K - k'**2) / (k k')**2,
     summed as c eps (2 - r / s) / (1 + 8 eps h), which stays finite
-    wherever 1 + 8 eps h does.  Free of cancellation at small eps h:
-    k**2 = 4 eps h / (s (s + 1)), k'**2 = (s + 1) / (2 s), and the AGM's
-    c_n / k, from c_1 / k = k / (2 (1 + k')) and c_{n+1} = c_n**2 /
-    (4 a_{n+1}), give r = (1/2 - sum_{n>=1} 2**(n-1) (c_n / k)**2) / k'**2.
-    Exactly (1, 0) at eps = 0.
+    wherever 1 + 8 eps h does.  The AGM's c_n / k (:func:`_agm`) give
+    r = (1/2 - sum_{n>=1} 2**(n-1) (c_n / k)**2) / k'**2 free of
+    cancellation at small eps h.  Exactly (1, 0) at eps = 0.
     """
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("energy must be > 0")
     eps = params.epsilon
-    q = 1.0 + 8.0 * eps * h
-    s = np.sqrt(q)
-    k = np.sqrt(4.0 * eps * h / (s * (s + 1.0)))
-    kp = np.sqrt((s + 1.0) / (2.0 * s))
-    a, b = 0.5 * (1.0 + kp), np.sqrt(kp)
-    ratio = k / (2.0 * (1.0 + kp))
-    total, weight = ratio * ratio, 1.0
-    for _ in range(_AGM_STEPS):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        ratio = ratio * ratio * k / (4.0 * a)
-        weight *= 2.0
-        total += weight * ratio * ratio
-    c = np.sqrt(s) * a
+    s, _, kp, a, ratio = _agm(params, h)
+    total = sum(2.0**n * r * r for n, r in enumerate(ratio))
+    c = np.sqrt(s) * a[-1]
     r = (0.5 - total) / (kp * kp)
-    return c, c * eps * (2.0 - r / s) / q
+    return c, c * eps * (2.0 - r / s) / (1.0 + 8.0 * eps * h)
 
 
 def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
@@ -460,26 +456,6 @@ class OrbitChart:
             q[block][order] = chi_s + (((s3 * d + s2) * d + s1) * d + s0)
         return q.reshape(chi_b.shape)
 
-    def chi_from_q(self, q, k):
-        """Inverse reparametrization, by Newton on the monotone series.
-
-        Each step makes one :meth:`q_from_chi` call, at chi and chi +- delta
-        on a leading axis: the middle row gives the residual, and the centred
-        difference of the outer rows the slope, which only steers.
-        """
-        q_b, k_b = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(k, dtype=float))
-        steps = np.reshape([-_NEWTON_DELTA, 0.0, _NEWTON_DELTA], (3,) + (1,) * q_b.ndim)
-        chi = np.array(q_b, dtype=float, copy=True)
-        for _ in range(_NEWTON_STEPS):
-            below, at, above = self.q_from_chi(chi + steps, k_b)
-            resid = at - q_b
-            chi = chi - resid * (2.0 * _NEWTON_DELTA) / (above - below)
-            if np.max(np.abs(resid), initial=0.0) < _NEWTON_TOL:
-                break
-        else:
-            raise ChartError("Newton inversion of the angle map did not converge")
-        return chi
-
 
 def _require_monotone(modes: np.ndarray, b: np.ndarray, n_chi: int) -> None:
     """Raise :class:`ChartError` unless dQ/dchi = 1 + sum_k k b_k cos(k chi) > 0
@@ -585,6 +561,24 @@ def build_chart(
     return chart
 
 
-def from_action_angle(chart: OrbitChart, q, k):
-    """Inverse chart (Q, K) -> (x, v)."""
-    return from_angle_energy(chart.params, chart.chi_from_q(q, k), k)
+def from_action_angle(params: PotentialParams, q, k):
+    """Inverse chart (Q, K) -> (x, v) in closed form, for K > 0.
+
+    The orbit of energy K is x = A cn(u, k), v = A sqrt(s) sn(u, k) dn(u, k)
+    with A = Phi^{-1}(K), and Q = pi u / (2 K(k)) = u AGM(1, k').  The
+    descending Landen transformation (DLMF 22.20(ii); Abramowitz and Stegun
+    16.4) takes the amplitude phi_0 = am(u, k) from the AGM's four steps
+    (:func:`_agm`): phi_4 = 2**4 a_4 u = 16 Q and phi_{n-1} = (phi_n +
+    asin((c_n / a_n) sin phi_n)) / 2, so that sn = sin phi_0, cn = cos phi_0
+    and dn = sqrt(1 - k**2 sin**2 phi_0).  No iteration and no chart; at
+    eps = 0 it is (sqrt(2K) cos Q, sqrt(2K) sin Q).
+    """
+    q = np.asarray(q, dtype=float)
+    s, modulus, _, a, ratio = _agm(params, k)
+    phase = 2.0 ** len(a) * q
+    for a_n, r_n in zip(a[::-1], ratio[::-1]):
+        sin = half_angle_sin_cos(0.5 * phase)[0]
+        phase = 0.5 * (phase + np.arcsin(modulus * r_n / a_n * sin))
+    sin, cos = half_angle_sin_cos(0.5 * phase)
+    amp = invert_phi(params, k)
+    return amp * cos, amp * np.sqrt(s) * sin * np.sqrt(1.0 - (modulus * sin) ** 2)

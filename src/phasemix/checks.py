@@ -20,6 +20,7 @@ from .action_angle import (
     compute_c_prime,
     exact_frequency,
     from_action_angle,
+    to_angle_energy,
 )
 from .experiment import Experiment
 from .flow import flow_map
@@ -60,11 +61,14 @@ def c_prime_vs_fd(exp: Experiment):
 
 
 def chart_geometry_roundtrip(exp: Experiment):
+    """Q(pi/2) = pi/2, and the chart's Q(chi) against the exact orbit: the
+    angle chi' of the closed-form point at (Q(chi), K) against chi."""
     chart = exp.chart
     geom = np.max(np.abs(chart.q_from_chi(np.pi / 2, chart.k_grid) - np.pi / 2))
     chi = np.linspace(-3.0, 3.0, 41)
     ks = np.linspace(chart.k_min, chart.k_max, 11)[:, None]
-    rt = np.max(np.abs(chart.chi_from_q(chart.q_from_chi(chi, ks), ks) - chi))
+    x, v = from_action_angle(exp.params, chart.q_from_chi(chi, ks), ks)
+    rt = np.max(np.abs(to_angle_energy(exp.params, x, v)[0] - chi))
     return max(geom, rt), 1e-9
 
 
@@ -107,7 +111,7 @@ def cross_solver_equivalence(exp: Experiment):
     rng = random.Random(exp.cfg.seed)
     ks = np.array([rng.uniform(exp.cfg.c_s, 1.0 / exp.cfg.c_s) for _ in range(30)])
     qs = np.array([rng.uniform(-np.pi, np.pi) for _ in range(30)])
-    xs, vs = from_action_angle(exp.chart, qs, ks)
+    xs, vs = from_action_angle(exp.params, qs, ks)
     worst = 0.0
     for t in (1.0, 10.0):
         aa = evaluate_f_actionangle(exp.f0, t, xs, vs)

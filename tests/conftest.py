@@ -11,7 +11,7 @@ import functools
 import numpy as np
 import pytest
 
-from phasemix import compute_c_prime, from_angle_energy, solution_bar
+from phasemix import compute_c_prime, from_action_angle, solution_bar
 from phasemix.experiment import Experiment, ExperimentConfig
 
 
@@ -69,8 +69,8 @@ def support_sample(experiment):
     c_s = experiment.cfg.c_s
     rng = np.random.default_rng(42)
     h = rng.uniform(c_s * 1.1, 0.9 / c_s, 40)
-    chi = rng.uniform(0.0, 2.0 * np.pi, 40)
-    return from_angle_energy(experiment.params, chi, h)
+    q = rng.uniform(0.0, 2.0 * np.pi, 40)
+    return from_action_angle(experiment.params, q, h)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from phasemix import (
     evaluate_f_characteristic,
     exact_frequency,
     fit_decay,
-    from_angle_energy,
+    from_action_angle,
     q_fourier_spectrum,
     sup_phi_t,
 )
@@ -162,8 +162,8 @@ def test_criterion_05_cross_solver():
     params = PotentialParams(0.1)
     lo, hi = chart_range_for_support(0.5)
     hs = np.linspace(0.55, 1.95, 20)
-    chis = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
-    x, v = from_angle_energy(params, chis[:, None], hs[None, :])
+    qs = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
+    x, v = from_action_angle(params, qs[:, None], hs[None, :])
 
     def solver_gap(f0):
         worst = 0.0
@@ -238,11 +238,9 @@ def test_criterion_08_chart_geometry(pipeline):
         (0.5 * v**2 + 0.5 * x**2 + 0.05 * x**4) < 1.95
     )
     x, v = x[keep], v[keep]
-    from phasemix import from_action_angle
-
     inside, q, k = pull_back(f0, x, v)
     assert inside.all()
-    xb, vb = from_action_angle(chart, q, k)
+    xb, vb = from_action_angle(params, q, k)
     rt_err = float(max(np.max(np.abs(xb - x)), np.max(np.abs(vb - v))))
     ok = half_err <= 1e-10 and rt_err <= 1e-9
     verdict(8, "chart geometry", ok,

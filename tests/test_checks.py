@@ -88,6 +88,18 @@ def test_validate_fails_a_grid_that_cannot_hold_the_density(tmp_path, override):
     assert not jacobian["passed"] and jacobian["tolerance"] == 1e-6
 
 
+@pytest.mark.parametrize("overrides", [["n_k=4"], ["epsilon=0.1", "c_s=0.2"]])
+def test_validate_fails_a_chart_off_the_exact_orbit(tmp_path, overrides):
+    # The chart's Q(chi) against the closed-form orbit: 7.9e-5 and 3.4e-9
+    # against 1e-9.  At eps = 0.1, c_s = 0.2 chart_convergence passes
+    # (9.6e-10), so this check alone refuses that chart.
+    argv = [item for kv in overrides for item in ("--set", kv)]
+    assert main(["validate", *argv, "--out", str(tmp_path)]) == 1
+    results = json.loads((tmp_path / "validate.json").read_text())["checks"]
+    roundtrip = {c["name"]: c for c in results}["chart_geometry_roundtrip"]
+    assert not roundtrip["passed"] and roundtrip["tolerance"] == 1e-9
+
+
 def _count_calls(monkeypatch, cls, counts):
     original = cls.__init__
 

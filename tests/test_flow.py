@@ -9,7 +9,7 @@ from phasemix import (
     FlowError,
     exact_frequency,
     flow_map,
-    from_angle_energy,
+    from_action_angle,
 )
 from phasemix import flow
 
@@ -57,7 +57,7 @@ def test_flow_matches_dop853(params, t):
     # SciPy's DOP853 is the independent oracle for the Taylor integrator,
     # on 30 seeded points of the support annulus, as the CLI's checks use.
     rng = np.random.default_rng(0)
-    x, v = from_angle_energy(params, rng.uniform(-np.pi, np.pi, 30), rng.uniform(0.5, 2.0, 30))
+    x, v = from_action_angle(params, rng.uniform(-np.pi, np.pi, 30), rng.uniform(0.5, 2.0, 30))
     xt, vt = flow_map(params, x, v, t)
     xd, vd = _dop853(params, x, v, t)
     npt.assert_allclose(xt, xd, rtol=0, atol=1e-10)

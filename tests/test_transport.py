@@ -130,8 +130,10 @@ def test_annulus_point_outside_chart_raises(params, chart, f0):
     assert hamiltonian(params, x_bad, v_bad) < 1.0 / 0.4
     with pytest.raises(ChartRangeError):
         chart.q_from_chi(*to_angle_energy(params, x_bad, v_bad))
-    with pytest.raises(ChartRangeError):
-        from_action_angle(chart, 0.0, 2.3)
+    # The closed-form inverse needs no chart: only an energy K <= 0 has no orbit.
+    for k_bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            from_action_angle(params, 0.0, k_bad)
 
 
 @pytest.mark.parametrize("name, grid, n_quad", [

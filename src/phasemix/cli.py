@@ -6,15 +6,17 @@ header row and 17-significant-digit decimals, reports as JSON, so any
 plotting stack can consume them.  Runs are deterministic for a fixed
 config (fixed formatting, fixed seed).
 
+Reports are written one top-level key per line, each value compact.
+
 Exit codes: 0 success, 1 failed invariant (validate), 2 configuration
-error, 3 convergence or fit failure (an under-resolved chart or node set
-included).
+error or a malformed command line, 3 convergence or fit failure (an
+under-resolved chart or node set included).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import getopt
 import json
 import sys
 from pathlib import Path
@@ -69,8 +71,12 @@ def load_config(path: str | None, overrides: list[str] | None) -> ExperimentConf
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # One top-level key per line.  Without ``indent`` json.dumps takes the
+    # C encoder, which writes the same values and float text.
+    lines = (f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+             for key, value in sorted(payload.items()))
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +174,8 @@ def _decay_payload(exp: Experiment) -> dict:
         "slope": fitted.slope,
         "window": list(exp.cfg.fit_window),
         "residual": fitted.residual,
-        "envelope": [[t, v] for t, v in zip(fitted.envelope_times, fitted.envelope)],
-        "tail_slope": [[t, v] for t, v in zip(times, tail)],
+        "envelope": np.column_stack((fitted.envelope_times, fitted.envelope)).tolist(),
+        "tail_slope": np.column_stack((times, tail)).tolist(),
         "late_early_ratio": ratio,
         "decays": bool(ratio < DECAY_RATIO),
         "oscillation_period": exp.period,
@@ -210,47 +216,93 @@ def cmd_validate(exp: Experiment, out: Path, list_only: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="phasemix",
-        description="Phase-mixing experiments for 1D transport in a quartic trap",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("chart", "evolve", "decay", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
-                       help="override a config key (JSON-encoded value)")
-        if name == "evolve":
-            p.add_argument("--validate", action="store_true",
-                           help="cross-check the two solution routes")
-        if name == "decay":
-            p.add_argument("--self-test", dest="self_test",
-                           choices=list(_SELF_TESTS),
-                           help="fit a synthetic series with known exponent")
-        if name == "validate":
-            p.add_argument("--list", action="store_true", dest="list_only",
-                           help="enumerate checks without running them")
-    return parser
+_USAGE = f"""\
+usage: phasemix COMMAND [--config FILE] [--out DIR] [--set KEY=VALUE]... [OPTION]
+
+Phase-mixing experiments for 1D transport in a quartic trap.
+
+commands:
+  chart             tabulate K, c(K), c'(K)    -> chart.csv, chart_summary.json
+  evolve            rho, j, phi, phi_t series   -> evolve.csv
+  decay             sup|phi_t| envelope fit     -> decay.json
+  validate          run the invariant checks    -> validate.json
+
+options:
+  -h, --help        show this message and exit
+  --config FILE     path to a JSON config file
+  --out DIR         output directory (default: .)
+  --set KEY=VALUE   override a config key (JSON-encoded value); repeatable
+  --validate        evolve: cross-check the two solution routes
+  --self-test MODE  decay: fit a synthetic series with known exponent
+                    (MODE: {", ".join(_SELF_TESTS)})
+  --list            validate: enumerate checks without running them"""
+
+# Each subcommand's own long options, in getopt's spelling ("=" takes a value).
+_OPTIONS = {
+    "chart": [],
+    "evolve": ["validate"],
+    "decay": ["self-test="],
+    "validate": ["list"],
+}
+_SHARED_OPTIONS = ["config=", "out=", "set=", "help"]
+
+
+def _parse(argv: list[str]) -> tuple[str | None, dict]:
+    """The subcommand and its options; the subcommand is None for a request
+    for help.  Raises ``getopt.GetoptError`` on a malformed command line."""
+    pairs, rest = getopt.getopt(argv, "h", ["help"])
+    if pairs:
+        return None, {}
+    if not rest:
+        raise getopt.GetoptError("a command is required")
+    command = rest[0]
+    if command not in _OPTIONS:
+        raise getopt.GetoptError(f"unknown command {command!r}")
+    pairs, extra = getopt.gnu_getopt(rest[1:], "h", _SHARED_OPTIONS + _OPTIONS[command])
+    if extra:
+        raise getopt.GetoptError(f"unexpected argument {extra[0]!r}")
+    options = {"config": None, "out": ".", "set": [],
+               "validate": False, "self-test": None, "list": False}
+    for flag, value in pairs:
+        name = flag.lstrip("-")
+        if name in ("h", "help"):
+            return None, {}
+        if name == "set":
+            options["set"].append(value)
+        elif name in ("validate", "list"):
+            options[name] = True
+        elif name == "self-test" and value not in _SELF_TESTS:
+            raise getopt.GetoptError(
+                f"--self-test: invalid choice {value!r} (choose from {', '.join(_SELF_TESTS)})"
+            )
+        else:
+            options[name] = value
+    return command, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        exp = Experiment(load_config(args.config, args.overrides))
-        out = Path(args.out)
+        command, options = _parse(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:
+        print(f"{_USAGE}\n\nphasemix: error: {exc.msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    if command is None:
+        print(_USAGE)
+        return EXIT_OK
+    try:
+        exp = Experiment(load_config(options["config"], options["set"]))
+        out = Path(options["out"])
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-        if args.command == "chart":
+        if command == "chart":
             return cmd_chart(exp, out)
-        if args.command == "evolve":
-            return cmd_evolve(exp, out, args.validate)
-        if args.command == "decay":
-            return cmd_decay(exp, out, args.self_test)
-        return cmd_validate(exp, out, args.list_only)
+        if command == "evolve":
+            return cmd_evolve(exp, out, options["validate"])
+        if command == "decay":
+            return cmd_decay(exp, out, options["self-test"])
+        return cmd_validate(exp, out, options["list"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """Fit window does not contain enough envelope points."""
+    """Fit window holds a non-finite value or too few envelope points."""
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,27 @@ def fit_decay(
     maxima that tie to rounding (periodic data, e.g. the eps = 0
     control) do not pick their time by the last bit.
     """
+    if not np.all(np.diff(times) >= 0):
+        raise ValueError("times must be nondecreasing")
     t_lo, t_hi = window
-    env_t, env_v = [], []
+    # Window i holds the samples in [edges[i], min(edges[i + 1], t_hi + 1e-12)).
+    # Consecutive windows share a bound, so the nonempty ones tile
+    # times[first:stop], each starting at its head.
     edges = np.arange(t_lo, t_hi + period, period)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (times >= lo) & (times < min(hi, t_hi + 1e-12))
-        if not np.any(sel):
-            continue
-        vals = values[sel]
-        top = vals.max()
-        idx = np.flatnonzero(vals >= top - 1e-12 * abs(top))[0]
-        env_t.append(times[sel][idx])
-        env_v.append(top)
-    env_t = np.array(env_t)
-    env_v = np.maximum.accumulate(np.array(env_v)[::-1])[::-1]
+    bounds = np.searchsorted(times, np.minimum(edges, t_hi + 1e-12))
+    heads = bounds[:-1][np.diff(bounds) > 0]
+    first, stop = (heads[0], bounds[-1]) if heads.size else (0, 0)
+    seg_t, seg_v = times[first:stop], values[first:stop]
+    bad = np.flatnonzero(~np.isfinite(seg_v))
+    if bad.size:
+        raise FitError(f"value {seg_v[bad[0]]} at t = {seg_t[bad[0]]:.6g} is not finite")
+    heads -= first
+    env_v = np.maximum.reduceat(seg_v, heads)
+    # The earliest sample of each window within 1e-12 relative of its maximum.
+    floor = np.repeat(env_v - 1e-12 * np.abs(env_v), np.diff(heads, append=seg_v.size))
+    near = np.where(seg_v >= floor, np.arange(seg_v.size), seg_v.size)
+    env_t = seg_t[np.minimum.reduceat(near, heads)]
+    env_v = np.maximum.accumulate(env_v[::-1])[::-1]
     ok = env_v > 0
     if ok.sum() < 8:
         raise FitError(

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import phasemix
 from phasemix.action_angle import compute_c_prime, exact_frequency
-from phasemix.cli import load_config, main
+from phasemix.cli import _parse, load_config, main
 from phasemix.experiment import ConfigError, Experiment, ExperimentConfig
 
 
@@ -245,6 +245,55 @@ def test_uncreatable_out_dir_exit_code(tmp_path, capsys):
     assert len(err) == 2 and all("cannot create output directory" in line for line in err)
 
 
+# -- command line -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["decay", "--bogus"],
+    ["chart", "--list"],
+    ["decay", "--validate"],
+    ["validate", "--self-test", "power-law"],
+    ["decay", "--self-test", "bogus"],
+    ["decay", "stray"],
+    ["decay", "--set"],
+    ["decay", "--se", "epsilon=0.2"],
+    ["evolve", "--validate=yes"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_malformed_command_line_exit_code(tmp_path, capsys, argv):
+    # Rejected before the output directory is made, usage and reason on stderr.
+    out = tmp_path / "out"
+    if argv:
+        argv = [argv[0], "--out", str(out), *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: phasemix") and "phasemix: error: " in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["decay", "--help"],
+                                  ["validate", "--list", "-h"]], ids=" ".join)
+def test_help_exit_code(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: phasemix")
+
+
+def test_command_line_forms_agree():
+    forms = [
+        ["decay", "--set=epsilon=0.2", "--set", "m=2", "--out", "res", "--self-test", "power-law"],
+        ["decay", "--out", "res", "--set", "epsilon=0.2", "--self=power-law", "--set=m=2"],
+        ["decay", "--self-test=power-law", "--out=res", "--set", "epsilon=0.2", "--set", "m=2"],
+    ]
+    parsed = [_parse(argv) for argv in forms]
+    assert all(p == parsed[0] for p in parsed)
+    command, options = parsed[0]
+    assert command == "decay" and options["out"] == "res" and options["self-test"] == "power-law"
+    cfg = load_config(options["config"], options["set"])
+    assert (cfg.epsilon, cfg.m) == (0.2, 2)
+
+
 # -- chart ------------------------------------------------------------------
 
 
@@ -465,6 +514,17 @@ def test_decay_self_tests(tmp_path):
     assert abs(report["slope"] + 1.0) < 0.05
 
 
+def test_reports_hold_one_top_level_key_per_line(tmp_path):
+    assert run(tmp_path, "decay", "--self-test", "power-law") == 0
+    text = (tmp_path / "decay_selftest.json").read_text()
+    report = json.loads(text)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(report) + 2
+    for line, key in zip(lines[1:-1], sorted(report)):
+        head, value = line.split(": ", 1)
+        assert head == f'  "{key}"' and json.loads(value.rstrip(",")) == report[key]
+
+
 def test_decay_short_run(tmp_path):
     code = run(
         tmp_path,
@@ -497,6 +557,23 @@ def test_decay_fit_failure_exit_code(tmp_path):
         "--set", "samples_per_period=2",
     )
     assert code == 3
+
+
+def test_decay_non_finite_series_exit_code(tmp_path, capsys, monkeypatch):
+    # A non-finite sup|phi_t| in the fit window ends the run with exit 3,
+    # naming its time, and writes no report.
+    from phasemix import cli, mixing
+
+    def sup_with_nan(calc, times):
+        sup, tail = mixing.sup_phi_t(calc, times)
+        sup[np.searchsorted(times, 50.0)] = np.nan
+        return sup, tail
+
+    monkeypatch.setattr(cli, "sup_phi_t", sup_with_nan)
+    assert run(tmp_path, "decay") == 3
+    err = capsys.readouterr().err
+    assert "convergence error: value nan at t = " in err and "is not finite" in err
+    assert not (tmp_path / "decay.json").exists()
 
 
 def test_decay_control_needs_no_fit(tmp_path):
@@ -615,6 +692,24 @@ def test_no_scipy_at_runtime(tmp_path, argv):
         "from phasemix.cli import main\n"
         f"code = main({[*argv, '--out', str(tmp_path)]!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(phasemix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_decay_imports_neither_argparse_nor_locale(tmp_path):
+    # Parsing the command line costs no argparse (about 1 ms to build its
+    # parsers) and no locale (imported by argparse's gettext lookups).
+    code = (
+        "import sys\n"
+        "from phasemix.cli import main\n"
+        f"code = main({['decay', '--out', str(tmp_path)]!r})\n"
+        "print(code, [m for m in ('argparse', 'locale') if m in sys.modules])\n"
     )
     env = dict(os.environ)
     src = str(Path(phasemix.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phasemix import (
     FitError,
@@ -57,6 +58,118 @@ def test_fit_decay_envelope_times_ignore_rounding_ties(harmonic_experiment):
     for nudged in (np.where(alternate, up, down), np.where(alternate, down, up)):
         fitted = fit_decay(times, nudged, exp.cfg.fit_window, exp.period)
         npt.assert_array_equal(fitted.envelope_times, base.envelope_times)
+
+
+def _window_loop_envelope(times, values, window, period):
+    """The envelope as one masked selection per window: the reference that
+    fit_decay's array passes must reproduce bit for bit."""
+    t_lo, t_hi = window
+    env_t, env_v = [], []
+    edges = np.arange(t_lo, t_hi + period, period)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (times >= lo) & (times < min(hi, t_hi + 1e-12))
+        if not np.any(sel):
+            continue
+        vals = values[sel]
+        top = vals.max()
+        idx = np.flatnonzero(vals >= top - 1e-12 * abs(top))[0]
+        env_t.append(times[sel][idx])
+        env_v.append(top)
+    return np.array(env_t), np.maximum.accumulate(np.array(env_v)[::-1])[::-1]
+
+
+def _tied_peaks():
+    # Two peaks a window, 4e-13 relative apart, the later one higher: the
+    # earlier must be taken.
+    times = np.arange(0.0, 40.0, 0.25)
+    shape = np.tile([1.0, 3.0, 1.0, 1.0, 1.0, 3.0 * (1.0 + 4e-13), 1.0, 1.0], 20)
+    return times, shape / (1.0 + np.floor(times / 2.0)), (0.0, 39.0), 2.0
+
+
+def _gapped():
+    # Sample gaps of 3 and 7 periods leave windows empty.
+    times = np.concatenate([np.arange(1.0, 10.0, 0.3), np.arange(13.0, 20.0, 0.3),
+                            np.arange(27.0, 40.0, 0.3)])
+    return times, 1.0 / times**2 * (1.5 + np.sin(5.0 * times)), (1.0, 40.0), 1.0
+
+
+def _cut_at_t_hi():
+    # The last window [29.5, 31) is cut at t_hi + 1e-12: the samples at t_hi
+    # and 1e-13 past it are in, the one 2e-12 past it is out.
+    times = np.concatenate([np.arange(1.0, 30.5, 0.5), 30.5 + np.array([0.0, 1e-13, 2e-12])])
+    values = 1.0 / times
+    values[-2:] = [5.0, 10.0]
+    return times, values, (1.0, 30.5), 1.5
+
+
+@st.composite
+def envelope_series(draw):
+    """Increasing positive series with gaps, near-ties and samples at the cut."""
+    t_lo = draw(st.floats(0.0, 10.0))
+    t_hi = t_lo + draw(st.floats(0.5, 50.0))
+    # From 0.5 windows (one period longer than the fit window) to 60.
+    period = (t_hi - t_lo) / draw(st.sampled_from([0.5, 3.0, 10.0, 25.0, 60.0]))
+    # Relative sample gaps; a gap of 40 leaves windows empty.
+    gaps = np.array(draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, 2.0, 3.0, 40.0]),
+                                  min_size=20, max_size=300)))
+    start = t_lo - draw(st.floats(0.0, 1.0))
+    span = (t_hi + 1.0 - start) * draw(st.floats(0.6, 1.2))
+    times = start + span * np.cumsum(gaps) / gaps.sum()
+    cut = [t_hi, t_hi + 1e-13, t_hi + 2e-12]
+    keep = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    times = np.unique(np.concatenate([times, [t for t, k in zip(cut, keep) if k]]))
+    levels = np.array(draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4)))
+    n = times.size
+    pick = np.array(draw(st.lists(st.integers(0, levels.size - 1), min_size=n, max_size=n)))
+    # Within a level, values 3e-13 relative apart tie to the envelope's 1e-12.
+    steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return times, levels[pick] * (1.0 + 3e-13 * steps), (t_lo, t_hi), period
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(envelope_series())
+@example(_tied_peaks())
+@example(_gapped())
+@example(_cut_at_t_hi())
+# A period longer than the window: one envelope point.
+@example((np.linspace(1.0, 20.0, 50), np.linspace(2.0, 1.0, 50), (1.0, 20.0), 100.0))
+def test_fit_decay_envelope_matches_the_window_loop(series):
+    times, values, window, period = series
+    env_t, env_v = _window_loop_envelope(times, values, window, period)
+    if np.sum(env_v > 0) < 8:
+        with pytest.raises(FitError, match="positive points"):
+            fit_decay(times, values, window, period)
+        return
+    fitted = fit_decay(times, values, window, period)
+    npt.assert_array_equal(fitted.envelope_times, env_t)
+    npt.assert_array_equal(fitted.envelope, env_v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_decay_names_a_non_finite_value(bad):
+    t = np.linspace(1.0, 100.0, 1000)
+    values = 1.0 / t
+    values[500] = bad
+    with pytest.raises(FitError, match=f"at t = {t[500]:.6g} is not finite"):
+        fit_decay(t, values, (1.0, 100.0))
+    with pytest.raises(FitError, match="t = 1 is not finite"):
+        fit_decay(t, np.full_like(t, bad), (1.0, 100.0))
+
+
+def test_fit_decay_reads_only_its_windows():
+    # A non-finite value outside the fit window does not reach the envelope.
+    t = np.linspace(1.0, 100.0, 1000)
+    values = 1.0 / t
+    values[:5] = np.nan
+    base = fit_decay(t, 1.0 / t, (10.0, 90.0))
+    fitted = fit_decay(t, values, (10.0, 90.0))
+    npt.assert_array_equal(fitted.envelope, base.envelope)
+    assert fitted.slope == base.slope
+
+
+def test_fit_decay_rejects_unsorted_times():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        fit_decay(np.array([2.0, 1.0]), np.ones(2), (1.0, 2.0))
 
 
 def test_sup_phi_t_rejects_bad_times(f0):

@@ -23,7 +23,6 @@ from .action_angle import (
     build_chart,
     chart_range_for_support,
     compute_c,
-    compute_c_prime,
     exact_frequency,
     from_action_angle,
     rate_a,

@@ -35,7 +35,7 @@ k**2 = (s - 1) / (2 s), so its period is 4 K(k) / sqrt(s) and
 c = sqrt(s) AGM(1, k'), where k' = sqrt(1 - k**2) and the
 arithmetic-geometric mean gives K and E (DLMF 19.8.1, 19.8.6).  The chart
 is refused where its c errs from it by more than 1e-10 at a grid energy.
-The chart holds no c' table: ``compute_c_prime`` is the closed form's c'.
+The chart holds no c' table: c' is ``exact_frequency(params, h)[1]``.
 The same AGM gives the inverse map (Q, K) -> (x, v) with no chart
 (``from_action_angle``): Q = pi u / (2 K(k)) on the orbit above, and the
 descending Landen transformation takes cn, sn and dn at u from the AGM's
@@ -80,7 +80,6 @@ __all__ = [
     "rate_a",
     "exact_frequency",
     "compute_c",
-    "compute_c_prime",
     "build_chart",
     "chart_range_for_support",
     "from_action_angle",
@@ -280,7 +279,8 @@ def exact_frequency(params: PotentialParams, h):
     summed as c eps (2 - r / s) / (1 + 8 eps h), which stays finite
     wherever 1 + 8 eps h does.  The AGM's c_n / k (:func:`_agm`) give
     r = (1/2 - sum_{n>=1} 2**(n-1) (c_n / k)**2) / k'**2 free of
-    cancellation at small eps h.  Exactly (1, 0) at eps = 0.
+    cancellation at small eps h.  Exactly (1, 0) at eps = 0, and c' > 0
+    for eps > 0.
     """
     h = np.asarray(h, dtype=float)
     eps = params.epsilon
@@ -304,14 +304,6 @@ def compute_c(params: PotentialParams, h, n_quad: int = _ORBIT_NODES):
     h = np.asarray(h, dtype=float)
     inv_a = 1.0 / rate_a(params, _angle_nodes(n_quad), h[..., None])
     return 1.0 / inv_a.mean(axis=-1)
-
-
-def compute_c_prime(params: PotentialParams, h):
-    """Frequency derivative c'(h), the closed form's (:func:`exact_frequency`).
-
-    Strictly positive for eps > 0 and zero in the isochronous case.
-    """
-    return exact_frequency(params, h)[1]
 
 
 def chart_range_for_support(c_s: float):

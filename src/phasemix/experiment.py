@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_angle import (
-    OrbitChart,
-    build_chart,
-    chart_range_for_support,
-    compute_c_prime,
-)
+from .action_angle import OrbitChart, build_chart, chart_range_for_support, exact_frequency
 from .moments import MomentCalculator
 from .potential import PotentialParams, invert_phi
 from .transport import InitialData
@@ -75,7 +70,7 @@ def _overflows(epsilon: float, c_s: float) -> bool:
     ends = np.array(chart_range_for_support(c_s))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = (compute_c_prime(params, ends), invert_phi(params, 1.0 / c_s))
+            values = (exact_frequency(params, ends)[1], invert_phi(params, 1.0 / c_s))
     except FloatingPointError:
         return True
     return not all(np.isfinite(v).all() for v in values)

@@ -100,10 +100,13 @@ def fit_decay(
         raise FitError(
             f"envelope has {int(ok.sum())} positive points in window, need >= 8"
         )
-    log_t = np.log(env_t[ok])
-    log_v = np.log(env_v[ok])
-    slope, intercept = np.polyfit(log_t, log_v, 1)
-    resid = log_v - (slope * log_t + intercept)
+    # The least-squares line by its normal equations on centred logs.
+    d_t = np.log(env_t[ok])
+    d_t -= d_t.mean()
+    d_v = np.log(env_v[ok])
+    d_v -= d_v.mean()
+    slope = (d_t @ d_v) / (d_t @ d_t)
+    resid = d_v - slope * d_t
     return DecayFit(env_t, env_v, float(slope), float(np.sqrt(np.mean(resid**2))))
 
 

@@ -80,10 +80,6 @@ class InitialData:
         sin = half_angle_sin_cos((0.5 * self.m) * np.asarray(q, dtype=float))[0]
         return self.bump(k) * (1.0 + self.alpha * sin)
 
-    def value(self, x, v):
-        """Data in phase-space coordinates; zero off the annulus."""
-        return evaluate_f_actionangle(self, 0.0, x, v)
-
 
 def solution_bar(f0: InitialData, t: float, q, k):
     """Solution in action-angle coordinates: fbar0(Q + c(K) t, K)."""
@@ -93,7 +89,7 @@ def solution_bar(f0: InitialData, t: float, q, k):
 def evaluate_f_characteristic(f0: InitialData, t: float, x, v):
     """Exact solution via backward characteristics: f0(flow(-t)(x, v))."""
     x0, v0 = flow_map(f0.params, x, v, -t)
-    return f0.value(x0, v0)
+    return evaluate_f_actionangle(f0, 0.0, x0, v0)
 
 
 def pull_back(f0: InitialData, x, v):

@@ -11,8 +11,22 @@ import functools
 import numpy as np
 import pytest
 
-from phasemix import compute_c_prime, from_action_angle, solution_bar
+from phasemix import exact_frequency, from_action_angle, solution_bar
 from phasemix.experiment import Experiment, ExperimentConfig
+
+# The tests that -k, -m or --deselect dropped from this run.
+_DESELECTED = pytest.StashKey[list]()
+
+
+def pytest_deselected(items):
+    if items:
+        items[0].config.stash.setdefault(_DESELECTED, []).extend(items)
+
+
+@pytest.fixture
+def collected_tests(request):
+    """Every test this run collected, the deselected ones included."""
+    return list(request.session.items) + request.config.stash.get(_DESELECTED, [])
 
 
 @pytest.fixture(scope="session")
@@ -80,14 +94,16 @@ def commuted_sups():
     ``probe(f0, t, dq, dk)`` returns sup |f|, |Yf|, |Y^2 f|, |d_Q f| and
     |d_K f| of fbar(t) on 96 x 81 (Q, K) samples, by centred differences of
     steps (dq, dk), Y^2 nesting the same stencil.  c' is the closed form
-    ``compute_c_prime``.  It asserts that
+    ``exact_frequency(params, k)[1]``.  It asserts that
     the sups of Yf and Y^2 f agree to 1 % at half steps.
     """
     def probe(f0, t, dq=1e-3, dk=1e-3):
         qq, kk = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
                              np.linspace(f0.h_min, f0.h_max, 81), indexing="ij")
         f = functools.partial(solution_bar, f0, t)
-        c_prime = functools.partial(compute_c_prime, f0.chart.params)
+
+        def c_prime(k):
+            return exact_frequency(f0.chart.params, k)[1]
 
         def sups(hq, hk):
             def d_q(g):

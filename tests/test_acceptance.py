@@ -18,7 +18,6 @@ from phasemix import (
     build_chart,
     chart_range_for_support,
     compute_c,
-    compute_c_prime,
     evaluate_f_actionangle,
     evaluate_f_characteristic,
     exact_frequency,
@@ -143,14 +142,14 @@ def test_criterion_03_frequency_oracle():
 def test_criterion_04_c_prime():
     p = PotentialParams(0.1)
     ks = np.linspace(0.5, 2.0, 64)
-    cp = np.asarray(compute_c_prime(p, ks))
+    cp = np.asarray(exact_frequency(p, ks)[1])
     positive = bool(np.all(cp > 0))
     dh = 1e-5
     fd = (np.asarray(compute_c(p, ks + dh)) - np.asarray(compute_c(p, ks - dh))) / (2 * dh)
     fd_err = float(np.max(np.abs(cp - fd)))
     p_small = PotentialParams(0.01)
     ks_small = np.linspace(0.25, 1.0, 16)
-    first_order = np.asarray(compute_c_prime(p_small, ks_small)) / (1.5 * 0.01)
+    first_order = np.asarray(exact_frequency(p_small, ks_small)[1]) / (1.5 * 0.01)
     fo_dev = float(np.max(np.abs(first_order - 1.0)))
     ok = positive and fd_err <= 1e-6 and fo_dev <= 0.2
     verdict(4, "c' positivity and floor", ok,

@@ -17,7 +17,6 @@ from phasemix import (
     build_chart,
     chart_range_for_support,
     compute_c,
-    compute_c_prime,
     exact_frequency,
     flow_map,
     from_action_angle,
@@ -210,7 +209,7 @@ def test_c_first_order_small_eps():
 
 def test_c_prime_positive_and_matches_fd(params):
     hs = np.linspace(0.5, 2.0, 16)
-    cp = compute_c_prime(params, hs)
+    cp = exact_frequency(params, hs)[1]
     assert np.all(cp > 0)
     dh = 1e-5
     fd = (compute_c(params, hs + dh) - compute_c(params, hs - dh)) / (2.0 * dh)
@@ -219,15 +218,15 @@ def test_c_prime_positive_and_matches_fd(params):
 
 def test_c_prime_rejects_nonpositive_energy(params):
     with pytest.raises(ValueError):
-        compute_c_prime(params, np.array([1.0, 0.0]))
+        exact_frequency(params, np.array([1.0, 0.0]))[1]
 
 
 def test_c_prime_frozen_value(params):
-    npt.assert_allclose(compute_c_prime(params, 1.0), 0.09831091905424386, rtol=1e-10)
+    npt.assert_allclose(exact_frequency(params, 1.0)[1], 0.09831091905424386, rtol=1e-10)
 
 
 def test_c_prime_harmonic_vanishes(harmonic):
-    npt.assert_allclose(compute_c_prime(harmonic, 1.0), 0.0, atol=1e-14)
+    npt.assert_allclose(exact_frequency(harmonic, 1.0)[1], 0.0, atol=1e-14)
 
 
 def test_chart_range_covers_annulus():
@@ -282,7 +281,7 @@ def test_chart_splines_match_scipy(chart):
 
 
 def test_chart_holds_no_c_prime_table(chart):
-    # c' has one route, compute_c_prime; the chart keeps what the pull-back reads.
+    # c' has one route, exact_frequency; the chart keeps what the pull-back reads.
     assert [f.name for f in dataclasses.fields(chart) if f.init] == [
         "params", "k_grid", "c", "sine_coeffs", "c_error"]
     with pytest.raises(TypeError):
@@ -317,7 +316,7 @@ def test_build_chart_builds_one_spline(monkeypatch, params):
 def test_chart_delta_frozen(chart):
     # delta = min c' over the grid (anisochronism floor), frozen from
     # the converged build; positive for eps > 0.
-    delta = compute_c_prime(chart.params, chart.k_grid).min()
+    delta = exact_frequency(chart.params, chart.k_grid)[1].min()
     npt.assert_allclose(delta, 0.07382233778093006, rtol=1e-8)
     assert delta > 0
 
@@ -340,6 +339,20 @@ def test_action_angle_round_trip(chart, f0, support_sample):
     xb, vb = from_action_angle(chart.params, q, k)
     npt.assert_allclose(xb, x, atol=1e-10)
     npt.assert_allclose(vb, v, atol=1e-10)
+
+
+def test_chart_angle_error_over_the_annulus(chart, f0):
+    # The chart's Q against the closed form's on 20,000 seeded points of the
+    # support annulus: 3.3e-10 at the default.  validate's probes read only
+    # 4.3e-11 (chart_geometry_roundtrip) and 2.6e-11 (chart_convergence) of
+    # it, on their fixed grids.
+    rng = np.random.default_rng(0)
+    q = rng.uniform(-np.pi, np.pi, 20_000)
+    k = rng.uniform(f0.h_min, f0.h_max, 20_000)
+    x, v = from_action_angle(chart.params, q, k)
+    chi, h = to_angle_energy(chart.params, x, v)
+    gap = (chart.q_from_chi(chi, h) - q + np.pi) % (2.0 * np.pi) - np.pi
+    assert np.max(np.abs(gap)) <= 5e-10
 
 
 def test_flow_is_rigid_rotation_in_q(params, chart, f0):

@@ -90,14 +90,16 @@ def test_validate_fails_a_grid_that_cannot_hold_the_density(tmp_path, override):
 
 @pytest.mark.parametrize("overrides", [["n_k=4"], ["epsilon=0.1", "c_s=0.2"]])
 def test_validate_fails_a_chart_off_the_exact_orbit(tmp_path, overrides):
-    # The chart's Q(chi) against the closed-form orbit: 7.9e-5 and 3.4e-9
-    # against 1e-9.  At eps = 0.1, c_s = 0.2 chart_convergence passes
-    # (9.6e-10), so this check alone refuses that chart.
+    # Both chart checks hold the chart's Q(chi) to the closed-form orbit:
+    # chart_geometry_roundtrip reads 7.9e-5 and 3.4e-9, chart_convergence
+    # 8.7e-5 and 1.02e-9, against 1e-9.  At eps = 0.1, c_s = 0.2
+    # chart_convergence passed (9.6e-10) while it compared the chart with a
+    # doubled one, whose own error hid a third of the chart's.
     argv = [item for kv in overrides for item in ("--set", kv)]
     assert main(["validate", *argv, "--out", str(tmp_path)]) == 1
-    results = json.loads((tmp_path / "validate.json").read_text())["checks"]
-    roundtrip = {c["name"]: c for c in results}["chart_geometry_roundtrip"]
-    assert not roundtrip["passed"] and roundtrip["tolerance"] == 1e-9
+    results = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    for name in ("chart_geometry_roundtrip", "chart_convergence"):
+        assert not results[name]["passed"] and results[name]["tolerance"] == 1e-9
 
 
 def _count_calls(monkeypatch, cls, counts):
@@ -110,10 +112,10 @@ def _count_calls(monkeypatch, cls, counts):
     monkeypatch.setattr(cls, "__init__", counting)
 
 
-def test_validate_builds_two_charts_and_two_node_sets(tmp_path, monkeypatch):
-    # The configured chart and chart_convergence's doubled one; the run's
-    # 201 x 128 node set, which the mass checks integrate, and
-    # phi_t_route_equivalence's own 801 x 512.  No Gauss x-grid is built.
+def test_validate_builds_one_chart_and_two_node_sets(tmp_path, monkeypatch):
+    # The configured chart, which chart_convergence holds to the closed
+    # forms; the run's 201 x 128 node set, which the mass checks integrate,
+    # and phi_t_route_equivalence's own 801 x 512.  No Gauss x-grid is built.
     counts = {"OrbitChart": 0}
     _count_calls(monkeypatch, OrbitChart, counts)
     node_sets, rules = [], []
@@ -132,6 +134,6 @@ def test_validate_builds_two_charts_and_two_node_sets(tmp_path, monkeypatch):
         if name.split(".")[0] == "phasemix" and getattr(module, "gauss_legendre", None) is rule:
             monkeypatch.setattr(module, "gauss_legendre", ruling)
     assert main(["validate", "--out", str(tmp_path)]) == 0
-    assert counts == {"OrbitChart": 2}
+    assert counts == {"OrbitChart": 1}
     assert sorted(node_sets) == [(201, 128), (801, 512)]
     assert 128 in rules and 201 not in rules

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phasemix
-from phasemix.action_angle import compute_c_prime, exact_frequency
+from phasemix.action_angle import exact_frequency
 from phasemix.cli import _parse, load_config, main
 from phasemix.experiment import ConfigError, Experiment, ExperimentConfig
 
@@ -305,8 +305,8 @@ def test_chart_artifacts(tmp_path, chart):
     assert len(rows) == 1 + 64
     k, c, cp = (np.array([float(r[i]) for r in rows[1:]]) for i in range(3))
     assert np.all(np.diff(k) > 0) and np.all(cp > 0) and np.all(c >= 1.0)
-    # c' and delta come from compute_c_prime, the function c_prime_vs_fd checks.
-    c_prime = compute_c_prime(chart.params, chart.k_grid)
+    # c' and delta come from exact_frequency, the function c_prime_vs_fd checks.
+    c_prime = exact_frequency(chart.params, chart.k_grid)[1]
     assert np.array_equal(k, chart.k_grid) and np.array_equal(cp, c_prime)
     summary = json.loads((tmp_path / "chart_summary.json").read_text())
     assert summary["delta"] == c_prime.min() > 0
@@ -333,7 +333,7 @@ def test_chart_delta_is_the_exact_twist_at_k_max(tmp_path):
     summary = json.loads((tmp_path / "chart_summary.json").read_text())
     params, k_max = Experiment(load_config(None, list(argv[1::2]))).params, summary["k_max"]
     assert k_max == 10.5
-    assert summary["delta"] == compute_c_prime(params, np.array([k_max]))[0]
+    assert summary["delta"] == exact_frequency(params, np.array([k_max]))[1][0]
     np.testing.assert_allclose(summary["delta"], 0.19262014242555053, rtol=1e-14)
 
 

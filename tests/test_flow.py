@@ -103,6 +103,45 @@ def test_flow_tolerance_validation(params):
         flow_map(params, 0.5, 0.5, 1.0, tolerance=1e-2)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_flow_rejects_a_non_finite_time(params, t):
+    # NaN would return the initial state unmoved, and inf would run out the
+    # step cap before failing.
+    with pytest.raises(ValueError, match="t must be finite"):
+        flow_map(params, 1.0, 0.3, t)
+
+
+def _two_series(eps, x, v):
+    """The Taylor coefficients of x and v by the first-order pair
+    x_{k+1} = v_k / (k + 1), v_{k+1} = -(x_k + 2 eps (x**3)_k) / (k + 1)."""
+    order = flow.ORDER
+    xs = np.empty((order + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    sq = np.empty_like(xs)
+    xs[0], vs[0] = x, v
+    for k in range(order):
+        back = xs[k::-1]
+        sq[k] = np.vecdot(xs[: k + 1], back, axis=0)
+        cube = np.vecdot(sq[: k + 1], back, axis=0)
+        xs[k + 1] = vs[k] / (k + 1)
+        vs[k + 1] = -(xs[k] + 2.0 * eps * cube) / (k + 1)
+    return xs, vs
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 30.0, 100.0])
+def test_one_series_matches_the_position_velocity_pair(eps):
+    # The position series alone, with v_k = (k + 1) x_{k+1}, carries the
+    # first-order pair's coefficients to rounding, through x_21 = v_20 / 21.
+    rng = np.random.default_rng(1)
+    x, v = rng.uniform(-2.0, 2.0, (2, 50))
+    xs = flow._series(eps, x, v)
+    ref_x, ref_v = _two_series(eps, x, v)
+    rows = np.arange(1, flow.ORDER + 2)[:, None]
+    # Each row within 1e-15 of its largest entry (4.3e-16 measured).
+    for got, ref in ((xs[:-1], ref_x), (rows * xs[1:], ref_v)):
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-15 * np.max(np.abs(ref), axis=1))
+
+
 @pytest.mark.parametrize("h", [0.25, 1.0, 4.0])
 def test_period_matches_dop853_events(params, h):
     # The closed form against the flow: the period as DOP853 event

@@ -44,13 +44,13 @@ def test_value_bar_modulation(f0):
 
 def test_initial_value_nonnegative(f0, support_sample):
     x, v = support_sample
-    assert np.all(f0.value(x, v) >= 0.0)
+    assert np.all(evaluate_f_actionangle(f0, 0.0, x, v) >= 0.0)
 
 
 def test_value_vanishes_off_annulus(f0):
     # Inside the hole and outside the outer edge.
-    assert f0.value(0.1, 0.0) == 0.0
-    assert f0.value(3.0, 3.0) == 0.0
+    assert evaluate_f_actionangle(f0, 0.0, 0.1, 0.0) == 0.0
+    assert evaluate_f_actionangle(f0, 0.0, 3.0, 3.0) == 0.0
 
 
 def test_routes_agree_at_t0(f0, support_sample):

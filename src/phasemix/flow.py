@@ -32,7 +32,7 @@ MAX_STEPS = 100_000
 
 
 class FlowError(RuntimeError):
-    """Raised when the flow leaves the finite range or exceeds its step cap."""
+    """Raised when the flow leaves the finite range or cannot reach t within its step cap."""
 
 
 def _series(eps: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -90,12 +90,14 @@ def flow_map(params: PotentialParams, x, v, t: float, tolerance: float = 1e-10):
     direction = math.copysign(1.0, t)
     steps = 0
     while left > 0 and state.size:
-        if steps == MAX_STEPS:
-            raise FlowError(f"flow exceeded {MAX_STEPS} Taylor steps")
         xs = _series(params.epsilon, *state)
         h = _step(xs, tolerance)
         if not h > 0:
             raise FlowError("Taylor step collapsed")
+        # Refuse a time beyond 100 times this step per step left (a step varies
+        # by under 2x along an orbit), and at the cap any time left.
+        if left > 100.0 * h * (MAX_STEPS - steps):
+            raise FlowError(f"flow cannot cover t = {t:g} in the {MAX_STEPS} Taylor steps allowed")
         h = min(h, left)
         left = 0.0 if h == left else left - h
         # x = sum_k x_k s**k and v = sum_k (k + 1) x_{k+1} s**k, k <= ORDER.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft
 
-from .moments import MomentCalculator
+from .moments import MomentCalculator, stream
 from .transport import InitialData, solution_bar
 
 __all__ = [
@@ -45,14 +45,26 @@ def sup_phi_t(calc: MomentCalculator, times) -> tuple[np.ndarray, np.ndarray]:
 
     The sup is taken on the compact grid: phi_t is affine beyond x_max
     with slope |j(t, 0)|, so the tail sup is attained at the boundary
-    whenever that slope vanishes.  Both are streamed from the grid's
-    x >= 0 half (``MomentCalculator.phi_t_sup``), a block of times at a
-    time, so no (times x grid) array is held.
+    whenever that slope vanishes.  Both come from one stream of the
+    current on the grid's x >= 0 half (|phi_t(-x)| = |phi_t(x)|), through
+    the phi_t table with j(0) in place of its 0 at x = 0, and each block of
+    times is reduced to its maxima, so no (times x grid) array is held.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a nonempty, strictly increasing 1-D array")
-    return calc.phi_t_sup(times)
+    if (times.ndim != 1 or times.size == 0 or not np.isfinite(times).all()
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be a nonempty, strictly increasing 1-D array of finite values")
+
+    def table(rows):
+        out = calc.phi_t_table(rows)
+        out[..., 0] = rows[..., 0]
+        return out
+
+    sup, tail = np.empty(times.size), np.empty(times.size)
+    for lo, block in stream(calc, times, calc.j_amp, "real", table):
+        tail[lo : lo + len(block)] = np.abs(block[:, 0])
+        sup[lo : lo + len(block)] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)
+    return sup, tail
 
 
 def fit_decay(
@@ -76,6 +88,8 @@ def fit_decay(
     """
     if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
+    if not (np.isfinite(period) and period > 0):
+        raise ValueError(f"period must be positive and finite, got {period}")
     t_lo, t_hi = window
     # Window i holds the samples in [edges[i], min(edges[i + 1], t_hi + 1e-12)).
     # Consecutive windows share a bound, so the nonempty ones tile

@@ -54,7 +54,7 @@ the Jacobi-Anger expansion (DLMF 10.12.3) gives
 eps_0 = 1 and eps_k = 2 after.  As |J_k(z)| <= (z/2)^k / k!, the first P
 terms reach round-off, P the fewest with (z/2)^P / P! < 2^-53 at
 z = h max|t|.  A call takes the series where its estimated work is the
-smaller (``_series_order``), and never with at most P times: it builds the
+smaller (``series_order``), and never with at most P times: it builds the
 Chebyshev moments M_k, the row sums of amp T_k(u), once, then costs a
 P-term sum per time and row, and rounds the phase r0 t once per time, not
 once per node: that matters, as sup|phi_t| is about 1e-5 of the node
@@ -65,17 +65,19 @@ per half node and time, from which the half-angle formulas
 node set's cos(mQ) and sin(mQ), and each DFT sample, come from one tan too.
 
 Every moment is a linear table of these row sums on the x >= 0 rows,
-reflected to the grid once with its sign.  One generator
-(``MomentCalculator._stream``) picks the route and cuts the times into
-blocks of row sums, to which each moment applies its table.  The
-potential phi = -int_0^x int_0^y rho solves -phi'' = rho with
-phi(0) = phi'(0) = 0, by Simpson's rule at the grid's step
-(``_cumulative_simpson``); its mean part is integrated once, and its
-oscillating part is (-1)^m-signed at -x, as the density's is, and so is
+reflected to the grid once with its sign.  The scan takes any row measure,
+the node set being one: an object with the rates ``rate`` = m c(K), stored
+row by row, the abs_x ``rows`` that hold nodes, the first node ``starts`` of
+each, the grid rows ``abs_x`` and the band ``r0`` +- ``h``.  One generator
+(``stream``) picks the route and cuts the times into blocks of row sums, to
+which each moment applies its table.  The potential phi = -int_0^x int_0^y rho
+solves -phi'' = rho with phi(0) = phi'(0) = 0, by Simpson's rule at the
+grid's step (``_cumulative_simpson``); its mean part is integrated once, and
+its oscillating part is (-1)^m-signed at -x, as the density's is, and so is
 phi_t(x) = int_0^x (j(y) - j(0)) dy: for odd m the current is even in x,
 and for even m it is odd, so j(0) = 0.  Only the decay scan
-(``phi_t_sup``) tables inside the stream, so that the series applies its
-table once to the P moment rows; it keeps each block's maximum over the
+(``mixing.sup_phi_t``) tables inside the stream, so that the series applies
+its table once to the P moment rows; it keeps each block's maximum over the
 half rows and j(t, 0).  A centered time difference of phi is a second,
 independent phi_t route, whose gap from the first converges at O(dt**2).
 """
@@ -91,7 +93,8 @@ from .action_angle import half_angle_sin_cos
 from .potential import PotentialParams, invert_phi, phi as potential_phi
 from .transport import InitialData, pull_back
 
-__all__ = ["gauss_legendre", "spatial_grid", "MomentCalculator"]
+__all__ = ["gauss_legendre", "spatial_grid", "series_order", "stream", "stream_rows",
+           "MomentCalculator"]
 
 
 # j_{0,k}, the first ten positive zeros of the Bessel function J_0.
@@ -248,19 +251,100 @@ def _order(z: float, cap: int) -> int:
     return p
 
 
-def _series_order(z: float, times: int, nodes: int, rows: int) -> int:
-    """The Jacobi-Anger order P that sums ``times`` times at z = h max|t| over
-    ``nodes`` support nodes in ``rows`` rows, or 0 where trig costs less.
+def series_order(measure, times: np.ndarray) -> int:
+    """The Jacobi-Anger order P that sums ``times`` over ``measure``, or 0 where trig costs less.
 
     The series builds P moment rows over the nodes once, then takes a DFT of
     2P + 2 samples and P multiply-adds per row and time; trig takes one tan
     per node and time.  A call with at most P times always takes trig.
     """
-    order = _order(z, times)
-    if times <= order:
+    n, nodes, rows = times.size, measure.rate.size, measure.starts.size
+    order = _order(measure.h * np.max(np.abs(times), initial=0.0), n)
+    if n <= order:
         return 0
-    series = _BUILD_WORK * order * nodes + times * (order * rows + _SAMPLE_WORK * (2 * order + 2))
-    return order if series < _TRIG_WORK * times * nodes else 0
+    series = _BUILD_WORK * order * nodes + n * (order * rows + _SAMPLE_WORK * (2 * order + 2))
+    return order if series < _TRIG_WORK * n * nodes else 0
+
+
+def _trig_sums(measure, times: np.ndarray, amp: np.ndarray, part: str) -> np.ndarray:
+    """abs_x row sums of amp * cos (``part="real"``) or sin(r t), one time at a time."""
+    sums = np.zeros((times.size, measure.abs_x.size))
+    sin, cos = np.empty(measure.rate.size), np.empty(measure.rate.size)
+    row = cos if part == "real" else sin
+    for i, ti in enumerate(times):
+        half_angle_sin_cos(np.multiply(0.5 * ti, measure.rate, out=sin), sin, cos)
+        row *= amp
+        sums[i, measure.rows] = np.add.reduceat(row, measure.starts)
+    return sums
+
+
+def _moments(measure, amp: np.ndarray, order: int) -> np.ndarray:
+    """The Chebyshev moments M_k, the abs_x row sums of amp T_k(u), k < order."""
+    # T_k(u) by T_{k+1} = 2u T_k - T_{k-1}, started from T_{-1} = T_1 = u.
+    u = (measure.rate - measure.r0) / measure.h if order > 1 else 0.0
+    two_u = 2.0 * u
+    moments = np.zeros((order, measure.abs_x.size))
+    prev, cur, spare = amp * u, amp.copy(), np.empty_like(amp)
+    for k in range(order):
+        moments[k, measure.rows] = np.add.reduceat(cur, measure.starts)
+        np.multiply(two_u, cur, out=spare)
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
+    return moments
+
+
+def stream(measure, times: np.ndarray, amp: np.ndarray, part: str, table=None):
+    """Yields (index of the first time, values) a block of ``times`` at a time:
+    ``table`` of the abs_x row sums of amp * Re (``part="real"``) or Im
+    exp(i r t) over ``measure``, a linear map along the last axis, the rows
+    themselves by default; the series applies it once to the moment rows,
+    trig to each block's row sums.  Only the decay scan passes one."""
+    table = table or (lambda rows: rows)
+    order = series_order(measure, times)
+    if order:
+        rows = table(_moments(measure, amp, order))
+        # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
+        # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
+        # aliased terms are J_k with k > order + 2, below the truncation.
+        # The samples are even in theta, so only theta in [0, pi] is taken.
+        n, half = 2 * order + 2, order + 2
+        cos_theta = np.cos(2.0 * np.pi / n * np.arange(half))
+    step = max(1, _SCAN_SAMPLES // (2 * order + 2 if order else measure.abs_x.size))
+    for lo in range(0, times.size, step):
+        t = times[lo : lo + step]
+        if not order:
+            yield lo, table(_trig_sums(measure, t, amp, part))
+            continue
+        samples = np.empty((t.size, n), dtype=complex)
+        angle = np.multiply.outer((0.5 * measure.h) * t, cos_theta)
+        sin, cos = half_angle_sin_cos(angle, angle)
+        samples.real[:, :half], samples.imag[:, :half] = cos, sin
+        samples[:, half:] = samples[:, half - 2 : 0 : -1]
+        coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
+        coeffs[:, 1:] *= 2.0
+        # a_k is real for even k and imaginary for odd k, so the sum splits
+        # into two real products; the DFT's rounding in the other part drops.
+        even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, rows[0::2])
+        odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, rows[1::2])
+        # r0 t in extended precision, where the platform has it.
+        phase = np.longdouble(measure.r0) * t
+        cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
+        if part == "real":
+            even *= cos
+            even -= sin * odd
+        else:
+            even *= sin
+            even += cos * odd
+        yield lo, even
+
+
+def stream_rows(measure, t, amp: np.ndarray, part: str) -> np.ndarray:
+    """The stream's row sums held at once: one abs_x row per time of ``t``."""
+    times = np.asarray(t, dtype=float)
+    rows = np.empty((times.size, measure.abs_x.size))
+    for lo, block in stream(measure, times.reshape(-1), amp, part):
+        rows[lo : lo + block.shape[0]] = block
+    return rows.reshape(times.shape + measure.abs_x.shape)
 
 
 class MomentCalculator:
@@ -281,6 +365,7 @@ class MomentCalculator:
     the grid (``abs_x``, with the support half-width ``v_max``), and one
     reflection to the grid.  ``support_nodes`` counts the nodes
     inside the support in the x >= 0, v >= 0 quarter that is pulled back.
+    It is a row measure of the scan, with amplitudes ``rho_amp`` and ``j_amp``.
     """
 
     def __init__(self, f0: InitialData, grid_points: int, n_quad: int):
@@ -300,28 +385,28 @@ class MomentCalculator:
         v = self.v_max[:, None] * nodes[half:]
         inside, q, k = pull_back(f0, self.abs_x[:, None], v)
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
-        self._rate = f0.m * f0.chart.c_of_k(k)
-        self.support_nodes = self._rate.size
+        self.rate = f0.m * f0.chart.c_of_k(k)
+        self.support_nodes = self.rate.size
         # The band of the support's rates, from the chart: one band, and one
         # Chebyshev basis, for every node set of f0.
         lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
-        self._r0, self._h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self.r0, self.h = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # sin(mQ) and cos(mQ); the sines overwrite q, which is not read again.
         sin, cos = half_angle_sin_cos(np.multiply(0.5 * f0.m, q, out=q), q)
-        self._rho_amp = f0.alpha * weight * cos
-        self._j_amp = f0.alpha * weight * v[inside] * sin
+        self.rho_amp = f0.alpha * weight * cos
+        self.j_amp = f0.alpha * weight * v[inside] * sin
         # The support nodes are stored row by row: one segment per |x| row
-        # that has any, the rows listed in ``_rows``; rows with none sum to 0.
+        # that has any, the rows listed in ``rows``; rows with none sum to 0.
         counts = inside.sum(axis=1)
-        self._rows = np.flatnonzero(counts)
-        self._starts = (np.cumsum(counts) - counts)[self._rows]
+        self.rows = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.rows]
         # The reflection's sign at x < 0: the parity (-1)^m for the density,
         # the potential and phi_t, -(-1)^m for the current.  It comes from the
         # integer m: a float (-1.0) ** m reads every odd m above 2^53 as even.
         self._parity = -1.0 if f0.m % 2 else 1.0
         # The time-independent means of rho and phi, both even in x.
         rho_bar = np.zeros(self.abs_x.size)
-        rho_bar[self._rows] = np.add.reduceat(weight, self._starts)
+        rho_bar[self.rows] = np.add.reduceat(weight, self.starts)
         self._rho_mean = self._to_grid(rho_bar)
         self._phi_mean = self._to_grid(self._phi_table(rho_bar))
 
@@ -335,121 +420,38 @@ class MomentCalculator:
         """
         return mean + np.concatenate((sign * rows[..., :0:-1], rows), axis=-1)
 
-    def _series_order(self, flat: np.ndarray) -> int:
-        """The Jacobi-Anger order that sums these times, or 0 for trig."""
-        z = self._h * np.max(np.abs(flat), initial=0.0)
-        return _series_order(z, flat.size, self._rate.size, self._starts.size)
-
-    def _trig_sums(self, flat: np.ndarray, amp: np.ndarray, part: str) -> np.ndarray:
-        """abs_x row sums of amp * cos (``part="real"``) or sin(m c t), one time at a time."""
-        sums = np.zeros((flat.size, self.abs_x.size))
-        sin, cos = np.empty(self._rate.size), np.empty(self._rate.size)
-        row = cos if part == "real" else sin
-        for i, ti in enumerate(flat):
-            half_angle_sin_cos(np.multiply(0.5 * ti, self._rate, out=sin), sin, cos)
-            row *= amp
-            sums[i, self._rows] = np.add.reduceat(row, self._starts)
-        return sums
-
-    def _moments(self, amp: np.ndarray, order: int) -> np.ndarray:
-        """The Chebyshev moments M_k, the abs_x row sums of amp T_k(u), k < order."""
-        # T_k(u) by T_{k+1} = 2u T_k - T_{k-1}, started from T_{-1} = T_1 = u.
-        u = (self._rate - self._r0) / self._h if order > 1 else 0.0
-        two_u = 2.0 * u
-        moments = np.zeros((order, self.abs_x.size))
-        prev, cur, spare = amp * u, amp.copy(), np.empty_like(amp)
-        for k in range(order):
-            moments[k, self._rows] = np.add.reduceat(cur, self._starts)
-            np.multiply(two_u, cur, out=spare)
-            spare -= prev
-            prev, cur, spare = cur, spare, prev
-        return moments
-
-    def _stream(self, flat: np.ndarray, amp: np.ndarray, part: str, table=None):
-        """Yields (index of the first time, values) a block of times at a time:
-        ``table`` of the abs_x row sums of amp * Re (``part="real"``) or Im
-        exp(i m c t).  ``table`` is a linear map along the last axis, the rows
-        themselves by default; the series applies it once to the moment rows,
-        trig to each block's row sums.  Only the decay scan passes one."""
-        table = table or (lambda rows: rows)
-        order = self._series_order(flat)
-        if order:
-            rows = table(self._moments(amp, order))
-            # a_k(z) = i^k eps_k J_k(z), the Chebyshev coefficients of exp(i z u),
-            # from the DFT of exp(i z cos theta) on 2 order + 2 angles: the
-            # aliased terms are J_k with k > order + 2, below the truncation.
-            # The samples are even in theta, so only theta in [0, pi] is taken.
-            n, half = 2 * order + 2, order + 2
-            cos_theta = np.cos(2.0 * np.pi / n * np.arange(half))
-        step = max(1, _SCAN_SAMPLES // (2 * order + 2 if order else self.abs_x.size))
-        for lo in range(0, flat.size, step):
-            t = flat[lo : lo + step]
-            if not order:
-                yield lo, table(self._trig_sums(t, amp, part))
-                continue
-            samples = np.empty((t.size, n), dtype=complex)
-            angle = np.multiply.outer((0.5 * self._h) * t, cos_theta)
-            sin, cos = half_angle_sin_cos(angle, angle)
-            samples.real[:, :half], samples.imag[:, :half] = cos, sin
-            samples[:, half:] = samples[:, half - 2 : 0 : -1]
-            coeffs = np.fft.fft(samples, axis=1)[:, :order] / n
-            coeffs[:, 1:] *= 2.0
-            # a_k is real for even k and imaginary for odd k, so the sum splits
-            # into two real products; the DFT's rounding in the other part drops.
-            even = np.einsum("tk,kr->tr", coeffs[:, 0::2].real, rows[0::2])
-            odd = np.einsum("tk,kr->tr", coeffs[:, 1::2].imag, rows[1::2])
-            # r0 t in extended precision, where the platform has it.
-            phase = np.longdouble(self._r0) * t
-            cos, sin = np.cos(phase).astype(float)[:, None], np.sin(phase).astype(float)[:, None]
-            if part == "real":
-                even *= cos
-                even -= sin * odd
-            else:
-                even *= sin
-                even += cos * odd
-            yield lo, even
-
-    def _stream_rows(self, t, amp: np.ndarray, part: str) -> np.ndarray:
-        """The stream's row sums held at once: one abs_x row per time of ``t``."""
-        times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        rows = np.empty((flat.size, self.abs_x.size))
-        for lo, block in self._stream(flat, amp, part):
-            rows[lo : lo + block.shape[0]] = block
-        return rows.reshape(times.shape + self.abs_x.shape)
-
     def _phi_table(self, rows: np.ndarray) -> np.ndarray:
         """-int_0^x int_0^y of abs_x rows (last axis), on the x >= 0 half."""
         return _cumulative_simpson(-_cumulative_simpson(rows, self._dx), self._dx)
 
-    def _phi_t_table(self, rows: np.ndarray) -> np.ndarray:
+    def phi_t_table(self, rows: np.ndarray) -> np.ndarray:
         """int_0^x (s - s(0)) of abs_x rows s (last axis), on the x >= 0 half."""
         return _cumulative_simpson(rows - rows[..., :1], self._dx)
 
     def density(self, t) -> np.ndarray:
         """rho(t, x) = int f dv over the exact support interval."""
-        return self._to_grid(self._stream_rows(t, self._rho_amp, "imag"), self._parity,
+        return self._to_grid(stream_rows(self, t, self.rho_amp, "imag"), self._parity,
                              self._rho_mean)
 
     def potential(self, t) -> np.ndarray:
         """phi(t, x) = -int_0^x int_0^y rho: -phi'' = rho, phi(0) = phi'(0) = 0."""
-        rows = self._stream_rows(t, self._rho_amp, "imag")
+        rows = stream_rows(self, t, self.rho_amp, "imag")
         return self._to_grid(self._phi_table(rows), self._parity, self._phi_mean)
 
     def phi_t(self, t) -> np.ndarray:
         """phi_t(t, x) = int_0^x (j(t, y) - j(t, 0)) dy, the reconstruction formula."""
-        return self._to_grid(self._phi_t_table(self._stream_rows(t, self._j_amp, "real")),
+        return self._to_grid(self.phi_t_table(stream_rows(self, t, self.j_amp, "real")),
                              self._parity)
 
     def fields(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho, j, phi, phi_t) from one stream of each amplitude: phi and phi_t
         apply their tables to the streamed density and current rows."""
-        rho = self._stream_rows(t, self._rho_amp, "imag")
-        j = self._stream_rows(t, self._j_amp, "real")
+        rho = stream_rows(self, t, self.rho_amp, "imag")
+        j = stream_rows(self, t, self.j_amp, "real")
         return (self._to_grid(rho, self._parity, self._rho_mean),
                 self._to_grid(j, -self._parity),
                 self._to_grid(self._phi_table(rho), self._parity, self._phi_mean),
-                self._to_grid(self._phi_t_table(j), self._parity))
+                self._to_grid(self.phi_t_table(j), self._parity))
 
     def phi_t_fd(self, t: float, dt: float) -> np.ndarray:
         """Centered time difference of phi; independent phi_t route."""
@@ -457,23 +459,3 @@ class MomentCalculator:
             raise ValueError("dt must be > 0")
         ahead, behind = self.potential(np.array([t + dt, t - dt]))
         return (ahead - behind) / (2.0 * dt)
-
-    def phi_t_sup(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sup_x |phi_t| and |j(t, 0)| at each time, from the x >= 0 half alone.
-
-        Reduces each block of the stream to its maxima, so no (times x grid)
-        array is held; |phi_t(-x)| = |phi_t(x)| by the reflection.
-        """
-        def table(rows):
-            # phi_t, with j(0) in place of its 0 at x = 0.
-            out = self._phi_t_table(rows)
-            out[..., 0] = rows[..., 0]
-            return out
-
-        flat = np.asarray(times, dtype=float).reshape(-1)
-        sup, tail = np.empty(flat.size), np.empty(flat.size)
-        for lo, block in self._stream(flat, self._j_amp, "real", table):
-            hi = lo + block.shape[0]
-            tail[lo:hi] = np.abs(block[:, 0])
-            sup[lo:hi] = np.max(np.abs(block[:, 1:]), axis=1, initial=0.0)
-        return sup, tail

@@ -1,11 +1,10 @@
 """Cost, memory and agreement of the streamed decay scan against phi_t held on the grid.
 
 ``mixing.sup_phi_t`` streams sup_x |phi_t| and the tail |j(t, 0)| from the
-x >= 0 half of the grid, a block of times at a time
-(``MomentCalculator.phi_t_sup``).  The grid route holds phi_t and the
-current on the whole grid at every time (``MomentCalculator.fields``, which
-also holds the density and the potential), reflected from the same
-stream's tables.  For the decay scan
+x >= 0 half of the grid, a block of times at a time (``moments.stream``).
+The grid route holds phi_t and the current on the whole grid at every time
+(``MomentCalculator.fields``, which also holds the density and the
+potential), reflected from the same stream's tables.  For the decay scan
 of each config this script reports
 
 * ``ms``: the best in-process wall time of each route over a few repeats;
@@ -32,6 +31,7 @@ import numpy as np
 from phasemix.cli import load_config
 from phasemix.experiment import Experiment
 from phasemix.mixing import sup_phi_t
+from phasemix.moments import series_order
 
 # The default scan and the resolved long scans, 17 samples per period.
 CONFIGS = {
@@ -82,7 +82,7 @@ def main() -> None:
         (sup, tail), stream_ms, stream_mib = measure(sup_phi_t, calc, times, args.repeats)
         dev = np.max(np.abs(sup - sup_full)) / np.max(sup_full)
         same = "equal" if np.array_equal(tail, tail_full) else "DIFFER"
-        print(f"{name:>24} {times.size:>6} {calc._series_order(times):>5} {full_ms:8.1f} "
+        print(f"{name:>24} {times.size:>6} {series_order(calc, times):>5} {full_ms:8.1f} "
               f"{full_mib:7.2f} {stream_ms:9.1f} {stream_mib:7.2f} {dev:9.2e} {same}")
 
 

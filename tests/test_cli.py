@@ -17,6 +17,7 @@ import phasemix
 from phasemix.action_angle import exact_frequency
 from phasemix.cli import _parse, load_config, main
 from phasemix.experiment import ConfigError, Experiment, ExperimentConfig
+from phasemix.moments import series_order
 
 
 def run(tmp_path, *argv):
@@ -379,7 +380,7 @@ def test_evolve_csv_holds_the_node_set_moments(tmp_path):
         exp = Experiment(load_config(None, list(argv[2::2])))
         calc = exp.node_set
         times = np.linspace(0.0, exp.cfg.t_max, exp.cfg.evolve_samples)
-        assert calc._series_order(times) == order
+        assert series_order(calc, times) == order
         expected = (np.tile(calc.x, times.size), calc.density(times), calc.fields(times)[1],
                     calc.potential(times), calc.phi_t(times))
         for column, moment in zip(rows.T[1:], expected):
@@ -425,16 +426,16 @@ def test_evolve_csv_has_no_negative_zero_moment(tmp_path, extra):
 def test_evolve_streams_each_amplitude_once(tmp_path, monkeypatch):
     # phi and phi_t are tables of the density and current rows evolve has
     # already streamed: two streams, not four.
-    from phasemix.moments import MomentCalculator
+    from phasemix import moments
 
     parts = []
-    stream = MomentCalculator._stream
+    stream = moments.stream
 
-    def counted(self, flat, amp, part, *args):
+    def counted(measure, times, amp, part, *args):
         parts.append(part)
-        return stream(self, flat, amp, part, *args)
+        return stream(measure, times, amp, part, *args)
 
-    monkeypatch.setattr(MomentCalculator, "_stream", counted)
+    monkeypatch.setattr(moments, "stream", counted)
     assert run(tmp_path, *EVOLVE_ARGS) == 0
     assert sorted(parts) == ["imag", "real"]
 

@@ -1,6 +1,8 @@
 """Hamiltonian flow: the Taylor integrator against DOP853, reversibility, and the
 closed-form orbit period 2 pi / c against DOP853's."""
 
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -68,6 +70,15 @@ def test_flow_step_cap(params, monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(FlowError):
         flow_map(params, 1.0, 0.0, 100.0)
+
+
+def test_flow_refuses_an_unreachable_time_at_once(params):
+    # 1e300 lies far beyond the step cap's reach: the first step shows it,
+    # where the cap took 100,000 steps (16.7 s) to refuse it.
+    start = time.perf_counter()
+    with pytest.raises(FlowError, match="cannot cover"):
+        flow_map(params, 1.0, 0.3, 1e300)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_flow_preserves_shape(params):

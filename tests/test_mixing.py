@@ -181,9 +181,20 @@ def test_fit_decay_rejects_unsorted_times():
 
 
 def test_sup_phi_t_rejects_bad_times(f0):
+    # A NaN compares false, so it passed the strictly-increasing check and
+    # came back as a NaN sup.
     calc = MomentCalculator(f0, 51, n_quad=128)
-    with pytest.raises(ValueError):
-        sup_phi_t(calc, np.array([1.0, 1.0]))
+    for times in ([], [1.0, 1.0], [1.0, np.nan, 3.0], [1.0, 3.0, np.inf], [-np.inf, 1.0], [np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing 1-D array of finite values"):
+            sup_phi_t(calc, np.array(times))
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
+def test_fit_decay_rejects_a_bad_period(period):
+    # 0 divided by zero, -1 left no window, and NaN or inf could not size one.
+    t = np.linspace(1.0, 100.0, 500)
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        fit_decay(t, t**-2.0, (1.0, 100.0), period=period)
 
 
 def test_commuted_fields_stay_bounded(f0, commuted_sups):

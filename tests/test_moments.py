@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 
 from phasemix import MomentCalculator, evaluate_f_actionangle, spatial_grid
 from phasemix import moments
-from phasemix.moments import gauss_legendre
+from phasemix.moments import gauss_legendre, series_order, stream
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.mixing import sup_phi_t
 from phasemix.potential import invert_phi, phi
@@ -284,7 +285,7 @@ def test_node_sets_of_one_f0_share_one_band(f0, calc, fine_calc):
     # The band [r0 - h, r0 + h] is m c(K) over the support, from the chart,
     # so every node set of f0 expands in the same Chebyshev basis.
     others = [MomentCalculator(f0, n, n_quad=64) for n in (3, 51)]
-    bands = {(c._r0, c._h) for c in (calc, fine_calc, *others)}
+    bands = {(c.r0, c.h) for c in (calc, fine_calc, *others)}
     lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
     assert bands == {(0.5 * (hi + lo), 0.5 * (hi - lo))}
 
@@ -335,24 +336,24 @@ def test_reflection_parity_is_exact_for_huge_odd_m(f0):
 
 def _order(calc, times):
     """The Jacobi-Anger order of one call over ``times``."""
-    return moments._order(calc._h * np.max(np.abs(times)), times.size + 1)
+    return moments._order(calc.h * np.max(np.abs(times)), times.size + 1)
 
 
 def _rounding_scale(calc, amp):
     """The quadrature of |amp| at each grid node, the rounding scale of its sums."""
     rows = np.zeros(calc.abs_x.size)
-    rows[calc._rows] = np.add.reduceat(np.abs(amp), calc._starts)
+    rows[calc.rows] = np.add.reduceat(np.abs(amp), calc.starts)
     return calc._to_grid(rows)
 
 
 def _long_double_current(calc, times):
     """The current on the grid from row sums with long-double phases, trig and
     sums, reflected to x < 0 with the current's sign."""
-    rate = calc._rate.astype(np.longdouble)
+    rate = calc.rate.astype(np.longdouble)
     rows = np.zeros((times.size, calc.abs_x.size), dtype=np.longdouble)
     for i, t in enumerate(times):
-        vals = calc._j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
-        rows[i, calc._rows] = np.add.reduceat(vals, calc._starts)
+        vals = calc.j_amp.astype(np.longdouble) * np.cos(rate * np.longdouble(t))
+        rows[i, calc.rows] = np.add.reduceat(vals, calc.starts)
     return calc._to_grid(rows, -calc._parity)
 
 
@@ -385,20 +386,64 @@ def test_default_scan_stays_near_exact_trig(default_scan):
     # scale of its sum, the quadrature of |amplitude|; the phase rounding
     # eps * m c t alone is about 2.5e-14 at t = 200.
     calc, times = default_scan
-    assert calc._series_order(times) == _order(calc, times) == 43
-    for name, moment, amp in (("density", calc.density, calc._rho_amp),
-                              ("current", lambda t: calc.fields(t)[1], calc._j_amp)):
+    assert series_order(calc, times) == _order(calc, times) == 43
+    for name, moment, amp in (("density", calc.density, calc.rho_amp),
+                              ("current", lambda t: calc.fields(t)[1], calc.j_amp)):
         exact = np.array([moment(t) for t in times])
         bound = 1e-13 * _rounding_scale(calc, amp)
         assert np.all(np.abs(moment(times) - exact) <= bound), name
+
+
+def _hand_measure(counts):
+    """A row measure built by hand, with no chart or pull-back: ``counts``
+    nodes in each of five rows, with seeded rates across the band 1.1 +- 0.07,
+    and seeded amplitudes."""
+    rng = np.random.default_rng(5)
+    counts = np.array(counts)
+    rows = np.flatnonzero(counts)
+    measure = SimpleNamespace(abs_x=np.linspace(0.0, 1.0, counts.size), rows=rows,
+                              starts=(np.cumsum(counts) - counts)[rows], r0=1.1, h=0.07,
+                              rate=rng.uniform(1.1 - 0.07, 1.1 + 0.07, counts.sum()))
+    return measure, rng.standard_normal(counts.sum())
+
+
+@pytest.mark.parametrize("case", ["fewer times than P", "trig by work", "series"])
+def test_stream_of_a_hand_built_measure(case):
+    # The stream against long-double sums of the measure's nodes, on both
+    # routes, with its rows and with a table (a cumulative sum along the
+    # rows); the series case takes two blocks.  Row 2 holds no node.
+    few, many = (30, 50, 0, 40, 20), (80, 140, 0, 120, 60)
+    measure, amp = _hand_measure(few if case == "trig by work" else many)
+    times = np.linspace(0.0, 100.0, 1200)
+    if case == "fewer times than P":
+        times = np.array([3.0, 17.5, 99.9])
+    order = _order(measure, times)
+    assert (times.size < order) == (case == "fewer times than P")
+    assert series_order(measure, times) == (order if case == "series" else 0)
+    phase = np.multiply.outer(times.astype(np.longdouble), measure.rate.astype(np.longdouble))
+    scale = np.zeros(measure.abs_x.size)
+    scale[measure.rows] = np.add.reduceat(np.abs(amp), measure.starts)
+    for part, trig in (("real", np.cos), ("imag", np.sin)):
+        exact = np.zeros((times.size, measure.abs_x.size))
+        exact[:, measure.rows] = np.add.reduceat(amp * trig(phase), measure.starts, axis=1)
+        for table in (None, lambda rows: np.cumsum(rows, axis=-1)):
+            got, blocks = np.full(exact.shape, np.nan), 0
+            for lo, block in stream(measure, times, amp, part, table):
+                got[lo : lo + block.shape[0]] = block
+                blocks += 1
+            assert blocks == (2 if case == "series" else 1)
+            want, bound = (exact, scale) if table is None else (table(exact), table(scale))
+            assert np.all(np.abs(got - want) <= 1e-13 * bound), (part, table)
+            if table is None:
+                assert np.all(got[:, 2] == 0.0)
 
 
 def test_harmonic_scan_is_one_term(harmonic_f0):
     # At eps = 0 every node turns at the same rate: h = 0, one term.
     calc = MomentCalculator(harmonic_f0, 201, n_quad=128)
     times = np.linspace(0.0, 200.0, 41)
-    assert calc._h == 0.0 and calc._series_order(times) == 1
-    bound = 1e-13 * _rounding_scale(calc, calc._j_amp)
+    assert calc.h == 0.0 and series_order(calc, times) == 1
+    bound = 1e-13 * _rounding_scale(calc, calc.j_amp)
     exact = np.array([calc.fields(t)[1] for t in times])
     assert np.all(np.abs(calc.fields(times)[1] - exact) <= bound)
 
@@ -415,7 +460,7 @@ def test_long_scan_sup_phi_t_against_long_double():
     # exact trig errs by 1.1e-9.
     exp = Experiment(ExperimentConfig(v_quad=512, t_max=1000.0, fit_window=(20.0, 1000.0)))
     calc, times = exp.node_set, exp.times[-128:]
-    assert calc._series_order(times) == _order(calc, times) > 0
+    assert series_order(calc, times) == _order(calc, times) > 0
     assert _sup_phi_t_error(calc, times) <= 1e-10
 
 
@@ -426,7 +471,7 @@ def test_series_scan_memory_is_blocked(f0):
     # 512, trig, one tan a node and time, is the faster (0.19 s against 0.24 s).
     calc = MomentCalculator(f0, 51, n_quad=1024)
     times = np.linspace(0.0, 4000.0, 4000)
-    assert calc._series_order(times) == 411
+    assert series_order(calc, times) == 411
     tracemalloc.start()
     try:
         calc.fields(times)[1]
@@ -460,7 +505,7 @@ def test_streamed_scan_matches_full_grid(experiment, harmonic_experiment, case):
     elif case == "fewer times than P":
         times = np.array([3.0, 17.5, 42.0, 99.9, 150.0])
     route = {"m = 1": 43, "m = 2": 65, "eps = 0 control": 1, "fewer times than P": 0}
-    assert calc._series_order(times) == route[case]
+    assert series_order(calc, times) == route[case]
     sup, tail = sup_phi_t(calc, times)
     ref_sup, ref_tail = _full_grid_sup(calc, times)
     assert np.max(np.abs(sup - ref_sup)) <= 1e-13 * np.max(ref_sup)
@@ -474,7 +519,7 @@ def test_streamed_scan_memory(params, f0):
     # block of times (3.9 MiB).
     exp = Experiment(ExperimentConfig(t_max=1000.0, fit_window=(20.0, 1000.0)))
     calc, times = exp.node_set, exp.times
-    assert times.size == 1456 and calc._series_order(times) == 124
+    assert times.size == 1456 and series_order(calc, times) == 124
     tracemalloc.start()
     try:
         sup_phi_t(calc, times)
@@ -490,15 +535,17 @@ def test_route_by_work(default_scan):
     # P = 18,972) the series took 1,552 s (timed at P = 18,968, before the
     # band came from the chart); the config is built, not run.
     calc, times = default_scan
-    assert calc._series_order(times) == 43
+    assert series_order(calc, times) == 43
     long = Experiment(ExperimentConfig(samples_per_period=2.0, t_max=200000.0,
                                        fit_window=(20.0, 200000.0)))
     calc, times = long.node_set, long.times
     assert times.size == 72798
-    assert _order(calc, times) == 18972 and calc._series_order(times) == 0
+    assert _order(calc, times) == 18972 and series_order(calc, times) == 0
     # The resolved long scans keep the series.  Their counts (support nodes,
     # rows, times) are those of the 801 x 1024 and 1601 x 1024 node sets at
-    # 17 samples per period, whose rates span the same band 2h.
-    z = calc._h * 1000.0
-    assert moments._series_order(z, 3094, 174397, 400) == 124
-    assert moments._series_order(2.0 * z, 6188, 348873, 800) == 221
+    # 17 samples per period, whose rates span the same band 2h: the route
+    # reads only those counts and h, so measures of that shape stand in.
+    for nodes, rows, t_max, order in ((174397, 400, 1000.0, 124), (348873, 800, 2000.0, 221)):
+        measure = SimpleNamespace(h=calc.h, rate=np.zeros(nodes), starts=np.zeros(rows))
+        times = np.linspace(0.0, t_max, round(3.094 * t_max))
+        assert series_order(measure, times) == order

@@ -42,9 +42,8 @@ LIBM_TRIG = {
                                                "coefficient bound leaves unproved"),
     ("moments.py", "_first_guess"): (("tan",), "cot(psi) of the n // 2 first guesses"),
     ("moments.py", "_newton"): (("cos", "cos"), "Newton's cos(theta), n // 2 roots a pass"),
-    ("moments.py", "MomentCalculator._stream"): (("cos", "cos", "sin"),
-                                                 "the DFT's order + 2 angles, and the "
-                                                 "long-double phase r0 t, one per time"),
+    ("moments.py", "stream"): (("cos", "cos", "sin"), "the DFT's order + 2 angles, and the "
+                               "long-double phase r0 t, one per time"),
     ("cli.py", "<module>"): (("sin",), "the synthetic series of decay --self-test"),
 }
 

@@ -2,11 +2,11 @@
 
 Two successive charts flatten the characteristic flow:
 
-* ``(x, v) -> (chi, h)``: the orbital angle chi is reconstructed from the
-  pair (v / sqrt(2h), sign(x) sqrt(Phi/h)) with a two-argument arctangent,
-  and h is the orbit energy.  Along the flow dchi/dt = -a(chi, h) with
-  the angular rate ``a = |Phi'| / sqrt(2 Phi) = (1 + 2 eps x**2) /
-  sqrt(1 + eps x**2)``, which equals 1 identically in the harmonic case.
+* ``(x, v) -> (chi, h)``: the orbital angle chi = atan2(v, sign(x) sqrt(2
+  Phi)), 0 at the elliptic fixed point (0, 0), and the orbit energy h.
+  Along the flow dchi/dt = -a(chi, h) with the angular rate ``a = |Phi'| /
+  sqrt(2 Phi) = (1 + 2 eps x**2) / sqrt(1 + eps x**2)``, which equals 1
+  identically in the harmonic case.
 * ``(chi, h) -> (Q, K)``: chi is reparametrized per energy so that the
   flow becomes rigid rotation, dQ/dt = -c(K), with the orbital frequency
   c fixed by requiring Q to advance by 2*pi per orbit.
@@ -122,10 +122,10 @@ class ChartRangeError(ValueError):
     """Energy outside the tabulated chart range."""
 
 
-# Points per block of ``OrbitChart.q_from_chi`` and ``OrbitChart.c_of_k``:
-# bounds their per-point arrays however many points are evaluated.  On a
-# 2-vCPU Xeon the 201 x 128, 801 x 512 and 1601 x 1024 node sets (5,441,
-# 87,195 and 348,873 support nodes) build in 1.2, 14.5 and 62 ms at 8192,
+# Points per block of ``OrbitChart.q_from_chi``: bounds its per-point arrays
+# however many points are evaluated.  On a 2-vCPU Xeon the 201 x 128,
+# 801 x 512 and 1601 x 1024 node sets (5,441, 87,195 and 348,873 support
+# nodes) build in 1.2, 14.5 and 62 ms at 8192,
 # against 1.3, 15.5 and 61 ms at 4096 and 2.4, 31 and 119 ms at 1024, best
 # of 5 in the quietest of four runs of studies/pullback_block.py; 16384 is
 # as fast but traces 8.7 MiB, not 6.6, at 801 x 512.  q_from_chi takes
@@ -213,17 +213,11 @@ def to_angle_energy(params: PotentialParams, x, v):
 
     x > 0 maps into (-pi/2, pi/2) and x < 0 into the complementary arc,
     so the right turning point sits at chi = 0 and the left at chi = pi.
-    The elliptic fixed point (0, 0), at h = 0, has no angle: chi is NaN
-    there.  Phi is evaluated on x as given: per row, not per point, on a
-    column of grid rows x against rows of v.
+    chi = atan2(v, sign(x) sqrt(2 Phi)) takes no energy, and reads 0 at the
+    elliptic fixed point (0, 0), at h = 0.  Phi is evaluated on x as given:
+    per row, not per point, on a column of grid rows x against rows of v.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = hamiltonian(params, x, v)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sin_part = v / np.sqrt(2.0 * h)
-        cos_part = np.sign(x) * np.sqrt(phi(params, x) / h)
-    return np.arctan2(sin_part, cos_part), h
+    return np.arctan2(v, np.sign(x) * np.sqrt(2.0 * phi(params, x))), hamiltonian(params, x, v)
 
 
 def rate_a(params: PotentialParams, chi, h):
@@ -341,7 +335,7 @@ class OrbitChart:
         table = _spline_table(self.k_grid, np.column_stack((self.c, self.sine_coeffs)))
         # _c_table[p, i] and _sine_table[i, p, j]: the coefficients of
         # d**(3 - p) on energy interval i of c and of b_{2j}, laid out for
-        # c_of_k's gather and q_from_chi's per-interval products.
+        # _c_at's gather and q_from_chi's per-interval products.
         object.__setattr__(self, "_c_table", np.ascontiguousarray(table[:, :, 0].T))
         object.__setattr__(self, "_sine_table", np.ascontiguousarray(table[:, :, 1:]))
 
@@ -379,31 +373,29 @@ class OrbitChart:
         i = np.searchsorted(self.k_grid[1:-1], k, side="right")
         return i, k - self.k_grid[i]
 
+    def _c_at(self, i, d):
+        """c at the energy intervals i and offsets d of ``_locate``."""
+        # Every index is in range; "clip" skips take's bounds check.
+        c3, c2, c1, c0 = np.take(self._c_table, i, axis=1, mode="clip")
+        # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
+        dd = d * d
+        out = c1 * d
+        out += c0
+        c2 *= dd
+        out += c2
+        c3 *= dd * d
+        out += c3
+        return out
+
     def c_of_k(self, k):
-        """Orbital frequency at energy k (cubic interpolation), a block of
-        energies at a time."""
+        """Orbital frequency at energy k (cubic interpolation)."""
         self.check_range(k)
         k = np.asarray(k, dtype=float)
-        k_f = k.reshape(-1)
-        out = np.empty(k_f.shape)
-        for lo in range(0, k_f.size, _BLOCK_POINTS):
-            block = slice(lo, lo + _BLOCK_POINTS)
-            i, d = self._locate(k_f[block])
-            # Every index is in range; "clip" skips take's bounds check.
-            c3, c2, c1, c0 = np.take(self._c_table, i, axis=1, mode="clip")
-            # PPoly's power sum, not Horner: ((c0 + c1 d) + c2 d**2) + c3 d**3.
-            dd = d * d
-            col = out[block]
-            np.multiply(c1, d, out=col)
-            col += c0
-            c2 *= dd
-            col += c2
-            c3 *= dd * d
-            col += c3
-        return out.reshape(k.shape)
+        return self._c_at(*self._locate(k.reshape(-1))).reshape(k.shape)
 
     def q_from_chi(self, chi, k):
-        """Forward reparametrization Q(chi; k), odd and 2*pi-equivariant.
+        """The forward reparametrization Q(chi; k), odd and 2*pi-equivariant,
+        and c(k), from one interval search per point: the pair (Q, c).
 
         A block of points at a time, grouped by energy interval: the sines
         sin(2j chi) come from the module's recurrence, and each interval
@@ -413,7 +405,7 @@ class OrbitChart:
         self.check_range(k)
         chi_b, k_b = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(k, dtype=float))
         chi_f, k_f = chi_b.reshape(-1), k_b.reshape(-1)
-        q = np.empty(chi_f.shape)
+        q, c = np.empty(chi_f.shape), np.empty(chi_f.shape)
         table = self._sine_table
         n_modes = table.shape[2]
         size = min(_BLOCK_POINTS, _BLOCK_CELLS // max(n_modes, 1))
@@ -424,6 +416,7 @@ class OrbitChart:
         for lo in range(0, q.size, size):
             block = slice(lo, lo + size)
             i, d = self._locate(k_f[block])
+            c[block] = self._c_at(i, d)
             # A key of at most 16 bits is radix-sorted, in linear time.
             order = np.argsort(i.astype(key), kind="stable")
             d, chi_s = d[order], chi_f[block][order]
@@ -446,7 +439,7 @@ class OrbitChart:
                 start = end
             s3, s2, s1, s0 = sums_s
             q[block][order] = chi_s + (((s3 * d + s2) * d + s1) * d + s0)
-        return q.reshape(chi_b.shape)
+        return q.reshape(chi_b.shape), c.reshape(chi_b.shape)
 
 
 def _require_monotone(modes: np.ndarray, b: np.ndarray, n_chi: int) -> None:

@@ -56,7 +56,7 @@ def c_prime_vs_fd(exp: Experiment):
 def _angle_error(exp: Experiment, chi, ks) -> float:
     """Largest |chi' - chi| for chi' the angle of the closed-form point at
     the chart's (Q(chi), K): the chart's Q(chi) against the exact orbit."""
-    x, v = from_action_angle(exp.params, exp.chart.q_from_chi(chi, ks), ks)
+    x, v = from_action_angle(exp.params, exp.chart.q_from_chi(chi, ks)[0], ks)
     return float(np.max(np.abs(to_angle_energy(exp.params, x, v)[0] - chi)))
 
 
@@ -64,7 +64,7 @@ def chart_geometry_roundtrip(exp: Experiment):
     """Q(pi/2) = pi/2, and the chart's Q(chi) against the exact orbit on
     41 x 11 probes of the chart's energy range."""
     chart = exp.chart
-    geom = np.max(np.abs(chart.q_from_chi(np.pi / 2, chart.k_grid) - np.pi / 2))
+    geom = np.max(np.abs(chart.q_from_chi(np.pi / 2, chart.k_grid)[0] - np.pi / 2))
     ks = np.linspace(chart.k_min, chart.k_max, 11)[:, None]
     return max(geom, _angle_error(exp, np.linspace(-3.0, 3.0, 41), ks)), 1e-9
 

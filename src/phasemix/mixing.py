@@ -84,13 +84,18 @@ def fit_decay(
     monotone majorant and isolates the decay rate.  Within a window the
     earliest sample within 1e-12 relative of the maximum is taken, so
     maxima that tie to rounding (periodic data, e.g. the eps = 0
-    control) do not pick their time by the last bit.
+    control) do not pick their time by the last bit.  ``window`` is a
+    finite (lo, hi) with lo < hi.
     """
     if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
     if not (np.isfinite(period) and period > 0):
         raise ValueError(f"period must be positive and finite, got {period}")
     t_lo, t_hi = window
+    if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
+        raise ValueError(f"window must be two finite times lo < hi, got {window}")
+    # The edges stop one period past the last sample: later windows are empty.
+    t_hi = min(t_hi, times[-1] + period) if len(times) else t_hi
     # Window i holds the samples in [edges[i], min(edges[i + 1], t_hi + 1e-12)).
     # Consecutive windows share a bound, so the nonempty ones tile
     # times[first:stop], each starting at its head.

@@ -36,8 +36,8 @@ and v sin(mQ) and the phase rates r = m c(K); with z = exp(i r t) the
 density reads Im z and the current Re z.
 
 The potential is even too, so x -> -x maps an orbit onto itself at the
-same energy.  The chart's angle chi = atan2(v / sqrt(2h), sign(x)
-sqrt(Phi / h)) goes to pi - chi, and as the angle series Q(chi) has only
+same energy.  The chart's angle chi = atan2(v, sign(x) sqrt(2 Phi)) goes
+to pi - chi, and as the angle series Q(chi) has only
 even modes, Q(pi - chi) = pi - Q(chi), with K and c(K) unchanged.  Then
 cos(m (pi - Q)) = (-1)^m cos(mQ) and v sin(m (pi - Q)) = -(-1)^m v sin(mQ),
 so at -x the density's oscillating part is (-1)^m times, the current
@@ -383,9 +383,9 @@ class MomentCalculator:
         if n_quad % 2:
             w[0] = weights[half]
         v = self.v_max[:, None] * nodes[half:]
-        inside, q, k = pull_back(f0, self.abs_x[:, None], v)
+        inside, q, self.rate, k = pull_back(f0, self.abs_x[:, None], v)
         weight = (self.v_max[:, None] * w)[inside] * f0.bump(k)
-        self.rate = f0.m * f0.chart.c_of_k(k)
+        self.rate *= f0.m
         self.support_nodes = self.rate.size
         # The band of the support's rates, from the chart: one band, and one
         # Chebyshev basis, for every node set of f0.

@@ -95,24 +95,24 @@ def evaluate_f_characteristic(f0: InitialData, t: float, x, v):
 def pull_back(f0: InitialData, x, v):
     """Chart coordinates of the phase points inside the support annulus.
 
-    Returns ``(inside, q, k)``: the mask of the broadcast points with
-    h_min < H < h_max, and the angle Q and energy K in ``f0.chart`` of
+    Returns ``(inside, q, c, k)``: the mask of the broadcast points with
+    h_min < H < h_max, and the angle Q, frequency c(K) and energy K of
     those points in row-major order.  One :func:`to_angle_energy` pass
-    gives every point's angle and energy, so a grid given as a column of x
-    and rows of v evaluates Phi per row and H once per point.  Points
-    outside the annulus never touch the chart, which covers the annulus.
+    gives every point's angle and energy (Phi per row of a grid given as a
+    column of x and rows of v); only the points inside, which the chart
+    covers, then take its one interval search each for Q and c.
     """
     chi, h = (np.asarray(a) for a in to_angle_energy(f0.params, x, v))
     inside = (h > f0.h_min) & (h < f0.h_max)
-    k = h[inside]
-    return inside, f0.chart.q_from_chi(chi[inside], k), k
+    # Rebound, so that the full arrays are freed before the chart pass.
+    chi, h = chi[inside], h[inside]
+    return inside, *f0.chart.q_from_chi(chi, h), h
 
 
 def evaluate_f_actionangle(f0: InitialData, t: float, x, v):
-    """Exact solution via the chart: :func:`solution_bar` at the pulled-back
-    points, zero off the support annulus."""
-    inside, q, k = pull_back(f0, x, v)
+    """Exact solution via the chart: fbar0(Q + c(K) t, K) at the
+    pulled-back points, zero off the support annulus."""
+    inside, q, c, k = pull_back(f0, x, v)
     out = np.zeros(inside.shape)
-    if k.size:
-        out[inside] = solution_bar(f0, t, q, k)
+    out[inside] = f0.value_bar(q + c * t, k)
     return out

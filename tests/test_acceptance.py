@@ -227,7 +227,7 @@ def test_criterion_07_phi_t_routes(pipeline):
 def test_criterion_08_chart_geometry(pipeline):
     cfg, params, chart, f0 = pipeline[:4]
     ks = chart.k_grid
-    q_half = np.asarray(chart.q_from_chi(np.full_like(ks, np.pi / 2.0), ks))
+    q_half = np.asarray(chart.q_from_chi(np.full_like(ks, np.pi / 2.0), ks)[0])
     half_err = float(np.max(np.abs(q_half - np.pi / 2.0)))
 
     rng = np.random.default_rng(1)
@@ -237,7 +237,7 @@ def test_criterion_08_chart_geometry(pipeline):
         (0.5 * v**2 + 0.5 * x**2 + 0.05 * x**4) < 1.95
     )
     x, v = x[keep], v[keep]
-    inside, q, k = pull_back(f0, x, v)
+    inside, q, _, k = pull_back(f0, x, v)
     assert inside.all()
     xb, vb = from_action_angle(params, q, k)
     rt_err = float(max(np.max(np.abs(xb - x)), np.max(np.abs(vb - v))))

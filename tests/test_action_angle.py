@@ -22,6 +22,7 @@ from phasemix import (
     from_action_angle,
     hamiltonian,
     invert_phi,
+    phi,
     rate_a,
     to_angle_energy,
 )
@@ -88,6 +89,16 @@ def test_angle_quadrant_conventions(params):
     npt.assert_allclose(chi, 0.0, atol=1e-14)
     chi, _ = to_angle_energy(params, 0.0, np.sqrt(2.0 * h))
     npt.assert_allclose(chi, np.pi / 2.0, atol=1e-14)
+    # On a grid with rows at x < 0, x = 0 and v = 0 and both signs of v, the
+    # angle is the normalized pair's atan2(v / sqrt(2h), sign(x) sqrt(Phi / h))
+    # to 2 ulp; the origin, where that pair is 0/0, reads 0 at h = 0.
+    x, v = np.arange(-25, 26)[:, None] / 10.0, np.arange(-30, 31)[None, :] / 10.0
+    chi, h = to_angle_energy(params, x, v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pair = np.arctan2(v / np.sqrt(2.0 * h), np.sign(x) * np.sqrt(phi(params, x) / h))
+    origin = (x == 0) & (v == 0)
+    assert chi[origin] == 0.0 and h[origin] == 0.0 and np.isnan(pair[origin])
+    assert np.all(np.abs(chi - pair)[~origin] <= 2 * np.spacing(np.abs(pair[~origin])))
 
 
 def test_c_harmonic_is_one(harmonic):
@@ -237,9 +248,9 @@ def test_chart_range_covers_annulus():
 def test_chart_q_at_half_pi(chart):
     # By symmetry of the rate, the angle pi/2 maps to Q = pi/2 exactly.
     ks = np.linspace(chart.k_min, chart.k_max, 23)
-    q = chart.q_from_chi(np.full_like(ks, np.pi / 2.0), ks)
+    q = chart.q_from_chi(np.full_like(ks, np.pi / 2.0), ks)[0]
     npt.assert_allclose(q, np.pi / 2.0, atol=1e-12)
-    q = chart.q_from_chi(np.full_like(ks, np.pi), ks)
+    q = chart.q_from_chi(np.full_like(ks, np.pi), ks)[0]
     npt.assert_allclose(q, np.pi, atol=1e-12)
 
 
@@ -247,16 +258,16 @@ def test_chart_equivariance(chart):
     # Q(chi + 2 pi) = Q(chi) + 2 pi and Q odd.
     chi = np.linspace(-2.0, 2.0, 9)
     k = 1.0
-    q = chart.q_from_chi(chi, k)
-    npt.assert_allclose(chart.q_from_chi(chi + 2 * np.pi, k), q + 2 * np.pi, atol=1e-12)
-    npt.assert_allclose(chart.q_from_chi(-chi, k), -q, atol=1e-12)
+    q = chart.q_from_chi(chi, k)[0]
+    npt.assert_allclose(chart.q_from_chi(chi + 2 * np.pi, k)[0], q + 2 * np.pi, atol=1e-12)
+    npt.assert_allclose(chart.q_from_chi(-chi, k)[0], -q, atol=1e-12)
 
 
 def test_chart_inverse(params, chart):
     # The closed-form point at the chart's Q(chi) has angle chi: 9.6e-14 here.
     chi = np.linspace(0.0, 2.0 * np.pi, 41)
     k = 1.3
-    x, v = from_action_angle(params, chart.q_from_chi(chi, k), k)
+    x, v = from_action_angle(params, chart.q_from_chi(chi, k)[0], k)
     gap = (to_angle_energy(params, x, v)[0] - chi + np.pi) % (2.0 * np.pi) - np.pi
     npt.assert_allclose(gap, 0.0, atol=1e-11)
 
@@ -295,8 +306,8 @@ def test_chart_table_follows_replaced_tables(chart):
     ks = np.linspace(chart.k_min, chart.k_max, 37)
     chi = np.linspace(-3.0, 3.0, 37)
     assert np.array_equal(doubled.c_of_k(ks), 2 * chart.c_of_k(ks))
-    series = chart.q_from_chi(chi, ks) - chi
-    npt.assert_allclose(doubled.q_from_chi(chi, ks), chi + 2 * series, rtol=0, atol=1e-15)
+    series = chart.q_from_chi(chi, ks)[0] - chi
+    npt.assert_allclose(doubled.q_from_chi(chi, ks)[0], chi + 2 * series, rtol=0, atol=1e-15)
 
 
 def test_build_chart_builds_one_spline(monkeypatch, params):
@@ -328,13 +339,13 @@ def test_chart_convergence(params):
     ks = np.linspace(lo, hi, 9)
     chi = np.linspace(0.3, 2.8, 7)[:, None]
     err_c = np.max(np.abs(coarse.c_of_k(ks) - fine.c_of_k(ks)))
-    err_q = np.max(np.abs(coarse.q_from_chi(chi, ks) - fine.q_from_chi(chi, ks)))
+    err_q = np.max(np.abs(coarse.q_from_chi(chi, ks)[0] - fine.q_from_chi(chi, ks)[0]))
     assert err_c < 1e-7 and err_q < 1e-7
 
 
 def test_action_angle_round_trip(chart, f0, support_sample):
     x, v = support_sample
-    inside, q, k = pull_back(f0, x, v)
+    inside, q, _, k = pull_back(f0, x, v)
     assert inside.all()
     xb, vb = from_action_angle(chart.params, q, k)
     npt.assert_allclose(xb, x, atol=1e-10)
@@ -351,7 +362,7 @@ def test_chart_angle_error_over_the_annulus(chart, f0):
     k = rng.uniform(f0.h_min, f0.h_max, 20_000)
     x, v = from_action_angle(chart.params, q, k)
     chi, h = to_angle_energy(chart.params, x, v)
-    gap = (chart.q_from_chi(chi, h) - q + np.pi) % (2.0 * np.pi) - np.pi
+    gap = (chart.q_from_chi(chi, h)[0] - q + np.pi) % (2.0 * np.pi) - np.pi
     assert np.max(np.abs(gap)) <= 5e-10
 
 
@@ -360,8 +371,8 @@ def test_flow_is_rigid_rotation_in_q(params, chart, f0):
     x0, v0 = from_action_angle(params, np.array([0.8]), np.array([1.2]))
     t = 25.0
     xt, vt = flow_map(params, x0, v0, t, tolerance=1e-12)
-    _, q0, k0 = pull_back(f0, x0, v0)
-    _, qt, kt = pull_back(f0, xt, vt)
+    _, q0, _, k0 = pull_back(f0, x0, v0)
+    _, qt, _, kt = pull_back(f0, xt, vt)
     npt.assert_allclose(kt, k0, atol=1e-10)
     # Q decreases along the flow: Q(t) = Q(0) - c(K) t.
     drift = (qt - q0 + chart.c_of_k(k0) * t + np.pi) % (2.0 * np.pi) - np.pi
@@ -575,7 +586,7 @@ def _assert_matches_direct_sum(chart):
     b = _b_table(chart, k)
     direct = chi + np.sum(np.sin(np.multiply.outer(chi, chart.modes)) * b, axis=-1)
     scale = 1.0 + np.sum(np.abs(b), axis=-1)
-    err = np.abs(chart.q_from_chi(chi, k) - direct) / scale
+    err = np.abs(chart.q_from_chi(chi, k)[0] - direct) / scale
     assert err.max() <= 4e-15
 
 
@@ -603,7 +614,7 @@ def test_chart_modes_are_the_dense_even_modes(series_chart):
 def test_q_from_chi_identity_without_modes(harmonic_chart):
     assert harmonic_chart.modes.size == 0
     chi, k = _series_points(harmonic_chart, n=100)
-    assert np.array_equal(harmonic_chart.q_from_chi(chi, k), chi)
+    assert np.array_equal(harmonic_chart.q_from_chi(chi, k)[0], chi)
 
 
 def _scipy_q(chart, chi, k):
@@ -626,7 +637,7 @@ def _scipy_q(chart, chi, k):
 
 def _assert_is_scipy_q(chart, chi, k):
     """q_from_chi at (chi, k), within round-off of :func:`_scipy_q`."""
-    q = chart.q_from_chi(chi, k)
+    q = chart.q_from_chi(chi, k)[0]
     reference, scale = _scipy_q(chart, chi, k)
     assert q.shape == chi.shape
     assert np.all(np.abs(q - reference) <= 4e-15 * scale)

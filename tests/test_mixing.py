@@ -189,6 +189,26 @@ def test_sup_phi_t_rejects_bad_times(f0):
             sup_phi_t(calc, np.array(times))
 
 
+@pytest.mark.parametrize("window", [(np.nan, 100.0), (1.0, np.nan), (1.0, np.inf),
+                                    (-np.inf, 100.0), (100.0, 1.0), (1.0, 1.0)])
+def test_fit_decay_rejects_a_malformed_window(window):
+    # NaN and inf failed inside np.arange, and lo >= hi as a fit of 0 points.
+    t = np.linspace(1.0, 100.0, 500)
+    with pytest.raises(ValueError, match=r"window must be two finite times lo < hi, got \("):
+        fit_decay(t, t**-2.0, window)
+
+
+def test_fit_decay_builds_no_windows_past_the_last_sample():
+    # A window end of 1e9 once built 1.6e8 window edges.
+    t = np.linspace(1.0, 1000.0, 20_000)
+    values = (2.0 + np.sin(t)) / t
+    far = fit_decay(t, values, (20.0, 1e9))
+    near = fit_decay(t, values, (20.0, t[-1]))
+    npt.assert_array_equal(far.envelope_times, near.envelope_times)
+    npt.assert_array_equal(far.envelope, near.envelope)
+    assert (far.slope, far.residual) == (near.slope, near.residual)
+
+
 @pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
 def test_fit_decay_rejects_a_bad_period(period):
     # 0 divided by zero, -1 left no window, and NaN or inf could not size one.

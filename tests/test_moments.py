@@ -11,9 +11,11 @@ import pytest
 from phasemix import MomentCalculator, evaluate_f_actionangle, spatial_grid
 from phasemix import moments
 from phasemix.moments import gauss_legendre, series_order, stream
+from phasemix.action_angle import OrbitChart
 from phasemix.experiment import Experiment, ExperimentConfig
 from phasemix.mixing import sup_phi_t
 from phasemix.potential import invert_phi, phi
+from phasemix.transport import pull_back
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +290,30 @@ def test_node_sets_of_one_f0_share_one_band(f0, calc, fine_calc):
     bands = {(c.r0, c.h) for c in (calc, fine_calc, *others)}
     lo, hi = f0.m * f0.chart.c_of_k([f0.h_min, f0.h_max])
     assert bands == {(0.5 * (hi + lo), 0.5 * (hi - lo))}
+
+
+def test_node_set_locates_each_support_node_once(f0, monkeypatch):
+    # One interval search per support node gives its Q and c(K); the band's
+    # two edges make 5,443.  A second search for c(K) made 10,884.
+    located = []
+    locate = OrbitChart._locate
+
+    def counting(self, k):
+        located.append(k.size)
+        return locate(self, k)
+
+    monkeypatch.setattr(OrbitChart, "_locate", counting)
+    calc = MomentCalculator(f0, 201, n_quad=128)
+    monkeypatch.undo()
+    assert calc.support_nodes == 5_441
+    assert sum(located) == 5_443
+    # The rates are m c(K) of the pulled-back energies, bit for bit, at
+    # m = 1 and at m = 3.
+    v = calc.v_max[:, None] * gauss_legendre(128)[0][64:]
+    k = pull_back(f0, calc.abs_x[:, None], v)[3]
+    for data in (f0, dataclasses.replace(f0, m=3)):
+        rate = MomentCalculator(data, 201, n_quad=128).rate
+        assert rate.tobytes() == (data.m * f0.chart.c_of_k(k)).tobytes()
 
 
 def test_n_quad_floor(f0):

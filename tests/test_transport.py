@@ -149,15 +149,15 @@ def test_pull_back_is_the_pointwise_chart(request, name, grid, n_quad):
     calc = MomentCalculator(exp.f0, grid, n_quad=n_quad)
     x = calc.abs_x[:, None]
     v = calc.v_max[:, None] * gauss_legendre(n_quad)[0][n_quad // 2:]
-    inside, q, k = pull_back(exp.f0, x, v)
+    inside, q, _, k = pull_back(exp.f0, x, v)
     assert inside.sum() == calc.support_nodes > 0
     chi, h = to_angle_energy(exp.params, np.broadcast_to(x, v.shape)[inside], v[inside])
     assert k.tobytes() == h.tobytes()
-    assert q.tobytes() == exp.chart.q_from_chi(chi, h).tobytes()
+    assert q.tobytes() == exp.chart.q_from_chi(chi, h)[0].tobytes()
 
 
 def test_pull_back_of_an_empty_support(f0):
     # The fixed point and points off the annulus never reach the chart.
-    inside, q, k = pull_back(f0, np.array([[0.0], [0.1], [3.0]]), np.array([[0.0, 0.1], [0.0, 0.2], [3.0, 0.0]]))
+    inside, q, _, k = pull_back(f0, np.array([[0.0], [0.1], [3.0]]), np.array([[0.0, 0.1], [0.0, 0.2], [3.0, 0.0]]))
     assert inside.shape == (3, 2) and not inside.any()
     assert q.shape == k.shape == (0,)

@@ -27,7 +27,8 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """Fit window holds a non-finite value or too few envelope points."""
+    """Fit window holds a non-finite value, a time t <= 0 on the envelope,
+    or too few envelope points."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,19 @@ def fit_decay(
     t_lo, t_hi = window
     if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
         raise ValueError(f"window must be two finite times lo < hi, got {window}")
-    # The edges stop one period past the last sample: later windows are empty.
-    t_hi = min(t_hi, times[-1] + period) if len(times) else t_hi
+    # np.arange(t_lo, t_hi + period, period) fills edge i as t_lo + i * step.
+    # Of those, only the edges from one below the last at or below the first
+    # sample (a margin for the quotient's rounding) to one period past the
+    # last sample are built: the windows outside them are empty.
+    step, lead, count = (t_lo + period) - t_lo, 0, 0
+    if len(times):
+        t_hi = min(t_hi, times[-1] + period)
+        count = int(np.ceil((t_hi + period - t_lo) / period))
+        lead = int(np.fmin(np.fmax(np.floor((times[0] - t_lo) / step) - 1.0, 0.0), count))
     # Window i holds the samples in [edges[i], min(edges[i + 1], t_hi + 1e-12)).
     # Consecutive windows share a bound, so the nonempty ones tile
     # times[first:stop], each starting at its head.
-    edges = np.arange(t_lo, t_hi + period, period)
+    edges = t_lo + np.arange(lead, count) * step
     bounds = np.searchsorted(times, np.minimum(edges, t_hi + 1e-12))
     heads = bounds[:-1][np.diff(bounds) > 0]
     first, stop = (heads[0], bounds[-1]) if heads.size else (0, 0)
@@ -120,7 +128,10 @@ def fit_decay(
             f"envelope has {int(ok.sum())} positive points in window, need >= 8"
         )
     # The least-squares line by its normal equations on centred logs.
-    d_t = np.log(env_t[ok])
+    d_t = env_t[ok]
+    if d_t[0] <= 0:
+        raise FitError(f"envelope time {d_t[0]:.6g} is not positive: a log-log fit needs t > 0")
+    d_t = np.log(d_t)
     d_t -= d_t.mean()
     d_v = np.log(env_v[ok])
     d_v -= d_v.mean()

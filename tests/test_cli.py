@@ -176,8 +176,8 @@ def test_resolved_config_within_work_bounds():
     assert Experiment(cfg).times.size == 6188
 
 
-# At eps = 100, c_s = 0.1 eight angle nodes leave the truncated series
-# with dQ/dchi <= 0 somewhere, so the chart build raises ChartError.
+# At eps = 100, c_s = 0.1 eight angle nodes end the series on a mode of
+# 0.18, above the tail floor, so the chart build raises ChartError.
 UNRESOLVED_CHART = ("--set", "epsilon=100", "--set", "c_s=0.1", "--set", "n_chi=8")
 
 
@@ -205,7 +205,7 @@ def test_every_subcommand_refuses_an_unconverged_chart(tmp_path, capsys, overrid
 
 def test_truncated_chart_exit_code(tmp_path, capsys):
     # 512 angle nodes (the default) end this chart's series on a mode of
-    # 1.4e-5, above the tail floor: monotone, but truncated.
+    # 1.4e-5, above the tail floor: truncated.
     assert run(tmp_path, "chart", "--set", "epsilon=100", "--set", "c_s=0.1") == 3
     assert "truncated" in capsys.readouterr().err
 
@@ -220,13 +220,14 @@ def test_non_finite_chart_exit_code(tmp_path, capsys, command, override, code):
     # over the chart's energy range, so the chart's tables would overflow to
     # inf and NaN: the config is rejected (exit 2) before any array is
     # built.  At epsilon = 1e160 and c_s = 1e-300 nothing the pipeline
-    # computes overflows, and the chart refuses its own tables (exit 3).
+    # computes overflows, and the chart refuses its own tables as truncated
+    # (exit 3) before it builds their spline, which would overflow.
     # Either way no NumPy warning, and nothing written.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(tmp_path, command, "--set", override) == code
     err = capsys.readouterr().err
-    reason = "overflow" if code == 2 else "tabulated angle map is not monotone"
+    reason = "overflow" if code == 2 else "angle map truncated"
     assert reason in err and "RuntimeWarning" not in err
     assert not list(tmp_path.iterdir())
 
@@ -664,7 +665,7 @@ def test_validate_records_an_unresolved_chart_per_check(tmp_path):
     ]
     for name in chart_checks:
         assert not checks[name]["passed"]
-        assert "not monotone" in checks[name]["error"]
+        assert "truncated" in checks[name]["error"]
 
 
 def test_validate_passes(tmp_path):

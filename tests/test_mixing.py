@@ -1,5 +1,8 @@
 """Decay measurement, envelope fitting, commuted fields, and spectra."""
 
+import timeit
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -123,6 +126,8 @@ def envelope_series(draw):
     pick = np.array(draw(st.lists(st.integers(0, levels.size - 1), min_size=n, max_size=n)))
     # Within a level, values 3e-13 relative apart tie to the envelope's 1e-12.
     steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    # Up to 3,000 periods of empty windows below the first sample.
+    t_lo -= period * draw(st.one_of(st.just(0.0), st.floats(1.0, 3000.0)))
     return times, levels[pick] * (1.0 + 3e-13 * steps), (t_lo, t_hi), period
 
 
@@ -133,11 +138,17 @@ def envelope_series(draw):
 @example(_cut_at_t_hi())
 # A period longer than the window: one envelope point.
 @example((np.linspace(1.0, 20.0, 50), np.linspace(2.0, 1.0, 50), (1.0, 20.0), 100.0))
+# The first envelope point at t = 0, which has no logarithm.
+@example((np.arange(-0.875, 2.1, 0.125), np.ones(24), (0.0, 1.0), 0.1))
 def test_fit_decay_envelope_matches_the_window_loop(series):
     times, values, window, period = series
     env_t, env_v = _window_loop_envelope(times, values, window, period)
     if np.sum(env_v > 0) < 8:
         with pytest.raises(FitError, match="positive points"):
+            fit_decay(times, values, window, period)
+        return
+    if env_t[0] <= 0:
+        with pytest.raises(FitError, match="is not positive: a log-log fit needs t > 0"):
             fit_decay(times, values, window, period)
         return
     fitted = fit_decay(times, values, window, period)
@@ -207,6 +218,23 @@ def test_fit_decay_builds_no_windows_past_the_last_sample():
     npt.assert_array_equal(far.envelope_times, near.envelope_times)
     npt.assert_array_equal(far.envelope, near.envelope)
     assert (far.slope, far.residual) == (near.slope, near.residual)
+
+
+def test_fit_decay_builds_no_windows_before_the_first_sample():
+    # A window start of -1e9 would build 1.6e8 window edges, 1.3 GB, below
+    # the first sample; one of -1e7 took 58 ms.
+    t = np.linspace(1.0, 100.0, 2000)
+    values = (2.0 + np.sin(t)) / t
+    tracemalloc.start()
+    try:
+        fitted = fit_decay(t, values, (-1e9, 100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    best = min(timeit.repeat(lambda: fit_decay(t, values, (-1e9, 100.0)), number=1, repeat=3))
+    assert peak < 2**20 and best < 0.05
+    assert 1.0 <= fitted.envelope_times[0] and fitted.envelope_times[-1] <= 100.0
+    npt.assert_allclose(fitted.slope, -1.0, atol=0.05)
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])

@@ -37,9 +37,6 @@ LIBM_TRIG = {
     ("action_angle.py", "half_angle_sin_cos"): (("tan",), "the kernel"),
     ("action_angle.py", "rate_a"): (("cos",), "the chart's angle row: n_chi // 4 + 1 "
                                     "quarter-orbit angles, or compute_c's n_quad"),
-    ("action_angle.py", "_require_monotone"): (("cos",), "the chart's angle rows: a "
-                                               "sampled slope, only at energies the "
-                                               "coefficient bound leaves unproved"),
     ("moments.py", "_first_guess"): (("tan",), "cot(psi) of the n // 2 first guesses"),
     ("moments.py", "_newton"): (("cos", "cos"), "Newton's cos(theta), n // 2 roots a pass"),
     ("moments.py", "stream"): (("cos", "cos", "sin"), "the DFT's order + 2 angles, and the "

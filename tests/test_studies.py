@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 from phasemix.experiment import Experiment, ExperimentConfig
@@ -47,6 +48,22 @@ def test_pullback_block_study_measures_the_node_set():
     chi, k, q = study.support_points(exp, calc, 64)
     assert chi.size > 0
     assert study.direct_error(exp.chart, chi, k, q) <= 4e-15
+
+
+def test_chart_gates_study_names_each_gate():
+    # A tiny grid with one chart per verdict: the accepted one samples a
+    # slope above the closed-form floor 0.599, and the refused ones none.
+    study = _load_study("chart_gates")
+    rows = {row[:4]: row[4:] for row in study.survey([0.1, 100.0], [0.5, 0.1], [4], [8, 512])}
+    assert len(rows) == 8
+    assert rows[(0.1, 0.5, 4, 512)][0] == "accepted"
+    assert rows[(100.0, 0.1, 4, 512)][0] == "tail"
+    assert rows[(100.0, 0.5, 4, 512)][0] == "c"
+    assert abs(study.quartic_floor() - 0.59907) < 1e-5
+    for name, slope in rows.values():
+        assert (name == "accepted") == (slope > study.quartic_floor())
+    with np.errstate(all="ignore"):
+        assert study.gate(1e308, 0.5, 4, 8)[0] == "finite"
 
 
 def _assigned_attributes(tree):
